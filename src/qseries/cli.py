@@ -7,13 +7,11 @@ import argparse
 import os
 import sys
 
-from mpmath import mpf
-
 from .errors import ParseError, QSeriesError, UnknownIdentityError
 from .harness import (RunConfig, full_registry, render_json, render_text,
                       report_passed, run)
 from .params import parse_param
-from .precision import PrecisionCtx, real_str
+from .precision import PrecisionCtx, real_str, to_real
 from .qcore import QPoint
 
 EXIT_PASS = 0
@@ -77,8 +75,11 @@ def _explicit_point(args, ctx: PrecisionCtx) -> QPoint | None:
     if args.q is None:
         print("qseries: error: --set requires --q", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    # decimals are converted under the working precision, so an explicit
+    # point carries every digit typed rather than the nearest double
     try:
-        q = mpf(args.q)
+        with ctx.working():
+            q = to_real(args.q)
     except ValueError:
         print(f"qseries: error: invalid --q value {args.q!r}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -90,7 +91,8 @@ def _explicit_point(args, ctx: PrecisionCtx) -> QPoint | None:
                   file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
         try:
-            params[name] = parse_param(expr_text).eval(q, ctx)
+            with ctx.working():
+                params[name] = parse_param(expr_text).eval(q, ctx)
         except ParseError as exc:
             print(f"qseries: error: bad expression for {name!r}: {exc}",
                   file=sys.stderr)

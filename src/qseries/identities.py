@@ -20,7 +20,7 @@ from .qcore import (
     QPoint,
     SeriesValue,
     phi,
-    pochhammer_inf,
+    prodquot,
     psi_bilateral,
     sum_with_ratio_bound,
 )
@@ -32,16 +32,6 @@ __all__ = ["register_builtin"]
 Q_TOL = 1e-25  # default verification tolerance for q-identities at 40 digits
 
 _SLACK = 0.05
-
-
-def prodquot(nums, dens, q, ctx) -> SeriesValue:
-    """prod (x;q)_inf over nums divided by the same over dens."""
-    out = SeriesValue.of(1)
-    for x in nums:
-        out = out * pochhammer_inf(x, q, ctx)
-    for x in dens:
-        out = out / pochhammer_inf(x, q, ctx)
-    return out
 
 
 def _abs_lt(name, value, bound, violations, label=None):

@@ -83,7 +83,11 @@ def _parse_rational(text: str) -> Fraction | mpf:
 
 def parse_param(text: str) -> ParamExpr:
     """Parse one parameter expression; raises ParseError with the position
-    of the first offending character."""
+    of the first offending character.
+
+    Decimal literals, coefficients and exponents are converted like
+    ``mpf(text)``, at the precision in force: parse under ``ctx.working()``
+    to keep every digit typed."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty parameter expression", 0)
     s = text.strip()

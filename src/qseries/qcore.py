@@ -33,6 +33,7 @@ __all__ = [
     "qpow",
     "pochhammer_inf",
     "pochhammer_n",
+    "prodquot",
     "phi",
     "psi_bilateral",
     "accelerate",
@@ -170,11 +171,13 @@ def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
             qn *= q
             u = aa * qn
             if u < mpf("0.5"):
-                # |log of remaining product| <= u/((1-q)(1-u))
+                # |log of remaining product| <= u/((1-q)(1-u)); since
+                # expm1(b) >= b, expm1 can only meet tol once bound does
                 bound = u / ((1 - q) * (1 - u))
-                rel = mp.expm1(bound)
-                if rel <= tol:
-                    return SeriesValue(prod, abs(prod) * rel, n, True)
+                if bound <= tol:
+                    rel = mp.expm1(bound)
+                    if rel <= tol:
+                        return SeriesValue(prod, abs(prod) * rel, n, True)
             if n >= ctx.max_terms:
                 raise CapExceededError(
                     f"(a;q)_inf not certified within {ctx.max_terms} factors")
@@ -207,6 +210,16 @@ def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
                     f"(a;q)_n pole: factor 1 - a*q^-{k} vanishes (a={a}, q={q})")
             prod *= f
         return SeriesValue(1 / prod, mpf(0), -n, True)
+
+
+def prodquot(nums, dens, q, ctx) -> SeriesValue:
+    """prod (x;q)_inf over nums divided by the same over dens."""
+    out = SeriesValue.of(1)
+    for x in nums:
+        out = out * pochhammer_inf(x, q, ctx)
+    for x in dens:
+        out = out / pochhammer_inf(x, q, ctx)
+    return out
 
 
 def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,

@@ -184,6 +184,35 @@ def test_cli_eval(capsys):
     assert abs(mpf(out) - mpf("7.5")) < mpf("1e-25")
 
 
+def test_cli_eval_parses_q_at_working_precision(capsys):
+    # the rhs of eq-3.2 is (1+q^2)(1+q)/(q(1-q)) = 1417/210 at q = 3/10;
+    # the nearest double to 0.3 is off from the 17th digit
+    code = cli.main(["eval", "--identity", "eq-3.2", "--side", "rhs",
+                     "--q", "0.3", "--digits", "40"])
+    out = capsys.readouterr().out.strip()
+    assert code == 0
+    with mp.workdps(60):
+        exact = mpf(1417) / 210
+        assert abs(mpf(out) - exact) / exact < mpf("1e-38")
+
+
+def test_cli_eval_parses_set_at_working_precision(capsys):
+    # rhs of eq-1.1: (az, q/(az), q, b/a; q)_inf / (z, b/(az), b, q/a; q)_inf
+    code = cli.main(["eval", "--identity", "eq-1.1", "--side", "rhs",
+                     "--q", "0.3", "--digits", "40", "--set", "a=0.1",
+                     "--set", "b=0.01", "--set", "z=0.4"])
+    out = capsys.readouterr().out.strip()
+    assert code == 0
+    with mp.workdps(60):
+        a, b, z, q = mpf("0.1"), mpf("0.01"), mpf("0.4"), mpf("0.3")
+        num = (mp.qp(a * z, q) * mp.qp(q / (a * z), q) * mp.qp(q, q)
+               * mp.qp(b / a, q))
+        den = (mp.qp(z, q) * mp.qp(b / (a * z), q) * mp.qp(b, q)
+               * mp.qp(q / a, q))
+        exact = num / den
+        assert abs(mpf(out) - exact) / abs(exact) < mpf("1e-38")
+
+
 def test_cli_eval_missing_param(capsys):
     code = cli.main(["eval", "--identity", "eq-1.1", "--side", "lhs",
                      "--q", "0.3", "--set", "a=0.5"])

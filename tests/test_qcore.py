@@ -97,6 +97,48 @@ def test_pochhammer_inf_cap():
         pochhammer_inf(0.5, 0.99, tiny)
 
 
+def _pochhammer_inf_expm1_every_factor(a, q, ctx, expm1):
+    """Reference loop that tests expm1(bound) <= tol at every factor."""
+    with ctx.working():
+        tol = ctx.tail_tol()
+        prod, qn, n, aa = mpf(1), mpf(1), 0, abs(a)
+        while True:
+            f = 1 - a * qn
+            if f == 0:
+                return SeriesValue(mpf(0), mpf(0), n + 1, True)
+            prod *= f
+            n += 1
+            qn *= q
+            u = aa * qn
+            if u < mpf("0.5"):
+                rel = expm1(u / ((1 - q) * (1 - u)))
+                if rel <= tol:
+                    return SeriesValue(prod, abs(prod) * rel, n, True)
+
+
+def test_pochhammer_inf_one_expm1_bit_identical(monkeypatch):
+    # expm1(b) >= b, so evaluating expm1 only once the bound itself meets
+    # tol must stop at the same factor with the same error estimate
+    expm1 = mp.expm1
+    calls = []
+
+    def counting_expm1(x):
+        calls.append(x)
+        return expm1(x)
+
+    monkeypatch.setattr(mp, "expm1", counting_expm1)
+    for digits in (20, 40, 100):
+        ctx = PrecisionCtx(digits=digits)
+        for q in ("0.1", "0.5", "0.9", "0.99"):
+            for a in dict.fromkeys(("-0.9", "0.3", "0.99", q)):
+                a, q = mpf(a), mpf(q)
+                ref = _pochhammer_inf_expm1_every_factor(a, q, ctx, expm1)
+                calls.clear()
+                got = pochhammer_inf(a, q, ctx)
+                assert got == ref, (a, q, digits)
+                assert len(calls) <= 1, (a, q, digits, len(calls))
+
+
 # --- pochhammer_n ---------------------------------------------------------------
 
 def test_pochhammer_n_empty_product():

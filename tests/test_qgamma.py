@@ -4,6 +4,8 @@ from mpmath import mp, mpf
 
 import pytest
 
+import qseries.qcore as qcore
+import qseries.qgamma as qgamma
 from qseries import (
     PoleError,
     accelerate,
@@ -16,6 +18,8 @@ from qseries import (
     gamma_q,
     jackson_integral_finite,
     jackson_integral_infinite,
+    pochhammer_inf,
+    sample_domain,
 )
 
 
@@ -142,6 +146,68 @@ def test_thm53_matches_thm51(registry, ctx40):
     assert r53.passed and r51.passed
     # same Gamma_q quotient on the left of both
     assert rel_diff(r53.lhs_value, r51.lhs_value) < mpf("1e-36")
+
+
+def _thm53_integral_params(p):
+    """(v1, v2, u) of the two q-integrals of Theorem 5.3: the integrand is
+    t^(b-a-1) (tq;q)_inf (tu;q)_inf / ((t v1;q)_inf (t v2;q)_inf)."""
+    a, b, z, q = p["a"], p["b"], p["z"], p.q
+    return ((q ** (1 - z), q ** (1 - b), q ** (1 - a - z)),
+            (q ** (a + 1 + z - b), q ** a, q ** (a + z)))
+
+
+def test_thm53_closed_form_matches_jackson_oracle(registry, ctx40):
+    # each integral as (1-q) * prodquot * 2phi1 at 40 digits against the
+    # Jackson sum of the integrand as printed, one product per factor per
+    # node, at 60 digits
+    ctx60 = PrecisionCtx(digits=60)
+    entry = next(e for e in registry if e.id == "thm-5.3")
+    for p in sample_domain("thm-5.3", 4, seed=3, registry=registry):
+        with mp.workdps(70):
+            a, b, q = p["a"], p["b"], p.q
+            for v1, v2, u in _thm53_integral_params(p):
+                def integrand(t):
+                    return (pochhammer_inf(t * q, q, ctx60).value
+                            * pochhammer_inf(t * u, q, ctx60).value
+                            / (pochhammer_inf(t * v1, q, ctx60).value
+                               * pochhammer_inf(t * v2, q, ctx60).value)
+                            * t ** (b - a - 1))
+
+                oracle = jackson_integral_finite(integrand, 1, q, ctx60).value
+                got = qgamma._jackson_2phi1(v1, v2, u, b - a, q, ctx40)
+                assert got.certified
+                assert rel_diff(got.value, oracle) < mpf("1e-38"), p
+            with ctx40.working():
+                assert entry.rhs(p, ctx40).certified
+
+
+def test_thm53_rhs_work_budget(monkeypatch, registry, ctx40):
+    # 20 products for the ten Gamma_q factors and 4 per q-integral;
+    # evaluating the integrand at every Jackson node makes thousands
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return pochhammer_inf(*args, **kwargs)
+
+    monkeypatch.setattr(qcore, "pochhammer_inf", counting)
+    monkeypatch.setattr(qgamma, "pochhammer_inf", counting)
+    entry = next(e for e in registry if e.id == "thm-5.3")
+    point = QPoint(mpf("0.5"), {"a": mpf("0.1"), "b": mpf("0.7"),
+                                "z": mpf("0.25")})
+    with ctx40.working():
+        rhs = entry.rhs(point, ctx40)
+    assert rhs.certified
+    assert len(calls) <= 40
+
+
+def test_thm53_near_one_q(registry, ctx40):
+    # q = 0.9 lies outside the sampler's range but inside the domain
+    point = QPoint(mpf("0.9"), {"a": mpf("0.1"), "b": mpf("0.7"),
+                                "z": mpf("0.25")})
+    res = eval_identity("thm-5.3", point, tol=1e-22, ctx=ctx40,
+                        registry=registry)
+    assert res.passed, res.rel_err
 
 
 def test_strip_domain_rejection(registry, ctx40):
