@@ -91,8 +91,7 @@ def _explicit_point(args, ctx: PrecisionCtx) -> QPoint | None:
                   file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
         try:
-            with ctx.working():
-                params[name] = parse_param(expr_text).eval(q, ctx)
+            params[name] = parse_param(expr_text).eval(q, ctx)
         except ParseError as exc:
             print(f"qseries: error: bad expression for {name!r}: {exc}",
                   file=sys.stderr)

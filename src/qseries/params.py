@@ -6,7 +6,8 @@ Grammar (exact):
     rational := integer | integer "/" positive-integer | decimal
 
 So "0.35" is a literal, "-q^3" is -(q cubed) and "-q^-5/3" is -(q to the
--5/3). Parsing, printing and re-parsing is stable.
+-5/3). Parsing, printing and re-parsing is stable. Decimals are kept as
+typed and converted when evaluated, at the context's working precision.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from mpmath import mpf
 
 from .errors import ParseError
-from .precision import DEFAULT_CTX, PrecisionCtx, to_real
+from .precision import DEFAULT_CTX, PrecisionCtx
 from .qcore import qpow
 
 __all__ = ["ParamExpr", "parse_param"]
@@ -34,12 +35,13 @@ _QFORM_RE = re.compile(
 
 @dataclass(frozen=True)
 class ParamExpr:
-    """Either a plain literal or sign * coefficient * q**exponent."""
+    """Either a plain literal or sign * coefficient * q**exponent; the
+    literal, the coefficient and a decimal exponent are decimal text."""
 
-    literal: mpf | None = None
+    literal: str | None = None
     sign: int = 1
-    coefficient: mpf = mpf(1)
-    exponent: Fraction | mpf = Fraction(1)
+    coefficient: str = "1"
+    exponent: Fraction | str = Fraction(1)
 
     @property
     def is_literal(self) -> bool:
@@ -48,17 +50,17 @@ class ParamExpr:
     def eval(self, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         with ctx.working():
             if self.is_literal:
-                return to_real(self.literal)
+                return mpf(self.literal)
             e = (mpf(self.exponent.numerator) / self.exponent.denominator
                  if isinstance(self.exponent, Fraction)
-                 else to_real(self.exponent))
-            return self.sign * self.coefficient * qpow(q, e, ctx)
+                 else mpf(self.exponent))
+            return self.sign * mpf(self.coefficient) * qpow(q, e, ctx)
 
     def __str__(self) -> str:
         if self.is_literal:
-            return str(self.literal)
+            return self.literal
         out = "-" if self.sign < 0 else ""
-        if self.coefficient != 1:
+        if self.coefficient != "1":
             out += f"{self.coefficient}*"
         out += "q"
         if isinstance(self.exponent, Fraction):
@@ -72,27 +74,23 @@ class ParamExpr:
         return out
 
 
-def _parse_rational(text: str) -> Fraction | mpf:
+def _parse_rational(text: str) -> Fraction | str:
     if "/" in text:
         num, den = text.split("/", 1)
         return Fraction(int(num), int(den))
     if "." in text:
-        return mpf(text)
+        return text
     return Fraction(int(text))
 
 
 def parse_param(text: str) -> ParamExpr:
     """Parse one parameter expression; raises ParseError with the position
-    of the first offending character.
-
-    Decimal literals, coefficients and exponents are converted like
-    ``mpf(text)``, at the precision in force: parse under ``ctx.working()``
-    to keep every digit typed."""
+    of the first offending character."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty parameter expression", 0)
     s = text.strip()
     if _LITERAL_RE.match(s):
-        return ParamExpr(literal=mpf(s))
+        return ParamExpr(literal=s)
     m = _QFORM_RE.match(s)
     if m is None:
         # locate the first character that cannot extend a valid prefix
@@ -105,10 +103,9 @@ def parse_param(text: str) -> ParamExpr:
                 break
         raise ParseError(f"invalid parameter expression {text!r}", pos)
     sign = -1 if m.group("sign") else 1
-    coeff = mpf(m.group("coeff")) if m.group("coeff") else mpf(1)
+    coeff = m.group("coeff") or "1"
     exp = _parse_rational(m.group("exp")) if m.group("exp") else Fraction(1)
-    if abs(mpf(exp.numerator) / exp.denominator
-           if isinstance(exp, Fraction) else exp) > _MAX_EXPONENT:
+    if abs(Fraction(exp)) > _MAX_EXPONENT:
         raise ParseError(f"exponent magnitude exceeds {_MAX_EXPONENT}")
     return ParamExpr(sign=sign, coefficient=coeff, exponent=exp)
 

@@ -11,8 +11,8 @@ from mpmath import mp, mpf
 
 from .errors import NonConvergenceError, PoleError, QDomainError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
-from .qcore import (QPoint, SeriesValue, accelerate, phi, pochhammer_inf,
-                    prodquot, qpow)
+from .qcore import (_LEVIN_MAX_ORDER, QPoint, SeriesValue, accelerate, phi,
+                    pochhammer_inf, prodquot, qpow)
 from .registry import IdentityEntry
 from .rng import SplitMix64
 
@@ -201,11 +201,11 @@ def jackson_integral_infinite(f, q,
 
 # --- classical series via acceleration ---------------------------------------
 
-def _levin_sum(first_term, ratio_fn, n_terms: int,
-               ctx: PrecisionCtx) -> SeriesValue:
+def _levin_sum(first_term, ratio_fn, ctx: PrecisionCtx) -> SeriesValue:
+    # the transform reads at most _LEVIN_MAX_ORDER + 1 terms (kmax = len - 2)
     terms = []
     t = to_real(first_term)
-    for n in range(n_terms):
+    for n in range(_LEVIN_MAX_ORDER + 2):
         terms.append(t)
         t = t * ratio_fn(n)
     return accelerate(terms, kind="levin-u", ctx=ctx)
@@ -293,7 +293,7 @@ def _rhs_eq55(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     # t_n = (b)_n/n! * (b-z)/(b-z+n)
     return _levin_sum(1, lambda n: ((b + n) / (n + 1)
                                     * (b - z + n) / (b - z + n + 1)),
-                      400, ctx)
+                      ctx)
 
 
 def _lhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
@@ -307,7 +307,7 @@ def _rhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     # u_n = prod_{k<=n}(k-x)/n! * 1/(n+y)
     return _levin_sum(1 / to_real(y),
                       lambda n: ((n + 1 - x) / (n + 1) * (n + y) / (n + 1 + y)),
-                      400, ctx)
+                      ctx)
 
 
 def _lhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
@@ -324,7 +324,7 @@ def _rhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     # t_n = (b-a)_n/(n! (n+z))
     return _levin_sum(1 / to_real(z),
                       lambda n: ((b - a + n) / (n + 1) * (n + z) / (n + 1 + z)),
-                      400, ctx)
+                      ctx)
 
 
 def _lhs_eq59(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
@@ -339,7 +339,7 @@ def _rhs_eq59(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     return _levin_sum(1,
                       lambda n: ((n + half) / (n + 1)
                                  * (4 * n + 1) / (4 * n + 5)),
-                      300, ctx)
+                      ctx)
 
 
 def _lhs_eq512(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:

@@ -4,15 +4,27 @@ import pytest
 from mpmath import mp, mpf
 
 from qseries import ParseError, PrecisionCtx, QDomainError, parse_param, to_real
-from qseries.precision import real_str
+from qseries.precision import DEFAULT_CTX, real_str
 from qseries.rng import SplitMix64, fnv1a64, stream_for
 
 
 def test_literal():
     e = parse_param("0.35")
     assert e.is_literal
-    assert e.eval(0.5) == mpf("0.35")
+    with DEFAULT_CTX.working():
+        assert e.eval(0.5) == mpf("0.35")
     assert str(e) == "0.35"
+
+
+def test_decimals_convert_at_working_precision():
+    # parsed and evaluated outside any workdps: the decimals typed, not the
+    # nearest doubles (0.1 as a double is off by 5.5e-18)
+    ctx = PrecisionCtx(digits=40)
+    with mp.workdps(60):
+        tenth, three_twentieths = mpf(1) / 10, mpf(3) / 20
+    assert abs(parse_param("0.1").eval(0.5, ctx) - tenth) < mpf("1e-45")
+    assert (abs(parse_param("0.3*q").eval("0.5", ctx) - three_twentieths)
+            < mpf("1e-45"))
 
 
 def test_negative_literal():

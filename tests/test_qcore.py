@@ -1,6 +1,8 @@
 """Core evaluation engine: powers, Pochhammer symbols, phi/psi series,
 custom bounded sums, and acceleration."""
 
+from math import comb
+
 import pytest
 from mpmath import mp, mpf
 
@@ -21,7 +23,9 @@ from qseries import (
     psi_bilateral,
     qpow,
 )
+from qseries import qcore, qgamma
 from qseries.qcore import sum_with_ratio_bound
+from qseries.registry import sample_domain
 
 
 def rel_diff(x, y):
@@ -322,6 +326,95 @@ def test_accelerate_raw_with_tail(ctx40):
         target = mp.pi ** 2 / 6
     assert rel_diff(v.value, target) < mpf("1e-3")
     assert abs(v.value - target) <= 10 * v.err_estimate
+
+
+# The classical-limit series sides and the closed forms of their sums
+# (eq-5.7's series sums to B(z, 1+a-b), not to its printed left side).
+_LEVIN_CLOSED_FORMS = {
+    "eq-5.5": lambda p: (mp.gamma(1 - p["b"]) * mp.gamma(1 + p["b"] - p["z"])
+                         / mp.gamma(1 - p["z"])),
+    "eq-5.6": lambda p: mp.beta(p["x"], p["y"]),
+    "eq-5.7": lambda p: mp.beta(p["z"], 1 + p["a"] - p["b"]),
+    "eq-5.9": lambda p: (mp.pi ** (mpf(3) / 2)
+                         / (2 * mp.sqrt(2) * mp.gamma(mpf(3) / 4) ** 2)),
+}
+
+
+def _levin_series(monkeypatch, registry, ctx, idents=tuple(_LEVIN_CLOSED_FORMS)):
+    """(identity, point, terms, rhs) at three seed-7 sample points of each
+    identity: the terms its series side hands to accelerate, and the side."""
+    given = []
+
+    def recording_accelerate(terms, kind, ctx):
+        given.append(terms)
+        return accelerate(terms, kind=kind, ctx=ctx)
+
+    monkeypatch.setattr(qgamma, "accelerate", recording_accelerate)
+    entries = {e.id: e for e in registry}
+    out = []
+    for ident in idents:
+        for p in sample_domain(ident, 3, 7, registry=registry):
+            with ctx.working():
+                rhs = entries[ident].rhs(p, ctx)
+            (terms,) = given
+            given.clear()
+            out.append((ident, p, terms, rhs))
+    return out
+
+
+def _levin_full_sweep(terms, ctx):
+    """accelerate's levin-u value from every order up to the cap: the same
+    integer weights and arithmetic as qcore._levin_u, without its stop."""
+    with ctx.working():
+        kmax = min(len(terms) - 2, qcore._LEVIN_MAX_ORDER)
+        inv_om, s_om, psum = [], [], mpf(0)
+        for j, t in enumerate(terms[:kmax + 1]):
+            psum += t
+            om = (j + 1) * t
+            inv_om.append(1 / om)
+            s_om.append(psum / om)
+        ests = []
+        for k in range(1, kmax + 1):
+            num = den = mpf(0)
+            for j in range(k + 1):
+                c = (-1) ** j * comb(k, j) * (j + 1) ** (k - 1)
+                num += c * s_om[j]
+                den += c * inv_om[j]
+            ests.append(num / den)
+        best_val, best_err = ests[-1], abs(ests[-1] - ests[-2])
+        for prev, cur in zip(ests, ests[1:]):
+            if abs(cur - prev) < best_err:
+                best_val, best_err = cur, abs(cur - prev)
+        return best_val
+
+
+def test_levin_stops_at_rounding_floor(monkeypatch, registry, ctx40):
+    # at 40 digits orders past ~40 are rounding noise: the sweep stops there
+    # instead of running to order 120, and terms_used counts what it read
+    for _, _, terms, rhs in _levin_series(monkeypatch, registry, ctx40,
+                                          idents=("eq-5.7",)):
+        assert rhs.terms_used <= 61
+        with ctx40.working():
+            estimates, read = qcore._levin_u(terms)
+        assert len(estimates) <= 60
+        assert rhs.terms_used == read == len(estimates) + 1
+
+
+@pytest.mark.parametrize("digits", [20, 40, 100])
+def test_levin_stop_keeps_full_sweep_selection(monkeypatch, registry, digits):
+    ctx = PrecisionCtx(digits=digits)
+    for ident, p, terms, rhs in _levin_series(monkeypatch, registry, ctx):
+        assert rhs.value == _levin_full_sweep(terms, ctx), (ident, p)
+
+
+@pytest.mark.parametrize("digits, tol", [(20, "1e-16"), (40, "1e-28"),
+                                         (100, "1e-65")])
+def test_levin_series_match_closed_forms(monkeypatch, registry, digits, tol):
+    ctx = PrecisionCtx(digits=digits)
+    for ident, p, _, rhs in _levin_series(monkeypatch, registry, ctx):
+        with mp.workdps(digits + 40):
+            closed = _LEVIN_CLOSED_FORMS[ident](p)
+            assert abs(rhs.value / closed - 1) <= mpf(tol), (ident, p)
 
 
 def test_accelerate_needs_terms():
