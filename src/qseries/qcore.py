@@ -7,7 +7,11 @@ convergence acceleration for slowly convergent classical series.
 Truncation rule: a product/series is stopped once the next term t and a
 certified upper bound rho < 1 on all subsequent term ratios satisfy
 |t| / (1 - rho) <= tail_rel_tol * |sum|; the geometric tail bound is then
-recorded as the error estimate. Accelerated limits carry only a heuristic
+recorded as the error estimate. The stop test is skipped only where it
+provably cannot pass, because a cheaper lower bound on its rounded tail
+already exceeds the tolerance (see pochhammer_inf and _ratio_series), so
+every product and series stops at the same term, with the same estimate,
+as one that tests at every term. Accelerated limits carry only a heuristic
 estimate and are flagged non-certified.
 """
 
@@ -160,6 +164,13 @@ def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         a, q = to_real(a), to_real(q)
         _check_q(q)
         tol = ctx.tail_tol()
+        max_terms = ctx.max_terms
+        half = mpf(0.5)
+        omq = 1 - q
+        # bound = u/((1-q)(1-u)) rounds to at least u/(1-q), so it cannot
+        # meet tol while u > 2 tol (1-q); expm1(b) >= b, so expm1 cannot
+        # meet tol before bound does
+        gate = 2 * tol * omq
         prod = mpf(1)
         qn = mpf(1)  # q^n
         n = 0
@@ -172,17 +183,16 @@ def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
             n += 1
             qn *= q
             u = aa * qn
-            if u < mpf("0.5"):
-                # |log of remaining product| <= u/((1-q)(1-u)); since
-                # expm1(b) >= b, expm1 can only meet tol once bound does
-                bound = u / ((1 - q) * (1 - u))
+            if u <= gate and u < half:
+                # for u < 1/2, |log of remaining product| <= u/((1-q)(1-u))
+                bound = u / (omq * (1 - u))
                 if bound <= tol:
                     rel = mp.expm1(bound)
                     if rel <= tol:
                         return SeriesValue(prod, abs(prod) * rel, n, True)
-            if n >= ctx.max_terms:
+            if n >= max_terms:
                 raise CapExceededError(
-                    f"(a;q)_inf not certified within {ctx.max_terms} factors")
+                    f"(a;q)_inf not certified within {max_terms} factors")
 
 
 def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
@@ -224,16 +234,45 @@ def prodquot(nums, dens, q, ctx) -> SeriesValue:
     return out
 
 
+def _ratio_bound(abs_arg, abs_num, abs_den, q, qn, extra_q_factorial):
+    """Certified bound rho(n) on the ratios of terms beyond index n (see
+    _ratio_series), or None where a lower factor 1 - |b| q^n is not
+    positive."""
+    rho = abs_arg
+    for au in abs_num:
+        rho *= 1 + au * qn
+    den_bound = mpf(1)
+    if extra_q_factorial:
+        den_bound *= 1 - q * qn
+    for ab in abs_den:
+        d = 1 - ab * qn
+        if d <= 0:
+            return None
+        den_bound *= d
+    return rho / den_bound
+
+
 def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
                   start_at_one=False):
     """Sum of prod (num;q)_n / [((q;q)_n if extra_q_factorial) prod (den;q)_n] * arg^n.
 
     Terms are generated by the one-step recurrence; the tail is certified by
     the geometric bound rho(n) = |arg| * prod(1+|num|s) / ((1-qs) * prod(1-|den|s))
-    with s = q^n, valid for every subsequent ratio.
+    with s = q^n, valid for every subsequent ratio. Computed in round to
+    nearest, every numerator factor of rho is >= 1 and its denominator <= 1,
+    so rho >= |arg| and the tail |t|/(1-rho) >= |t|/(1-|arg|): rho is built
+    only once that cheaper bound meets the tolerance, and never when
+    |arg| >= 1.
     """
     tol = ctx.tail_tol()
     floor = ctx.rel_floor()
+    max_terms = ctx.max_terms
+    abs_num = [abs(u) for u in num_params]
+    abs_den = [abs(b) for b in den_params]
+    abs_arg = abs(arg)
+    tail_can_stop = abs_arg < 1
+    if tail_can_stop:
+        one_minus_arg = 1 - abs_arg
     s_val = mpf(0)
     qn = mpf(1)  # q^n for the current term index n
     n = 0
@@ -257,33 +296,24 @@ def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
         if t == 0:
             # a numerator factor vanished; every later term carries it too
             return SeriesValue(s_val, mpf(0), n, True)
-        # certified bound on ratios of terms beyond index n
-        rho = abs(arg)
-        usable = True
-        for u in num_params:
-            rho *= 1 + abs(u) * qn
-        den_bound = mpf(1)
-        if extra_q_factorial:
-            den_bound *= 1 - q * qn
-        for b in den_params:
-            d = 1 - abs(b) * qn
-            if d <= 0:
-                usable = False
-                break
-            den_bound *= d
-        if usable and den_bound > 0:
-            rho /= den_bound
-            if rho < 1:
-                tail = abs(t) / (1 - rho)
-                if tail <= tol * max(abs(s_val), floor):
-                    return SeriesValue(s_val, tail, n, True)
+        if tail_can_stop:
+            abs_t = abs(t)
+            limit = tol * max(abs(s_val), floor)
+            if abs_t / one_minus_arg <= limit:
+                rho = _ratio_bound(abs_arg, abs_num, abs_den, q, qn,
+                                   extra_q_factorial)
+                if rho is not None and rho < 1:
+                    tail = abs_t / (1 - rho)
+                    if tail <= limit:
+                        return SeriesValue(s_val, tail, n, True)
         s_val += t
+        q_next = q * qn
         num = mpf(1)
         for u in num_params:
             num *= 1 - u * qn
         den = mpf(1)
         if extra_q_factorial:
-            den *= 1 - q * qn
+            den *= 1 - q_next
         for b in den_params:
             f = 1 - b * qn
             if f == 0:
@@ -293,11 +323,11 @@ def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
         if den == 0:
             raise PoleError(f"vanishing (q;q)_n factor at n={n}")
         t = t * num / den * arg
-        qn *= q
+        qn = q_next
         n += 1
-        if n > ctx.max_terms:
+        if n > max_terms:
             raise CapExceededError(
-                f"series not certified within {ctx.max_terms} terms")
+                f"series not certified within {max_terms} terms")
 
 
 def phi(upper, lower, q, z, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:

@@ -37,7 +37,12 @@ def gamma_q(x, q, ctx: PrecisionCtx | None = None) -> SeriesValue:
 
     Poles at x = 0, -1, -2, ... where (q^x;q)_inf vanishes.
     """
-    ctx = ctx or PrecisionCtx()
+    return _gamma_q(x, q, ctx or PrecisionCtx())
+
+
+def _gamma_q(x, q, ctx: PrecisionCtx, qq: SeriesValue | None = None):
+    """gamma_q(x, q, ctx), taking (q;q)_inf as qq when given, so that the
+    Gamma_q factors of one identity side share one product."""
     q, x = to_real(q), to_real(x)
     if not (0 < q < 1):
         raise QDomainError(f"gamma_q requires 0 < q < 1, got q={q}")
@@ -47,8 +52,18 @@ def gamma_q(x, q, ctx: PrecisionCtx | None = None) -> SeriesValue:
         den = pochhammer_inf(qpow(q, x, ctx), q, ctx)
         if den.value == 0:
             raise PoleError(f"gamma_q pole: (q^x;q)_inf = 0 at x={x}")
+        if qq is None:
+            qq = pochhammer_inf(q, q, ctx)
         scale = mp.power(1 - q, 1 - x)
-        return scale * (pochhammer_inf(q, q, ctx) / den)
+        return scale * (qq / den)
+
+
+def _gamma_q_side(q, ctx: PrecisionCtx):
+    """x -> gamma_q(x, q, ctx) for every Gamma_q factor of one identity
+    side, all sharing one (q;q)_inf; each factor's value, error estimate and
+    term count are those of gamma_q."""
+    qq = pochhammer_inf(q, q, ctx)
+    return lambda x: _gamma_q(x, q, ctx, qq)
 
 
 # --- classical gamma (Spouge's approximation) -------------------------------
@@ -201,39 +216,39 @@ def jackson_integral_infinite(f, q,
 
 # --- classical series via acceleration ---------------------------------------
 
-def _levin_sum(first_term, ratio_fn, ctx: PrecisionCtx) -> SeriesValue:
+def _levin_sum(c, ratio_fn, ctx: PrecisionCtx) -> SeriesValue:
+    """Levin-accelerated sum of t_0 = 1/c, t_(n+1) = t_n * ratio_fn(n), with
+    every term built at the working precision whatever precision the caller
+    is in."""
     # the transform reads at most _LEVIN_MAX_ORDER + 1 terms (kmax = len - 2)
-    terms = []
-    t = to_real(first_term)
-    for n in range(_LEVIN_MAX_ORDER + 2):
-        terms.append(t)
-        t = t * ratio_fn(n)
+    with ctx.working():
+        terms = []
+        t = 1 / to_real(c)
+        for n in range(_LEVIN_MAX_ORDER + 2):
+            terms.append(t)
+            t = t * ratio_fn(n)
     return accelerate(terms, kind="levin-u", ctx=ctx)
 
 
 # --- identity entries ---------------------------------------------------------
 
-def _gq(x, q, ctx):
-    return gamma_q(x, q, ctx)
-
-
 def _lhs_gamma_quotient(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
-    num = _gq(b, q, ctx) * _gq(1 - a, q, ctx) * _gq(z, q, ctx) * _gq(b - a - z, q, ctx)
-    den = _gq(b - a, q, ctx) * _gq(a + z, q, ctx) * _gq(1 - a - z, q, ctx)
+    gq = _gamma_q_side(q, ctx)
+    num = gq(b) * gq(1 - a) * gq(z) * gq(b - a - z)
+    den = gq(b - a) * gq(a + z) * gq(1 - a - z)
     return num / den
 
 
 def _rhs_thm51(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
+    gq = _gamma_q_side(q, ctx)
     pre = mp.power(1 - q, a + 1 - b)
     qa = qpow(q, a, ctx)
-    t1 = (pre * (_gq(b, q, ctx) * _gq(z, q, ctx)
-                 / (_gq(b - a, q, ctx) * _gq(a + z, q, ctx)))
+    t1 = (pre * (gq(b) * gq(z) / (gq(b - a) * gq(a + z)))
           * phi([qpow(q, a + 1 + z - b, ctx), qa],
                 [qpow(q, a + z, ctx)], q, qpow(q, b - a, ctx), ctx))
-    t2 = ((_gq(1 - a, q, ctx) * _gq(b - a - z, q, ctx)
-           / (_gq(1 - b, q, ctx) * _gq(b + 1 - a - z, q, ctx)))
+    t2 = ((gq(1 - a) * gq(b - a - z) / (gq(1 - b) * gq(b + 1 - a - z)))
           * phi([qpow(q, b - a, ctx), qpow(q, b - z - a, ctx)],
                 [qpow(q, b + 1 - a - z, ctx)], q, qpow(q, 1 - b, ctx), ctx))
     return t1 + t2 - pre
@@ -241,13 +256,12 @@ def _rhs_thm51(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
 
 def _rhs_eq58(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
+    gq = _gamma_q_side(q, ctx)
     pre = mp.power(1 - q, a + 1 - b)
-    t1 = ((_gq(b, q, ctx) * _gq(z, q, ctx)
-           / (_gq(a, q, ctx) * _gq(z + 1, q, ctx)))
+    t1 = ((gq(b) * gq(z) / (gq(a) * gq(z + 1)))
           * phi([qpow(q, b - a, ctx), qpow(q, z, ctx)],
                 [qpow(q, 1 + z, ctx)], q, qpow(q, a, ctx), ctx))
-    t2 = (pre * (_gq(1 - a, q, ctx) * _gq(b - a - z, q, ctx)
-                 / (_gq(1 - a - z, q, ctx) * _gq(b - a, q, ctx)))
+    t2 = (pre * (gq(1 - a) * gq(b - a - z) / (gq(1 - a - z) * gq(b - a)))
           * phi([qpow(q, 1 - z, ctx), qpow(q, 1 - b, ctx)],
                 [qpow(q, 1 - a - z, ctx)], q, qpow(q, b - a, ctx), ctx))
     return t1 + t2 - pre
@@ -268,16 +282,16 @@ def _jackson_2phi1(v1, v2, u, s, q, ctx: PrecisionCtx) -> SeriesValue:
 
 def _rhs_thm53(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
+    gq = _gamma_q_side(q, ctx)
     pre = mp.power(1 - q, a + 1 - b)
     int_f = _jackson_2phi1(qpow(q, 1 - z, ctx), qpow(q, 1 - b, ctx),
                            qpow(q, 1 - a - z, ctx), b - a, q, ctx)
     int_g = _jackson_2phi1(qpow(q, a + 1 + z - b, ctx), qpow(q, a, ctx),
                            qpow(q, a + z, ctx), b - a, q, ctx)
-    t1 = (_gq(1 - a, q, ctx) * _gq(b - a - z, q, ctx)
-          / (_gq(b - a, q, ctx) * _gq(1 - z, q, ctx) * _gq(1 - b, q, ctx))) * int_f
-    t2 = (_gq(b, q, ctx) * _gq(z, q, ctx)
-          / (_gq(b - a, q, ctx) * _gq(a + 1 + z - b, q, ctx)
-             * _gq(a, q, ctx))) * int_g
+    t1 = (gq(1 - a) * gq(b - a - z)
+          / (gq(b - a) * gq(1 - z) * gq(1 - b))) * int_f
+    t2 = (gq(b) * gq(z)
+          / (gq(b - a) * gq(a + 1 + z - b) * gq(a))) * int_g
     return t1 + t2 - pre
 
 
@@ -305,7 +319,7 @@ def _lhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
 def _rhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     x, y = p["x"], p["y"]
     # u_n = prod_{k<=n}(k-x)/n! * 1/(n+y)
-    return _levin_sum(1 / to_real(y),
+    return _levin_sum(y,
                       lambda n: ((n + 1 - x) / (n + 1) * (n + y) / (n + 1 + y)),
                       ctx)
 
@@ -322,7 +336,7 @@ def _lhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
 def _rhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z = p["a"], p["b"], p["z"]
     # t_n = (b-a)_n/(n! (n+z))
-    return _levin_sum(1 / to_real(z),
+    return _levin_sum(z,
                       lambda n: ((b - a + n) / (n + 1) * (n + z) / (n + 1 + z)),
                       ctx)
 

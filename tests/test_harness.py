@@ -1,5 +1,6 @@
 """Verification harness reports and the command-line interface."""
 
+import hashlib
 import json
 
 from mpmath import mp, mpf
@@ -53,6 +54,14 @@ def test_reports_are_byte_identical():
     parsed = json.loads(first)
     assert parsed["version"]
     assert [r["id"] for r in parsed["results"]] == ["eq-1.1", "eq-3.2"]
+
+
+def test_gate_report_hash():
+    # every digit of the full seed-7 report, pinned for mpmath 1.3.0: a
+    # change meant to leave the values alone must leave this hash alone
+    report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "b510feedb6b848f4fe414ff902b7fe311ca78cd2a27c85e91caa46e6fcb552e4")
 
 
 def test_seed_changes_sampled_points():

@@ -122,7 +122,8 @@ def _pochhammer_inf_expm1_every_factor(a, q, ctx, expm1):
 
 def test_pochhammer_inf_one_expm1_bit_identical(monkeypatch):
     # expm1(b) >= b, so evaluating expm1 only once the bound itself meets
-    # tol must stop at the same factor with the same error estimate
+    # tol, and the bound only once u <= 2 tol (1-q), must stop at the same
+    # factor with the same error estimate
     expm1 = mp.expm1
     calls = []
 
@@ -131,16 +132,20 @@ def test_pochhammer_inf_one_expm1_bit_identical(monkeypatch):
         return expm1(x)
 
     monkeypatch.setattr(mp, "expm1", counting_expm1)
-    for digits in (20, 40, 100):
-        ctx = PrecisionCtx(digits=digits)
+    ctxs = [PrecisionCtx(digits=digits) for digits in (20, 40, 100)]
+    # at q = 0.1 this tolerance puts 2 tol (1-q) above 1/2
+    ctxs.append(PrecisionCtx(digits=40, tail_rel_tol=0.3))
+    for ctx in ctxs:
         for q in ("0.1", "0.5", "0.9", "0.99"):
-            for a in dict.fromkeys(("-0.9", "0.3", "0.99", q)):
+            for a in dict.fromkeys(("-0.99", "-0.9", "0.3", "0.99", q)):
                 a, q = mpf(a), mpf(q)
                 ref = _pochhammer_inf_expm1_every_factor(a, q, ctx, expm1)
                 calls.clear()
                 got = pochhammer_inf(a, q, ctx)
-                assert got == ref, (a, q, digits)
-                assert len(calls) <= 1, (a, q, digits, len(calls))
+                assert got == ref, (a, q, ctx)
+                # at tol = 0.3, expm1(b) > tol >= b can hold at two factors
+                if ctx.tail_rel_tol is None:
+                    assert len(calls) <= 1, (a, q, ctx, len(calls))
 
 
 # --- pochhammer_n ---------------------------------------------------------------
@@ -222,6 +227,121 @@ def test_phi_q_binomial_theorem(ctx40):
             rhs = (pochhammer_inf(mpf(a) * mpf(z), q, ctx40)
                    / pochhammer_inf(z, q, ctx40)).value
             assert rel_diff(lhs, rhs) < mpf("1e-32")
+
+
+def _ratio_series_every_term(num_params, den_params, q, arg, ctx,
+                             extra_q_factorial, start_at_one=False):
+    """Reference loop that builds the ratio bound rho(n) at every term."""
+    tol = ctx.tail_tol()
+    floor = ctx.rel_floor()
+    s_val = mpf(0)
+    qn = mpf(1)
+    n = 0
+    if start_at_one:
+        t = arg
+        for u in num_params:
+            t *= 1 - u
+        for b in den_params:
+            d = 1 - b
+            if d == 0:
+                raise PoleError("vanishing denominator factor at n=1")
+            t /= d
+        if extra_q_factorial:
+            t /= 1 - q
+        qn = q
+        n = 1
+    else:
+        t = mpf(1)
+    while True:
+        if t == 0:
+            return SeriesValue(s_val, mpf(0), n, True)
+        rho = abs(arg)
+        usable = True
+        for u in num_params:
+            rho *= 1 + abs(u) * qn
+        den_bound = mpf(1)
+        if extra_q_factorial:
+            den_bound *= 1 - q * qn
+        for b in den_params:
+            d = 1 - abs(b) * qn
+            if d <= 0:
+                usable = False
+                break
+            den_bound *= d
+        if usable and den_bound > 0:
+            rho /= den_bound
+            if rho < 1:
+                tail = abs(t) / (1 - rho)
+                if tail <= tol * max(abs(s_val), floor):
+                    return SeriesValue(s_val, tail, n, True)
+        s_val += t
+        num = mpf(1)
+        for u in num_params:
+            num *= 1 - u * qn
+        den = mpf(1)
+        if extra_q_factorial:
+            den *= 1 - q * qn
+        for b in den_params:
+            f = 1 - b * qn
+            if f == 0:
+                raise PoleError(f"vanishing denominator factor at n={n}")
+            den *= f
+        if den == 0:
+            raise PoleError(f"vanishing (q;q)_n factor at n={n}")
+        t = t * num / den * arg
+        qn *= q
+        n += 1
+
+
+def _ratio_series_cases():
+    """(num, den, q, arg, extra_q_factorial, start_at_one) as phi and
+    psi_bilateral pass them, built at the precision in force."""
+    q = mpf("0.6")
+    for z in (mpf("0.7"), mpf("-0.7")):
+        yield [mpf("0.3")], [], q, z, True, False  # 1phi0
+        yield [mpf("0.2"), mpf("-0.5")], [mpf("0.7")], q, z, True, False
+        yield ([mpf("0.1"), mpf("0.4"), mpf("-0.6")], [mpf("0.3"), mpf("0.8")],
+               mpf("0.9"), z, True, False)  # 3phi2
+    # |b| > 1: rho is unusable until |b| q^n < 1
+    yield [mpf("0.5")], [mpf("1.7")], q, mpf("0.6"), True, False
+    yield [mpf("0.5")], [mpf("-2.5")], q, mpf("-0.6"), True, False
+    # and is still unusable where a tiny argument lets the sum stop early
+    yield [mpf("0.5")], [mpf(-40)], q, mpf("1e-20"), True, False
+    # psi_bilateral with b = q sums the positive half alone
+    yield [mpf("0.4")], [q], q, mpf("0.5"), False, False
+    # the negative half of psi_bilateral([a], [b], q, z)
+    a, b = mpf("0.5"), mpf("0.3")
+    for z in (mpf("0.7"), mpf("-0.9")):
+        yield [q / b], [q / a], q, b / (a * z), False, True
+
+
+@pytest.mark.parametrize("ctx", [PrecisionCtx(digits=20),
+                                 PrecisionCtx(digits=40),
+                                 PrecisionCtx(digits=100),
+                                 PrecisionCtx(digits=40, tail_rel_tol=1e-3)],
+                         ids=["d20", "d40", "d100", "tol1e-3"])
+def test_ratio_series_bit_identical(monkeypatch, ctx):
+    # the rounded rho is never below |arg|, so building it only once
+    # |t|/(1-|arg|) meets the tolerance must stop at the same term with the
+    # same tail bound as building it at every term
+    ratio_bound = qcore._ratio_bound
+    built = []
+
+    def counting_ratio_bound(*args):
+        rho = ratio_bound(*args)
+        built.append(rho is not None)
+        return rho
+
+    monkeypatch.setattr(qcore, "_ratio_bound", counting_ratio_bound)
+    with ctx.working():
+        for case in _ratio_series_cases():
+            ref = _ratio_series_every_term(*case[:4], ctx, *case[4:])
+            built.clear()
+            got = qcore._ratio_series(*case[:4], ctx, *case[4:])
+            assert got == ref, case
+            # |t|/(1-|arg|) is tight once q^n is small: a usable rho is
+            # built at no more than two terms of these sums
+            assert sum(built) <= 2, (case, built)
 
 
 # --- psi_bilateral ------------------------------------------------------------------

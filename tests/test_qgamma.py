@@ -181,9 +181,7 @@ def test_thm53_closed_form_matches_jackson_oracle(registry, ctx40):
                 assert entry.rhs(p, ctx40).certified
 
 
-def test_thm53_rhs_work_budget(monkeypatch, registry, ctx40):
-    # 20 products for the ten Gamma_q factors and 4 per q-integral;
-    # evaluating the integrand at every Jackson node makes thousands
+def _count_thm53_pochhammer_inf(monkeypatch, registry, ctx, side):
     calls = []
 
     def counting(*args, **kwargs):
@@ -195,10 +193,28 @@ def test_thm53_rhs_work_budget(monkeypatch, registry, ctx40):
     entry = next(e for e in registry if e.id == "thm-5.3")
     point = QPoint(mpf("0.5"), {"a": mpf("0.1"), "b": mpf("0.7"),
                                 "z": mpf("0.25")})
-    with ctx40.working():
-        rhs = entry.rhs(point, ctx40)
+    with ctx.working():
+        value = getattr(entry, side)(point, ctx)
+    return value, len(calls)
+
+
+def test_thm53_rhs_work_budget(monkeypatch, registry, ctx40):
+    # one (q;q)_inf shared by the ten Gamma_q factors, their ten
+    # denominators and 4 products per q-integral; evaluating the integrand
+    # at every Jackson node makes thousands
+    rhs, calls = _count_thm53_pochhammer_inf(monkeypatch, registry, ctx40,
+                                             "rhs")
     assert rhs.certified
-    assert len(calls) <= 40
+    assert calls <= 20
+
+
+def test_thm53_lhs_work_budget(monkeypatch, registry, ctx40):
+    # one (q;q)_inf shared by the seven Gamma_q factors and their seven
+    # denominators
+    lhs, calls = _count_thm53_pochhammer_inf(monkeypatch, registry, ctx40,
+                                             "lhs")
+    assert lhs.certified
+    assert calls <= 8
 
 
 def test_thm53_near_one_q(registry, ctx40):
@@ -220,6 +236,19 @@ def test_strip_domain_rejection(registry, ctx40):
 
 
 # --- classical limits ------------------------------------------------------------
+
+@pytest.mark.parametrize("identity", ["eq-5.5", "eq-5.6", "eq-5.7", "eq-5.9"])
+def test_levin_series_side_builds_terms_at_working_precision(registry, ctx40,
+                                                             identity):
+    # eval_identity enters the working precision; a direct call of the side
+    # must not depend on that
+    entry = next(e for e in registry if e.id == identity)
+    for point in sample_domain(identity, 2, seed=7, registry=registry):
+        outside = entry.rhs(point, ctx40)
+        with ctx40.working():
+            inside = entry.rhs(point, ctx40)
+        assert outside == inside, point
+
 
 def test_eq56_beta_half_half_is_pi(registry, ctx40):
     point = QPoint(mpf("0.5"), {"x": mpf("0.5"), "y": mpf("0.5")})
