@@ -229,14 +229,15 @@ def _rhs_eq29(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
 def _lhs_eq31(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     # sum_{n in Z} z^n / (1 + q^{n-1}), |q| < |z| < 1
     q, z = p.q, p["z"]
+    # the ratio bounds take |z|: they bound |t_{n+1}/t_n| and must be >= 0
     pos = sum_with_ratio_bound(
         lambda n: z ** n / (1 + q ** (n - 1)),
-        lambda n: z * (1 + q ** (n - 1)),
+        lambda n: abs(z) * (1 + q ** (n - 1)),
         ctx)
     # n = -m: z^-m/(1+q^{-m-1}) = q^{m+1} / (z^m (q^{m+1} + 1))
     pos_neg = sum_with_ratio_bound(
         lambda m: q ** (m + 1) / (z ** m * (1 + q ** (m + 1))),
-        lambda m: (q / z) * (1 + q ** (m + 1)),
+        lambda m: (q / abs(z)) * (1 + q ** (m + 1)),
         ctx, start=1)
     return pos + pos_neg
 
@@ -250,7 +251,8 @@ def _rhs_eq31(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     # last series: sum (-q)^n / (1 - q^{n+1}/z), geometric in (-q)
     tail = sum_with_ratio_bound(
         lambda n: (-q) ** n / (1 - q ** (n + 1) / z),
-        lambda n: q * (1 + q ** (n + 1) / z) / (1 - q ** (n + 2) / z),
+        lambda n: (q * (1 + q ** (n + 1) / abs(z))
+                   / (1 - q ** (n + 2) / abs(z))),
         ctx)
     return head + mid + q * tail
 

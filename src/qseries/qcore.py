@@ -13,6 +13,13 @@ already exceeds the tolerance (see pochhammer_inf and _ratio_series), so
 every product and series stops at the same term, with the same estimate,
 as one that tests at every term. Accelerated limits carry only a heuristic
 estimate and are flagged non-certified.
+
+The inner loops of pochhammer_inf, _ratio_series (phi, psi_bilateral) and
+_levin_u run on mpmath's raw ``_mpf_`` tuples through ``mpmath.libmp``:
+each step calls the libmpf function the mpf operator would call, at the
+working precision ``mp.prec`` in round-to-nearest, so the results are bit
+for bit those of mpf arithmetic without the operator wrappers. Values
+become mpf only where they leave a loop.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ from math import comb
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
+from mpmath.libmp import (fhalf, finf, fone, fzero, mpf_abs, mpf_add, mpf_div,
+                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
+                          mpf_rdiv_int, mpf_shift, mpf_sub)
+from mpmath.libmp import round_nearest as RN
 
 from .errors import (
     CapExceededError,
@@ -138,18 +149,21 @@ class QPoint:
         return self.params[name]
 
 
-def _check_q(q):
+def _check_q(q, *params):
+    """Reject q outside (0,1) and non-finite parameters up front: a NaN or
+    infinite parameter would otherwise run a product or series to its cap."""
     if not (0 < q < 1):
         raise QDomainError(f"q must lie strictly in (0,1), got {q}")
+    for x in params:
+        if not mp.isfinite(x):
+            raise QDomainError(f"parameters must be finite, got {x}")
 
 
 def qpow(q, e, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """q**e = exp(e*ln q) for q in (0,1) and finite real e."""
     with ctx.working():
         q, e = to_real(q), to_real(e)
-        _check_q(q)
-        if not mp.isfinite(e):
-            raise QDomainError("exponent must be finite")
+        _check_q(q, e)
         if e == 0:
             return mpf(1)
         if e == 1:
@@ -162,33 +176,37 @@ def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     tail bound. Returns exact 0 when some factor vanishes."""
     with ctx.working():
         a, q = to_real(a), to_real(q)
-        _check_q(q)
+        _check_q(q, a)
+        prec = mp.prec
         tol = ctx.tail_tol()
         max_terms = ctx.max_terms
-        half = mpf(0.5)
-        omq = 1 - q
+        a, q, tol_ = a._mpf_, q._mpf_, tol._mpf_
+        omq = mpf_sub(fone, q, prec, RN)
         # bound = u/((1-q)(1-u)) rounds to at least u/(1-q), so it cannot
         # meet tol while u > 2 tol (1-q); expm1(b) >= b, so expm1 cannot
         # meet tol before bound does
-        gate = 2 * tol * omq
-        prod = mpf(1)
-        qn = mpf(1)  # q^n
+        gate = mpf_mul(mpf_mul_int(tol_, 2, prec, RN), omq, prec, RN)
+        prod = fone
+        qn = fone  # q^n
         n = 0
-        aa = abs(a)
+        aa = mpf_abs(a, prec, RN)
         while True:
-            f = 1 - a * qn
-            if f == 0:
+            f = mpf_sub(fone, mpf_mul(a, qn, prec, RN), prec, RN)
+            if f == fzero:
                 return SeriesValue(mpf(0), mpf(0), n + 1, True)
-            prod *= f
+            prod = mpf_mul(prod, f, prec, RN)
             n += 1
-            qn *= q
-            u = aa * qn
-            if u <= gate and u < half:
+            qn = mpf_mul(qn, q, prec, RN)
+            u = mpf_mul(aa, qn, prec, RN)
+            if mpf_le(u, gate) and mpf_lt(u, fhalf):
                 # for u < 1/2, |log of remaining product| <= u/((1-q)(1-u))
-                bound = u / (omq * (1 - u))
-                if bound <= tol:
-                    rel = mp.expm1(bound)
+                bound = mpf_div(
+                    u, mpf_mul(omq, mpf_sub(fone, u, prec, RN), prec, RN),
+                    prec, RN)
+                if mpf_le(bound, tol_):
+                    rel = mp.expm1(mp.make_mpf(bound))
                     if rel <= tol:
+                        prod = mp.make_mpf(prod)
                         return SeriesValue(prod, abs(prod) * rel, n, True)
             if n >= max_terms:
                 raise CapExceededError(
@@ -204,7 +222,7 @@ def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """
     with ctx.working():
         a, q = to_real(a), to_real(q)
-        _check_q(q)
+        _check_q(q, a)
         if n >= 0:
             prod = mpf(1)
             qk = mpf(1)
@@ -264,65 +282,76 @@ def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
     only once that cheaper bound meets the tolerance, and never when
     |arg| >= 1.
     """
-    tol = ctx.tail_tol()
-    floor = ctx.rel_floor()
+    prec = mp.prec
+    tol = ctx.tail_tol()._mpf_
+    floor = ctx.rel_floor()._mpf_
     max_terms = ctx.max_terms
     abs_num = [abs(u) for u in num_params]
     abs_den = [abs(b) for b in den_params]
     abs_arg = abs(arg)
     tail_can_stop = abs_arg < 1
     if tail_can_stop:
-        one_minus_arg = 1 - abs_arg
-    s_val = mpf(0)
-    qn = mpf(1)  # q^n for the current term index n
+        one_minus_arg = mpf_sub(fone, abs_arg._mpf_, prec, RN)
+    nums = [u._mpf_ for u in num_params]
+    dens = [b._mpf_ for b in den_params]
+    q_, arg_ = q._mpf_, arg._mpf_
+    s_val = fzero
+    qn = fone  # q^n for the current term index n
     n = 0
     if start_at_one:
-        t = arg
-        for u in num_params:
-            t *= 1 - u
-        for b in den_params:
-            d = 1 - b
-            if d == 0:
+        t = arg_
+        for u in nums:
+            t = mpf_mul(t, mpf_sub(fone, u, prec, RN), prec, RN)
+        for b in dens:
+            d = mpf_sub(fone, b, prec, RN)
+            if d == fzero:
                 raise PoleError("vanishing denominator factor at n=1")
-            t /= d
+            t = mpf_div(t, d, prec, RN)
         if extra_q_factorial:
-            t /= 1 - q
-        qn = q
+            t = mpf_div(t, mpf_sub(fone, q_, prec, RN), prec, RN)
+        qn = q_
         n = 1
     else:
-        t = mpf(1)
+        t = fone
 
     while True:
-        if t == 0:
+        if t == fzero:
             # a numerator factor vanished; every later term carries it too
-            return SeriesValue(s_val, mpf(0), n, True)
+            return SeriesValue(mp.make_mpf(s_val), mpf(0), n, True)
         if tail_can_stop:
-            abs_t = abs(t)
-            limit = tol * max(abs(s_val), floor)
-            if abs_t / one_minus_arg <= limit:
-                rho = _ratio_bound(abs_arg, abs_num, abs_den, q, qn,
-                                   extra_q_factorial)
+            abs_t = mpf_abs(t, prec, RN)
+            abs_s = mpf_abs(s_val, prec, RN)
+            # max(|s|, floor)
+            limit = mpf_mul(tol, floor if mpf_gt(floor, abs_s) else abs_s,
+                            prec, RN)
+            if mpf_le(mpf_div(abs_t, one_minus_arg, prec, RN), limit):
+                rho = _ratio_bound(abs_arg, abs_num, abs_den, q,
+                                   mp.make_mpf(qn), extra_q_factorial)
                 if rho is not None and rho < 1:
-                    tail = abs_t / (1 - rho)
-                    if tail <= limit:
-                        return SeriesValue(s_val, tail, n, True)
-        s_val += t
-        q_next = q * qn
-        num = mpf(1)
-        for u in num_params:
-            num *= 1 - u * qn
-        den = mpf(1)
+                    tail = mpf_div(abs_t, mpf_sub(fone, rho._mpf_, prec, RN),
+                                   prec, RN)
+                    if mpf_le(tail, limit):
+                        return SeriesValue(mp.make_mpf(s_val),
+                                           mp.make_mpf(tail), n, True)
+        s_val = mpf_add(s_val, t, prec, RN)
+        q_next = mpf_mul(q_, qn, prec, RN)
+        num = fone
+        for u in nums:
+            num = mpf_mul(num, mpf_sub(fone, mpf_mul(u, qn, prec, RN),
+                                       prec, RN), prec, RN)
+        den = fone
         if extra_q_factorial:
-            den *= 1 - q_next
-        for b in den_params:
-            f = 1 - b * qn
-            if f == 0:
+            den = mpf_mul(den, mpf_sub(fone, q_next, prec, RN), prec, RN)
+        for b, b_mpf in zip(dens, den_params):
+            f = mpf_sub(fone, mpf_mul(b, qn, prec, RN), prec, RN)
+            if f == fzero:
                 raise PoleError(
-                    f"vanishing denominator factor 1 - ({b})*q^{n}")
-            den *= f
-        if den == 0:
+                    f"vanishing denominator factor 1 - ({b_mpf})*q^{n}")
+            den = mpf_mul(den, f, prec, RN)
+        if den == fzero:
             raise PoleError(f"vanishing (q;q)_n factor at n={n}")
-        t = t * num / den * arg
+        t = mpf_mul(mpf_div(mpf_mul(t, num, prec, RN), den, prec, RN), arg_,
+                    prec, RN)
         qn = q_next
         n += 1
         if n > max_terms:
@@ -339,7 +368,7 @@ def phi(upper, lower, q, z, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         upper = [to_real(u) for u in upper]
         lower = [to_real(b) for b in lower]
         q, z = to_real(q), to_real(z)
-        _check_q(q)
+        _check_q(q, z, *upper, *lower)
         if abs(z) >= 1:
             raise DivergenceError(f"phi requires |z| < 1, got |z| = {abs(z)}")
         if z == 0:
@@ -362,13 +391,16 @@ def psi_bilateral(upper, lower, q, z,
         upper = [to_real(u) for u in upper]
         lower = [to_real(b) for b in lower]
         q, z = to_real(q), to_real(z)
-        _check_q(q)
+        _check_q(q, z, *upper, *lower)
         if len(upper) != len(lower) or not upper:
             raise QDomainError(
                 "bilateral series needs equally many upper and lower parameters")
-        for a_i in upper:
-            if a_i == 0:
-                raise QDomainError("bilateral upper parameters must be nonzero")
+        if any(x == 0 for x in upper + lower):
+            raise QDomainError("bilateral parameters must be nonzero")
+        if abs(z) >= 1 or z == 0:
+            # z = 0 lies inside the inner circle of the annulus
+            raise DivergenceError(
+                f"bilateral series requires 0 < |z| < 1, got |z| = {abs(z)}")
         num = mpf(1)
         for b_j in lower:
             num *= b_j
@@ -376,9 +408,6 @@ def psi_bilateral(upper, lower, q, z,
         for a_i in upper:
             den *= a_i
         w = num / den
-        if abs(z) >= 1:
-            raise DivergenceError(
-                f"bilateral series requires |z| < 1, got |z| = {abs(z)}")
         if any(b_j == q for b_j in lower):
             # some (b;q)_{-m} is infinite for every m >= 1: the negative
             # half vanishes identically and only |z| < 1 is needed
@@ -398,19 +427,28 @@ def psi_bilateral(upper, lower, q, z,
 def sum_with_ratio_bound(term_fn, rho_fn, ctx: PrecisionCtx,
                          start: int = 0) -> SeriesValue:
     """Sum term_fn(n) for n >= start with a caller-supplied certified bound
-    rho_fn(n) >= |t_{m+1}/t_m| for all m >= n. Stops once the geometric
-    tail |t_n|/(1-rho) meets the context's relative tolerance."""
+    rho_fn(n) >= |t_{m+1}/t_m| for all m >= n, which must itself be >= 0.
+    Stops once the geometric tail |t_n|/(1-rho) meets the context's
+    relative tolerance.
+
+    For 0 <= rho < 1 the rounded 1 - rho is at most 1, so the rounded tail is
+    at least |t_n|: rho_fn is called only once |t_n| itself meets the
+    tolerance, and the sum stops at the same term as one that calls it at
+    every term."""
     tol = ctx.tail_tol()
     floor = ctx.rel_floor()
     s = mpf(0)
     n = start
     while True:
         t = term_fn(n)
-        rho = rho_fn(n)
-        if rho < 1:
-            tail = abs(t) / (1 - rho)
-            if tail <= tol * max(abs(s), floor):
-                return SeriesValue(s, tail, n - start, True)
+        abs_t = abs(t)
+        limit = tol * max(abs(s), floor)
+        if abs_t <= limit:
+            rho = rho_fn(n)
+            if rho < 1:
+                tail = abs_t / (1 - rho)
+                if tail <= limit:
+                    return SeriesValue(s, tail, n - start, True)
         s += t
         n += 1
         if n - start > ctx.max_terms:
@@ -443,42 +481,48 @@ def _levin_u(terms):
     past that point higher orders are rounding noise (Weniger, Comput. Phys.
     Rep. 10, 1989). An order whose denominator vanishes gives no estimate.
     """
+    prec = mp.prec
     kmax = min(len(terms) - 2, _LEVIN_MAX_ORDER)
-    eps = mp.ldexp(mpf(1), -mp.prec)
+    eps = mpf_shift(fone, -prec)
     inv_om = []  # 1/omega_j
     s_om = []  # s_j/omega_j
-    psum = mpf(0)
+    psum = fzero
     estimates = []
-    best_diff = mp.inf
+    best_diff = finf
     read = 0
     for k in range(kmax + 1):
-        psum += terms[k]
-        om = (k + 1) * terms[k]
-        if om == 0:
+        psum = mpf_add(psum, terms[k]._mpf_, prec, RN)
+        om = mpf_mul_int(terms[k]._mpf_, k + 1, prec, RN)
+        if om == fzero:
             break
-        inv_om.append(1 / om)
-        s_om.append(psum / om)
+        inv_om.append(mpf_rdiv_int(1, om, prec, RN))
+        s_om.append(mpf_div(psum, om, prec, RN))
         if k == 0:
             continue
-        num = den = den_abs = mpf(0)
+        num = den = den_abs = fzero
         for j in range(k + 1):
             c = (-1) ** j * comb(k, j) * (j + 1) ** (k - 1)
-            num += c * s_om[j]
-            w = c * inv_om[j]
-            den += w
-            den_abs += abs(w)
+            num = mpf_add(num, mpf_mul_int(s_om[j], c, prec, RN), prec, RN)
+            w = mpf_mul_int(inv_om[j], c, prec, RN)
+            den = mpf_add(den, w, prec, RN)
+            den_abs = mpf_add(den_abs, mpf_abs(w, prec, RN), prec, RN)
         read = k + 1
-        if den == 0:
+        if den == fzero:
             continue
-        est = num / den
+        est = mpf_div(num, den, prec, RN)
         if estimates:
-            best_diff = min(best_diff, abs(est - estimates[-1]))
+            d = mpf_abs(mpf_sub(est, estimates[-1], prec, RN), prec, RN)
+            if mpf_lt(d, best_diff):
+                best_diff = d
         estimates.append(est)
-        if den_abs / abs(den) * eps * abs(est) > _LEVIN_STOP_FACTOR * best_diff:
+        floor = mpf_mul(mpf_mul(mpf_div(den_abs, mpf_abs(den, prec, RN),
+                                        prec, RN), eps, prec, RN),
+                        mpf_abs(est, prec, RN), prec, RN)
+        if mpf_gt(floor, mpf_mul_int(best_diff, _LEVIN_STOP_FACTOR, prec, RN)):
             break
     if len(estimates) < 2:
         raise NumericalBreakdownError("levin-u transform produced no estimates")
-    return estimates, read
+    return [mp.make_mpf(e) for e in estimates], read
 
 
 def _wynn_epsilon(terms):

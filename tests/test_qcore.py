@@ -1,6 +1,7 @@
 """Core evaluation engine: powers, Pochhammer symbols, phi/psi series,
 custom bounded sums, and acceleration."""
 
+import time
 from math import comb
 
 import pytest
@@ -23,7 +24,7 @@ from qseries import (
     psi_bilateral,
     qpow,
 )
-from qseries import qcore, qgamma
+from qseries import identities, qcore, qgamma
 from qseries.qcore import sum_with_ratio_bound
 from qseries.registry import sample_domain
 
@@ -146,6 +147,17 @@ def test_pochhammer_inf_one_expm1_bit_identical(monkeypatch):
                 # at tol = 0.3, expm1(b) > tol >= b can hold at two factors
                 if ctx.tail_rel_tol is None:
                     assert len(calls) <= 1, (a, q, ctx, len(calls))
+
+
+def test_pochhammer_inf_wide_input_bit_identical():
+    # inputs wider than the working precision round as mpf operators do
+    with mp.workdps(200):
+        a, q = mp.pi / 4, 1 / mp.e
+    for digits in (20, 40):
+        ctx = PrecisionCtx(digits=digits)
+        for x in (a, -a):
+            ref = _pochhammer_inf_expm1_every_factor(x, q, ctx, mp.expm1)
+            assert pochhammer_inf(x, q, ctx) == ref, (x, digits)
 
 
 # --- pochhammer_n ---------------------------------------------------------------
@@ -385,6 +397,31 @@ def test_psi_rejects_zero_upper():
         psi_bilateral([0.0], [0.1], 0.5, 0.5)
 
 
+def test_psi_rejects_zero_lower():
+    # q/b would divide by zero
+    with pytest.raises(QDomainError):
+        psi_bilateral([0.5], [0.0], 0.5, 0.5)
+
+
+def test_psi_rejects_zero_argument():
+    # z = 0 lies inside the inner circle of the annulus
+    with pytest.raises(DivergenceError):
+        psi_bilateral([0.5], [0.1], 0.5, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pochhammer_inf(mp.nan, 0.5),
+    lambda: phi([0.5], [], 0.5, mp.nan),
+    lambda: psi_bilateral([mp.inf], [0.1], 0.5, 0.5),
+], ids=["pochhammer_inf-nan-a", "phi-nan-z", "psi-inf-upper"])
+def test_non_finite_input_fails_fast(call):
+    # a non-finite parameter must not run a product or series to its cap
+    start = time.process_time()
+    with pytest.raises(QDomainError):
+        call()
+    assert time.process_time() - start < 0.5
+
+
 # --- sum_with_ratio_bound -----------------------------------------------------------
 
 def test_sum_with_ratio_bound_geometric(ctx40):
@@ -399,6 +436,66 @@ def test_sum_with_ratio_bound_cap():
     with pytest.raises(CapExceededError):
         sum_with_ratio_bound(lambda n: mpf(1) / (n + 1),
                              lambda n: mpf(1), tiny)
+
+
+def _sum_with_ratio_bound_every_term(term_fn, rho_fn, ctx, start=0):
+    """Reference loop that calls rho_fn at every term."""
+    tol = ctx.tail_tol()
+    floor = ctx.rel_floor()
+    s = mpf(0)
+    n = start
+    while True:
+        t = term_fn(n)
+        rho = rho_fn(n)
+        if rho < 1:
+            tail = abs(t) / (1 - rho)
+            if tail <= tol * max(abs(s), floor):
+                return SeriesValue(s, tail, n - start, True)
+        s += t
+        n += 1
+
+
+@pytest.mark.parametrize("ctx", [PrecisionCtx(digits=20),
+                                 PrecisionCtx(digits=40),
+                                 PrecisionCtx(digits=100)],
+                         ids=["d20", "d40", "d100"])
+def test_sum_with_ratio_bound_lazy_rho_bit_identical(monkeypatch, registry,
+                                                     ctx):
+    # for 0 <= rho < 1 the rounded tail |t|/(1-rho) is never below |t|, so
+    # calling rho_fn only once |t| meets the tolerance must stop at the same
+    # term with the same tail bound as calling it at every term
+    sums = []
+
+    def recording_sum(term_fn, rho_fn, ctx, start=0):
+        calls = {"term": 0, "rho": 0}
+
+        def term(n):
+            calls["term"] += 1
+            return term_fn(n)
+
+        def rho(n):
+            calls["rho"] += 1
+            return rho_fn(n)
+
+        got = sum_with_ratio_bound(term, rho, ctx, start)
+        sums.append((term_fn, rho_fn, start, got, calls))
+        return got
+
+    monkeypatch.setattr(identities, "sum_with_ratio_bound", recording_sum)
+    entries = {e.id: e for e in registry}
+    points = [("eq-3.1", QPoint("0.3", {"z": "-0.5"}))]  # negative z
+    for ident in ("eq-3.1", "eq-3.3"):
+        points += [(ident, p) for p in sample_domain(ident, 3, 7,
+                                                     registry=registry)]
+    with ctx.working():
+        for ident, p in points:
+            entries[ident].lhs(p, ctx)
+            entries[ident].rhs(p, ctx)
+        assert len(sums) == 3 * 4 + 2 * 3
+        for term_fn, rho_fn, start, got, calls in sums:
+            ref = _sum_with_ratio_bound_every_term(term_fn, rho_fn, ctx, start)
+            assert got == ref
+            assert calls["rho"] < calls["term"], calls
 
 
 # --- acceleration -------------------------------------------------------------------
@@ -525,6 +622,50 @@ def test_levin_stop_keeps_full_sweep_selection(monkeypatch, registry, digits):
     ctx = PrecisionCtx(digits=digits)
     for ident, p, terms, rhs in _levin_series(monkeypatch, registry, ctx):
         assert rhs.value == _levin_full_sweep(terms, ctx), (ident, p)
+
+
+def _levin_u_mpf(terms):
+    """qcore._levin_u's sweep and stop rule in mpf arithmetic."""
+    kmax = min(len(terms) - 2, qcore._LEVIN_MAX_ORDER)
+    eps = mp.ldexp(mpf(1), -mp.prec)
+    inv_om, s_om, psum = [], [], mpf(0)
+    estimates, best_diff, read = [], mp.inf, 0
+    for k in range(kmax + 1):
+        psum += terms[k]
+        om = (k + 1) * terms[k]
+        if om == 0:
+            break
+        inv_om.append(1 / om)
+        s_om.append(psum / om)
+        if k == 0:
+            continue
+        num = den = den_abs = mpf(0)
+        for j in range(k + 1):
+            c = (-1) ** j * comb(k, j) * (j + 1) ** (k - 1)
+            num += c * s_om[j]
+            w = c * inv_om[j]
+            den += w
+            den_abs += abs(w)
+        read = k + 1
+        if den == 0:
+            continue
+        est = num / den
+        if estimates:
+            best_diff = min(best_diff, abs(est - estimates[-1]))
+        estimates.append(est)
+        if (den_abs / abs(den) * eps * abs(est)
+                > qcore._LEVIN_STOP_FACTOR * best_diff):
+            break
+    return estimates, read
+
+
+@pytest.mark.parametrize("digits", [20, 40, 100])
+def test_levin_u_bit_identical(monkeypatch, registry, digits):
+    # every estimate of the sweep, and where it stops, match mpf arithmetic
+    ctx = PrecisionCtx(digits=digits)
+    for ident, p, terms, _ in _levin_series(monkeypatch, registry, ctx):
+        with ctx.working():
+            assert qcore._levin_u(terms) == _levin_u_mpf(terms), (ident, p)
 
 
 @pytest.mark.parametrize("digits, tol", [(20, "1e-16"), (40, "1e-28"),
