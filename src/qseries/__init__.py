@@ -16,7 +16,8 @@ from .errors import (
     UnknownIdentityError,
 )
 from .eta import eta_nome, eta_quotient
-from .harness import RunConfig, full_registry, run
+from .harness import RunConfig, run
+from .identities import IdentityEntry, full_registry
 from .params import ParamExpr, parse_param
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
 from .qcore import (
@@ -36,7 +37,7 @@ from .qgamma import (
     jackson_integral_finite,
     jackson_integral_infinite,
 )
-from .registry import IdentityEntry, IdentityResult, eval_identity, sample_domain
+from .registry import IdentityResult, eval_identity, sample_domain
 from .rng import SplitMix64, stream_for
 
 __version__ = "0.1.0"

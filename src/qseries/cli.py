@@ -13,6 +13,7 @@ from .harness import (RunConfig, full_registry, render_json, render_text,
 from .params import parse_param
 from .precision import PrecisionCtx, real_str, to_real
 from .qcore import QPoint
+from .registry import _lookup
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -148,11 +149,10 @@ def _cmd_eval(args) -> int:
         print("qseries: error: eval requires --q (and --set for each parameter)",
               file=sys.stderr)
         return EXIT_USAGE
-    registry = full_registry()
-    entry = next((e for e in registry if e.id == args.identity), None)
-    if entry is None:
-        print(f"qseries: error: unknown identity id {args.identity!r}",
-              file=sys.stderr)
+    try:
+        entry = _lookup(args.identity, full_registry())
+    except UnknownIdentityError as exc:
+        print(f"qseries: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     missing = [n for n in entry.param_names if n not in point.params]
     if missing:
@@ -161,8 +161,7 @@ def _cmd_eval(args) -> int:
         return EXIT_USAGE
     side = entry.lhs if args.side == "lhs" else entry.rhs
     try:
-        with ctx.working():
-            value = side(point, ctx)
+        value = side(point, ctx)
     except QSeriesError as exc:
         print(f"qseries: error: evaluation failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -1,23 +1,18 @@
-"""Dedekind eta function in the nome and eta-quotient identities."""
+"""Dedekind eta function in the nome and eta quotients."""
 
 from __future__ import annotations
 
 from mpmath import mpf
 
 from .errors import QDomainError
-from .precision import PrecisionCtx, to_real
-from .qcore import QPoint, SeriesValue, phi, pochhammer_inf, qpow
-from .registry import IdentityEntry
-from .rng import SplitMix64
+from .precision import DEFAULT_CTX, PrecisionCtx, to_real
+from .qcore import SeriesValue, pochhammer_inf, qpow
 
-__all__ = ["eta_nome", "eta_quotient", "register_eta_identities"]
-
-ETA_TOL = 1e-25
+__all__ = ["eta_nome", "eta_quotient"]
 
 
-def eta_nome(q, ctx: PrecisionCtx | None = None) -> SeriesValue:
+def eta_nome(q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """eta as a function of the nome: q^(1/24) * (q; q)_inf, for 0 < q < 1."""
-    ctx = ctx or PrecisionCtx()
     q = to_real(q)
     if not (0 < q < 1):
         raise QDomainError(f"eta_nome requires 0 < q < 1, got q={q}")
@@ -25,9 +20,8 @@ def eta_nome(q, ctx: PrecisionCtx | None = None) -> SeriesValue:
         return qpow(q, mpf(1) / 24, ctx) * pochhammer_inf(q, q, ctx)
 
 
-def eta_quotient(scales, q, ctx: PrecisionCtx | None = None) -> SeriesValue:
+def eta_quotient(scales, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """prod_m eta(q^m)^e for scales = {m: e} (or iterable of (m, e) pairs)."""
-    ctx = ctx or PrecisionCtx()
     q = to_real(q)
     items = scales.items() if hasattr(scales, "items") else scales
     out = SeriesValue.of(1)
@@ -39,112 +33,3 @@ def eta_quotient(scales, q, ctx: PrecisionCtx | None = None) -> SeriesValue:
             for _ in range(abs(int(e))):
                 out = out * factor if e > 0 else out / factor
     return out
-
-
-def _eta_sampler(lo, hi):
-    def sample(rng: SplitMix64) -> QPoint:
-        return QPoint(rng.uniform(lo, hi), {})
-
-    return sample
-
-
-def _domain_open(lo, hi):
-    def check(p: QPoint):
-        if not (lo < p.q < hi):
-            return [f"q must lie in ({lo}, {hi}) for controlled summation cost"]
-        return []
-
-    return check
-
-
-def _lhs_eq42(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    # eta(tau)/eta^2(2 tau) in the nome
-    return eta_quotient({1: 1, 2: -2}, p.q, ctx)
-
-
-def _rhs_eq42(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    q = p.q
-    base = q ** 2
-    head = SeriesValue.of(qpow(q, mpf(-1) / 8, ctx))
-    series = (pochhammer_inf(q, base, ctx) / pochhammer_inf(base, base, ctx)
-              * phi([q ** 3, q ** 2], [q ** 4], base, q, ctx))
-    return head - (qpow(q, mpf(7) / 8, ctx) / (1 + q)) * series
-
-
-def _lhs_eq43(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    # eta^10(2 tau)/(eta^4(tau) eta^2(4 tau)) in the nome
-    return eta_quotient({2: 10, 1: -4, 4: -2}, p.q, ctx)
-
-
-def _rhs_eq43(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    q = p.q
-    base = q ** 2
-    c = 2 * (1 + q) * qpow(q, mpf(4) / 3, ctx) / ((1 + q ** 2) * (1 + q ** 4))
-    # middle series: sum (1-q^{2n+2})/(1-q^{2n+1}) (-q^2)^n
-    s_mid = (1 + q) * phi([q ** 4, q], [q ** 3], base, -q ** 2, ctx)
-    prod = (pochhammer_inf(q ** 4, base, ctx)
-            * pochhammer_inf(-1 / q, base, ctx)
-            / (pochhammer_inf(to_real(-1), base, ctx)
-               * pochhammer_inf(q ** 3, base, ctx)))
-    t3 = prod * phi([q, -1 / q ** 4], [-1 / q], base, q ** 4, ctx)
-    return SeriesValue.of(c) - (2 * qpow(q, mpf(4) / 3, ctx) / (1 - q)) * s_mid - c * t3
-
-
-def _lhs_eq44(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    # eta^3(3 tau)/eta(tau) in the nome
-    return eta_quotient({3: 3, 1: -1}, p.q, ctx)
-
-
-def _rhs_eq44(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    q = p.q
-    base = q ** 3
-    c4 = qpow(q, mpf(4) / 3, ctx) * (1 + q + q ** 2) / ((1 + q ** 2) * (1 + q ** 5))
-    p1 = (pochhammer_inf(q ** 6, base, ctx)
-          * pochhammer_inf(-1 / q, base, ctx)
-          / (pochhammer_inf(-q, base, ctx)
-             * pochhammer_inf(q ** 4, base, ctx)))
-    p2 = (pochhammer_inf(q ** 6, base, ctx)
-          * pochhammer_inf(-q ** 4, base, ctx)
-          / (pochhammer_inf(-q ** 8, base, ctx)
-             * pochhammer_inf(q ** 2, base, ctx)))
-    t1 = p1 * phi([q, -1 / q ** 5], [-1 / q], base, q ** 6, ctx)
-    t2 = p2 * phi([1 / q, -q ** 2], [-q ** 4], base, q ** 6, ctx)
-    return c4 * (t1 - 1) + c4 * t2
-
-
-def register_eta_identities() -> list:
-    return [
-        IdentityEntry(
-            id="eq-4.2",
-            paper_ref="Eq. (4.2), eta(tau)/eta^2(2 tau) expansion",
-            param_names=(),
-            domain_desc="0.01 < q < 0.8",
-            default_tol=ETA_TOL,
-            domain=_domain_open(0.01, 0.8),
-            lhs=_lhs_eq42,
-            rhs=_rhs_eq42,
-            sampler=_eta_sampler(0.05, 0.6),
-        ),
-        IdentityEntry(
-            id="eq-4.3",
-            paper_ref="Eq. (4.3), eta^10(2 tau)/(eta^4(tau) eta^2(4 tau)) expansion",
-            param_names=(),
-            domain_desc="0.01 < q < 0.8",
-            default_tol=ETA_TOL,
-            domain=_domain_open(0.01, 0.8),
-            lhs=_lhs_eq43,
-            rhs=_rhs_eq43,
-            sampler=_eta_sampler(0.05, 0.6),
-        ),
-        IdentityEntry(
-            id="eq-4.4",
-            paper_ref="Eq. (4.4), eta^3(3 tau)/eta(tau) expansion",
-            param_names=(),
-            domain_desc="0.01 < q < 0.8",
-            default_tol=ETA_TOL,
-            domain=_domain_open(0.01, 0.8),
-            lhs=_lhs_eq44,
-            rhs=_rhs_eq44,
-            sampler=_eta_sampler(0.05, 0.6),
-        ),
-    ]

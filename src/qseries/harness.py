@@ -4,12 +4,13 @@ emit deterministic JSON/text reports."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from mpmath import mpf, sqrt as mp_sqrt
 
 from .errors import QSeriesError, UnknownIdentityError
+from .identities import full_registry
 from .precision import PrecisionCtx, real_str
 from .qcore import QPoint
 from .registry import eval_identity, sample_domain
@@ -38,16 +39,6 @@ class RunConfig:
             raise ValueError("points_per_identity must be >= 1")
         if self.report_format not in ("json", "text"):
             raise ValueError(f"unknown report format {self.report_format!r}")
-
-
-def full_registry() -> list:
-    """All 24 registered identities, in module order."""
-    from . import eta, identities, qgamma
-
-    return (identities.register_builtin()
-            + eta.register_eta_identities()
-            + qgamma.register_qgamma_identities()
-            + qgamma.classical_limit_identities())
 
 
 def _resolve_ids(config: RunConfig, registry) -> list:

@@ -1,9 +1,11 @@
-"""Registry of the bilateral-summation transformation identities.
+"""The identity catalog: every identity the harness verifies, with its
+domain predicate, sampler and two independently built sides.
 
-Each entry pairs a domain predicate with two independently built
-evaluators: LHS evaluators use direct (split) bilateral summation, RHS
-evaluators only infinite products and unilateral series, so pointwise
-agreement is evidence rather than circularity.
+Left sides use direct (split) bilateral summation, eta quotients or Gamma
+quotients; right sides only infinite products and unilateral series, so
+pointwise agreement is evidence rather than circularity. The right sides of
+Theorems 2.1, 2.2 and 2.3 are composed as in the paper's proofs, from the
+single-sided transforms (2.5)+(2.6), (2.8)+(2.9) and (2.5)+(2.9) minus 1.
 
 Note on eq-3.2: the printed single-sum form of that identity telescopes the
 bilateral ratio (-q;q)_n/(-q^3;q)_n to 1/((1+q^{n+1})(1+q^{n+2})) but drops
@@ -13,23 +15,51 @@ equals the full bilateral value, which is what the LHS evaluator computes.
 
 from __future__ import annotations
 
-from mpmath import mpf
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
-from .precision import PrecisionCtx
+from mpmath import mp, mpf
+
+from .eta import eta_quotient
+from .precision import PrecisionCtx, to_real
 from .qcore import (
     QPoint,
     SeriesValue,
     phi,
+    pochhammer_inf,
     prodquot,
     psi_bilateral,
+    qpow,
     sum_with_ratio_bound,
 )
-from .registry import IdentityEntry
+from .qgamma import _gamma_q_side, _jackson_2phi1, _levin_sum, classical_gamma
 from .rng import SplitMix64
 
-__all__ = ["register_builtin"]
+__all__ = ["CATALOG", "IdentityEntry", "full_registry"]
 
-Q_TOL = 1e-25  # default verification tolerance for q-identities at 40 digits
+# default verification tolerances at 40 digits, per family
+Q_TOL = 1e-25
+ETA_TOL = 1e-25
+QGAMMA_TOL = 1e-22
+CLASSICAL_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class IdentityEntry:
+    """One registered identity: a domain predicate plus independent LHS and
+    RHS evaluators. ``domain`` returns the list of violated constraints
+    (empty means the point is admissible)."""
+
+    id: str
+    paper_ref: str
+    param_names: tuple
+    domain_desc: str
+    default_tol: float
+    domain: Callable[[QPoint], list]
+    lhs: Callable[[QPoint, PrecisionCtx], SeriesValue]
+    rhs: Callable[[QPoint, PrecisionCtx], SeriesValue]
+    sampler: Callable[[SplitMix64], QPoint] = field(repr=False, default=None)
+
 
 _SLACK = 0.05
 
@@ -147,33 +177,6 @@ def _rhs_eq11(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
                     [z, b / (a * z), b, q / a], q, ctx)
 
 
-def _rhs_thm21(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    t1 = (prodquot([b / a, a * z], [b, z], q, ctx)
-          * phi([a, a * q * z / b], [a * z], q, b / a, ctx))
-    t2 = (prodquot([q / b, b * q / (a * z)], [q / a, b / (a * z)], q, ctx)
-          * phi([b / a, b / (a * z)], [b * q / (a * z)], q, q / b, ctx))
-    return t1 + t2 - 1
-
-
-def _rhs_thm22(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    t1 = (prodquot([a, q * z], [b, z], q, ctx)
-          * phi([b / a, z], [q * z], q, a, ctx))
-    t2 = (prodquot([b / a, q / (a * z)], [q / a, b / (a * z)], q, ctx)
-          * phi([q / z, q / b], [q / (a * z)], q, b / a, ctx))
-    return t1 + t2 - 1
-
-
-def _rhs_thm23(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    t1 = (prodquot([b / a, a * z], [b, z], q, ctx)
-          * phi([a * q * z / b, a], [a * z], q, b / a, ctx))
-    t2 = (prodquot([b / a, q / (a * z)], [q / a, b / (a * z)], q, ctx)
-          * phi([q / z, q / b], [q / (a * z)], q, b / a, ctx))
-    return t1 + t2 - 1
-
-
 def _lhs_heine(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     return phi([p["a"], p["b"]], [p["c"]], p.q, p["z"], ctx)
 
@@ -224,6 +227,18 @@ def _rhs_eq29(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
     return (prodquot([b / a, q / (a * z)], [q / a, b / (a * z)], q, ctx)
             * phi([q / z, q / b], [q / (a * z)], q, b / a, ctx))
+
+
+def _rhs_thm21(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    return _rhs_eq25(p, ctx) + _rhs_eq26(p, ctx) - 1
+
+
+def _rhs_thm22(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    return _rhs_eq28(p, ctx) + _rhs_eq29(p, ctx) - 1
+
+
+def _rhs_thm23(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    return _rhs_eq25(p, ctx) + _rhs_eq29(p, ctx) - 1
 
 
 def _lhs_eq31(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
@@ -373,156 +388,578 @@ def _domain_eq31(p: QPoint):
 def _domain_q_only(p: QPoint):
     return []  # 0 < q < 1 already enforced by QPoint
 
+# --- eta-quotient expansions -----------------------------------------------
 
-# --- registration -----------------------------------------------------------
+def _eta_sampler(lo, hi):
+    def sample(rng: SplitMix64) -> QPoint:
+        return QPoint(rng.uniform(lo, hi), {})
 
-def register_builtin() -> list:
-    """Entries for the 1psi1 summation, the Heine transforms, the four
-    single-sided transforms used in the proofs, the three bilateral
-    transformation theorems, and the three special cases."""
-    entries = [
-        IdentityEntry(
-            id="eq-1.1",
-            paper_ref="Eq. (1.1), Ramanujan 1psi1 summation",
-            param_names=("a", "b", "z"),
-            domain_desc="|b/a| < |z| < 1",
-            default_tol=Q_TOL,
-            domain=_domain_bilateral(),
-            lhs=_lhs_bilateral,
-            rhs=_rhs_eq11,
-            sampler=_bilateral_sampler("eq-1.1"),
-        ),
-        IdentityEntry(
-            id="eq-2.1",
-            paper_ref="Eq. (2.1), Heine transformation (first form)",
-            param_names=("a", "b", "c", "z"),
-            domain_desc="|z| < 1, |b| < 1",
-            default_tol=Q_TOL,
-            domain=_domain_heine("eq-2.1"),
-            lhs=_lhs_heine,
-            rhs=_rhs_heine1,
-            sampler=_heine_sampler("eq-2.1"),
-        ),
-        IdentityEntry(
-            id="eq-2.2",
-            paper_ref="Eq. (2.2), Heine transformation (second form)",
-            param_names=("a", "b", "c", "z"),
-            domain_desc="|z| < 1, |c/b| < 1",
-            default_tol=Q_TOL,
-            domain=_domain_heine("eq-2.2"),
-            lhs=_lhs_heine,
-            rhs=_rhs_heine2,
-            sampler=_heine_sampler("eq-2.2"),
-        ),
-        IdentityEntry(
-            id="eq-2.5",
-            paper_ref="Eq. (2.5), transform of sum (a)_n/(b)_n z^n",
-            param_names=("a", "b", "z"),
-            domain_desc="|z| < 1, |b/a| < 1",
-            default_tol=Q_TOL,
-            domain=_domain_transform("eq-2.5"),
-            lhs=_lhs_ratio_sum,
-            rhs=_rhs_eq25,
-            sampler=_transform_sampler("eq-2.5"),
-        ),
-        IdentityEntry(
-            id="eq-2.6",
-            paper_ref="Eq. (2.6), transform of sum (q/b)_n/(q/a)_n (b/az)^n",
-            param_names=("a", "b", "z"),
-            domain_desc="|b/(az)| < 1, |q| < |b|",
-            default_tol=Q_TOL,
-            domain=_domain_transform("eq-2.6"),
-            lhs=_lhs_inverted_sum,
-            rhs=_rhs_eq26,
-            sampler=_transform_sampler("eq-2.6"),
-        ),
-        IdentityEntry(
-            id="eq-2.8",
-            paper_ref="Eq. (2.8), transform of sum (a)_n/(b)_n z^n",
-            param_names=("a", "b", "z"),
-            domain_desc="|z| < 1, |a| < 1",
-            default_tol=Q_TOL,
-            domain=_domain_transform("eq-2.8"),
-            lhs=_lhs_ratio_sum,
-            rhs=_rhs_eq28,
-            sampler=_transform_sampler("eq-2.8"),
-        ),
-        IdentityEntry(
-            id="eq-2.9",
-            paper_ref="Eq. (2.9), transform of sum (q/b)_n/(q/a)_n (b/az)^n",
-            param_names=("a", "b", "z"),
-            domain_desc="|b/(az)| < 1, |b/a| < 1",
-            default_tol=Q_TOL,
-            domain=_domain_transform("eq-2.9"),
-            lhs=_lhs_inverted_sum,
-            rhs=_rhs_eq29,
-            sampler=_transform_sampler("eq-2.9"),
-        ),
-        IdentityEntry(
-            id="thm-2.1",
-            paper_ref="Theorem 2.1, Eq. (2.3)",
-            param_names=("a", "b", "z"),
-            domain_desc="|b/a| < |z| < 1 and |q| < min(1, |b|)",
-            default_tol=Q_TOL,
-            domain=_domain_bilateral("q<min(1,|b|)"),
-            lhs=_lhs_bilateral,
-            rhs=_rhs_thm21,
-            sampler=_bilateral_sampler("thm-2.1"),
-        ),
-        IdentityEntry(
-            id="thm-2.2",
-            paper_ref="Theorem 2.2, Eq. (2.7)",
-            param_names=("a", "b", "z"),
-            domain_desc="|b/a| < |z| < 1 and |a| < 1",
-            default_tol=Q_TOL,
-            domain=_domain_bilateral("|a|<1"),
-            lhs=_lhs_bilateral,
-            rhs=_rhs_thm22,
-            sampler=_bilateral_sampler("thm-2.2"),
-        ),
-        IdentityEntry(
-            id="thm-2.3",
-            paper_ref="Theorem 2.3, Eq. (2.10)",
-            param_names=("a", "b", "z"),
-            domain_desc="|b/a| < |z| < 1",
-            default_tol=Q_TOL,
-            domain=_domain_bilateral(),
-            lhs=_lhs_bilateral,
-            rhs=_rhs_thm23,
-            sampler=_bilateral_sampler("thm-2.3"),
-        ),
-        IdentityEntry(
-            id="eq-3.1",
-            paper_ref="Eq. (3.1), special case a=-1/q, b=-1 of Theorem 2.1",
-            param_names=("z",),
-            domain_desc="|q| < |z| < 1",
-            default_tol=Q_TOL,
-            domain=_domain_eq31,
-            lhs=_lhs_eq31,
-            rhs=_rhs_eq31,
-            sampler=_q_only_sampler(with_z=True),
-        ),
-        IdentityEntry(
-            id="eq-3.2",
-            paper_ref="Eq. (3.2), special case a=-q, b=-q^3, z=q of Theorem 2.2",
-            param_names=(),
-            domain_desc="0 < q < 1",
-            default_tol=Q_TOL,
-            domain=_domain_q_only,
-            lhs=_lhs_eq32,
-            rhs=_rhs_eq32,
-            sampler=_q_only_sampler(),
-        ),
-        IdentityEntry(
-            id="eq-3.3",
-            paper_ref="Eq. (3.3), special case of Theorem 2.3 after q -> q^2",
-            param_names=(),
-            domain_desc="0 < q < 1",
-            default_tol=Q_TOL,
-            domain=_domain_q_only,
-            lhs=_lhs_eq33,
-            rhs=_rhs_eq33,
-            sampler=_q_only_sampler(),
-        ),
-    ]
-    return entries
+    return sample
+
+
+def _domain_open(lo, hi):
+    def check(p: QPoint):
+        if not (lo < p.q < hi):
+            return [f"q must lie in ({lo}, {hi}) for controlled summation cost"]
+        return []
+
+    return check
+
+
+def _lhs_eq42(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    # eta(tau)/eta^2(2 tau) in the nome
+    return eta_quotient({1: 1, 2: -2}, p.q, ctx)
+
+
+def _rhs_eq42(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    q = p.q
+    base = q ** 2
+    head = SeriesValue.of(qpow(q, mpf(-1) / 8, ctx))
+    series = (pochhammer_inf(q, base, ctx) / pochhammer_inf(base, base, ctx)
+              * phi([q ** 3, q ** 2], [q ** 4], base, q, ctx))
+    return head - (qpow(q, mpf(7) / 8, ctx) / (1 + q)) * series
+
+
+def _lhs_eq43(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    # eta^10(2 tau)/(eta^4(tau) eta^2(4 tau)) in the nome
+    return eta_quotient({2: 10, 1: -4, 4: -2}, p.q, ctx)
+
+
+def _rhs_eq43(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    q = p.q
+    base = q ** 2
+    c = 2 * (1 + q) * qpow(q, mpf(4) / 3, ctx) / ((1 + q ** 2) * (1 + q ** 4))
+    # middle series: sum (1-q^{2n+2})/(1-q^{2n+1}) (-q^2)^n
+    s_mid = (1 + q) * phi([q ** 4, q], [q ** 3], base, -q ** 2, ctx)
+    prod = (pochhammer_inf(q ** 4, base, ctx)
+            * pochhammer_inf(-1 / q, base, ctx)
+            / (pochhammer_inf(to_real(-1), base, ctx)
+               * pochhammer_inf(q ** 3, base, ctx)))
+    t3 = prod * phi([q, -1 / q ** 4], [-1 / q], base, q ** 4, ctx)
+    return SeriesValue.of(c) - (2 * qpow(q, mpf(4) / 3, ctx) / (1 - q)) * s_mid - c * t3
+
+
+def _lhs_eq44(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    # eta^3(3 tau)/eta(tau) in the nome
+    return eta_quotient({3: 3, 1: -1}, p.q, ctx)
+
+
+def _rhs_eq44(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    q = p.q
+    base = q ** 3
+    c4 = qpow(q, mpf(4) / 3, ctx) * (1 + q + q ** 2) / ((1 + q ** 2) * (1 + q ** 5))
+    p1 = (pochhammer_inf(q ** 6, base, ctx)
+          * pochhammer_inf(-1 / q, base, ctx)
+          / (pochhammer_inf(-q, base, ctx)
+             * pochhammer_inf(q ** 4, base, ctx)))
+    p2 = (pochhammer_inf(q ** 6, base, ctx)
+          * pochhammer_inf(-q ** 4, base, ctx)
+          / (pochhammer_inf(-q ** 8, base, ctx)
+             * pochhammer_inf(q ** 2, base, ctx)))
+    t1 = p1 * phi([q, -1 / q ** 5], [-1 / q], base, q ** 6, ctx)
+    t2 = p2 * phi([1 / q, -q ** 2], [-q ** 4], base, q ** 6, ctx)
+    return c4 * (t1 - 1) + c4 * t2
+
+
+# --- q-gamma theorems and classical limits ---------------------------------
+
+def _lhs_gamma_quotient(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    a, b, z, q = p["a"], p["b"], p["z"], p.q
+    gq = _gamma_q_side(q, ctx)
+    num = gq(b) * gq(1 - a) * gq(z) * gq(b - a - z)
+    den = gq(b - a) * gq(a + z) * gq(1 - a - z)
+    return num / den
+
+
+def _rhs_thm51(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    a, b, z, q = p["a"], p["b"], p["z"], p.q
+    gq = _gamma_q_side(q, ctx)
+    pre = mp.power(1 - q, a + 1 - b)
+    qa = qpow(q, a, ctx)
+    t1 = (pre * (gq(b) * gq(z) / (gq(b - a) * gq(a + z)))
+          * phi([qpow(q, a + 1 + z - b, ctx), qa],
+                [qpow(q, a + z, ctx)], q, qpow(q, b - a, ctx), ctx))
+    t2 = ((gq(1 - a) * gq(b - a - z) / (gq(1 - b) * gq(b + 1 - a - z)))
+          * phi([qpow(q, b - a, ctx), qpow(q, b - z - a, ctx)],
+                [qpow(q, b + 1 - a - z, ctx)], q, qpow(q, 1 - b, ctx), ctx))
+    return t1 + t2 - pre
+
+
+def _rhs_eq58(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    a, b, z, q = p["a"], p["b"], p["z"], p.q
+    gq = _gamma_q_side(q, ctx)
+    pre = mp.power(1 - q, a + 1 - b)
+    t1 = ((gq(b) * gq(z) / (gq(a) * gq(z + 1)))
+          * phi([qpow(q, b - a, ctx), qpow(q, z, ctx)],
+                [qpow(q, 1 + z, ctx)], q, qpow(q, a, ctx), ctx))
+    t2 = (pre * (gq(1 - a) * gq(b - a - z) / (gq(1 - a - z) * gq(b - a)))
+          * phi([qpow(q, 1 - z, ctx), qpow(q, 1 - b, ctx)],
+                [qpow(q, 1 - a - z, ctx)], q, qpow(q, b - a, ctx), ctx))
+    return t1 + t2 - pre
+
+
+def _rhs_thm53(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    a, b, z, q = p["a"], p["b"], p["z"], p.q
+    gq = _gamma_q_side(q, ctx)
+    pre = mp.power(1 - q, a + 1 - b)
+    int_f = _jackson_2phi1(qpow(q, 1 - z, ctx), qpow(q, 1 - b, ctx),
+                           qpow(q, 1 - a - z, ctx), b - a, q, ctx)
+    int_g = _jackson_2phi1(qpow(q, a + 1 + z - b, ctx), qpow(q, a, ctx),
+                           qpow(q, a + z, ctx), b - a, q, ctx)
+    t1 = (gq(1 - a) * gq(b - a - z)
+          / (gq(b - a) * gq(1 - z) * gq(1 - b))) * int_f
+    t2 = (gq(b) * gq(z)
+          / (gq(b - a) * gq(a + 1 + z - b) * gq(a))) * int_g
+    return t1 + t2 - pre
+
+
+def _lhs_eq55(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    b, z = p["b"], p["z"]
+    return SeriesValue.of(classical_gamma(1 - b, ctx)
+                          * classical_gamma(b + 1 - z, ctx)
+                          / classical_gamma(1 - z, ctx))
+
+
+def _rhs_eq55(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    b, z = p["b"], p["z"]
+    # t_n = (b)_n/n! * (b-z)/(b-z+n)
+    return _levin_sum(1, lambda n: ((b + n) / (n + 1)
+                                    * (b - z + n) / (b - z + n + 1)),
+                      ctx)
+
+
+def _lhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    x, y = p["x"], p["y"]
+    return SeriesValue.of(classical_gamma(x, ctx) * classical_gamma(y, ctx)
+                          / classical_gamma(x + y, ctx))
+
+
+def _rhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    x, y = p["x"], p["y"]
+    # u_n = prod_{k<=n}(k-x)/n! * 1/(n+y)
+    return _levin_sum(y,
+                      lambda n: ((n + 1 - x) / (n + 1) * (n + y) / (n + 1 + y)),
+                      ctx)
+
+
+def _lhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    a, b, z = p["a"], p["b"], p["z"]
+    num = (classical_gamma(a, ctx) * classical_gamma(z, ctx)
+           * classical_gamma(1 - a, ctx) * classical_gamma(b - a - z, ctx))
+    den = (classical_gamma(a + z, ctx) * classical_gamma(b - a, ctx)
+           * classical_gamma(1 - a - z, ctx))
+    return SeriesValue.of(num / den)
+
+
+def _rhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    a, b, z = p["a"], p["b"], p["z"]
+    # t_n = (b-a)_n/(n! (n+z))
+    return _levin_sum(z,
+                      lambda n: ((b - a + n) / (n + 1) * (n + z) / (n + 1 + z)),
+                      ctx)
+
+
+def _lhs_eq59(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    g34 = classical_gamma(mpf(3) / 4, ctx)
+    return SeriesValue.of(mp.power(mp.pi, mpf(3) / 2)
+                          / (2 * mp.sqrt(2) * g34 ** 2))
+
+
+def _rhs_eq59(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    # t_n = (1/2)_n/(n! (4n+1))
+    half = mpf(1) / 2
+    return _levin_sum(1,
+                      lambda n: ((n + half) / (n + 1)
+                                 * (4 * n + 1) / (4 * n + 5)),
+                      ctx)
+
+
+def _lhs_eq512(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    a, b, z = p["a"], p["b"], p["z"]
+    num = (classical_gamma(b, ctx) * classical_gamma(1 - a, ctx)
+           * classical_gamma(z, ctx) * classical_gamma(b - a - z, ctx))
+    den = classical_gamma(a + z, ctx) * classical_gamma(1 - a - z, ctx)
+    return SeriesValue.of(num / den)
+
+
+def _rhs_eq512(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    a, b, z = p["a"], p["b"], p["z"]
+    beta = (classical_gamma(b - a, ctx) * classical_gamma(a - b + 1, ctx)
+            / classical_gamma(1, ctx))
+    bracket = (classical_gamma(1 - a, ctx) * classical_gamma(b - a - z, ctx)
+               / (classical_gamma(1 - z, ctx) * classical_gamma(1 - b, ctx))
+               + classical_gamma(b, ctx) * classical_gamma(z, ctx)
+               / (classical_gamma(a, ctx)
+                  * classical_gamma(a + 1 + z - b, ctx)))
+    return SeriesValue.of(bracket * beta)
+
+
+# --- q-gamma domains & samplers --------------------------------------------
+
+def _domain_strip(require_b_lt_1=False):
+    """0 < z < b - a < 1 with a > 0 (the common q-gamma strip)."""
+
+    def check(p: QPoint):
+        v = []
+        a, b, z = p["a"], p["b"], p["z"]
+        if not a > 0:
+            v.append("a > 0 violated")
+        if not (0 < z):
+            v.append("z > 0 violated")
+        if not (z < b - a):
+            v.append("z < b - a violated")
+        if not (b - a < 1):
+            v.append("b - a < 1 violated")
+        if require_b_lt_1 and not (b < 1):
+            v.append("b < 1 violated")
+        return v
+
+    return check
+
+
+def _strip_sampler(q_lo, q_hi):
+    def sample(rng: SplitMix64) -> QPoint:
+        q = rng.uniform(q_lo, q_hi)
+        a = rng.uniform(0.05, 0.35)
+        b = rng.uniform(a + 0.2, 0.95)
+        z = rng.uniform(0.05, (b - a) - 0.05)
+        return QPoint(q, {"a": a, "b": b, "z": z})
+
+    return sample
+
+
+_PLACEHOLDER_Q = 0.5  # classical (q -> 1 limit) identities ignore q
+
+
+def _domain_eq55(p: QPoint):
+    v = []
+    if not (0 < p["z"] < p["b"] < 1):
+        v.append("0 < z < b < 1 violated")
+    return v
+
+
+def _sample_eq55(rng: SplitMix64) -> QPoint:
+    b = rng.uniform(0.2, 0.9)
+    z = rng.uniform(0.05, b - 0.05)
+    return QPoint(_PLACEHOLDER_Q, {"b": b, "z": z})
+
+
+def _domain_eq56(p: QPoint):
+    v = []
+    if not (0 < p["x"] < 1):
+        v.append("0 < x < 1 violated")
+    if not p["y"] > 0:
+        v.append("y > 0 violated")
+    return v
+
+
+def _sample_eq56(rng: SplitMix64) -> QPoint:
+    return QPoint(_PLACEHOLDER_Q,
+                  {"x": rng.uniform(0.1, 0.9), "y": rng.uniform(0.1, 1.5)})
+
+
+def _sample_strip_classical(rng: SplitMix64) -> QPoint:
+    a = rng.uniform(0.05, 0.35)
+    b = rng.uniform(a + 0.2, 0.95)
+    z = rng.uniform(0.05, (b - a) - 0.05)
+    return QPoint(_PLACEHOLDER_Q, {"a": a, "b": b, "z": z})
+
+
+def _domain_none(p: QPoint):
+    return []
+
+
+def _sample_fixed(rng: SplitMix64) -> QPoint:
+    return QPoint(_PLACEHOLDER_Q, {})
+
+
+
+# --- catalog ---------------------------------------------------------------
+
+def _at_working(side):
+    """``side`` evaluated at its ctx's working precision, so that a side is
+    a function of (point, ctx) alone, whatever precision its caller is in."""
+
+    def at_working(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+        with ctx.working():
+            return side(p, ctx)
+
+    return at_working
+
+
+# The 24 identities in `qseries list` order: the 1psi1 summation, the Heine
+# transforms, the four single-sided transforms used in the proofs, the three
+# bilateral theorems and their special cases; the eta-quotient expansions;
+# the q-gamma theorems; their classical (q -> 1) limits.
+CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
+                for e in (
+    IdentityEntry(
+        id="eq-1.1",
+        paper_ref="Eq. (1.1), Ramanujan 1psi1 summation",
+        param_names=("a", "b", "z"),
+        domain_desc="|b/a| < |z| < 1",
+        default_tol=Q_TOL,
+        domain=_domain_bilateral(),
+        lhs=_lhs_bilateral,
+        rhs=_rhs_eq11,
+        sampler=_bilateral_sampler("eq-1.1"),
+    ),
+    IdentityEntry(
+        id="eq-2.1",
+        paper_ref="Eq. (2.1), Heine transformation (first form)",
+        param_names=("a", "b", "c", "z"),
+        domain_desc="|z| < 1, |b| < 1",
+        default_tol=Q_TOL,
+        domain=_domain_heine("eq-2.1"),
+        lhs=_lhs_heine,
+        rhs=_rhs_heine1,
+        sampler=_heine_sampler("eq-2.1"),
+    ),
+    IdentityEntry(
+        id="eq-2.2",
+        paper_ref="Eq. (2.2), Heine transformation (second form)",
+        param_names=("a", "b", "c", "z"),
+        domain_desc="|z| < 1, |c/b| < 1",
+        default_tol=Q_TOL,
+        domain=_domain_heine("eq-2.2"),
+        lhs=_lhs_heine,
+        rhs=_rhs_heine2,
+        sampler=_heine_sampler("eq-2.2"),
+    ),
+    IdentityEntry(
+        id="eq-2.5",
+        paper_ref="Eq. (2.5), transform of sum (a)_n/(b)_n z^n",
+        param_names=("a", "b", "z"),
+        domain_desc="|z| < 1, |b/a| < 1",
+        default_tol=Q_TOL,
+        domain=_domain_transform("eq-2.5"),
+        lhs=_lhs_ratio_sum,
+        rhs=_rhs_eq25,
+        sampler=_transform_sampler("eq-2.5"),
+    ),
+    IdentityEntry(
+        id="eq-2.6",
+        paper_ref="Eq. (2.6), transform of sum (q/b)_n/(q/a)_n (b/az)^n",
+        param_names=("a", "b", "z"),
+        domain_desc="|b/(az)| < 1, |q| < |b|",
+        default_tol=Q_TOL,
+        domain=_domain_transform("eq-2.6"),
+        lhs=_lhs_inverted_sum,
+        rhs=_rhs_eq26,
+        sampler=_transform_sampler("eq-2.6"),
+    ),
+    IdentityEntry(
+        id="eq-2.8",
+        paper_ref="Eq. (2.8), transform of sum (a)_n/(b)_n z^n",
+        param_names=("a", "b", "z"),
+        domain_desc="|z| < 1, |a| < 1",
+        default_tol=Q_TOL,
+        domain=_domain_transform("eq-2.8"),
+        lhs=_lhs_ratio_sum,
+        rhs=_rhs_eq28,
+        sampler=_transform_sampler("eq-2.8"),
+    ),
+    IdentityEntry(
+        id="eq-2.9",
+        paper_ref="Eq. (2.9), transform of sum (q/b)_n/(q/a)_n (b/az)^n",
+        param_names=("a", "b", "z"),
+        domain_desc="|b/(az)| < 1, |b/a| < 1",
+        default_tol=Q_TOL,
+        domain=_domain_transform("eq-2.9"),
+        lhs=_lhs_inverted_sum,
+        rhs=_rhs_eq29,
+        sampler=_transform_sampler("eq-2.9"),
+    ),
+    IdentityEntry(
+        id="thm-2.1",
+        paper_ref="Theorem 2.1, Eq. (2.3)",
+        param_names=("a", "b", "z"),
+        domain_desc="|b/a| < |z| < 1 and |q| < min(1, |b|)",
+        default_tol=Q_TOL,
+        domain=_domain_bilateral("q<min(1,|b|)"),
+        lhs=_lhs_bilateral,
+        rhs=_rhs_thm21,
+        sampler=_bilateral_sampler("thm-2.1"),
+    ),
+    IdentityEntry(
+        id="thm-2.2",
+        paper_ref="Theorem 2.2, Eq. (2.7)",
+        param_names=("a", "b", "z"),
+        domain_desc="|b/a| < |z| < 1 and |a| < 1",
+        default_tol=Q_TOL,
+        domain=_domain_bilateral("|a|<1"),
+        lhs=_lhs_bilateral,
+        rhs=_rhs_thm22,
+        sampler=_bilateral_sampler("thm-2.2"),
+    ),
+    IdentityEntry(
+        id="thm-2.3",
+        paper_ref="Theorem 2.3, Eq. (2.10)",
+        param_names=("a", "b", "z"),
+        domain_desc="|b/a| < |z| < 1",
+        default_tol=Q_TOL,
+        domain=_domain_bilateral(),
+        lhs=_lhs_bilateral,
+        rhs=_rhs_thm23,
+        sampler=_bilateral_sampler("thm-2.3"),
+    ),
+    IdentityEntry(
+        id="eq-3.1",
+        paper_ref="Eq. (3.1), special case a=-1/q, b=-1 of Theorem 2.1",
+        param_names=("z",),
+        domain_desc="|q| < |z| < 1",
+        default_tol=Q_TOL,
+        domain=_domain_eq31,
+        lhs=_lhs_eq31,
+        rhs=_rhs_eq31,
+        sampler=_q_only_sampler(with_z=True),
+    ),
+    IdentityEntry(
+        id="eq-3.2",
+        paper_ref="Eq. (3.2), special case a=-q, b=-q^3, z=q of Theorem 2.2",
+        param_names=(),
+        domain_desc="0 < q < 1",
+        default_tol=Q_TOL,
+        domain=_domain_q_only,
+        lhs=_lhs_eq32,
+        rhs=_rhs_eq32,
+        sampler=_q_only_sampler(),
+    ),
+    IdentityEntry(
+        id="eq-3.3",
+        paper_ref="Eq. (3.3), special case of Theorem 2.3 after q -> q^2",
+        param_names=(),
+        domain_desc="0 < q < 1",
+        default_tol=Q_TOL,
+        domain=_domain_q_only,
+        lhs=_lhs_eq33,
+        rhs=_rhs_eq33,
+        sampler=_q_only_sampler(),
+    ),
+    IdentityEntry(
+        id="eq-4.2",
+        paper_ref="Eq. (4.2), eta(tau)/eta^2(2 tau) expansion",
+        param_names=(),
+        domain_desc="0.01 < q < 0.8",
+        default_tol=ETA_TOL,
+        domain=_domain_open(0.01, 0.8),
+        lhs=_lhs_eq42,
+        rhs=_rhs_eq42,
+        sampler=_eta_sampler(0.05, 0.6),
+    ),
+    IdentityEntry(
+        id="eq-4.3",
+        paper_ref="Eq. (4.3), eta^10(2 tau)/(eta^4(tau) eta^2(4 tau)) expansion",
+        param_names=(),
+        domain_desc="0.01 < q < 0.8",
+        default_tol=ETA_TOL,
+        domain=_domain_open(0.01, 0.8),
+        lhs=_lhs_eq43,
+        rhs=_rhs_eq43,
+        sampler=_eta_sampler(0.05, 0.6),
+    ),
+    IdentityEntry(
+        id="eq-4.4",
+        paper_ref="Eq. (4.4), eta^3(3 tau)/eta(tau) expansion",
+        param_names=(),
+        domain_desc="0.01 < q < 0.8",
+        default_tol=ETA_TOL,
+        domain=_domain_open(0.01, 0.8),
+        lhs=_lhs_eq44,
+        rhs=_rhs_eq44,
+        sampler=_eta_sampler(0.05, 0.6),
+    ),
+    IdentityEntry(
+        id="thm-5.1",
+        paper_ref="Theorem 5.1, Eq. (5.4)",
+        param_names=("a", "b", "z"),
+        domain_desc="0 < z < b - a < 1, a > 0, b < 1",
+        default_tol=QGAMMA_TOL,
+        domain=_domain_strip(require_b_lt_1=True),
+        lhs=_lhs_gamma_quotient,
+        rhs=_rhs_thm51,
+        sampler=_strip_sampler(0.05, 0.7),
+    ),
+    IdentityEntry(
+        id="eq-5.8",
+        paper_ref="Eq. (5.8), q-analogue behind Theorem 5.2",
+        param_names=("a", "b", "z"),
+        domain_desc="0 < z < b - a < 1, a > 0",
+        default_tol=QGAMMA_TOL,
+        domain=_domain_strip(),
+        lhs=_lhs_gamma_quotient,
+        rhs=_rhs_eq58,
+        sampler=_strip_sampler(0.05, 0.7),
+    ),
+    IdentityEntry(
+        id="thm-5.3",
+        paper_ref="Theorem 5.3, Eq. (5.10)",
+        param_names=("a", "b", "z"),
+        domain_desc="0 < z < b - a < 1, a > 0",
+        default_tol=QGAMMA_TOL,
+        domain=_domain_strip(),
+        lhs=_lhs_gamma_quotient,
+        rhs=_rhs_thm53,
+        sampler=_strip_sampler(0.1, 0.55),
+    ),
+    IdentityEntry(
+        id="eq-5.5",
+        paper_ref="Eq. (5.5), q -> 1 corollary of Theorem 5.1 at a = 0",
+        param_names=("b", "z"),
+        domain_desc="0 < z < b < 1 (q unused)",
+        default_tol=CLASSICAL_TOL,
+        domain=_domain_eq55,
+        lhs=_lhs_eq55,
+        rhs=_rhs_eq55,
+        sampler=_sample_eq55,
+    ),
+    IdentityEntry(
+        id="eq-5.6",
+        paper_ref="Eq. (5.6), beta function series B(x, y)",
+        param_names=("x", "y"),
+        domain_desc="0 < x < 1, y > 0 (q unused)",
+        default_tol=CLASSICAL_TOL,
+        domain=_domain_eq56,
+        lhs=_lhs_eq56,
+        rhs=_rhs_eq56,
+        sampler=_sample_eq56,
+    ),
+    IdentityEntry(
+        id="eq-5.7",
+        paper_ref="Theorem 5.2, Eq. (5.7)",
+        param_names=("a", "b", "z"),
+        domain_desc="0 < z < b - a < 1, a > 0 (q unused)",
+        default_tol=CLASSICAL_TOL,
+        domain=_domain_strip(),
+        lhs=_lhs_eq57,
+        rhs=_rhs_eq57,
+        sampler=_sample_strip_classical,
+    ),
+    IdentityEntry(
+        id="eq-5.9",
+        paper_ref="Eq. (5.9), remark after Theorem 5.2",
+        param_names=(),
+        domain_desc="no parameters (q unused)",
+        default_tol=CLASSICAL_TOL,
+        domain=_domain_none,
+        lhs=_lhs_eq59,
+        rhs=_rhs_eq59,
+        sampler=_sample_fixed,
+    ),
+    IdentityEntry(
+        id="eq-5.12",
+        paper_ref="Eq. (5.12), q -> 1 corollary of Theorem 5.3",
+        param_names=("a", "b", "z"),
+        domain_desc="0 < z < b - a < 1, a > 0 (q unused)",
+        default_tol=CLASSICAL_TOL,
+        domain=_domain_strip(),
+        lhs=_lhs_eq512,
+        rhs=_rhs_eq512,
+        sampler=_sample_strip_classical,
+    ),
+))
+
+
+def full_registry() -> list:
+    """All 24 identities, in catalog order."""
+    return list(CATALOG)

@@ -1,5 +1,5 @@
 """q-gamma function, Jackson q-integrals, classical gamma (Spouge), and the
-q-gamma / classical-limit identity entries."""
+helpers the q-gamma and classical-limit identity sides are built from."""
 
 from __future__ import annotations
 
@@ -11,10 +11,8 @@ from mpmath import mp, mpf
 
 from .errors import NonConvergenceError, PoleError, QDomainError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
-from .qcore import (_LEVIN_MAX_ORDER, QPoint, SeriesValue, accelerate, phi,
+from .qcore import (_LEVIN_MAX_ORDER, SeriesValue, accelerate, phi,
                     pochhammer_inf, prodquot, qpow)
-from .registry import IdentityEntry
-from .rng import SplitMix64
 
 __all__ = [
     "gamma_q",
@@ -22,12 +20,7 @@ __all__ = [
     "QIntegrand",
     "jackson_integral_finite",
     "jackson_integral_infinite",
-    "register_qgamma_identities",
-    "classical_limit_identities",
 ]
-
-QGAMMA_TOL = 1e-22
-CLASSICAL_TOL = 1e-10
 
 
 # --- q-gamma ----------------------------------------------------------------
@@ -214,57 +207,18 @@ def jackson_integral_infinite(f, q,
         return (1 - q) * (pos + neg)
 
 
-# --- classical series via acceleration ---------------------------------------
+# --- helpers of the identity sides ------------------------------------------
 
 def _levin_sum(c, ratio_fn, ctx: PrecisionCtx) -> SeriesValue:
-    """Levin-accelerated sum of t_0 = 1/c, t_(n+1) = t_n * ratio_fn(n), with
-    every term built at the working precision whatever precision the caller
-    is in."""
+    """Levin-accelerated sum of t_0 = 1/c, t_(n+1) = t_n * ratio_fn(n),
+    for identity sides, which run at the working precision."""
     # the transform reads at most _LEVIN_MAX_ORDER + 1 terms (kmax = len - 2)
-    with ctx.working():
-        terms = []
-        t = 1 / to_real(c)
-        for n in range(_LEVIN_MAX_ORDER + 2):
-            terms.append(t)
-            t = t * ratio_fn(n)
+    terms = []
+    t = 1 / to_real(c)
+    for n in range(_LEVIN_MAX_ORDER + 2):
+        terms.append(t)
+        t = t * ratio_fn(n)
     return accelerate(terms, kind="levin-u", ctx=ctx)
-
-
-# --- identity entries ---------------------------------------------------------
-
-def _lhs_gamma_quotient(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    gq = _gamma_q_side(q, ctx)
-    num = gq(b) * gq(1 - a) * gq(z) * gq(b - a - z)
-    den = gq(b - a) * gq(a + z) * gq(1 - a - z)
-    return num / den
-
-
-def _rhs_thm51(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    gq = _gamma_q_side(q, ctx)
-    pre = mp.power(1 - q, a + 1 - b)
-    qa = qpow(q, a, ctx)
-    t1 = (pre * (gq(b) * gq(z) / (gq(b - a) * gq(a + z)))
-          * phi([qpow(q, a + 1 + z - b, ctx), qa],
-                [qpow(q, a + z, ctx)], q, qpow(q, b - a, ctx), ctx))
-    t2 = ((gq(1 - a) * gq(b - a - z) / (gq(1 - b) * gq(b + 1 - a - z)))
-          * phi([qpow(q, b - a, ctx), qpow(q, b - z - a, ctx)],
-                [qpow(q, b + 1 - a - z, ctx)], q, qpow(q, 1 - b, ctx), ctx))
-    return t1 + t2 - pre
-
-
-def _rhs_eq58(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    gq = _gamma_q_side(q, ctx)
-    pre = mp.power(1 - q, a + 1 - b)
-    t1 = ((gq(b) * gq(z) / (gq(a) * gq(z + 1)))
-          * phi([qpow(q, b - a, ctx), qpow(q, z, ctx)],
-                [qpow(q, 1 + z, ctx)], q, qpow(q, a, ctx), ctx))
-    t2 = (pre * (gq(1 - a) * gq(b - a - z) / (gq(1 - a - z) * gq(b - a)))
-          * phi([qpow(q, 1 - z, ctx), qpow(q, 1 - b, ctx)],
-                [qpow(q, 1 - a - z, ctx)], q, qpow(q, b - a, ctx), ctx))
-    return t1 + t2 - pre
 
 
 def _jackson_2phi1(v1, v2, u, s, q, ctx: PrecisionCtx) -> SeriesValue:
@@ -278,276 +232,3 @@ def _jackson_2phi1(v1, v2, u, s, q, ctx: PrecisionCtx) -> SeriesValue:
     """
     return ((1 - q) * prodquot([q, u], [v1, v2], q, ctx)
             * phi([v1, v2], [u], q, qpow(q, s, ctx), ctx))
-
-
-def _rhs_thm53(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    gq = _gamma_q_side(q, ctx)
-    pre = mp.power(1 - q, a + 1 - b)
-    int_f = _jackson_2phi1(qpow(q, 1 - z, ctx), qpow(q, 1 - b, ctx),
-                           qpow(q, 1 - a - z, ctx), b - a, q, ctx)
-    int_g = _jackson_2phi1(qpow(q, a + 1 + z - b, ctx), qpow(q, a, ctx),
-                           qpow(q, a + z, ctx), b - a, q, ctx)
-    t1 = (gq(1 - a) * gq(b - a - z)
-          / (gq(b - a) * gq(1 - z) * gq(1 - b))) * int_f
-    t2 = (gq(b) * gq(z)
-          / (gq(b - a) * gq(a + 1 + z - b) * gq(a))) * int_g
-    return t1 + t2 - pre
-
-
-def _lhs_eq55(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    b, z = p["b"], p["z"]
-    return SeriesValue.of(classical_gamma(1 - b, ctx)
-                          * classical_gamma(b + 1 - z, ctx)
-                          / classical_gamma(1 - z, ctx))
-
-
-def _rhs_eq55(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    b, z = p["b"], p["z"]
-    # t_n = (b)_n/n! * (b-z)/(b-z+n)
-    return _levin_sum(1, lambda n: ((b + n) / (n + 1)
-                                    * (b - z + n) / (b - z + n + 1)),
-                      ctx)
-
-
-def _lhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    x, y = p["x"], p["y"]
-    return SeriesValue.of(classical_gamma(x, ctx) * classical_gamma(y, ctx)
-                          / classical_gamma(x + y, ctx))
-
-
-def _rhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    x, y = p["x"], p["y"]
-    # u_n = prod_{k<=n}(k-x)/n! * 1/(n+y)
-    return _levin_sum(y,
-                      lambda n: ((n + 1 - x) / (n + 1) * (n + y) / (n + 1 + y)),
-                      ctx)
-
-
-def _lhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z = p["a"], p["b"], p["z"]
-    num = (classical_gamma(a, ctx) * classical_gamma(z, ctx)
-           * classical_gamma(1 - a, ctx) * classical_gamma(b - a - z, ctx))
-    den = (classical_gamma(a + z, ctx) * classical_gamma(b - a, ctx)
-           * classical_gamma(1 - a - z, ctx))
-    return SeriesValue.of(num / den)
-
-
-def _rhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z = p["a"], p["b"], p["z"]
-    # t_n = (b-a)_n/(n! (n+z))
-    return _levin_sum(z,
-                      lambda n: ((b - a + n) / (n + 1) * (n + z) / (n + 1 + z)),
-                      ctx)
-
-
-def _lhs_eq59(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    g34 = classical_gamma(mpf(3) / 4, ctx)
-    return SeriesValue.of(mp.power(mp.pi, mpf(3) / 2)
-                          / (2 * mp.sqrt(2) * g34 ** 2))
-
-
-def _rhs_eq59(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    # t_n = (1/2)_n/(n! (4n+1))
-    half = mpf(1) / 2
-    return _levin_sum(1,
-                      lambda n: ((n + half) / (n + 1)
-                                 * (4 * n + 1) / (4 * n + 5)),
-                      ctx)
-
-
-def _lhs_eq512(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z = p["a"], p["b"], p["z"]
-    num = (classical_gamma(b, ctx) * classical_gamma(1 - a, ctx)
-           * classical_gamma(z, ctx) * classical_gamma(b - a - z, ctx))
-    den = classical_gamma(a + z, ctx) * classical_gamma(1 - a - z, ctx)
-    return SeriesValue.of(num / den)
-
-
-def _rhs_eq512(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z = p["a"], p["b"], p["z"]
-    beta = (classical_gamma(b - a, ctx) * classical_gamma(a - b + 1, ctx)
-            / classical_gamma(1, ctx))
-    bracket = (classical_gamma(1 - a, ctx) * classical_gamma(b - a - z, ctx)
-               / (classical_gamma(1 - z, ctx) * classical_gamma(1 - b, ctx))
-               + classical_gamma(b, ctx) * classical_gamma(z, ctx)
-               / (classical_gamma(a, ctx)
-                  * classical_gamma(a + 1 + z - b, ctx)))
-    return SeriesValue.of(bracket * beta)
-
-
-# --- domains & samplers -------------------------------------------------------
-
-def _domain_strip(require_b_lt_1=False):
-    """0 < z < b - a < 1 with a > 0 (the common q-gamma strip)."""
-
-    def check(p: QPoint):
-        v = []
-        a, b, z = p["a"], p["b"], p["z"]
-        if not a > 0:
-            v.append("a > 0 violated")
-        if not (0 < z):
-            v.append("z > 0 violated")
-        if not (z < b - a):
-            v.append("z < b - a violated")
-        if not (b - a < 1):
-            v.append("b - a < 1 violated")
-        if require_b_lt_1 and not (b < 1):
-            v.append("b < 1 violated")
-        return v
-
-    return check
-
-
-def _strip_sampler(q_lo, q_hi):
-    def sample(rng: SplitMix64) -> QPoint:
-        q = rng.uniform(q_lo, q_hi)
-        a = rng.uniform(0.05, 0.35)
-        b = rng.uniform(a + 0.2, 0.95)
-        z = rng.uniform(0.05, (b - a) - 0.05)
-        return QPoint(q, {"a": a, "b": b, "z": z})
-
-    return sample
-
-
-_PLACEHOLDER_Q = 0.5  # classical (q -> 1 limit) identities ignore q
-
-
-def _domain_eq55(p: QPoint):
-    v = []
-    if not (0 < p["z"] < p["b"] < 1):
-        v.append("0 < z < b < 1 violated")
-    return v
-
-
-def _sample_eq55(rng: SplitMix64) -> QPoint:
-    b = rng.uniform(0.2, 0.9)
-    z = rng.uniform(0.05, b - 0.05)
-    return QPoint(_PLACEHOLDER_Q, {"b": b, "z": z})
-
-
-def _domain_eq56(p: QPoint):
-    v = []
-    if not (0 < p["x"] < 1):
-        v.append("0 < x < 1 violated")
-    if not p["y"] > 0:
-        v.append("y > 0 violated")
-    return v
-
-
-def _sample_eq56(rng: SplitMix64) -> QPoint:
-    return QPoint(_PLACEHOLDER_Q,
-                  {"x": rng.uniform(0.1, 0.9), "y": rng.uniform(0.1, 1.5)})
-
-
-def _sample_strip_classical(rng: SplitMix64) -> QPoint:
-    a = rng.uniform(0.05, 0.35)
-    b = rng.uniform(a + 0.2, 0.95)
-    z = rng.uniform(0.05, (b - a) - 0.05)
-    return QPoint(_PLACEHOLDER_Q, {"a": a, "b": b, "z": z})
-
-
-def _domain_none(p: QPoint):
-    return []
-
-
-def _sample_fixed(rng: SplitMix64) -> QPoint:
-    return QPoint(_PLACEHOLDER_Q, {})
-
-
-def register_qgamma_identities() -> list:
-    return [
-        IdentityEntry(
-            id="thm-5.1",
-            paper_ref="Theorem 5.1, Eq. (5.4)",
-            param_names=("a", "b", "z"),
-            domain_desc="0 < z < b - a < 1, a > 0, b < 1",
-            default_tol=QGAMMA_TOL,
-            domain=_domain_strip(require_b_lt_1=True),
-            lhs=_lhs_gamma_quotient,
-            rhs=_rhs_thm51,
-            sampler=_strip_sampler(0.05, 0.7),
-        ),
-        IdentityEntry(
-            id="eq-5.8",
-            paper_ref="Eq. (5.8), q-analogue behind Theorem 5.2",
-            param_names=("a", "b", "z"),
-            domain_desc="0 < z < b - a < 1, a > 0",
-            default_tol=QGAMMA_TOL,
-            domain=_domain_strip(),
-            lhs=_lhs_gamma_quotient,
-            rhs=_rhs_eq58,
-            sampler=_strip_sampler(0.05, 0.7),
-        ),
-        IdentityEntry(
-            id="thm-5.3",
-            paper_ref="Theorem 5.3, Eq. (5.10)",
-            param_names=("a", "b", "z"),
-            domain_desc="0 < z < b - a < 1, a > 0",
-            default_tol=QGAMMA_TOL,
-            domain=_domain_strip(),
-            lhs=_lhs_gamma_quotient,
-            rhs=_rhs_thm53,
-            sampler=_strip_sampler(0.1, 0.55),
-        ),
-    ]
-
-
-def classical_limit_identities() -> list:
-    return [
-        IdentityEntry(
-            id="eq-5.5",
-            paper_ref="Eq. (5.5), q -> 1 corollary of Theorem 5.1 at a = 0",
-            param_names=("b", "z"),
-            domain_desc="0 < z < b < 1 (q unused)",
-            default_tol=CLASSICAL_TOL,
-            domain=_domain_eq55,
-            lhs=_lhs_eq55,
-            rhs=_rhs_eq55,
-            sampler=_sample_eq55,
-        ),
-        IdentityEntry(
-            id="eq-5.6",
-            paper_ref="Eq. (5.6), beta function series B(x, y)",
-            param_names=("x", "y"),
-            domain_desc="0 < x < 1, y > 0 (q unused)",
-            default_tol=CLASSICAL_TOL,
-            domain=_domain_eq56,
-            lhs=_lhs_eq56,
-            rhs=_rhs_eq56,
-            sampler=_sample_eq56,
-        ),
-        IdentityEntry(
-            id="eq-5.7",
-            paper_ref="Theorem 5.2, Eq. (5.7)",
-            param_names=("a", "b", "z"),
-            domain_desc="0 < z < b - a < 1, a > 0 (q unused)",
-            default_tol=CLASSICAL_TOL,
-            domain=_domain_strip(),
-            lhs=_lhs_eq57,
-            rhs=_rhs_eq57,
-            sampler=_sample_strip_classical,
-        ),
-        IdentityEntry(
-            id="eq-5.9",
-            paper_ref="Eq. (5.9), remark after Theorem 5.2",
-            param_names=(),
-            domain_desc="no parameters (q unused)",
-            default_tol=CLASSICAL_TOL,
-            domain=_domain_none,
-            lhs=_lhs_eq59,
-            rhs=_rhs_eq59,
-            sampler=_sample_fixed,
-        ),
-        IdentityEntry(
-            id="eq-5.12",
-            paper_ref="Eq. (5.12), q -> 1 corollary of Theorem 5.3",
-            param_names=("a", "b", "z"),
-            domain_desc="0 < z < b - a < 1, a > 0 (q unused)",
-            default_tol=CLASSICAL_TOL,
-            domain=_domain_strip(),
-            lhs=_lhs_eq512,
-            rhs=_rhs_eq512,
-            sampler=_sample_strip_classical,
-        ),
-    ]

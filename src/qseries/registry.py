@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from mpmath import mpf
 
@@ -14,30 +13,14 @@ from .errors import (
     SamplingError,
     UnknownIdentityError,
 )
+from .identities import CATALOG, IdentityEntry
 from .precision import DEFAULT_CTX, PrecisionCtx
-from .qcore import QPoint, SeriesValue
-from .rng import SplitMix64, stream_for
+from .qcore import QPoint
+from .rng import stream_for
 
-__all__ = ["IdentityEntry", "IdentityResult", "eval_identity", "sample_domain"]
+__all__ = ["IdentityResult", "eval_identity", "sample_domain"]
 
 _MAX_DRAWS = 10_000
-
-
-@dataclass(frozen=True)
-class IdentityEntry:
-    """One registered identity: a domain predicate plus independent LHS and
-    RHS evaluators. ``domain`` returns the list of violated constraints
-    (empty means the point is admissible)."""
-
-    id: str
-    paper_ref: str
-    param_names: tuple
-    domain_desc: str
-    default_tol: float
-    domain: Callable[[QPoint], list]
-    lhs: Callable[[QPoint, PrecisionCtx], SeriesValue]
-    rhs: Callable[[QPoint, PrecisionCtx], SeriesValue]
-    sampler: Callable[[SplitMix64], QPoint] = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -52,10 +35,7 @@ class IdentityResult:
 
 
 def _lookup(identity_id: str, registry) -> IdentityEntry:
-    if hasattr(registry, "get"):
-        entry = registry.get(identity_id)
-    else:
-        entry = next((e for e in registry if e.id == identity_id), None)
+    entry = next((e for e in registry if e.id == identity_id), None)
     if entry is None:
         raise UnknownIdentityError(f"no identity registered as {identity_id!r}")
     return entry
@@ -63,15 +43,13 @@ def _lookup(identity_id: str, registry) -> IdentityEntry:
 
 def eval_identity(identity_id: str, point: QPoint, tol=None,
                   ctx: PrecisionCtx = DEFAULT_CTX,
-                  registry=None) -> IdentityResult:
+                  registry=CATALOG) -> IdentityResult:
     """Evaluate both sides of a registered identity at one point.
 
     Deterministic for fixed inputs. Raises DomainViolationError naming the
     violated constraint, and EvaluationError with lhs/rhs attribution when a
     side fails to evaluate.
     """
-    if registry is None:
-        registry = default_registry()
     entry = _lookup(identity_id, registry)
     violations = entry.domain(point)
     if violations:
@@ -102,14 +80,12 @@ def eval_identity(identity_id: str, point: QPoint, tol=None,
 
 
 def sample_domain(identity_id: str, count: int, seed: int,
-                  registry=None) -> list:
+                  registry=CATALOG) -> list:
     """Deterministic pseudo-random in-domain points for an identity.
 
     Candidates come from the entry's sampler (which builds in slack margins
     and sign coverage) and are rejected against the domain predicate.
     """
-    if registry is None:
-        registry = default_registry()
     entry = _lookup(identity_id, registry)
     if count < 1:
         raise SamplingError("count must be >= 1")
@@ -126,9 +102,3 @@ def sample_domain(identity_id: str, count: int, seed: int,
             continue
         points.append(point)
     return points
-
-
-def default_registry():
-    # assembled lazily to avoid import cycles with the identity modules
-    from .harness import full_registry
-    return full_registry()

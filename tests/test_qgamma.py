@@ -15,6 +15,7 @@ from qseries import (
     QPoint,
     classical_gamma,
     eval_identity,
+    full_registry,
     gamma_q,
     jackson_integral_finite,
     jackson_integral_infinite,
@@ -237,17 +238,18 @@ def test_strip_domain_rejection(registry, ctx40):
 
 # --- classical limits ------------------------------------------------------------
 
-@pytest.mark.parametrize("identity", ["eq-5.5", "eq-5.6", "eq-5.7", "eq-5.9"])
+@pytest.mark.parametrize("identity", [e.id for e in full_registry()])
 def test_levin_series_side_builds_terms_at_working_precision(registry, ctx40,
                                                              identity):
-    # eval_identity enters the working precision; a direct call of the side
-    # must not depend on that
+    # every side, the Levin series sides included, runs at the working
+    # precision of its ctx: a direct call must not depend on the caller's
     entry = next(e for e in registry if e.id == identity)
     for point in sample_domain(identity, 2, seed=7, registry=registry):
-        outside = entry.rhs(point, ctx40)
-        with ctx40.working():
-            inside = entry.rhs(point, ctx40)
-        assert outside == inside, point
+        for side in (entry.lhs, entry.rhs):
+            outside = side(point, ctx40)
+            with ctx40.working():
+                inside = side(point, ctx40)
+            assert outside == inside, point
 
 
 def test_eq56_beta_half_half_is_pi(registry, ctx40):
