@@ -35,7 +35,6 @@ from .qgamma import (
     classical_gamma,
     gamma_q,
     jackson_integral_finite,
-    jackson_integral_infinite,
 )
 from .registry import IdentityResult, eval_identity, sample_domain
 from .rng import SplitMix64, stream_for
@@ -74,7 +73,6 @@ __all__ = [
     "full_registry",
     "gamma_q",
     "jackson_integral_finite",
-    "jackson_integral_infinite",
     "parse_param",
     "phi",
     "pochhammer_inf",

@@ -139,31 +139,34 @@ class QPoint:
         object.__setattr__(self, "q", to_real(self.q))
         object.__setattr__(
             self, "params", {k: to_real(v) for k, v in self.params.items()})
-        if not (0 < self.q < 1):
-            raise QDomainError(f"q must lie strictly in (0,1), got {self.q}")
-        for name, v in self.params.items():
-            if not mp.isfinite(v):
-                raise QDomainError(f"parameter {name} is not finite")
+        _check_q(self.q, **self.params)
 
     def __getitem__(self, name):
         return self.params[name]
 
 
-def _check_q(q, *params):
-    """Reject q outside (0,1) and non-finite parameters up front: a NaN or
-    infinite parameter would otherwise run a product or series to its cap."""
+def _check_q(q, /, **params):
+    """Reject q outside (0,1) and non-finite parameters, by name, up front: a
+    NaN or infinite parameter would otherwise run a product or series to its
+    cap."""
     if not (0 < q < 1):
         raise QDomainError(f"q must lie strictly in (0,1), got {q}")
-    for x in params:
+    for name, x in params.items():
         if not mp.isfinite(x):
-            raise QDomainError(f"parameters must be finite, got {x}")
+            raise QDomainError(f"parameter {name} is not finite, got {x}")
+
+
+def _series_params(upper, lower, z) -> dict:
+    """The parameters of a series by their r_phi_s names a1.., b1.., z."""
+    return {**{f"a{i}": u for i, u in enumerate(upper, 1)},
+            **{f"b{j}": b for j, b in enumerate(lower, 1)}, "z": z}
 
 
 def qpow(q, e, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """q**e = exp(e*ln q) for q in (0,1) and finite real e."""
     with ctx.working():
         q, e = to_real(q), to_real(e)
-        _check_q(q, e)
+        _check_q(q, e=e)
         if e == 0:
             return mpf(1)
         if e == 1:
@@ -176,7 +179,7 @@ def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     tail bound. Returns exact 0 when some factor vanishes."""
     with ctx.working():
         a, q = to_real(a), to_real(q)
-        _check_q(q, a)
+        _check_q(q, a=a)
         prec = mp.prec
         tol = ctx.tail_tol()
         max_terms = ctx.max_terms
@@ -222,7 +225,7 @@ def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """
     with ctx.working():
         a, q = to_real(a), to_real(q)
-        _check_q(q, a)
+        _check_q(q, a=a)
         if n >= 0:
             prod = mpf(1)
             qk = mpf(1)
@@ -368,7 +371,7 @@ def phi(upper, lower, q, z, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         upper = [to_real(u) for u in upper]
         lower = [to_real(b) for b in lower]
         q, z = to_real(q), to_real(z)
-        _check_q(q, z, *upper, *lower)
+        _check_q(q, **_series_params(upper, lower, z))
         if abs(z) >= 1:
             raise DivergenceError(f"phi requires |z| < 1, got |z| = {abs(z)}")
         if z == 0:
@@ -391,7 +394,7 @@ def psi_bilateral(upper, lower, q, z,
         upper = [to_real(u) for u in upper]
         lower = [to_real(b) for b in lower]
         q, z = to_real(q), to_real(z)
-        _check_q(q, z, *upper, *lower)
+        _check_q(q, **_series_params(upper, lower, z))
         if len(upper) != len(lower) or not upper:
             raise QDomainError(
                 "bilateral series needs equally many upper and lower parameters")
@@ -525,88 +528,19 @@ def _levin_u(terms):
     return [mp.make_mpf(e) for e in estimates], read
 
 
-def _wynn_epsilon(terms):
-    """Even columns of Wynn's epsilon table applied to the partial sums."""
-    psums = []
-    acc = mpf(0)
-    for t in terms:
-        acc += t
-        psums.append(acc)
-    prev_col = [mpf(0)] * (len(psums) + 1)
-    col = list(psums)
-    even_tails = [col[-1]]
-    k = 0
-    while len(col) >= 2:
-        nxt = []
-        for i in range(len(col) - 1):
-            d = col[i + 1] - col[i]
-            if d == 0:
-                # exact agreement: the table is converged at this depth
-                if k % 2 == 0:
-                    even_tails.append(col[i + 1])
-                return even_tails
-            nxt.append(prev_col[i + 1] + 1 / d)
-        prev_col, col = col, nxt
-        k += 1
-        if k % 2 == 0:
-            even_tails.append(col[-1])
-    return even_tails
+def accelerate(partial_terms, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
+    """Levin u-transform limit estimate for a convergent series given its
+    terms.
 
-
-def _raw_with_tail(terms):
-    """Partial sum plus a power-law tail estimate fitted to the last terms,
-    a_n ~ C n^-p (Euler-Maclaurin style integral tail)."""
-    n_terms = len(terms)
-    partial = mpf(0)
-    for t in terms:
-        partial += t
-
-    def fit_p(i, j):
-        ti, tj = abs(terms[i]), abs(terms[j])
-        if ti == 0 or tj == 0:
-            raise NumericalBreakdownError("zero terms in tail fit")
-        return mp.log(ti / tj) / mp.log(mpf(j + 1) / (i + 1))
-
-    p1 = fit_p(n_terms // 2, n_terms - 1)
-    p2 = fit_p(3 * n_terms // 4, n_terms - 1)
-    if min(p1, p2) <= 1:
-        raise NumericalBreakdownError(
-            f"fitted decay exponent {min(p1, p2)} <= 1; tail estimate invalid")
-
-    def tail(p):
-        return abs(terms[-1]) * mpf(n_terms) / (p - 1)
-
-    t1, t2 = tail(p1), tail(p2)
-    sign = 1 if terms[-1] >= 0 else -1
-    value = partial + sign * t1
-    err = abs(t1 - t2) + abs(terms[-1])
-    return value, err
-
-
-def accelerate(partial_terms, kind: str = "levin-u",
-               ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
-    """Accelerated limit estimate for a convergent series given its terms.
-
-    kinds: "levin-u" (default), "wynn-epsilon", "raw-with-tail". The error
-    estimate comes from the stability of successive transform orders and is
-    never certified. ``terms_used`` is the number of terms the transform
-    read: the last evaluated Levin order plus one, or every term given.
+    The error estimate comes from the stability of successive transform
+    orders and is never certified. ``terms_used`` is the number of terms the
+    transform read: the last evaluated order plus one.
     """
     if len(partial_terms) < 8:
         raise InsufficientTermsError(
             f"need >= 8 terms, got {len(partial_terms)}")
     with ctx.working():
-        terms = [to_real(t) for t in partial_terms]
-        used = len(terms)
-        if kind == "levin-u":
-            ests, used = _levin_u(terms)
-        elif kind == "wynn-epsilon":
-            ests = _wynn_epsilon(terms)
-        elif kind == "raw-with-tail":
-            value, err = _raw_with_tail(terms)
-            return SeriesValue(value, err, len(terms), False)
-        else:
-            raise QDomainError(f"unknown acceleration kind: {kind!r}")
+        ests, used = _levin_u([to_real(t) for t in partial_terms])
         best_val = ests[-1]
         best_err = abs(ests[-1] - ests[-2])
         for i in range(1, len(ests)):

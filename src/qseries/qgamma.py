@@ -19,18 +19,17 @@ __all__ = [
     "classical_gamma",
     "QIntegrand",
     "jackson_integral_finite",
-    "jackson_integral_infinite",
 ]
 
 
 # --- q-gamma ----------------------------------------------------------------
 
-def gamma_q(x, q, ctx: PrecisionCtx | None = None) -> SeriesValue:
+def gamma_q(x, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x), 0 < q < 1.
 
     Poles at x = 0, -1, -2, ... where (q^x;q)_inf vanishes.
     """
-    return _gamma_q(x, q, ctx or PrecisionCtx())
+    return _gamma_q(x, q, ctx)
 
 
 def _gamma_q(x, q, ctx: PrecisionCtx, qq: SeriesValue | None = None):
@@ -178,35 +177,6 @@ def jackson_integral_finite(f, c, q,
         return (c * (1 - q)) * s
 
 
-def jackson_integral_infinite(f, q,
-                              ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
-    """int_0^inf f(t) d_q t = (1-q) sum_{n in Z} f(q^n) q^n."""
-    fn = _as_integrand(f)
-    q = to_real(q)
-    if not (0 < q < 1):
-        raise QDomainError(f"jackson_integral_infinite requires 0 < q < 1, got {q}")
-    lo = to_real(fn.support[0])
-    hi = fn.support[1]
-    with ctx.working():
-        def pos_term(n):
-            x = q ** n
-            if lo > 0 and x < lo:
-                return None
-            return fn(x) * q ** n
-
-        def neg_term(m):  # n = -m, m >= 1
-            x = q ** (-m)
-            if hi is not None and x > to_real(hi):
-                return None
-            return fn(x) * x
-
-        pos = _geometric_sum(pos_term, ctx, ctx.tail_tol(), ctx.max_terms,
-                             "jackson_integral_infinite (n >= 0)")
-        neg = _geometric_sum(lambda m: neg_term(m + 1), ctx, ctx.tail_tol(),
-                             ctx.max_terms, "jackson_integral_infinite (n < 0)")
-        return (1 - q) * (pos + neg)
-
-
 # --- helpers of the identity sides ------------------------------------------
 
 def _levin_sum(c, ratio_fn, ctx: PrecisionCtx) -> SeriesValue:
@@ -218,7 +188,7 @@ def _levin_sum(c, ratio_fn, ctx: PrecisionCtx) -> SeriesValue:
     for n in range(_LEVIN_MAX_ORDER + 2):
         terms.append(t)
         t = t * ratio_fn(n)
-    return accelerate(terms, kind="levin-u", ctx=ctx)
+    return accelerate(terms, ctx)
 
 
 def _jackson_2phi1(v1, v2, u, s, q, ctx: PrecisionCtx) -> SeriesValue:

@@ -502,21 +502,15 @@ def test_sum_with_ratio_bound_lazy_rho_bit_identical(monkeypatch, registry,
 
 def test_accelerate_geometric_levin(ctx40):
     terms = [mpf(2) ** -n for n in range(12)]
-    v = accelerate(terms, kind="levin-u", ctx=ctx40)
+    v = accelerate(terms, ctx40)
     assert rel_diff(v.value, 2) < mpf("1e-20")
     assert not v.certified
-
-
-def test_accelerate_geometric_wynn(ctx40):
-    terms = [mpf(2) ** -n for n in range(12)]
-    v = accelerate(terms, kind="wynn-epsilon", ctx=ctx40)
-    assert rel_diff(v.value, 2) < mpf("1e-20")
 
 
 def test_accelerate_basel_problem(ctx40):
     with mp.workdps(60):
         terms = [mpf(1) / (n + 1) ** 2 for n in range(40)]
-    v = accelerate(terms, kind="levin-u", ctx=ctx40)
+    v = accelerate(terms, ctx40)
     with ctx40.working():
         target = mp.pi ** 2 / 6
     assert rel_diff(v.value, target) < mpf("1e-9")
@@ -531,18 +525,8 @@ def test_accelerate_lemniscate_series(ctx40):
         for n in range(200):
             terms.append(t)
             t *= (n + mpf(1) / 2) / (n + 1) * (4 * n + 1) / (4 * n + 5)
-    v = accelerate(terms, kind="levin-u", ctx=ctx40)
+    v = accelerate(terms, ctx40)
     assert mp.nstr(v.value, 11) == "1.3110287771"
-
-
-def test_accelerate_raw_with_tail(ctx40):
-    with mp.workdps(60):
-        terms = [mpf(1) / (n + 1) ** 2 for n in range(200)]
-    v = accelerate(terms, kind="raw-with-tail", ctx=ctx40)
-    with ctx40.working():
-        target = mp.pi ** 2 / 6
-    assert rel_diff(v.value, target) < mpf("1e-3")
-    assert abs(v.value - target) <= 10 * v.err_estimate
 
 
 # The classical-limit series sides and the closed forms of their sums
@@ -562,9 +546,9 @@ def _levin_series(monkeypatch, registry, ctx, idents=tuple(_LEVIN_CLOSED_FORMS))
     identity: the terms its series side hands to accelerate, and the side."""
     given = []
 
-    def recording_accelerate(terms, kind, ctx):
+    def recording_accelerate(terms, ctx):
         given.append(terms)
-        return accelerate(terms, kind=kind, ctx=ctx)
+        return accelerate(terms, ctx)
 
     monkeypatch.setattr(qgamma, "accelerate", recording_accelerate)
     entries = {e.id: e for e in registry}
@@ -681,11 +665,6 @@ def test_levin_series_match_closed_forms(monkeypatch, registry, digits, tol):
 def test_accelerate_needs_terms():
     with pytest.raises(InsufficientTermsError):
         accelerate([1, 2, 3])
-
-
-def test_accelerate_unknown_kind():
-    with pytest.raises(QDomainError):
-        accelerate([mpf(1)] * 10, kind="shanks")
 
 
 # --- SeriesValue / QPoint -------------------------------------------------------------
