@@ -1,9 +1,8 @@
-"""q-gamma function, Jackson q-integrals, classical gamma (Spouge), and the
+"""q-gamma function, Jackson q-integrals, classical gamma, and the
 helpers the q-gamma and classical-limit identity sides are built from."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -58,46 +57,16 @@ def _gamma_q_side(q, ctx: PrecisionCtx):
     return lambda x: _gamma_q(x, q, ctx, qq)
 
 
-# --- classical gamma (Spouge's approximation) -------------------------------
-
-_SPOUGE_CACHE: dict = {}
-
-
-def _spouge_coeffs(a: int):
-    key = (a, mp.prec)
-    cached = _SPOUGE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    coeffs = [mp.sqrt(2 * mp.pi)]
-    for k in range(1, a):
-        c = (mpf((-1) ** (k - 1)) / math.factorial(k - 1)
-             * mp.power(a - k, k - mpf(1) / 2) * mp.e ** (a - k))
-        coeffs.append(c)
-    _SPOUGE_CACHE[key] = coeffs
-    return coeffs
-
+# --- classical gamma --------------------------------------------------------
 
 def classical_gamma(x, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
-    """Gamma(x) for real x via Spouge's series.
-
-    Uses the recurrence Gamma(x) = Gamma(x+1)/x on (0,1) and the reflection
-    formula only for x < 0 (poles at nonpositive integers raise PoleError).
-    """
+    """Gamma(x) for real x at the working precision (mpmath's gamma); poles
+    at nonpositive integers raise PoleError."""
     with ctx.working():
         x = to_real(x)
-        if x <= 0:
-            if x == mp.floor(x):
-                raise PoleError(f"gamma pole at nonpositive integer x={x}")
-            return mp.pi / (mp.sin(mp.pi * x) * classical_gamma(1 - x, ctx))
-        if x < 1:
-            return classical_gamma(x + 1, ctx) / x
-        a = int(1.26 * mp.dps) + 2
-        coeffs = _spouge_coeffs(a)
-        z = x - 1
-        s = coeffs[0]
-        for k in range(1, a):
-            s += coeffs[k] / (z + k)
-        return mp.power(z + a, z + mpf(1) / 2) * mp.exp(-(z + a)) * s
+        if x <= 0 and x == mp.floor(x):
+            raise PoleError(f"gamma pole at nonpositive integer x={x}")
+        return mp.gamma(x)
 
 
 # --- Jackson q-integrals ------------------------------------------------------

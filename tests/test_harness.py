@@ -61,7 +61,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "b510feedb6b848f4fe414ff902b7fe311ca78cd2a27c85e91caa46e6fcb552e4")
+        "5d33bcd63850e19304ce96b9db549d49a804e5b370622e5a27c2cf5b5802065a")
 
 
 def test_seed_changes_sampled_points():
