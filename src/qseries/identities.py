@@ -673,7 +673,6 @@ def _sample_fixed(rng: SplitMix64) -> QPoint:
     return QPoint(_PLACEHOLDER_Q, {})
 
 
-
 # --- catalog ---------------------------------------------------------------
 
 def _at_working(side):

@@ -1,4 +1,5 @@
-"""Identity registry machinery: entries, evaluation, domain sampling."""
+"""Identity evaluation and domain sampling over the catalog (or any
+sequence of entries)."""
 
 from __future__ import annotations
 
