@@ -1,5 +1,5 @@
 """The identity catalog: every identity the harness verifies, with its
-domain predicate, sampler and two independently built sides.
+constraint table, sampler and two independently built sides.
 
 Left sides use direct (split) bilateral summation, eta quotients or Gamma
 quotients; right sides only infinite products and unilateral series, so
@@ -21,7 +21,7 @@ from typing import Callable
 from mpmath import mp, mpf
 
 from .eta import eta_quotient
-from .precision import PrecisionCtx, to_real
+from .precision import DEFAULT_CTX, PrecisionCtx, to_real
 from .qcore import (
     QPoint,
     SeriesValue,
@@ -46,27 +46,38 @@ CLASSICAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class IdentityEntry:
-    """One registered identity: a domain predicate plus independent LHS and
-    RHS evaluators. ``domain`` returns the list of violated constraints
-    (empty means the point is admissible)."""
+    """One registered identity: a constraint table plus independent LHS and
+    RHS evaluators. ``constraints`` is an ordered tuple of (label,
+    predicate) pairs; a point is admissible when every predicate holds."""
 
     id: str
     paper_ref: str
     param_names: tuple
-    domain_desc: str
     default_tol: float
-    domain: Callable[[QPoint], list]
+    constraints: tuple
     lhs: Callable[[QPoint, PrecisionCtx], SeriesValue]
     rhs: Callable[[QPoint, PrecisionCtx], SeriesValue]
     sampler: Callable[[SplitMix64], QPoint] = field(repr=False, default=None)
 
+    @property
+    def domain_desc(self) -> str:
+        """The constraint labels, as `qseries list` prints them."""
+        return ", ".join(label for label, _ in self.constraints) or "0 < q < 1"
+
+    def domain(self, point: QPoint, ctx: PrecisionCtx = DEFAULT_CTX) -> list:
+        """The parameters ``point`` lacks or, when it has them all, the
+        constraints it violates, each predicate evaluated at the ctx's
+        working precision; empty means the point is admissible."""
+        missing = [f"missing parameter {name}" for name in self.param_names
+                   if name not in point.params]
+        if missing:
+            return missing
+        with ctx.working():
+            return [f"{label} violated" for label, holds in self.constraints
+                    if not holds(point)]
+
 
 _SLACK = 0.05
-
-
-def _abs_lt(name, value, bound, violations, label=None):
-    if not (abs(value) < bound):
-        violations.append(label or f"|{name}| < {bound} violated (got {abs(value)})")
 
 
 # --- samplers --------------------------------------------------------------
@@ -314,80 +325,6 @@ def _rhs_eq33(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     return t1 + t2 - 1
 
 
-# --- domains ---------------------------------------------------------------
-
-def _domain_bilateral(extra=None):
-    def check(p: QPoint):
-        v = []
-        a, b, z = p["a"], p["b"], p["z"]
-        if a == 0:
-            v.append("a must be nonzero")
-            return v
-        if not (abs(b / a) < abs(z)):
-            v.append(f"|b/a| < |z| violated (|b/a|={abs(b / a)}, |z|={abs(z)})")
-        _abs_lt("z", z, 1, v, "|z| < 1 violated")
-        if extra == "q<min(1,|b|)" and not (p.q < min(mpf(1), abs(b))):
-            v.append(f"|q| < min(1, |b|) violated (q={p.q}, |b|={abs(b)})")
-        if extra == "|a|<1":
-            _abs_lt("a", a, 1, v, "|a| < 1 violated")
-        return v
-
-    return check
-
-
-def _domain_heine(variant):
-    def check(p: QPoint):
-        v = []
-        _abs_lt("z", p["z"], 1, v, "|z| < 1 violated")
-        if variant == "eq-2.1":
-            _abs_lt("b", p["b"], 1, v, "|b| < 1 violated (RHS series argument)")
-        else:
-            if p["b"] == 0 or not (abs(p["c"] / p["b"]) < 1):
-                v.append("|c/b| < 1 violated (RHS series argument)")
-        return v
-
-    return check
-
-
-def _domain_transform(kind):
-    def check(p: QPoint):
-        v = []
-        a, b, z, q = p["a"], p["b"], p["z"], p.q
-        if a == 0:
-            return ["a must be nonzero"]
-        if kind == "eq-2.5":
-            _abs_lt("z", z, 1, v, "|z| < 1 violated")
-            if not abs(b / a) < 1:
-                v.append("|b/a| < 1 violated (RHS series argument)")
-        elif kind == "eq-2.6":
-            if not abs(b / (a * z)) < 1:
-                v.append("|b/(az)| < 1 violated (LHS series argument)")
-            if not q < abs(b):
-                v.append("|q| < |b| violated (RHS series argument q/b)")
-        elif kind == "eq-2.8":
-            _abs_lt("z", z, 1, v, "|z| < 1 violated")
-            _abs_lt("a", a, 1, v, "|a| < 1 violated (RHS series argument)")
-        else:  # eq-2.9
-            if not abs(b / (a * z)) < 1:
-                v.append("|b/(az)| < 1 violated (LHS series argument)")
-            if not abs(b / a) < 1:
-                v.append("|b/a| < 1 violated (RHS series argument)")
-        return v
-
-    return check
-
-
-def _domain_eq31(p: QPoint):
-    v = []
-    if not (p.q < abs(p["z"])):
-        v.append(f"|q| < |z| violated (q={p.q}, |z|={abs(p['z'])})")
-    _abs_lt("z", p["z"], 1, v, "|z| < 1 violated")
-    return v
-
-
-def _domain_q_only(p: QPoint):
-    return []  # 0 < q < 1 already enforced by QPoint
-
 # --- eta-quotient expansions -----------------------------------------------
 
 def _eta_sampler(lo, hi):
@@ -395,15 +332,6 @@ def _eta_sampler(lo, hi):
         return QPoint(rng.uniform(lo, hi), {})
 
     return sample
-
-
-def _domain_open(lo, hi):
-    def check(p: QPoint):
-        if not (lo < p.q < hi):
-            return [f"q must lie in ({lo}, {hi}) for controlled summation cost"]
-        return []
-
-    return check
 
 
 def _lhs_eq42(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
@@ -594,28 +522,7 @@ def _rhs_eq512(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     return SeriesValue.of(bracket * beta)
 
 
-# --- q-gamma domains & samplers --------------------------------------------
-
-def _domain_strip(require_b_lt_1=False):
-    """0 < z < b - a < 1 with a > 0 (the common q-gamma strip)."""
-
-    def check(p: QPoint):
-        v = []
-        a, b, z = p["a"], p["b"], p["z"]
-        if not a > 0:
-            v.append("a > 0 violated")
-        if not (0 < z):
-            v.append("z > 0 violated")
-        if not (z < b - a):
-            v.append("z < b - a violated")
-        if not (b - a < 1):
-            v.append("b - a < 1 violated")
-        if require_b_lt_1 and not (b < 1):
-            v.append("b < 1 violated")
-        return v
-
-    return check
-
+# --- q-gamma and classical samplers ----------------------------------------
 
 def _strip_sampler(q_lo, q_hi):
     def sample(rng: SplitMix64) -> QPoint:
@@ -631,26 +538,10 @@ def _strip_sampler(q_lo, q_hi):
 _PLACEHOLDER_Q = 0.5  # classical (q -> 1 limit) identities ignore q
 
 
-def _domain_eq55(p: QPoint):
-    v = []
-    if not (0 < p["z"] < p["b"] < 1):
-        v.append("0 < z < b < 1 violated")
-    return v
-
-
 def _sample_eq55(rng: SplitMix64) -> QPoint:
     b = rng.uniform(0.2, 0.9)
     z = rng.uniform(0.05, b - 0.05)
     return QPoint(_PLACEHOLDER_Q, {"b": b, "z": z})
-
-
-def _domain_eq56(p: QPoint):
-    v = []
-    if not (0 < p["x"] < 1):
-        v.append("0 < x < 1 violated")
-    if not p["y"] > 0:
-        v.append("y > 0 violated")
-    return v
 
 
 def _sample_eq56(rng: SplitMix64) -> QPoint:
@@ -665,12 +556,40 @@ def _sample_strip_classical(rng: SplitMix64) -> QPoint:
     return QPoint(_PLACEHOLDER_Q, {"a": a, "b": b, "z": z})
 
 
-def _domain_none(p: QPoint):
-    return []
-
-
 def _sample_fixed(rng: SplitMix64) -> QPoint:
     return QPoint(_PLACEHOLDER_Q, {})
+
+
+# --- constraints -----------------------------------------------------------
+# (label, predicate) pairs. Predicates multiply rather than divide, so a zero
+# parameter violates a constraint instead of raising; 0 < q < 1 is QPoint's.
+# A nonzero lower bound marks a parameter that some side divides by.
+
+def _b_below_az(p: QPoint) -> bool:
+    return abs(p["b"]) < abs(p["a"] * p["z"])
+
+
+_Z_IN_DISC = ("|z| < 1", lambda p: abs(p["z"]) < 1)
+_ANNULUS = (("|b/a| < |z|", _b_below_az), _Z_IN_DISC)
+# the same bound on the argument b/(az) of the inverted series
+_INVERTED_ARG = ("|b/(az)| < 1", _b_below_az)
+_Q_BELOW_B = ("|q| < |b|", lambda p: p.q < abs(p["b"]))
+_B_OVER_A = ("0 < |b/a| < 1", lambda p: 0 < abs(p["b"]) < abs(p["a"]))
+_HEINE_1 = (_Z_IN_DISC, ("0 < |b| < 1", lambda p: 0 < abs(p["b"]) < 1))
+_HEINE_2 = (_Z_IN_DISC,
+            ("0 < |c/b| < 1", lambda p: 0 < abs(p["c"]) < abs(p["b"])))
+_EQ28 = (_Z_IN_DISC, ("0 < |a| < 1", lambda p: 0 < abs(p["a"]) < 1))
+_THM22 = _ANNULUS + (("|a| < 1", lambda p: abs(p["a"]) < 1),)
+_EQ31 = (("|q| < |z|", lambda p: p.q < abs(p["z"])), _Z_IN_DISC)
+# the eta expansions are summed only where their cost stays controlled
+_ETA_RANGE = (("0.01 < q < 0.8", lambda p: mpf("0.01") < p.q < mpf("0.8")),)
+# the strip of Section 5, shared by the q-gamma theorems and their limits
+_STRIP = (("0 < z < b - a", lambda p: 0 < p["z"] < p["b"] - p["a"]),
+          ("b - a < 1", lambda p: p["b"] - p["a"] < 1),
+          ("a > 0", lambda p: p["a"] > 0))
+_EQ55 = (("0 < z < b < 1", lambda p: 0 < p["z"] < p["b"] < 1),)
+_EQ56 = (("0 < x < 1", lambda p: 0 < p["x"] < 1),
+         ("y > 0", lambda p: p["y"] > 0))
 
 
 # --- catalog ---------------------------------------------------------------
@@ -696,9 +615,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-1.1",
         paper_ref="Eq. (1.1), Ramanujan 1psi1 summation",
         param_names=("a", "b", "z"),
-        domain_desc="|b/a| < |z| < 1",
         default_tol=Q_TOL,
-        domain=_domain_bilateral(),
+        constraints=_ANNULUS,
         lhs=_lhs_bilateral,
         rhs=_rhs_eq11,
         sampler=_bilateral_sampler("eq-1.1"),
@@ -707,9 +625,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.1",
         paper_ref="Eq. (2.1), Heine transformation (first form)",
         param_names=("a", "b", "c", "z"),
-        domain_desc="|z| < 1, |b| < 1",
         default_tol=Q_TOL,
-        domain=_domain_heine("eq-2.1"),
+        constraints=_HEINE_1,
         lhs=_lhs_heine,
         rhs=_rhs_heine1,
         sampler=_heine_sampler("eq-2.1"),
@@ -718,9 +635,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.2",
         paper_ref="Eq. (2.2), Heine transformation (second form)",
         param_names=("a", "b", "c", "z"),
-        domain_desc="|z| < 1, |c/b| < 1",
         default_tol=Q_TOL,
-        domain=_domain_heine("eq-2.2"),
+        constraints=_HEINE_2,
         lhs=_lhs_heine,
         rhs=_rhs_heine2,
         sampler=_heine_sampler("eq-2.2"),
@@ -729,9 +645,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.5",
         paper_ref="Eq. (2.5), transform of sum (a)_n/(b)_n z^n",
         param_names=("a", "b", "z"),
-        domain_desc="|z| < 1, |b/a| < 1",
         default_tol=Q_TOL,
-        domain=_domain_transform("eq-2.5"),
+        constraints=(_Z_IN_DISC, _B_OVER_A),
         lhs=_lhs_ratio_sum,
         rhs=_rhs_eq25,
         sampler=_transform_sampler("eq-2.5"),
@@ -740,9 +655,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.6",
         paper_ref="Eq. (2.6), transform of sum (q/b)_n/(q/a)_n (b/az)^n",
         param_names=("a", "b", "z"),
-        domain_desc="|b/(az)| < 1, |q| < |b|",
         default_tol=Q_TOL,
-        domain=_domain_transform("eq-2.6"),
+        constraints=(_INVERTED_ARG, _Q_BELOW_B),
         lhs=_lhs_inverted_sum,
         rhs=_rhs_eq26,
         sampler=_transform_sampler("eq-2.6"),
@@ -751,9 +665,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.8",
         paper_ref="Eq. (2.8), transform of sum (a)_n/(b)_n z^n",
         param_names=("a", "b", "z"),
-        domain_desc="|z| < 1, |a| < 1",
         default_tol=Q_TOL,
-        domain=_domain_transform("eq-2.8"),
+        constraints=_EQ28,
         lhs=_lhs_ratio_sum,
         rhs=_rhs_eq28,
         sampler=_transform_sampler("eq-2.8"),
@@ -762,9 +675,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.9",
         paper_ref="Eq. (2.9), transform of sum (q/b)_n/(q/a)_n (b/az)^n",
         param_names=("a", "b", "z"),
-        domain_desc="|b/(az)| < 1, |b/a| < 1",
         default_tol=Q_TOL,
-        domain=_domain_transform("eq-2.9"),
+        constraints=(_INVERTED_ARG, _B_OVER_A),
         lhs=_lhs_inverted_sum,
         rhs=_rhs_eq29,
         sampler=_transform_sampler("eq-2.9"),
@@ -773,9 +685,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="thm-2.1",
         paper_ref="Theorem 2.1, Eq. (2.3)",
         param_names=("a", "b", "z"),
-        domain_desc="|b/a| < |z| < 1 and |q| < min(1, |b|)",
         default_tol=Q_TOL,
-        domain=_domain_bilateral("q<min(1,|b|)"),
+        constraints=_ANNULUS + (_Q_BELOW_B,),
         lhs=_lhs_bilateral,
         rhs=_rhs_thm21,
         sampler=_bilateral_sampler("thm-2.1"),
@@ -784,9 +695,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="thm-2.2",
         paper_ref="Theorem 2.2, Eq. (2.7)",
         param_names=("a", "b", "z"),
-        domain_desc="|b/a| < |z| < 1 and |a| < 1",
         default_tol=Q_TOL,
-        domain=_domain_bilateral("|a|<1"),
+        constraints=_THM22,
         lhs=_lhs_bilateral,
         rhs=_rhs_thm22,
         sampler=_bilateral_sampler("thm-2.2"),
@@ -795,9 +705,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="thm-2.3",
         paper_ref="Theorem 2.3, Eq. (2.10)",
         param_names=("a", "b", "z"),
-        domain_desc="|b/a| < |z| < 1",
         default_tol=Q_TOL,
-        domain=_domain_bilateral(),
+        constraints=_ANNULUS,
         lhs=_lhs_bilateral,
         rhs=_rhs_thm23,
         sampler=_bilateral_sampler("thm-2.3"),
@@ -806,9 +715,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-3.1",
         paper_ref="Eq. (3.1), special case a=-1/q, b=-1 of Theorem 2.1",
         param_names=("z",),
-        domain_desc="|q| < |z| < 1",
         default_tol=Q_TOL,
-        domain=_domain_eq31,
+        constraints=_EQ31,
         lhs=_lhs_eq31,
         rhs=_rhs_eq31,
         sampler=_q_only_sampler(with_z=True),
@@ -817,9 +725,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-3.2",
         paper_ref="Eq. (3.2), special case a=-q, b=-q^3, z=q of Theorem 2.2",
         param_names=(),
-        domain_desc="0 < q < 1",
         default_tol=Q_TOL,
-        domain=_domain_q_only,
+        constraints=(),
         lhs=_lhs_eq32,
         rhs=_rhs_eq32,
         sampler=_q_only_sampler(),
@@ -828,9 +735,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-3.3",
         paper_ref="Eq. (3.3), special case of Theorem 2.3 after q -> q^2",
         param_names=(),
-        domain_desc="0 < q < 1",
         default_tol=Q_TOL,
-        domain=_domain_q_only,
+        constraints=(),
         lhs=_lhs_eq33,
         rhs=_rhs_eq33,
         sampler=_q_only_sampler(),
@@ -839,9 +745,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-4.2",
         paper_ref="Eq. (4.2), eta(tau)/eta^2(2 tau) expansion",
         param_names=(),
-        domain_desc="0.01 < q < 0.8",
         default_tol=ETA_TOL,
-        domain=_domain_open(0.01, 0.8),
+        constraints=_ETA_RANGE,
         lhs=_lhs_eq42,
         rhs=_rhs_eq42,
         sampler=_eta_sampler(0.05, 0.6),
@@ -850,9 +755,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-4.3",
         paper_ref="Eq. (4.3), eta^10(2 tau)/(eta^4(tau) eta^2(4 tau)) expansion",
         param_names=(),
-        domain_desc="0.01 < q < 0.8",
         default_tol=ETA_TOL,
-        domain=_domain_open(0.01, 0.8),
+        constraints=_ETA_RANGE,
         lhs=_lhs_eq43,
         rhs=_rhs_eq43,
         sampler=_eta_sampler(0.05, 0.6),
@@ -861,9 +765,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-4.4",
         paper_ref="Eq. (4.4), eta^3(3 tau)/eta(tau) expansion",
         param_names=(),
-        domain_desc="0.01 < q < 0.8",
         default_tol=ETA_TOL,
-        domain=_domain_open(0.01, 0.8),
+        constraints=_ETA_RANGE,
         lhs=_lhs_eq44,
         rhs=_rhs_eq44,
         sampler=_eta_sampler(0.05, 0.6),
@@ -872,9 +775,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="thm-5.1",
         paper_ref="Theorem 5.1, Eq. (5.4)",
         param_names=("a", "b", "z"),
-        domain_desc="0 < z < b - a < 1, a > 0, b < 1",
         default_tol=QGAMMA_TOL,
-        domain=_domain_strip(require_b_lt_1=True),
+        constraints=_STRIP + (("b < 1", lambda p: p["b"] < 1),),
         lhs=_lhs_gamma_quotient,
         rhs=_rhs_thm51,
         sampler=_strip_sampler(0.05, 0.7),
@@ -883,9 +785,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.8",
         paper_ref="Eq. (5.8), q-analogue behind Theorem 5.2",
         param_names=("a", "b", "z"),
-        domain_desc="0 < z < b - a < 1, a > 0",
         default_tol=QGAMMA_TOL,
-        domain=_domain_strip(),
+        constraints=_STRIP,
         lhs=_lhs_gamma_quotient,
         rhs=_rhs_eq58,
         sampler=_strip_sampler(0.05, 0.7),
@@ -894,9 +795,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="thm-5.3",
         paper_ref="Theorem 5.3, Eq. (5.10)",
         param_names=("a", "b", "z"),
-        domain_desc="0 < z < b - a < 1, a > 0",
         default_tol=QGAMMA_TOL,
-        domain=_domain_strip(),
+        constraints=_STRIP,
         lhs=_lhs_gamma_quotient,
         rhs=_rhs_thm53,
         sampler=_strip_sampler(0.1, 0.55),
@@ -905,9 +805,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.5",
         paper_ref="Eq. (5.5), q -> 1 corollary of Theorem 5.1 at a = 0",
         param_names=("b", "z"),
-        domain_desc="0 < z < b < 1 (q unused)",
         default_tol=CLASSICAL_TOL,
-        domain=_domain_eq55,
+        constraints=_EQ55,
         lhs=_lhs_eq55,
         rhs=_rhs_eq55,
         sampler=_sample_eq55,
@@ -916,9 +815,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.6",
         paper_ref="Eq. (5.6), beta function series B(x, y)",
         param_names=("x", "y"),
-        domain_desc="0 < x < 1, y > 0 (q unused)",
         default_tol=CLASSICAL_TOL,
-        domain=_domain_eq56,
+        constraints=_EQ56,
         lhs=_lhs_eq56,
         rhs=_rhs_eq56,
         sampler=_sample_eq56,
@@ -927,9 +825,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.7",
         paper_ref="Theorem 5.2, Eq. (5.7)",
         param_names=("a", "b", "z"),
-        domain_desc="0 < z < b - a < 1, a > 0 (q unused)",
         default_tol=CLASSICAL_TOL,
-        domain=_domain_strip(),
+        constraints=_STRIP,
         lhs=_lhs_eq57,
         rhs=_rhs_eq57,
         sampler=_sample_strip_classical,
@@ -938,9 +835,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.9",
         paper_ref="Eq. (5.9), remark after Theorem 5.2",
         param_names=(),
-        domain_desc="no parameters (q unused)",
         default_tol=CLASSICAL_TOL,
-        domain=_domain_none,
+        constraints=(),
         lhs=_lhs_eq59,
         rhs=_rhs_eq59,
         sampler=_sample_fixed,
@@ -949,9 +845,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.12",
         paper_ref="Eq. (5.12), q -> 1 corollary of Theorem 5.3",
         param_names=("a", "b", "z"),
-        domain_desc="0 < z < b - a < 1, a > 0 (q unused)",
         default_tol=CLASSICAL_TOL,
-        domain=_domain_strip(),
+        constraints=_STRIP,
         lhs=_lhs_eq512,
         rhs=_rhs_eq512,
         sampler=_sample_strip_classical,

@@ -47,16 +47,16 @@ def eval_identity(identity_id: str, point: QPoint, tol=None,
                   registry=CATALOG) -> IdentityResult:
     """Evaluate both sides of a registered identity at one point.
 
-    Deterministic for fixed inputs. Raises DomainViolationError naming the
-    violated constraint, and EvaluationError with lhs/rhs attribution when a
-    side fails to evaluate.
+    Deterministic for fixed inputs. Raises DomainViolationError naming each
+    missing parameter or violated constraint, and EvaluationError with
+    lhs/rhs attribution when a side fails to evaluate.
     """
     entry = _lookup(identity_id, registry)
-    violations = entry.domain(point)
-    if violations:
-        raise DomainViolationError(
-            f"{identity_id}: " + "; ".join(violations))
     with ctx.working():
+        violations = entry.domain(point, ctx)
+        if violations:
+            raise DomainViolationError(
+                f"{identity_id}: " + "; ".join(violations))
         try:
             lhs = entry.lhs(point, ctx)
         except QSeriesError as exc:
@@ -85,7 +85,9 @@ def sample_domain(identity_id: str, count: int, seed: int,
     """Deterministic pseudo-random in-domain points for an identity.
 
     Candidates come from the entry's sampler (which builds in slack margins
-    and sign coverage) and are rejected against the domain predicate.
+    and sign coverage) and are rejected against the constraint table, at
+    DEFAULT_CTX: the candidates are doubles that keep a slack from every
+    boundary.
     """
     entry = _lookup(identity_id, registry)
     if count < 1:

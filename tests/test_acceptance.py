@@ -377,8 +377,8 @@ def test_criterion_10_harness(monkeypatch, capsys):
 
     synthetic = IdentityEntry(
         id="synthetic-fail", paper_ref="synthetic test entry",
-        param_names=(), domain_desc="0 < q < 1", default_tol=1e-20,
-        domain=lambda p: [], lhs=failing, rhs=passing,
+        param_names=(), default_tol=1e-20, constraints=(),
+        lhs=failing, rhs=passing,
         sampler=lambda rng: QPoint(rng.uniform(0.1, 0.6), {}))
     base = harness.full_registry()
     monkeypatch.setattr(harness, "full_registry", lambda: base + [synthetic])

@@ -34,9 +34,8 @@ def _synthetic_offset_entry(num=2, den=1):
         id="synthetic-offset",
         paper_ref="synthetic test entry",
         param_names=(),
-        domain_desc="0 < q < 1",
         default_tol=1e-20,
-        domain=lambda p: [],
+        constraints=(),
         lhs=lhs,
         rhs=rhs,
         sampler=lambda rng: QPoint(rng.uniform(0.1, 0.6), {}),
@@ -172,6 +171,23 @@ def test_cli_verify_explicit_point(capsys):
                      "--q", "0.3", "--set", "a=0.5", "--set", "b=0.05",
                      "--set", "z=0.4"])
     assert code == 0
+
+
+@pytest.mark.parametrize("ident, sets, named", [
+    ("eq-2.6", ["a=0.5", "b=0.4", "z=0"], "|b/(az)| < 1 violated"),
+    ("eq-2.9", ["a=0.5", "b=0.4", "z=0"], "|b/(az)| < 1 violated"),
+    ("eq-1.1", ["a=0", "b=0.05", "z=0.4"], "|b/a| < |z| violated"),
+    ("eq-1.1", ["a=0.5"], "missing parameter b"),
+])
+def test_cli_verify_bad_point_is_a_point_error(capsys, ident, sets, named):
+    argv = ["verify", "--identity", ident, "--q", "0.3", "--report", "json"]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 1
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    (point,) = result["points"]
+    assert point["pass"] is False
+    assert named in point["error"]
 
 
 def test_cli_set_requires_q():

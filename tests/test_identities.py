@@ -12,7 +12,9 @@ from mpmath import mp, mpf
 import qseries
 from qseries import (
     DomainViolationError,
+    PrecisionCtx,
     QPoint,
+    QSeriesError,
     UnknownIdentityError,
     eval_identity,
     phi,
@@ -82,6 +84,47 @@ def test_domain_violation_names_constraint(registry, ctx40):
     with pytest.raises(DomainViolationError) as exc:
         eval_identity("thm-2.1", point, ctx=ctx40, registry=registry)
     assert "|b/a| < |z|" in str(exc.value)
+
+
+def test_domain_checked_at_working_precision(registry):
+    # |z| - |b/a| = 1e-30: inside the annulus at 40 digits, on its boundary
+    # after rounding to doubles
+    ctx = PrecisionCtx(digits=40)
+    with ctx.working():
+        point = QPoint(mpf("0.3"), {"a": mpf(3), "b": mpf("0.3"),
+                                    "z": mpf("0.1") + mpf("1e-30")})
+    entry = next(e for e in registry if e.id == "eq-1.1")
+    assert entry.domain(point, ctx) == []
+    res = eval_identity("eq-1.1", point, ctx=ctx, registry=registry)
+    assert res.passed, res.rel_err
+
+
+@pytest.mark.parametrize("ident, params, named", [
+    ("eq-2.6", {"a": "0.5", "b": "0.4", "z": "0"}, "|b/(az)| < 1 violated"),
+    ("eq-2.9", {"a": "0.5", "b": "0.4", "z": "0"}, "|b/(az)| < 1 violated"),
+    ("eq-1.1", {"a": "0", "b": "0.05", "z": "0.4"}, "|b/a| < |z| violated"),
+    ("eq-1.1", {"a": "0.5"}, "missing parameter b; missing parameter z"),
+])
+def test_domain_names_zero_divisor_or_missing_parameter(registry, ctx40,
+                                                         ident, params,
+                                                         named):
+    with pytest.raises(DomainViolationError) as exc:
+        eval_identity(ident, QPoint("0.3", params), ctx=ctx40,
+                      registry=registry)
+    assert str(exc.value) == f"{ident}: {named}"
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.id)
+def test_zero_parameter_fails_typed(entry, ctx40):
+    # a parameter that a side divides by is bounded away from zero by a
+    # constraint; zeroing any parameter gives a typed error or a verdict
+    base = sample_domain(entry.id, 1, seed=7)[0]
+    for name in entry.param_names:
+        point = QPoint(base.q, {**base.params, name: 0})
+        try:
+            eval_identity(entry.id, point, ctx=ctx40)
+        except QSeriesError:
+            pass
 
 
 def test_unknown_identity(registry):
