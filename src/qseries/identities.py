@@ -30,7 +30,6 @@ from .qcore import (
     prodquot,
     psi_bilateral,
     qpow,
-    sum_with_ratio_bound,
 )
 from .qgamma import _gamma_q_side, _jackson_2phi1, _levin_sum, classical_gamma
 from .rng import SplitMix64
@@ -253,19 +252,9 @@ def _rhs_thm23(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
 
 
 def _lhs_eq31(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    # sum_{n in Z} z^n / (1 + q^{n-1}), |q| < |z| < 1
-    q, z = p.q, p["z"]
-    # the ratio bounds take |z|: they bound |t_{n+1}/t_n| and must be >= 0
-    pos = sum_with_ratio_bound(
-        lambda n: z ** n / (1 + q ** (n - 1)),
-        lambda n: abs(z) * (1 + q ** (n - 1)),
-        ctx)
-    # n = -m: z^-m/(1+q^{-m-1}) = q^{m+1} / (z^m (q^{m+1} + 1))
-    pos_neg = sum_with_ratio_bound(
-        lambda m: q ** (m + 1) / (z ** m * (1 + q ** (m + 1))),
-        lambda m: (q / abs(z)) * (1 + q ** (m + 1)),
-        ctx, start=1)
-    return pos + pos_neg
+    # sum_{n in Z} z^n / (1 + q^{n-1}) = q/(1+q) 1psi1(-1/q; -1; q, z)
+    q = p.q
+    return q / (1 + q) * psi_bilateral([-1 / q], [mpf(-1)], q, p["z"], ctx)
 
 
 def _rhs_eq31(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
@@ -274,12 +263,9 @@ def _rhs_eq31(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     mid = ((q / (1 + q))
            * prodquot([q, -z / q], [mpf(-1), z], q, ctx)
            * phi([z, -1 / q], [-z / q], q, q, ctx))
-    # last series: sum (-q)^n / (1 - q^{n+1}/z), geometric in (-q)
-    tail = sum_with_ratio_bound(
-        lambda n: (-q) ** n / (1 - q ** (n + 1) / z),
-        lambda n: (q * (1 + q ** (n + 1) / abs(z))
-                   / (1 - q ** (n + 2) / abs(z))),
-        ctx)
+    # last series: sum (-q)^n / (1 - q^{n+1}/z), a 2phi1 after
+    # (q/z;q)_n / (q^2/z;q)_n = (1 - q/z) / (1 - q^{n+1}/z)
+    tail = phi([q / z, q], [q ** 2 / z], q, -q, ctx) / (1 - q / z)
     return head + mid + q * tail
 
 
@@ -295,24 +281,10 @@ def _rhs_eq32(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
 
 def _lhs_eq33(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     # sum_{n in Z} 2(1+1/q^2)(1+q^2) q^n / ((1+q^{2n-2})(1+q^{2n})(1+q^{2n+2}))
+    # = 1psi1(-1/q^2; -q^4; q^2, q): the Pochhammer quotient telescopes to
+    # the printed three-factor denominator
     q = p.q
-    c = 2 * (1 + 1 / q ** 2) * (1 + q ** 2)
-
-    def pos_term(n):
-        return c * q ** n / ((1 + q ** (2 * n - 2))
-                             * (1 + q ** (2 * n)) * (1 + q ** (2 * n + 2)))
-
-    def neg_term(m):
-        # index n = -m, rescaled by q^{6m} for stability
-        return c * q ** (5 * m) / ((q ** (2 * m + 2) + 1)
-                                   * (q ** (2 * m) + 1) * (q ** (2 * m - 2) + 1))
-
-    pos = sum_with_ratio_bound(pos_term,
-                               lambda n: q * (1 + q ** (2 * n - 2)), ctx)
-    neg = sum_with_ratio_bound(neg_term,
-                               lambda m: q ** 5 * (1 + q ** (2 * m - 2)),
-                               ctx, start=1)
-    return pos + neg
+    return psi_bilateral([-1 / q ** 2], [-q ** 4], q ** 2, q, ctx)
 
 
 def _rhs_eq33(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:

@@ -427,6 +427,7 @@ def psi_bilateral(upper, lower, q, z,
         return pos + neg
 
 
+# no identity side calls this any more; perfbench's tracer looks it up by name
 def sum_with_ratio_bound(term_fn, rho_fn, ctx: PrecisionCtx,
                          start: int = 0) -> SeriesValue:
     """Sum term_fn(n) for n >= start with a caller-supplied certified bound

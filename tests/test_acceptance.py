@@ -38,7 +38,6 @@ from qseries import (
     stream_for,
 )
 from qseries.harness import render_json
-from qseries.identities import _lhs_eq31, _lhs_eq33
 
 
 def _report(n, ok, detail):
@@ -115,17 +114,22 @@ def test_criterion_4_special_cases(registry):
         report = run(RunConfig(identities=(ident,), points_per_identity=10,
                                seed=4, digits=40), registry=registry)
         ok = ok and report["results"][0]["aggregate"]["pass"]
-    # parent-theorem substitutions
+    # parent-theorem substitutions, against truncated sums of the printed
+    # terms (both tails below 1e-50)
+    by_id = {e.id: e for e in registry}
     with ctx.working():
         for q, z in ((mpf("0.2"), mpf("0.6")), (mpf("0.4"), mpf("0.8"))):
-            direct = _lhs_eq31(QPoint(q, {"z": z}), ctx).value
-            parent = psi_bilateral([-1 / q], [mpf(-1)], q, z, ctx).value
-            ok = ok and rel_diff(direct, q / (1 + q) * parent) < mpf("1e-30")
+            printed = sum(z ** n / (1 + q ** (n - 1)) for n in range(-600, 600))
+            lhs = by_id["eq-3.1"].lhs(QPoint(q, {"z": z}), ctx).value
+            ok = ok and rel_diff(printed, lhs) < mpf("1e-30")
         for q in (mpf("0.25"), mpf("0.5")):
-            direct = _lhs_eq33(QPoint(q, {}), ctx).value
-            parent = psi_bilateral([-1 / q ** 2], [-q ** 4], q ** 2, q,
-                                   ctx).value
-            ok = ok and rel_diff(direct, parent) < mpf("1e-30")
+            c = 2 * (1 + 1 / q ** 2) * (1 + q ** 2)
+            printed = sum(c * q ** n / ((1 + q ** (2 * n - 2))
+                                        * (1 + q ** (2 * n))
+                                        * (1 + q ** (2 * n + 2)))
+                          for n in range(-200, 200))
+            lhs = by_id["eq-3.3"].lhs(QPoint(q, {}), ctx).value
+            ok = ok and rel_diff(printed, lhs) < mpf("1e-30")
             sub32 = QPoint(q, {"a": -q, "b": -q ** 3, "z": q})
             ok = ok and eval_identity("thm-2.2", sub32, ctx=ctx,
                                       registry=registry).passed

@@ -60,7 +60,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "5d33bcd63850e19304ce96b9db549d49a804e5b370622e5a27c2cf5b5802065a")
+        "830939d5ecf8118f171fa53c77eb4ba22b3cffafa5291aa9daa086acd7dc6831")
 
 
 def test_seed_changes_sampled_points():

@@ -22,7 +22,7 @@ from qseries import (
     psi_bilateral,
     sample_domain,
 )
-from qseries.identities import CATALOG, _lhs_eq31, _lhs_eq33
+from qseries.identities import CATALOG
 
 
 def rel_diff(x, y):
@@ -170,13 +170,26 @@ def test_heine_chain_three_way(registry, ctx40):
     assert rel_diff(r1.rhs_value, r2.rhs_value) < mpf("1e-30")
 
 
+def _printed_eq31(q, z):
+    # sum_{n in Z} z^n / (1 + q^{n-1}) as printed, both tails below 1e-50
+    return sum(z ** n / (1 + q ** (n - 1)) for n in range(-600, 600))
+
+
+def _printed_eq33(q):
+    # sum_{n in Z} 2(1+1/q^2)(1+q^2) q^n / ((1+q^{2n-2})(1+q^{2n})(1+q^{2n+2}))
+    c = 2 * (1 + 1 / q ** 2) * (1 + q ** 2)
+    return sum(c * q ** n / ((1 + q ** (2 * n - 2)) * (1 + q ** (2 * n))
+                             * (1 + q ** (2 * n + 2)))
+               for n in range(-200, 200))
+
+
 def test_eq31_specializes_thm21(registry, ctx40):
     # sum z^n/(1+q^{n-1}) = q/(1+q) * 1psi1(-1/q; -1; q, z)
+    entry = next(e for e in registry if e.id == "eq-3.1")
     for q, z in ((mpf("0.2"), mpf("0.6")), (mpf("0.4"), mpf("0.8"))):
         with ctx40.working():
-            direct = _lhs_eq31(QPoint(q, {"z": z}), ctx40).value
-            parent = psi_bilateral([-1 / q], [mpf(-1)], q, z, ctx40).value
-            assert rel_diff(direct, q / (1 + q) * parent) < mpf("1e-32")
+            lhs = entry.lhs(QPoint(q, {"z": z}), ctx40).value
+            assert rel_diff(_printed_eq31(q, z), lhs) < mpf("1e-32")
         res = eval_identity("thm-2.1", QPoint(q, {"a": -1 / q, "b": -1, "z": z}),
                             ctx=ctx40, registry=registry)
         assert res.passed
@@ -196,12 +209,11 @@ def test_eq32_specializes_thm22(registry, ctx40):
 def test_eq33_specializes_thm23(registry, ctx40):
     # LHS of (3.3) equals 1psi1(-1/q^2; -q^4; q^2, q) term by term: the
     # Pochhammer quotient telescopes to the printed three-factor denominator
+    entry = next(e for e in registry if e.id == "eq-3.3")
     for q in (mpf("0.25"), mpf("0.5")):
         with ctx40.working():
-            direct = _lhs_eq33(QPoint(q, {}), ctx40).value
-            parent = psi_bilateral([-1 / q ** 2], [-q ** 4], q ** 2, q,
-                                   ctx40).value
-            assert rel_diff(direct, parent) < mpf("1e-32")
+            lhs = entry.lhs(QPoint(q, {}), ctx40).value
+            assert rel_diff(_printed_eq33(q), lhs) < mpf("1e-32")
         res = eval_identity("thm-2.3",
                             QPoint(q ** 2, {"a": -1 / q ** 2, "b": -q ** 4,
                                             "z": q}),

@@ -24,7 +24,7 @@ from qseries import (
     psi_bilateral,
     qpow,
 )
-from qseries import identities, qcore, qgamma
+from qseries import qcore, qgamma
 from qseries.qcore import sum_with_ratio_bound
 from qseries.registry import sample_domain
 
@@ -455,44 +455,63 @@ def _sum_with_ratio_bound_every_term(term_fn, rho_fn, ctx, start=0):
         n += 1
 
 
+def _bounded_series(ident, p):
+    """(term_fn, rho_fn, start) of the hand-bounded sums eq-3.1's sides
+    (both halves of the lhs, the last rhs series) and eq-3.3's lhs (both
+    halves) were once summed with."""
+    q = p.q
+    if ident == "eq-3.1":
+        z = p["z"]
+        return [
+            (lambda n: z ** n / (1 + q ** (n - 1)),
+             lambda n: abs(z) * (1 + q ** (n - 1)), 0),
+            # n = -m: z^-m/(1+q^{-m-1}) = q^{m+1} / (z^m (q^{m+1} + 1))
+            (lambda m: q ** (m + 1) / (z ** m * (1 + q ** (m + 1))),
+             lambda m: (q / abs(z)) * (1 + q ** (m + 1)), 1),
+            (lambda n: (-q) ** n / (1 - q ** (n + 1) / z),
+             lambda n: (q * (1 + q ** (n + 1) / abs(z))
+                        / (1 - q ** (n + 2) / abs(z))), 0),
+        ]
+    c = 2 * (1 + 1 / q ** 2) * (1 + q ** 2)
+    return [
+        (lambda n: c * q ** n / ((1 + q ** (2 * n - 2)) * (1 + q ** (2 * n))
+                                 * (1 + q ** (2 * n + 2))),
+         lambda n: q * (1 + q ** (2 * n - 2)), 0),
+        # index n = -m, rescaled by q^{6m} for stability
+        (lambda m: c * q ** (5 * m) / ((q ** (2 * m + 2) + 1)
+                                       * (q ** (2 * m) + 1)
+                                       * (q ** (2 * m - 2) + 1)),
+         lambda m: q ** 5 * (1 + q ** (2 * m - 2)), 1),
+    ]
+
+
 @pytest.mark.parametrize("ctx", [PrecisionCtx(digits=20),
                                  PrecisionCtx(digits=40),
                                  PrecisionCtx(digits=100)],
                          ids=["d20", "d40", "d100"])
-def test_sum_with_ratio_bound_lazy_rho_bit_identical(monkeypatch, registry,
-                                                     ctx):
+def test_sum_with_ratio_bound_lazy_rho_bit_identical(registry, ctx):
     # for 0 <= rho < 1 the rounded tail |t|/(1-rho) is never below |t|, so
     # calling rho_fn only once |t| meets the tolerance must stop at the same
     # term with the same tail bound as calling it at every term
-    sums = []
-
-    def recording_sum(term_fn, rho_fn, ctx, start=0):
-        calls = {"term": 0, "rho": 0}
-
-        def term(n):
-            calls["term"] += 1
-            return term_fn(n)
-
-        def rho(n):
-            calls["rho"] += 1
-            return rho_fn(n)
-
-        got = sum_with_ratio_bound(term, rho, ctx, start)
-        sums.append((term_fn, rho_fn, start, got, calls))
-        return got
-
-    monkeypatch.setattr(identities, "sum_with_ratio_bound", recording_sum)
-    entries = {e.id: e for e in registry}
     points = [("eq-3.1", QPoint("0.3", {"z": "-0.5"}))]  # negative z
     for ident in ("eq-3.1", "eq-3.3"):
         points += [(ident, p) for p in sample_domain(ident, 3, 7,
                                                      registry=registry)]
+    series = [s for ident, p in points for s in _bounded_series(ident, p)]
+    assert len(series) == 3 * 4 + 2 * 3
     with ctx.working():
-        for ident, p in points:
-            entries[ident].lhs(p, ctx)
-            entries[ident].rhs(p, ctx)
-        assert len(sums) == 3 * 4 + 2 * 3
-        for term_fn, rho_fn, start, got, calls in sums:
+        for term_fn, rho_fn, start in series:
+            calls = {"term": 0, "rho": 0}
+
+            def term(n):
+                calls["term"] += 1
+                return term_fn(n)
+
+            def rho(n):
+                calls["rho"] += 1
+                return rho_fn(n)
+
+            got = sum_with_ratio_bound(term, rho, ctx, start)
             ref = _sum_with_ratio_bound_every_term(term_fn, rho_fn, ctx, start)
             assert got == ref
             assert calls["rho"] < calls["term"], calls
