@@ -31,7 +31,7 @@ from .qcore import (
     psi_bilateral,
     qpow,
 )
-from .qgamma import _gamma_q_side, _jackson_2phi1, _levin_sum, classical_gamma
+from .qgamma import _gamma_quot, _jackson_2phi1, _levin_sum, classical_gamma
 from .rng import SplitMix64
 
 __all__ = ["CATALOG", "IdentityEntry", "full_registry"]
@@ -365,21 +365,18 @@ def _rhs_eq44(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
 
 def _lhs_gamma_quotient(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
-    gq = _gamma_q_side(q, ctx)
-    num = gq(b) * gq(1 - a) * gq(z) * gq(b - a - z)
-    den = gq(b - a) * gq(a + z) * gq(1 - a - z)
-    return num / den
+    return _gamma_quot([b, 1 - a, z, b - a - z], [b - a, a + z, 1 - a - z],
+                       q, ctx)
 
 
 def _rhs_thm51(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
-    gq = _gamma_q_side(q, ctx)
     pre = mp.power(1 - q, a + 1 - b)
     qa = qpow(q, a, ctx)
-    t1 = (pre * (gq(b) * gq(z) / (gq(b - a) * gq(a + z)))
+    t1 = (pre * _gamma_quot([b, z], [b - a, a + z], q, ctx)
           * phi([qpow(q, a + 1 + z - b, ctx), qa],
                 [qpow(q, a + z, ctx)], q, qpow(q, b - a, ctx), ctx))
-    t2 = ((gq(1 - a) * gq(b - a - z) / (gq(1 - b) * gq(b + 1 - a - z)))
+    t2 = (_gamma_quot([1 - a, b - a - z], [1 - b, b + 1 - a - z], q, ctx)
           * phi([qpow(q, b - a, ctx), qpow(q, b - z - a, ctx)],
                 [qpow(q, b + 1 - a - z, ctx)], q, qpow(q, 1 - b, ctx), ctx))
     return t1 + t2 - pre
@@ -387,12 +384,11 @@ def _rhs_thm51(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
 
 def _rhs_eq58(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
-    gq = _gamma_q_side(q, ctx)
     pre = mp.power(1 - q, a + 1 - b)
-    t1 = ((gq(b) * gq(z) / (gq(a) * gq(z + 1)))
+    t1 = (_gamma_quot([b, z], [a, z + 1], q, ctx)
           * phi([qpow(q, b - a, ctx), qpow(q, z, ctx)],
                 [qpow(q, 1 + z, ctx)], q, qpow(q, a, ctx), ctx))
-    t2 = (pre * (gq(1 - a) * gq(b - a - z) / (gq(1 - a - z) * gq(b - a)))
+    t2 = (pre * _gamma_quot([1 - a, b - a - z], [1 - a - z, b - a], q, ctx)
           * phi([qpow(q, 1 - z, ctx), qpow(q, 1 - b, ctx)],
                 [qpow(q, 1 - a - z, ctx)], q, qpow(q, b - a, ctx), ctx))
     return t1 + t2 - pre
@@ -400,16 +396,14 @@ def _rhs_eq58(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
 
 def _rhs_thm53(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
-    gq = _gamma_q_side(q, ctx)
     pre = mp.power(1 - q, a + 1 - b)
     int_f = _jackson_2phi1(qpow(q, 1 - z, ctx), qpow(q, 1 - b, ctx),
                            qpow(q, 1 - a - z, ctx), b - a, q, ctx)
     int_g = _jackson_2phi1(qpow(q, a + 1 + z - b, ctx), qpow(q, a, ctx),
                            qpow(q, a + z, ctx), b - a, q, ctx)
-    t1 = (gq(1 - a) * gq(b - a - z)
-          / (gq(b - a) * gq(1 - z) * gq(1 - b))) * int_f
-    t2 = (gq(b) * gq(z)
-          / (gq(b - a) * gq(a + 1 + z - b) * gq(a))) * int_g
+    t1 = _gamma_quot([1 - a, b - a - z], [b - a, 1 - z, 1 - b], q,
+                     ctx) * int_f
+    t2 = _gamma_quot([b, z], [b - a, a + 1 + z - b, a], q, ctx) * int_g
     return t1 + t2 - pre
 
 

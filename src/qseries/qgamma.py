@@ -28,33 +28,38 @@ def gamma_q(x, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
 
     Poles at x = 0, -1, -2, ... where (q^x;q)_inf vanishes.
     """
-    return _gamma_q(x, q, ctx)
+    return _gamma_quot([x], [], q, ctx)
 
 
-def _gamma_q(x, q, ctx: PrecisionCtx, qq: SeriesValue | None = None):
-    """gamma_q(x, q, ctx), taking (q;q)_inf as qq when given, so that the
-    Gamma_q factors of one identity side share one product."""
-    q, x = to_real(q), to_real(x)
+def _gamma_quot(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
+    """prod Gamma_q(x) over nums / prod Gamma_q(x) over dens as one product
+    quotient: (q;q)_inf^k (1-q)^e times prod (q^x;q)_inf over dens over
+    prod (q^x;q)_inf over nums, with k = #nums - #dens and
+    e = sum (1-x) over nums - sum (1-x) over dens. Each product is computed
+    once, so terms_used counts the work done."""
+    q = to_real(q)
+    nums = [to_real(x) for x in nums]
+    dens = [to_real(x) for x in dens]
     if not (0 < q < 1):
         raise QDomainError(f"gamma_q requires 0 < q < 1, got q={q}")
-    if x <= 0 and x == mp.floor(x):
-        raise PoleError(f"gamma_q pole at nonpositive integer x={x}")
+    for x in nums + dens:
+        if x <= 0 and x == mp.floor(x):
+            raise PoleError(f"gamma_q pole at nonpositive integer x={x}")
     with ctx.working():
-        den = pochhammer_inf(qpow(q, x, ctx), q, ctx)
-        if den.value == 0:
-            raise PoleError(f"gamma_q pole: (q^x;q)_inf = 0 at x={x}")
-        if qq is None:
+        k = len(nums) - len(dens)
+        out = SeriesValue.of(1)
+        if k:
             qq = pochhammer_inf(q, q, ctx)
-        scale = mp.power(1 - q, 1 - x)
-        return scale * (qq / den)
-
-
-def _gamma_q_side(q, ctx: PrecisionCtx):
-    """x -> gamma_q(x, q, ctx) for every Gamma_q factor of one identity
-    side, all sharing one (q;q)_inf; each factor's value, error estimate and
-    term count are those of gamma_q."""
-    qq = pochhammer_inf(q, q, ctx)
-    return lambda x: _gamma_q(x, q, ctx, qq)
+            # d(v^k) = k v^(k-1) dv
+            out = SeriesValue(qq.value ** k,
+                              abs(k * qq.value ** (k - 1)) * qq.err_estimate,
+                              qq.terms_used, qq.certified)
+        for x in dens:
+            out = out * pochhammer_inf(qpow(q, x, ctx), q, ctx)
+        for x in nums:
+            out = out / pochhammer_inf(qpow(q, x, ctx), q, ctx)
+        e = sum(1 - x for x in nums) - sum(1 - x for x in dens)
+        return mp.power(1 - q, e) * out
 
 
 # --- classical gamma --------------------------------------------------------

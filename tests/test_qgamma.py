@@ -4,6 +4,7 @@ from mpmath import mp, mpf
 
 import pytest
 
+import qseries.identities as identities
 import qseries.qcore as qcore
 import qseries.qgamma as qgamma
 from qseries import (
@@ -177,9 +178,9 @@ def _count_thm53_pochhammer_inf(monkeypatch, registry, ctx, side):
 
 
 def test_thm53_rhs_work_budget(monkeypatch, registry, ctx40):
-    # one (q;q)_inf shared by the ten Gamma_q factors, their ten
-    # denominators and 4 products per q-integral; evaluating the integrand
-    # at every Jackson node makes thousands
+    # one (q;q)_inf and five (q^x;q)_inf per Gamma_q quotient, and 4
+    # products per q-integral; evaluating the integrand at every Jackson
+    # node makes thousands
     rhs, calls = _count_thm53_pochhammer_inf(monkeypatch, registry, ctx40,
                                              "rhs")
     assert rhs.certified
@@ -187,12 +188,39 @@ def test_thm53_rhs_work_budget(monkeypatch, registry, ctx40):
 
 
 def test_thm53_lhs_work_budget(monkeypatch, registry, ctx40):
-    # one (q;q)_inf shared by the seven Gamma_q factors and their seven
-    # denominators
+    # one (q;q)_inf and one (q^x;q)_inf per Gamma_q factor
     lhs, calls = _count_thm53_pochhammer_inf(monkeypatch, registry, ctx40,
                                              "lhs")
     assert lhs.certified
     assert calls <= 8
+
+
+@pytest.mark.parametrize("identity", ["thm-5.1", "eq-5.8", "thm-5.3"])
+def test_gamma_side_terms_used_counts_work_done(monkeypatch, registry, ctx40,
+                                                identity):
+    # a side's terms_used is the sum over the products and series it
+    # computed, each counted once
+    made = []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            value = fn(*args, **kwargs)
+            made.append(value.terms_used)
+            return value
+        return call
+
+    for module in (qcore, qgamma, identities):
+        for name in ("pochhammer_inf", "phi"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    recording(getattr(module, name)))
+    entry = next(e for e in registry if e.id == identity)
+    for point in sample_domain(identity, 2, seed=7, registry=registry):
+        for side in (entry.lhs, entry.rhs):
+            made.clear()
+            value = side(point, ctx40)
+            assert made
+            assert value.terms_used == sum(made), point
 
 
 def test_thm53_near_one_q(registry, ctx40):
