@@ -38,7 +38,8 @@ class UnknownIdentityError(QSeriesError):
 
 
 class DomainViolationError(QSeriesError):
-    """A point violates an identity's domain predicate; names the constraint."""
+    """A point lacks a parameter or violates an identity's constraints;
+    names each."""
 
 
 class SamplingError(QSeriesError):

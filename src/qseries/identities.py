@@ -541,21 +541,12 @@ _ANNULUS = (("|b/a| < |z|", _b_below_az), _Z_IN_DISC)
 _INVERTED_ARG = ("|b/(az)| < 1", _b_below_az)
 _Q_BELOW_B = ("|q| < |b|", lambda p: p.q < abs(p["b"]))
 _B_OVER_A = ("0 < |b/a| < 1", lambda p: 0 < abs(p["b"]) < abs(p["a"]))
-_HEINE_1 = (_Z_IN_DISC, ("0 < |b| < 1", lambda p: 0 < abs(p["b"]) < 1))
-_HEINE_2 = (_Z_IN_DISC,
-            ("0 < |c/b| < 1", lambda p: 0 < abs(p["c"]) < abs(p["b"])))
-_EQ28 = (_Z_IN_DISC, ("0 < |a| < 1", lambda p: 0 < abs(p["a"]) < 1))
-_THM22 = _ANNULUS + (("|a| < 1", lambda p: abs(p["a"]) < 1),)
-_EQ31 = (("|q| < |z|", lambda p: p.q < abs(p["z"])), _Z_IN_DISC)
 # the eta expansions are summed only where their cost stays controlled
 _ETA_RANGE = (("0.01 < q < 0.8", lambda p: mpf("0.01") < p.q < mpf("0.8")),)
 # the strip of Section 5, shared by the q-gamma theorems and their limits
 _STRIP = (("0 < z < b - a", lambda p: 0 < p["z"] < p["b"] - p["a"]),
           ("b - a < 1", lambda p: p["b"] - p["a"] < 1),
           ("a > 0", lambda p: p["a"] > 0))
-_EQ55 = (("0 < z < b < 1", lambda p: 0 < p["z"] < p["b"] < 1),)
-_EQ56 = (("0 < x < 1", lambda p: 0 < p["x"] < 1),
-         ("y > 0", lambda p: p["y"] > 0))
 
 
 # --- catalog ---------------------------------------------------------------
@@ -592,7 +583,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (2.1), Heine transformation (first form)",
         param_names=("a", "b", "c", "z"),
         default_tol=Q_TOL,
-        constraints=_HEINE_1,
+        constraints=(_Z_IN_DISC,
+                     ("0 < |b| < 1", lambda p: 0 < abs(p["b"]) < 1)),
         lhs=_lhs_heine,
         rhs=_rhs_heine1,
         sampler=_heine_sampler("eq-2.1"),
@@ -602,7 +594,9 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (2.2), Heine transformation (second form)",
         param_names=("a", "b", "c", "z"),
         default_tol=Q_TOL,
-        constraints=_HEINE_2,
+        constraints=(_Z_IN_DISC,
+                     ("0 < |c/b| < 1",
+                      lambda p: 0 < abs(p["c"]) < abs(p["b"]))),
         lhs=_lhs_heine,
         rhs=_rhs_heine2,
         sampler=_heine_sampler("eq-2.2"),
@@ -632,7 +626,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (2.8), transform of sum (a)_n/(b)_n z^n",
         param_names=("a", "b", "z"),
         default_tol=Q_TOL,
-        constraints=_EQ28,
+        constraints=(_Z_IN_DISC,
+                     ("0 < |a| < 1", lambda p: 0 < abs(p["a"]) < 1)),
         lhs=_lhs_ratio_sum,
         rhs=_rhs_eq28,
         sampler=_transform_sampler("eq-2.8"),
@@ -662,7 +657,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Theorem 2.2, Eq. (2.7)",
         param_names=("a", "b", "z"),
         default_tol=Q_TOL,
-        constraints=_THM22,
+        constraints=_ANNULUS + (("|a| < 1", lambda p: abs(p["a"]) < 1),),
         lhs=_lhs_bilateral,
         rhs=_rhs_thm22,
         sampler=_bilateral_sampler("thm-2.2"),
@@ -682,7 +677,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (3.1), special case a=-1/q, b=-1 of Theorem 2.1",
         param_names=("z",),
         default_tol=Q_TOL,
-        constraints=_EQ31,
+        constraints=(("|q| < |z|", lambda p: p.q < abs(p["z"])), _Z_IN_DISC),
         lhs=_lhs_eq31,
         rhs=_rhs_eq31,
         sampler=_q_only_sampler(with_z=True),
@@ -772,7 +767,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (5.5), q -> 1 corollary of Theorem 5.1 at a = 0",
         param_names=("b", "z"),
         default_tol=CLASSICAL_TOL,
-        constraints=_EQ55,
+        constraints=(("0 < z < b < 1", lambda p: 0 < p["z"] < p["b"] < 1),),
         lhs=_lhs_eq55,
         rhs=_rhs_eq55,
         sampler=_sample_eq55,
@@ -782,7 +777,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (5.6), beta function series B(x, y)",
         param_names=("x", "y"),
         default_tol=CLASSICAL_TOL,
-        constraints=_EQ56,
+        constraints=(("0 < x < 1", lambda p: 0 < p["x"] < 1),
+                     ("y > 0", lambda p: p["y"] > 0)),
         lhs=_lhs_eq56,
         rhs=_rhs_eq56,
         sampler=_sample_eq56,

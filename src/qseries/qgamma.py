@@ -33,10 +33,10 @@ def gamma_q(x, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
 
 def _gamma_quot(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
     """prod Gamma_q(x) over nums / prod Gamma_q(x) over dens as one product
-    quotient: (q;q)_inf^k (1-q)^e times prod (q^x;q)_inf over dens over
-    prod (q^x;q)_inf over nums, with k = #nums - #dens and
-    e = sum (1-x) over nums - sum (1-x) over dens. Each product is computed
-    once, so terms_used counts the work done."""
+    quotient: (q;q)_inf^k (1-q)^e prod (q^x;q)_inf over dens / prod
+    (q^x;q)_inf over nums, with k = #nums - #dens and e = sum (1-x) over
+    nums - sum (1-x) over dens, so that terms_used counts each product
+    computed once."""
     q = to_real(q)
     nums = [to_real(x) for x in nums]
     dens = [to_real(x) for x in dens]
@@ -47,19 +47,10 @@ def _gamma_quot(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
             raise PoleError(f"gamma_q pole at nonpositive integer x={x}")
     with ctx.working():
         k = len(nums) - len(dens)
-        out = SeriesValue.of(1)
-        if k:
-            qq = pochhammer_inf(q, q, ctx)
-            # d(v^k) = k v^(k-1) dv
-            out = SeriesValue(qq.value ** k,
-                              abs(k * qq.value ** (k - 1)) * qq.err_estimate,
-                              qq.terms_used, qq.certified)
-        for x in dens:
-            out = out * pochhammer_inf(qpow(q, x, ctx), q, ctx)
-        for x in nums:
-            out = out / pochhammer_inf(qpow(q, x, ctx), q, ctx)
+        tops = [q] * k + [qpow(q, x, ctx) for x in dens]
+        bottoms = [q] * -k + [qpow(q, x, ctx) for x in nums]
         e = sum(1 - x for x in nums) - sum(1 - x for x in dens)
-        return mp.power(1 - q, e) * out
+        return mp.power(1 - q, e) * prodquot(tops, bottoms, q, ctx)
 
 
 # --- classical gamma --------------------------------------------------------

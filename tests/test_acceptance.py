@@ -352,8 +352,8 @@ def test_criterion_9_qgamma_properties():
                                                ctx).value)
         lin = rel_diff(combo, parts)
         ok = ok and lin <= mpf("1e-28")
-        # classical reflection formula, 200 cases with x in (0, 1) so both
-        # gamma evaluations go through the Spouge series, not reflection
+        # classical reflection formula, 200 cases with x in (0, 1), both
+        # gamma values from mp.gamma
         worst_refl = mpf(0)
         for _ in range(200):
             x = mpf(rng.uniform(0.02, 0.98))

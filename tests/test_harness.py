@@ -60,7 +60,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "cc2c57b05b9d054027111c6df632c36c3ef948e8e1be41706559fb5166c0670e")
+        "265c01218c390c640b0f2100337c92727b2806ac21b837b2806c4c18af50f65b")
 
 
 def test_seed_changes_sampled_points():
