@@ -10,8 +10,8 @@ from mpmath import mp, mpf
 
 from .errors import NonConvergenceError, PoleError, QDomainError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
-from .qcore import (_LEVIN_MAX_ORDER, SeriesValue, accelerate, phi,
-                    pochhammer_inf, prodquot, qpow)
+from .qcore import (_LEVIN_MAX_ORDER, SeriesValue, accelerate, phi, prodquot,
+                    qpow)
 
 __all__ = [
     "gamma_q",

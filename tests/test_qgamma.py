@@ -168,7 +168,6 @@ def _count_thm53_pochhammer_inf(monkeypatch, registry, ctx, side):
         return pochhammer_inf(*args, **kwargs)
 
     monkeypatch.setattr(qcore, "pochhammer_inf", counting)
-    monkeypatch.setattr(qgamma, "pochhammer_inf", counting)
     entry = next(e for e in registry if e.id == "thm-5.3")
     point = QPoint(mpf("0.5"), {"a": mpf("0.1"), "b": mpf("0.7"),
                                 "z": mpf("0.25")})
