@@ -159,6 +159,11 @@ def _cmd_eval(args) -> int:
         print(f"qseries: error: missing --set for {', '.join(missing)}",
               file=sys.stderr)
         return EXIT_USAGE
+    violations = entry.domain(point, ctx)
+    if violations:
+        print(f"qseries: error: {entry.id}: {'; '.join(violations)}",
+              file=sys.stderr)
+        return EXIT_FAIL
     side = entry.lhs if args.side == "lhs" else entry.rhs
     try:
         value = side(point, ctx)

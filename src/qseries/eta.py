@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from mpmath import mpf
 
 from .errors import QDomainError
@@ -25,11 +27,14 @@ def eta_quotient(scales, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     q = to_real(q)
     items = scales.items() if hasattr(scales, "items") else scales
     out = SeriesValue.of(1)
+    terms = 0
     with ctx.working():
         for m, e in items:
             if m <= 0:
                 raise QDomainError(f"eta_quotient scale must be positive, got {m}")
             factor = eta_nome(q ** m, ctx)
+            terms += factor.terms_used
             for _ in range(abs(int(e))):
                 out = out * factor if e > 0 else out / factor
-    return out
+    # the power repeats one computed factor: count its terms once
+    return replace(out, terms_used=terms)

@@ -21,17 +21,16 @@ from typing import Callable
 from mpmath import mp, mpf
 
 from .eta import eta_quotient
-from .precision import DEFAULT_CTX, PrecisionCtx, to_real
+from .precision import DEFAULT_CTX, PrecisionCtx
 from .qcore import (
     QPoint,
     SeriesValue,
     phi,
-    pochhammer_inf,
     prodquot,
     psi_bilateral,
     qpow,
 )
-from .qgamma import _gamma_quot, _jackson_2phi1, _levin_sum, classical_gamma
+from .qgamma import _gamma_quot, _levin_sum, classical_gamma
 from .rng import SplitMix64
 
 __all__ = ["CATALOG", "IdentityEntry", "full_registry"]
@@ -315,7 +314,7 @@ def _rhs_eq42(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     q = p.q
     base = q ** 2
     head = SeriesValue.of(qpow(q, mpf(-1) / 8, ctx))
-    series = (pochhammer_inf(q, base, ctx) / pochhammer_inf(base, base, ctx)
+    series = (prodquot([q], [base], base, ctx)
               * phi([q ** 3, q ** 2], [q ** 4], base, q, ctx))
     return head - (qpow(q, mpf(7) / 8, ctx) / (1 + q)) * series
 
@@ -331,11 +330,8 @@ def _rhs_eq43(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     c = 2 * (1 + q) * qpow(q, mpf(4) / 3, ctx) / ((1 + q ** 2) * (1 + q ** 4))
     # middle series: sum (1-q^{2n+2})/(1-q^{2n+1}) (-q^2)^n
     s_mid = (1 + q) * phi([q ** 4, q], [q ** 3], base, -q ** 2, ctx)
-    prod = (pochhammer_inf(q ** 4, base, ctx)
-            * pochhammer_inf(-1 / q, base, ctx)
-            / (pochhammer_inf(to_real(-1), base, ctx)
-               * pochhammer_inf(q ** 3, base, ctx)))
-    t3 = prod * phi([q, -1 / q ** 4], [-1 / q], base, q ** 4, ctx)
+    t3 = (prodquot([q ** 4, -1 / q], [-1, q ** 3], base, ctx)
+          * phi([q, -1 / q ** 4], [-1 / q], base, q ** 4, ctx))
     return SeriesValue.of(c) - (2 * qpow(q, mpf(4) / 3, ctx) / (1 - q)) * s_mid - c * t3
 
 
@@ -348,17 +344,12 @@ def _rhs_eq44(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     q = p.q
     base = q ** 3
     c4 = qpow(q, mpf(4) / 3, ctx) * (1 + q + q ** 2) / ((1 + q ** 2) * (1 + q ** 5))
-    p1 = (pochhammer_inf(q ** 6, base, ctx)
-          * pochhammer_inf(-1 / q, base, ctx)
-          / (pochhammer_inf(-q, base, ctx)
-             * pochhammer_inf(q ** 4, base, ctx)))
-    p2 = (pochhammer_inf(q ** 6, base, ctx)
-          * pochhammer_inf(-q ** 4, base, ctx)
-          / (pochhammer_inf(-q ** 8, base, ctx)
-             * pochhammer_inf(q ** 2, base, ctx)))
-    t1 = p1 * phi([q, -1 / q ** 5], [-1 / q], base, q ** 6, ctx)
-    t2 = p2 * phi([1 / q, -q ** 2], [-q ** 4], base, q ** 6, ctx)
-    return c4 * (t1 - 1) + c4 * t2
+    t1 = (prodquot([-1 / q], [-q, q ** 4], base, ctx)
+          * phi([q, -1 / q ** 5], [-1 / q], base, q ** 6, ctx))
+    t2 = (prodquot([-q ** 4], [-q ** 8, q ** 2], base, ctx)
+          * phi([1 / q, -q ** 2], [-q ** 4], base, q ** 6, ctx))
+    # both terms carry (q^6;q^3)_inf, computed once
+    return c4 * (prodquot([q ** 6], [], base, ctx) * (t1 + t2) - 1)
 
 
 # --- q-gamma theorems and classical limits ---------------------------------
@@ -369,42 +360,52 @@ def _lhs_gamma_quotient(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
                        q, ctx)
 
 
-def _rhs_thm51(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+# Section 5's right sides: thm-5.1 = A + B, eq-5.8 = C + D and thm-5.3 =
+# A + D, each minus (1-q)^(a+1-b); a term is a Gamma_q quotient times one
+# 2phi1(q^alpha, q^beta; q^gamma; q, q^delta). Theorem 5.3's q-integrals
+# give A and D, since int_0^1 t^(delta-1) (tq, tq^gamma; q)_inf / (tq^alpha,
+# tq^beta; q)_inf d_q t is that 2phi1 times Gamma_q(alpha) Gamma_q(beta) /
+# Gamma_q(gamma) (1-q)^(alpha+beta-gamma) (Gasper & Rahman, section 1.11).
+
+def _scale(p: QPoint) -> mpf:
+    return mp.power(1 - p.q, p["a"] + 1 - p["b"])
+
+
+def _q2phi1(alpha, beta, gamma, delta, q, ctx: PrecisionCtx) -> SeriesValue:
+    return phi([qpow(q, alpha, ctx), qpow(q, beta, ctx)],
+               [qpow(q, gamma, ctx)], q, qpow(q, delta, ctx), ctx)
+
+
+def _term_a(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
-    pre = mp.power(1 - q, a + 1 - b)
-    qa = qpow(q, a, ctx)
-    t1 = (pre * _gamma_quot([b, z], [b - a, a + z], q, ctx)
-          * phi([qpow(q, a + 1 + z - b, ctx), qa],
-                [qpow(q, a + z, ctx)], q, qpow(q, b - a, ctx), ctx))
-    t2 = (_gamma_quot([1 - a, b - a - z], [1 - b, b + 1 - a - z], q, ctx)
-          * phi([qpow(q, b - a, ctx), qpow(q, b - z - a, ctx)],
-                [qpow(q, b + 1 - a - z, ctx)], q, qpow(q, 1 - b, ctx), ctx))
-    return t1 + t2 - pre
+    return (_scale(p) * _gamma_quot([b, z], [b - a, a + z], q, ctx)
+            * _q2phi1(a + 1 + z - b, a, a + z, b - a, q, ctx))
 
 
-def _rhs_eq58(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+def _term_b(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
-    pre = mp.power(1 - q, a + 1 - b)
-    t1 = (_gamma_quot([b, z], [a, z + 1], q, ctx)
-          * phi([qpow(q, b - a, ctx), qpow(q, z, ctx)],
-                [qpow(q, 1 + z, ctx)], q, qpow(q, a, ctx), ctx))
-    t2 = (pre * _gamma_quot([1 - a, b - a - z], [1 - a - z, b - a], q, ctx)
-          * phi([qpow(q, 1 - z, ctx), qpow(q, 1 - b, ctx)],
-                [qpow(q, 1 - a - z, ctx)], q, qpow(q, b - a, ctx), ctx))
-    return t1 + t2 - pre
+    return (_gamma_quot([1 - a, b - a - z], [1 - b, b + 1 - a - z], q, ctx)
+            * _q2phi1(b - a, b - z - a, b + 1 - a - z, 1 - b, q, ctx))
 
 
-def _rhs_thm53(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+def _term_c(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
-    pre = mp.power(1 - q, a + 1 - b)
-    int_f = _jackson_2phi1(qpow(q, 1 - z, ctx), qpow(q, 1 - b, ctx),
-                           qpow(q, 1 - a - z, ctx), b - a, q, ctx)
-    int_g = _jackson_2phi1(qpow(q, a + 1 + z - b, ctx), qpow(q, a, ctx),
-                           qpow(q, a + z, ctx), b - a, q, ctx)
-    t1 = _gamma_quot([1 - a, b - a - z], [b - a, 1 - z, 1 - b], q,
-                     ctx) * int_f
-    t2 = _gamma_quot([b, z], [b - a, a + 1 + z - b, a], q, ctx) * int_g
-    return t1 + t2 - pre
+    return (_gamma_quot([b, z], [a, z + 1], q, ctx)
+            * _q2phi1(b - a, z, 1 + z, a, q, ctx))
+
+
+def _term_d(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+    a, b, z, q = p["a"], p["b"], p["z"], p.q
+    return (_scale(p)
+            * _gamma_quot([1 - a, b - a - z], [1 - a - z, b - a], q, ctx)
+            * _q2phi1(1 - z, 1 - b, 1 - a - z, b - a, q, ctx))
+
+
+def _section5_rhs(first, second):
+    def rhs(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+        return first(p, ctx) + second(p, ctx) - _scale(p)
+
+    return rhs
 
 
 def _lhs_eq55(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
@@ -739,7 +740,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         default_tol=QGAMMA_TOL,
         constraints=_STRIP + (("b < 1", lambda p: p["b"] < 1),),
         lhs=_lhs_gamma_quotient,
-        rhs=_rhs_thm51,
+        rhs=_section5_rhs(_term_a, _term_b),
         sampler=_strip_sampler(0.05, 0.7),
     ),
     IdentityEntry(
@@ -749,7 +750,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         default_tol=QGAMMA_TOL,
         constraints=_STRIP,
         lhs=_lhs_gamma_quotient,
-        rhs=_rhs_eq58,
+        rhs=_section5_rhs(_term_c, _term_d),
         sampler=_strip_sampler(0.05, 0.7),
     ),
     IdentityEntry(
@@ -759,7 +760,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         default_tol=QGAMMA_TOL,
         constraints=_STRIP,
         lhs=_lhs_gamma_quotient,
-        rhs=_rhs_thm53,
+        rhs=_section5_rhs(_term_a, _term_d),
         sampler=_strip_sampler(0.1, 0.55),
     ),
     IdentityEntry(

@@ -275,7 +275,8 @@ def _ratio_bound(abs_arg, abs_num, abs_den, q, qn, extra_q_factorial):
 
 def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
                   start_at_one=False):
-    """Sum of prod (num;q)_n / [((q;q)_n if extra_q_factorial) prod (den;q)_n] * arg^n.
+    """Sum over n >= start_at_one of prod (num;q)_n / [((q;q)_n if
+    extra_q_factorial) prod (den;q)_n] * arg^n; terms_used counts its terms.
 
     Terms are generated by the one-step recurrence; the tail is certified by
     the geometric bound rho(n) = |arg| * prod(1+|num|s) / ((1-qs) * prod(1-|den|s))
@@ -316,11 +317,12 @@ def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
         n = 1
     else:
         t = fone
+    start = n
 
     while True:
         if t == fzero:
             # a numerator factor vanished; every later term carries it too
-            return SeriesValue(mp.make_mpf(s_val), mpf(0), n, True)
+            return SeriesValue(mp.make_mpf(s_val), mpf(0), n - start, True)
         if tail_can_stop:
             abs_t = mpf_abs(t, prec, RN)
             abs_s = mpf_abs(s_val, prec, RN)
@@ -335,7 +337,7 @@ def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
                                    prec, RN)
                     if mpf_le(tail, limit):
                         return SeriesValue(mp.make_mpf(s_val),
-                                           mp.make_mpf(tail), n, True)
+                                           mp.make_mpf(tail), n - start, True)
         s_val = mpf_add(s_val, t, prec, RN)
         q_next = mpf_mul(q_, qn, prec, RN)
         num = fone

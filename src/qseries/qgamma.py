@@ -10,8 +10,7 @@ from mpmath import mp, mpf
 
 from .errors import NonConvergenceError, PoleError, QDomainError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
-from .qcore import (_LEVIN_MAX_ORDER, SeriesValue, accelerate, phi, prodquot,
-                    qpow)
+from .qcore import _LEVIN_MAX_ORDER, SeriesValue, accelerate, prodquot, qpow
 
 __all__ = [
     "gamma_q",
@@ -154,16 +153,3 @@ def _levin_sum(c, ratio_fn, ctx: PrecisionCtx) -> SeriesValue:
         terms.append(t)
         t = t * ratio_fn(n)
     return accelerate(terms, ctx)
-
-
-def _jackson_2phi1(v1, v2, u, s, q, ctx: PrecisionCtx) -> SeriesValue:
-    """int_0^1 t^(s-1) (tq;q)_inf (tu;q)_inf / ((t v1;q)_inf (t v2;q)_inf) d_q t.
-
-    At the node t = q^n each (t c;q)_inf is (c;q)_inf / (c;q)_n, so the
-    Jackson sum is (1-q) (q;q)_inf (u;q)_inf / ((v1;q)_inf (v2;q)_inf)
-    times 2phi1(v1, v2; u; q, q^s) (Gasper & Rahman, section 1.11), with the
-    certified tail bounds of both. ``jackson_integral_finite`` of the
-    integrand is the oracle in the tests.
-    """
-    return ((1 - q) * prodquot([q, u], [v1, v2], q, ctx)
-            * phi([v1, v2], [u], q, qpow(q, s, ctx), ctx))

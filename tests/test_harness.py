@@ -60,7 +60,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "265c01218c390c640b0f2100337c92727b2806ac21b837b2806c4c18af50f65b")
+        "7dc3de4b16c73dfe2f5e32c743ccffcc655e212ccce9d852cd759102a28753f2")
 
 
 def test_seed_changes_sampled_points():
@@ -243,6 +243,21 @@ def test_cli_eval_missing_param(capsys):
                      "--q", "0.3", "--set", "a=0.5"])
     assert code == 2
     assert "missing --set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ident, sets, named", [
+    ("eq-2.6", ["a=0.5", "b=0.4", "z=0"], "|b/(az)| < 1 violated"),
+    ("eq-2.1", ["a=0.5", "b=0", "c=0.2", "z=0.5"], "0 < |b| < 1 violated"),
+])
+def test_cli_eval_out_of_domain_is_typed_error(capsys, ident, sets, named):
+    # a zero divisor is refused by the domain check, not raised by a side
+    argv = ["eval", "--identity", ident, "--side", "rhs", "--q", "0.3"]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"qseries: error: {ident}: {named}\n"
+    assert not captured.out
 
 
 def test_cli_eval_param_expressions(capsys):

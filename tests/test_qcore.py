@@ -264,9 +264,10 @@ def _ratio_series_every_term(num_params, den_params, q, arg, ctx,
         n = 1
     else:
         t = mpf(1)
+    start = n
     while True:
         if t == 0:
-            return SeriesValue(s_val, mpf(0), n, True)
+            return SeriesValue(s_val, mpf(0), n - start, True)
         rho = abs(arg)
         usable = True
         for u in num_params:
@@ -285,7 +286,7 @@ def _ratio_series_every_term(num_params, den_params, q, arg, ctx,
             if rho < 1:
                 tail = abs(t) / (1 - rho)
                 if tail <= tol * max(abs(s_val), floor):
-                    return SeriesValue(s_val, tail, n, True)
+                    return SeriesValue(s_val, tail, n - start, True)
         s_val += t
         num = mpf(1)
         for u in num_params:
@@ -383,6 +384,19 @@ def test_psi_matches_product_side(ctx40):
                    * pochhammer_inf(b, q, ctx40)
                    * pochhammer_inf(q / a, q, ctx40)))
         assert rel_diff(lhs, prod.value) < mpf("1e-35")
+
+
+def test_psi_negative_half_counts_terms_summed(ctx40):
+    # lower b = q^3 at q = 1/2 makes the negative half's upper parameter
+    # q/b = q^-2, so that half ends after its terms m = 1 and m = 2
+    q, a, b, z = mpf("0.5"), mpf("0.9"), mpf("0.125"), mpf("0.6")
+    with ctx40.working():
+        neg = qcore._ratio_series([q / b], [q / a], q, b / (a * z), ctx40,
+                                  False, start_at_one=True)
+        pos = qcore._ratio_series([a], [b], q, z, ctx40, False)
+    assert neg.terms_used == 2
+    assert psi_bilateral([a], [b], q, z, ctx40).terms_used == (
+        pos.terms_used + 2)
 
 
 def test_psi_rejects_outside_annulus():
