@@ -4,11 +4,16 @@ Powers of q (fractional exponents included), q-Pochhammer symbols for all
 integer orders, unilateral and bilateral basic hypergeometric series, and
 convergence acceleration for slowly convergent classical series.
 
-Truncation rule: a product/series is stopped once the next term t and a
-certified upper bound rho < 1 on all subsequent term ratios satisfy
-|t| / (1 - rho) <= tail_rel_tol * |sum|; the geometric tail bound is then
-recorded as the error estimate. The stop test is skipped only where it
-provably cannot pass, because a cheaper lower bound on its rounded tail
+Truncation rule: a product stops once a certified bound on the log of its
+remaining factors meets tail_rel_tol, and that bound becomes the error
+estimate. A phi/psi series closes its tail geometrically: from the next term
+t on, every term ratio is arg times a factor whose partial products lie
+within exp(+-L) of 1, so the tail is t / (1 - arg) to within
+expm1(L) |t| / (1 - |arg|). The series stops once that bound meets
+tail_rel_tol * |sum + t / (1 - arg)| and returns the closed sum with the
+bound as its estimate; near |arg| = 1 this costs about log(tol) / log(q)
+terms, not log(tol) / log|arg|. Each stop test is skipped only where it
+provably cannot pass, because a cheaper lower bound on its rounded value
 already exceeds the tolerance (see pochhammer_inf and _ratio_series), so
 every product and series stops at the same term, with the same estimate,
 as one that tests at every term. Accelerated limits carry only a heuristic
@@ -255,50 +260,60 @@ def prodquot(nums, dens, q, ctx) -> SeriesValue:
     return out
 
 
-def _ratio_bound(abs_arg, abs_num, abs_den, q, qn, extra_q_factorial):
-    """Certified bound rho(n) on the ratios of terms beyond index n (see
-    _ratio_series), or None where a lower factor 1 - |b| q^n is not
-    positive."""
-    rho = abs_arg
-    for au in abs_num:
-        rho *= 1 + au * qn
-    den_bound = mpf(1)
-    if extra_q_factorial:
-        den_bound *= 1 - q * qn
-    for ab in abs_den:
-        d = 1 - ab * qn
-        if d <= 0:
+def _closure_err(cs, qn, g, h, omq, prec):
+    """expm1(L) * h with L = sum_c c q^n / ((1-q)(1-c q^n)) over cs, or None
+    where some c q^n >= 1. L is built as g + sum_c (c q^n)^2 / ((1-q)(1-c
+    q^n)) with g the rounded c_sum q^n / (1-q), so the rounded L is never
+    below g."""
+    rest = fzero
+    for c in cs:
+        x = mpf_mul(c, qn, prec, RN)
+        if not mpf_lt(x, fone):
             return None
-        den_bound *= d
-    return rho / den_bound
+        rest = mpf_add(rest, mpf_div(
+            mpf_mul(x, x, prec, RN),
+            mpf_mul(omq, mpf_sub(fone, x, prec, RN), prec, RN), prec, RN),
+            prec, RN)
+    rel = mp.expm1(mp.make_mpf(mpf_add(g, rest, prec, RN)))._mpf_
+    return mpf_mul(rel, h, prec, RN)
 
 
 def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
                   start_at_one=False):
     """Sum over n >= start_at_one of prod (num;q)_n / [((q;q)_n if
-    extra_q_factorial) prod (den;q)_n] * arg^n; terms_used counts its terms.
+    extra_q_factorial) prod (den;q)_n] * arg^n for |arg| < 1; terms_used
+    counts the terms summed plus the closing term.
 
-    Terms are generated by the one-step recurrence; the tail is certified by
-    the geometric bound rho(n) = |arg| * prod(1+|num|s) / ((1-qs) * prod(1-|den|s))
-    with s = q^n, valid for every subsequent ratio. Computed in round to
-    nearest, every numerator factor of rho is >= 1 and its denominator <= 1,
-    so rho >= |arg| and the tail |t|/(1-rho) >= |t|/(1-|arg|): rho is built
-    only once that cheaper bound meets the tolerance, and never when
-    |arg| >= 1.
+    Terms are generated by the one-step recurrence t_{k+1} = arg r_k t_k,
+    r_k = prod (1 - num q^k) / [(1 - q^{k+1}) prod (1 - den q^k)]. The tail
+    from t_n on is closed geometrically, as t_n / (1 - arg): with C the |num|,
+    the |den| and (for (q;q)_n) q, and every c in C with c q^n < 1, each
+    partial product of the r_k, k >= n, has |log| <= L = sum_c c q^n /
+    ((1-q)(1-c q^n)), so the closed tail is off by at most
+    err = expm1(L) |t_n| / (1 - |arg|) (Gasper & Rahman, Basic
+    Hypergeometric Series, 1.2). The sum stops at the first n where err <=
+    tol * max(|s + t_n/(1-arg)|, floor) and returns s + t_n/(1-arg) with
+    err as its certified estimate. Computed in round to nearest, L is never
+    below g = c_sum q^n / (1-q) and expm1(L) >= L, so L and expm1 are built
+    only once g |t_n| / (1 - |arg|) meets the limit.
     """
     prec = mp.prec
     tol = ctx.tail_tol()._mpf_
     floor = ctx.rel_floor()._mpf_
     max_terms = ctx.max_terms
-    abs_num = [abs(u) for u in num_params]
-    abs_den = [abs(b) for b in den_params]
-    abs_arg = abs(arg)
-    tail_can_stop = abs_arg < 1
-    if tail_can_stop:
-        one_minus_arg = mpf_sub(fone, abs_arg._mpf_, prec, RN)
     nums = [u._mpf_ for u in num_params]
     dens = [b._mpf_ for b in den_params]
     q_, arg_ = q._mpf_, arg._mpf_
+    cs = [mpf_abs(c, prec, RN) for c in nums + dens]
+    if extra_q_factorial:
+        cs.append(q_)
+    omq = mpf_sub(fone, q_, prec, RN)
+    c_sum = fzero
+    for c in cs:
+        c_sum = mpf_add(c_sum, c, prec, RN)
+    c_over_omq = mpf_div(c_sum, omq, prec, RN)
+    one_minus_arg = mpf_sub(fone, arg_, prec, RN)
+    one_minus_abs_arg = mpf_sub(fone, mpf_abs(arg_, prec, RN), prec, RN)
     s_val = fzero
     qn = fone  # q^n for the current term index n
     n = 0
@@ -323,21 +338,18 @@ def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
         if t == fzero:
             # a numerator factor vanished; every later term carries it too
             return SeriesValue(mp.make_mpf(s_val), mpf(0), n - start, True)
-        if tail_can_stop:
-            abs_t = mpf_abs(t, prec, RN)
-            abs_s = mpf_abs(s_val, prec, RN)
-            # max(|s|, floor)
-            limit = mpf_mul(tol, floor if mpf_gt(floor, abs_s) else abs_s,
-                            prec, RN)
-            if mpf_le(mpf_div(abs_t, one_minus_arg, prec, RN), limit):
-                rho = _ratio_bound(abs_arg, abs_num, abs_den, q,
-                                   mp.make_mpf(qn), extra_q_factorial)
-                if rho is not None and rho < 1:
-                    tail = mpf_div(abs_t, mpf_sub(fone, rho._mpf_, prec, RN),
-                                   prec, RN)
-                    if mpf_le(tail, limit):
-                        return SeriesValue(mp.make_mpf(s_val),
-                                           mp.make_mpf(tail), n - start, True)
+        value = mpf_add(s_val, mpf_div(t, one_minus_arg, prec, RN), prec, RN)
+        abs_v = mpf_abs(value, prec, RN)
+        # max(|value|, floor)
+        limit = mpf_mul(tol, floor if mpf_gt(floor, abs_v) else abs_v,
+                        prec, RN)
+        h = mpf_div(mpf_abs(t, prec, RN), one_minus_abs_arg, prec, RN)
+        g = mpf_mul(c_over_omq, qn, prec, RN)
+        if mpf_le(mpf_mul(g, h, prec, RN), limit):
+            err = _closure_err(cs, qn, g, h, omq, prec)
+            if err is not None and mpf_le(err, limit):
+                return SeriesValue(mp.make_mpf(value), mp.make_mpf(err),
+                                   n - start + 1, True)
         s_val = mpf_add(s_val, t, prec, RN)
         q_next = mpf_mul(q_, qn, prec, RN)
         num = fone

@@ -60,7 +60,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "7dc3de4b16c73dfe2f5e32c743ccffcc655e212ccce9d852cd759102a28753f2")
+        "b32338643cb24b51176394d667c05c60372fae185a153ec83ce67b269902b63f")
 
 
 def test_seed_changes_sampled_points():

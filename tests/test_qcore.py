@@ -241,11 +241,64 @@ def test_phi_q_binomial_theorem(ctx40):
             assert rel_diff(lhs, rhs) < mpf("1e-32")
 
 
+def _closure_oracle_cases():
+    """(label, series, oracle) with the series a thunk evaluated at ctx and
+    the oracle a closed form built from mpmath's qp: the q-binomial theorem
+    for 1phi0, q-Gauss for 2phi1 at z = c/(ab) and Ramanujan's 1psi1 sum,
+    at |z| and |b/(az)| from 0.75 up to 1 - 2^-20. Every parameter but q is
+    a short binary fraction, so the arguments z and b/(az), to which the
+    sums near 1 are ill-conditioned, are exact at every precision."""
+    qp = mp.qp
+    for z in (mpf("0.75"), mpf("-0.75"), 1 - mpf(2) ** -10,
+              -1 + mpf(2) ** -10, 1 - mpf(2) ** -17):
+        q, a = mpf("0.5"), mpf("0.375")
+        yield (f"1phi0 z={z}",
+               lambda ctx, q=q, a=a, z=z: phi([a], [], q, z, ctx),
+               qp(a * z, q) / qp(z, q))
+        a, b = mpf("0.5"), mpf("-0.375")
+        c = z * a * b
+        yield (f"2phi1 z={z}",
+               lambda ctx, q=q, a=a, b=b, c=c, z=z: phi([a, b], [c], q, z, ctx),
+               qp(c / a, q) * qp(c / b, q) / (qp(c, q) * qp(z, q)))
+        # |b/a| just inside |z|, so both halves of the 1psi1 are near 1
+        q, a = mpf("0.3"), mpf("0.5")
+        b = a * z * (1 - mpf(2) ** -20)
+        yield (f"1psi1 z={z}",
+               lambda ctx, q=q, a=a, b=b, z=z: psi_bilateral([a], [b], q, z,
+                                                             ctx),
+               qp(q, q) * qp(b / a, q) * qp(a * z, q) * qp(q / (a * z), q)
+               / (qp(b, q) * qp(q / a, q) * qp(z, q) * qp(b / (a * z), q)))
+
+
+@pytest.mark.parametrize("digits", [20, 40, 100])
+def test_geometric_closure_is_sound(digits):
+    # the closed tail t_n/(1-z) must lie within err_estimate of the closed
+    # forms, and |z| -> 1 must cost about log(tol)/log(q) terms, not
+    # log(tol)/log|z| (about 94,000 at z = 1 - 2^-10 and 40 digits)
+    ctx = PrecisionCtx(digits=digits)
+    with mp.workdps(digits + 20):
+        for label, series, oracle in _closure_oracle_cases():
+            v = series(ctx)
+            assert v.certified, label
+            assert abs(v.value - oracle) <= (
+                v.err_estimate + mpf(10) ** -(digits + 5) * abs(oracle)), label
+            assert v.terms_used < 1000, (label, v.terms_used)
+
+
 def _ratio_series_every_term(num_params, den_params, q, arg, ctx,
                              extra_q_factorial, start_at_one=False):
-    """Reference loop that builds the ratio bound rho(n) at every term."""
+    """Reference loop that builds the geometric closure bound at every
+    term."""
     tol = ctx.tail_tol()
     floor = ctx.rel_floor()
+    cs = [abs(c) for c in num_params + den_params]
+    if extra_q_factorial:
+        cs.append(q)
+    omq = 1 - q
+    c_sum = mpf(0)
+    for c in cs:
+        c_sum += c
+    c_over_omq = c_sum / omq
     s_val = mpf(0)
     qn = mpf(1)
     n = 0
@@ -268,25 +321,16 @@ def _ratio_series_every_term(num_params, den_params, q, arg, ctx,
     while True:
         if t == 0:
             return SeriesValue(s_val, mpf(0), n - start, True)
-        rho = abs(arg)
-        usable = True
-        for u in num_params:
-            rho *= 1 + abs(u) * qn
-        den_bound = mpf(1)
-        if extra_q_factorial:
-            den_bound *= 1 - q * qn
-        for b in den_params:
-            d = 1 - abs(b) * qn
-            if d <= 0:
-                usable = False
-                break
-            den_bound *= d
-        if usable and den_bound > 0:
-            rho /= den_bound
-            if rho < 1:
-                tail = abs(t) / (1 - rho)
-                if tail <= tol * max(abs(s_val), floor):
-                    return SeriesValue(s_val, tail, n - start, True)
+        value = s_val + t / (1 - arg)
+        limit = tol * max(abs(value), floor)
+        xs = [c * qn for c in cs]
+        if all(x < 1 for x in xs):
+            rest = mpf(0)
+            for x in xs:
+                rest += x * x / (omq * (1 - x))
+            err = mp.expm1(c_over_omq * qn + rest) * (abs(t) / (1 - abs(arg)))
+            if err <= limit:
+                return SeriesValue(value, err, n - start + 1, True)
         s_val += t
         num = mpf(1)
         for u in num_params:
@@ -315,11 +359,13 @@ def _ratio_series_cases():
         yield [mpf("0.2"), mpf("-0.5")], [mpf("0.7")], q, z, True, False
         yield ([mpf("0.1"), mpf("0.4"), mpf("-0.6")], [mpf("0.3"), mpf("0.8")],
                mpf("0.9"), z, True, False)  # 3phi2
-    # |b| > 1: rho is unusable until |b| q^n < 1
+    # |b| > 1: the tail cannot close until |b| q^n < 1
     yield [mpf("0.5")], [mpf("1.7")], q, mpf("0.6"), True, False
     yield [mpf("0.5")], [mpf("-2.5")], q, mpf("-0.6"), True, False
-    # and is still unusable where a tiny argument lets the sum stop early
+    # even where a tiny argument makes g |t|/(1-|arg|) small early
     yield [mpf("0.5")], [mpf(-40)], q, mpf("1e-20"), True, False
+    # |b| q^n = 1 exactly at n = 2 does not close the tail there
+    yield [mpf("0.5")], [mpf(-4)], mpf("0.5"), mpf("1e-20"), True, False
     # psi_bilateral with b = q sums the positive half alone
     yield [mpf("0.4")], [q], q, mpf("0.5"), False, False
     # the negative half of psi_bilateral([a], [b], q, z)
@@ -334,26 +380,27 @@ def _ratio_series_cases():
                                  PrecisionCtx(digits=40, tail_rel_tol=1e-3)],
                          ids=["d20", "d40", "d100", "tol1e-3"])
 def test_ratio_series_bit_identical(monkeypatch, ctx):
-    # the rounded rho is never below |arg|, so building it only once
-    # |t|/(1-|arg|) meets the tolerance must stop at the same term with the
-    # same tail bound as building it at every term
-    ratio_bound = qcore._ratio_bound
+    # the rounded closure bound is never below g |t|/(1-|arg|), g the
+    # rounded c_sum q^n/(1-q), so building it only once that meets the
+    # limit must stop at the same term with the same value and bound as
+    # building it at every term
+    closure_err = qcore._closure_err
     built = []
 
-    def counting_ratio_bound(*args):
-        rho = ratio_bound(*args)
-        built.append(rho is not None)
-        return rho
+    def counting_closure_err(*args):
+        err = closure_err(*args)
+        built.append(err is not None)
+        return err
 
-    monkeypatch.setattr(qcore, "_ratio_bound", counting_ratio_bound)
+    monkeypatch.setattr(qcore, "_closure_err", counting_closure_err)
     with ctx.working():
         for case in _ratio_series_cases():
             ref = _ratio_series_every_term(*case[:4], ctx, *case[4:])
             built.clear()
             got = qcore._ratio_series(*case[:4], ctx, *case[4:])
             assert got == ref, case
-            # |t|/(1-|arg|) is tight once q^n is small: a usable rho is
-            # built at no more than two terms of these sums
+            # g |t|/(1-|arg|) is tight once q^n is small: L and its expm1
+            # are built at no more than two terms of these sums
             assert sum(built) <= 2, (case, built)
 
 
