@@ -31,7 +31,6 @@ from .qcore import (
     qpow,
 )
 from .qgamma import (
-    QIntegrand,
     classical_gamma,
     gamma_q,
     jackson_integral_finite,
@@ -57,7 +56,6 @@ __all__ = [
     "PoleError",
     "PrecisionCtx",
     "QDomainError",
-    "QIntegrand",
     "QPoint",
     "QSeriesError",
     "RunConfig",

@@ -126,7 +126,6 @@ def _cmd_verify(args) -> int:
             digits=digits,
             tolerance=args.tol,
             explicit_points=(point,) if point is not None else (),
-            report_format=args.report,
         )
         report = run(config)
     except (UnknownIdentityError, ValueError) as exc:

@@ -8,7 +8,7 @@ from mpmath import mpf
 
 from .errors import QDomainError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
-from .qcore import SeriesValue, pochhammer_inf, qpow
+from .qcore import SeriesValue, _check_q, pochhammer_inf, qpow
 
 __all__ = ["eta_nome", "eta_quotient"]
 
@@ -16,8 +16,7 @@ __all__ = ["eta_nome", "eta_quotient"]
 def eta_nome(q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """eta as a function of the nome: q^(1/24) * (q; q)_inf, for 0 < q < 1."""
     q = to_real(q)
-    if not (0 < q < 1):
-        raise QDomainError(f"eta_nome requires 0 < q < 1, got q={q}")
+    _check_q(q)
     with ctx.working():
         return qpow(q, mpf(1) / 24, ctx) * pochhammer_inf(q, q, ctx)
 

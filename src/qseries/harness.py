@@ -32,13 +32,10 @@ class RunConfig:
     digits: int = 40
     tolerance: Optional[float] = None  # None: per-identity default
     explicit_points: Tuple[QPoint, ...] = ()
-    report_format: str = "json"
 
     def __post_init__(self):
         if self.points_per_identity < 1:
             raise ValueError("points_per_identity must be >= 1")
-        if self.report_format not in ("json", "text"):
-            raise ValueError(f"unknown report format {self.report_format!r}")
 
 
 def _resolve_ids(config: RunConfig, registry) -> list:
@@ -153,7 +150,6 @@ def run(config: RunConfig, registry=None) -> dict:
                           else real_str(config.tolerance, digits)),
             "explicitPoints": [_point_record(p, digits)
                                for p in config.explicit_points],
-            "reportFormat": config.report_format,
         },
         "results": results,
     }

@@ -298,13 +298,6 @@ def _rhs_eq33(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
 
 # --- eta-quotient expansions -----------------------------------------------
 
-def _eta_sampler(lo, hi):
-    def sample(rng: SplitMix64) -> QPoint:
-        return QPoint(rng.uniform(lo, hi), {})
-
-    return sample
-
-
 def _lhs_eq42(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     # eta(tau)/eta^2(2 tau) in the nome
     return eta_quotient({1: 1, 2: -2}, p.q, ctx)
@@ -711,7 +704,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         constraints=_ETA_RANGE,
         lhs=_lhs_eq42,
         rhs=_rhs_eq42,
-        sampler=_eta_sampler(0.05, 0.6),
+        sampler=_q_only_sampler(),
     ),
     IdentityEntry(
         id="eq-4.3",
@@ -721,7 +714,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         constraints=_ETA_RANGE,
         lhs=_lhs_eq43,
         rhs=_rhs_eq43,
-        sampler=_eta_sampler(0.05, 0.6),
+        sampler=_q_only_sampler(),
     ),
     IdentityEntry(
         id="eq-4.4",
@@ -731,7 +724,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         constraints=_ETA_RANGE,
         lhs=_lhs_eq44,
         rhs=_rhs_eq44,
-        sampler=_eta_sampler(0.05, 0.6),
+        sampler=_q_only_sampler(),
     ),
     IdentityEntry(
         id="thm-5.1",

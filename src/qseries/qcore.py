@@ -278,19 +278,17 @@ def _closure_err(cs, qn, g, h, omq, prec):
     return mpf_mul(rel, h, prec, RN)
 
 
-def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
-                  start_at_one=False):
-    """Sum over n >= start_at_one of prod (num;q)_n / [((q;q)_n if
-    extra_q_factorial) prod (den;q)_n] * arg^n for |arg| < 1; terms_used
-    counts the terms summed plus the closing term.
+def _ratio_series(num_params, den_params, q, arg, ctx):
+    """Sum over n >= 0 of prod (num;q)_n / prod (den;q)_n * arg^n for |arg|
+    < 1; terms_used counts the terms summed plus the closing term. phi passes
+    q as its first den parameter, for the (q;q)_n.
 
     Terms are generated by the one-step recurrence t_{k+1} = arg r_k t_k,
-    r_k = prod (1 - num q^k) / [(1 - q^{k+1}) prod (1 - den q^k)]. The tail
-    from t_n on is closed geometrically, as t_n / (1 - arg): with C the |num|,
-    the |den| and (for (q;q)_n) q, and every c in C with c q^n < 1, each
-    partial product of the r_k, k >= n, has |log| <= L = sum_c c q^n /
-    ((1-q)(1-c q^n)), so the closed tail is off by at most
-    err = expm1(L) |t_n| / (1 - |arg|) (Gasper & Rahman, Basic
+    r_k = prod (1 - num q^k) / prod (1 - den q^k). The tail from t_n on is
+    closed geometrically, as t_n / (1 - arg): with C the |num| and the |den|,
+    and every c in C with c q^n < 1, each partial product of the r_k, k >= n,
+    has |log| <= L = sum_c c q^n / ((1-q)(1-c q^n)), so the closed tail is
+    off by at most err = expm1(L) |t_n| / (1 - |arg|) (Gasper & Rahman, Basic
     Hypergeometric Series, 1.2). The sum stops at the first n where err <=
     tol * max(|s + t_n/(1-arg)|, floor) and returns s + t_n/(1-arg) with
     err as its certified estimate. Computed in round to nearest, L is never
@@ -305,8 +303,6 @@ def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
     dens = [b._mpf_ for b in den_params]
     q_, arg_ = q._mpf_, arg._mpf_
     cs = [mpf_abs(c, prec, RN) for c in nums + dens]
-    if extra_q_factorial:
-        cs.append(q_)
     omq = mpf_sub(fone, q_, prec, RN)
     c_sum = fzero
     for c in cs:
@@ -317,27 +313,11 @@ def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
     s_val = fzero
     qn = fone  # q^n for the current term index n
     n = 0
-    if start_at_one:
-        t = arg_
-        for u in nums:
-            t = mpf_mul(t, mpf_sub(fone, u, prec, RN), prec, RN)
-        for b in dens:
-            d = mpf_sub(fone, b, prec, RN)
-            if d == fzero:
-                raise PoleError("vanishing denominator factor at n=1")
-            t = mpf_div(t, d, prec, RN)
-        if extra_q_factorial:
-            t = mpf_div(t, mpf_sub(fone, q_, prec, RN), prec, RN)
-        qn = q_
-        n = 1
-    else:
-        t = fone
-    start = n
-
+    t = fone
     while True:
         if t == fzero:
             # a numerator factor vanished; every later term carries it too
-            return SeriesValue(mp.make_mpf(s_val), mpf(0), n - start, True)
+            return SeriesValue(mp.make_mpf(s_val), mpf(0), n, True)
         value = mpf_add(s_val, mpf_div(t, one_minus_arg, prec, RN), prec, RN)
         abs_v = mpf_abs(value, prec, RN)
         # max(|value|, floor)
@@ -349,27 +329,22 @@ def _ratio_series(num_params, den_params, q, arg, ctx, extra_q_factorial,
             err = _closure_err(cs, qn, g, h, omq, prec)
             if err is not None and mpf_le(err, limit):
                 return SeriesValue(mp.make_mpf(value), mp.make_mpf(err),
-                                   n - start + 1, True)
+                                   n + 1, True)
         s_val = mpf_add(s_val, t, prec, RN)
-        q_next = mpf_mul(q_, qn, prec, RN)
         num = fone
         for u in nums:
             num = mpf_mul(num, mpf_sub(fone, mpf_mul(u, qn, prec, RN),
                                        prec, RN), prec, RN)
         den = fone
-        if extra_q_factorial:
-            den = mpf_mul(den, mpf_sub(fone, q_next, prec, RN), prec, RN)
         for b, b_mpf in zip(dens, den_params):
             f = mpf_sub(fone, mpf_mul(b, qn, prec, RN), prec, RN)
             if f == fzero:
                 raise PoleError(
                     f"vanishing denominator factor 1 - ({b_mpf})*q^{n}")
             den = mpf_mul(den, f, prec, RN)
-        if den == fzero:
-            raise PoleError(f"vanishing (q;q)_n factor at n={n}")
         t = mpf_mul(mpf_div(mpf_mul(t, num, prec, RN), den, prec, RN), arg_,
                     prec, RN)
-        qn = q_next
+        qn = mpf_mul(q_, qn, prec, RN)
         n += 1
         if n > max_terms:
             raise CapExceededError(
@@ -390,7 +365,7 @@ def phi(upper, lower, q, z, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
             raise DivergenceError(f"phi requires |z| < 1, got |z| = {abs(z)}")
         if z == 0:
             return SeriesValue(mpf(1), mpf(0), 1, True)
-        return _ratio_series(upper, lower, q, z, ctx, extra_q_factorial=True)
+        return _ratio_series(upper, [q] + lower, q, z, ctx)
 
 
 def psi_bilateral(upper, lower, q, z,
@@ -399,10 +374,13 @@ def psi_bilateral(upper, lower, q, z,
 
     sum_{n in Z} prod (a_i;q)_n / prod (b_j;q)_n * z^n, convergent in the
     annulus |b_1...b_r/(a_1...a_r)| < |z| < 1. The negative-index half is
-    rewritten by the Pochhammer inversion
-    prod (a)_|n| / prod (b)_|n| * z^-|n|
-      = prod (q/b;q)_m / prod (q/a;q)_m * (prod b/(prod a * z))^m,
-    so both halves carry certified geometric tail bounds.
+    rewritten by the Pochhammer inversion, then shifted to start at m = 0 by
+    (x;q)_{m+1} = (1 - x)(xq;q)_m:
+    sum_{n<0} = sum_{m>=1} prod (q/b;q)_m / prod (q/a;q)_m * w^m
+      = w prod (1 - q/b) / prod (1 - q/a)
+        * sum_{m>=0} prod (q^2/b;q)_m / prod (q^2/a;q)_m * w^m,
+    w = prod b/(prod a * z), so both halves carry certified geometric tail
+    bounds.
     """
     with ctx.working():
         upper = [to_real(u) for u in upper]
@@ -428,17 +406,24 @@ def psi_bilateral(upper, lower, q, z,
         if any(b_j == q for b_j in lower):
             # some (b;q)_{-m} is infinite for every m >= 1: the negative
             # half vanishes identically and only |z| < 1 is needed
-            return _ratio_series(upper, lower, q, z, ctx,
-                                 extra_q_factorial=False)
+            return _ratio_series(upper, lower, q, z, ctx)
         if abs(w) >= 1:
             raise DivergenceError(
                 f"bilateral domain |b../a..| < |z| < 1 violated: "
                 f"|b../(a..z)| = {abs(w)}, |z| = {abs(z)}")
-        pos = _ratio_series(upper, lower, q, z, ctx, extra_q_factorial=False)
-        neg = _ratio_series([q / b for b in lower], [q / a for a in upper],
-                            q, w, ctx, extra_q_factorial=False,
-                            start_at_one=True)
-        return pos + neg
+        pos = _ratio_series(upper, lower, q, z, ctx)
+        head = w
+        for b_j in lower:
+            head *= 1 - q / b_j
+        for i, a_i in enumerate(upper, 1):
+            d = 1 - q / a_i
+            if d == 0:
+                raise PoleError(
+                    f"bilateral pole: 1 - q/a{i} vanishes at m = 1 (a{i}={a_i})")
+            head /= d
+        neg = _ratio_series([q * q / b for b in lower],
+                            [q * q / a for a in upper], q, w, ctx)
+        return pos + head * neg
 
 
 # no identity side calls this any more; perfbench's tracer looks it up by name

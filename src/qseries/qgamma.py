@@ -3,19 +3,16 @@ helpers the q-gamma and classical-limit identity sides are built from."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
 from mpmath import mp, mpf
 
 from .errors import NonConvergenceError, PoleError, QDomainError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
-from .qcore import _LEVIN_MAX_ORDER, SeriesValue, accelerate, prodquot, qpow
+from .qcore import (_LEVIN_MAX_ORDER, SeriesValue, _check_q, accelerate,
+                    prodquot, qpow)
 
 __all__ = [
     "gamma_q",
     "classical_gamma",
-    "QIntegrand",
     "jackson_integral_finite",
 ]
 
@@ -39,17 +36,21 @@ def _gamma_quot(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
     q = to_real(q)
     nums = [to_real(x) for x in nums]
     dens = [to_real(x) for x in dens]
-    if not (0 < q < 1):
-        raise QDomainError(f"gamma_q requires 0 < q < 1, got q={q}")
+    _check_q(q, **{f"x{i}": x for i, x in enumerate(nums + dens, 1)})
     for x in nums + dens:
-        if x <= 0 and x == mp.floor(x):
-            raise PoleError(f"gamma_q pole at nonpositive integer x={x}")
+        _check_pole(x, "gamma_q")
     with ctx.working():
         k = len(nums) - len(dens)
         tops = [q] * k + [qpow(q, x, ctx) for x in dens]
         bottoms = [q] * -k + [qpow(q, x, ctx) for x in nums]
         e = sum(1 - x for x in nums) - sum(1 - x for x in dens)
         return mp.power(1 - q, e) * prodquot(tops, bottoms, q, ctx)
+
+
+def _check_pole(x, what: str):
+    """Gamma and Gamma_q have their poles at the nonpositive integers."""
+    if x <= 0 and x == mp.floor(x):
+        raise PoleError(f"{what} pole at nonpositive integer x={x}")
 
 
 # --- classical gamma --------------------------------------------------------
@@ -59,35 +60,11 @@ def classical_gamma(x, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     at nonpositive integers raise PoleError."""
     with ctx.working():
         x = to_real(x)
-        if x <= 0 and x == mp.floor(x):
-            raise PoleError(f"gamma pole at nonpositive integer x={x}")
+        _check_pole(x, "gamma")
         return mp.gamma(x)
 
 
 # --- Jackson q-integrals ------------------------------------------------------
-
-@dataclass(frozen=True)
-class QIntegrand:
-    """An integrand for Jackson q-integration.
-
-    ``support`` = (lo, hi): fn is identically zero outside [lo, hi], which
-    lets the q-sum terminate exactly once the abscissae leave the support.
-    Use lo=0 / hi=None for full-line support.
-    """
-
-    fn: Callable[[mpf], mpf]
-    support: Tuple[float, Optional[float]] = (0.0, None)
-
-    def __call__(self, x: mpf) -> mpf:
-        lo, hi = self.support
-        if x < lo or (hi is not None and x > hi):
-            return mpf(0)
-        return to_real(self.fn(x))
-
-
-def _as_integrand(f) -> QIntegrand:
-    return f if isinstance(f, QIntegrand) else QIntegrand(f)
-
 
 _DECAY_WINDOW = 5  # consecutive decaying terms required before trusting a tail
 
@@ -102,8 +79,6 @@ def _geometric_sum(term_fn, ctx: PrecisionCtx, tol, max_terms,
     n = 0
     while n < max_terms:
         t = term_fn(n)
-        if t is None:  # exact end of support
-            return SeriesValue(s, mpf(0), n, True)
         s += t
         if prev is not None and prev != 0:
             ratios.append(abs(t) / abs(prev))
@@ -122,19 +97,13 @@ def _geometric_sum(term_fn, ctx: PrecisionCtx, tol, max_terms,
 def jackson_integral_finite(f, c, q,
                             ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """int_0^c f(t) d_q t = c (1-q) sum_{n>=0} f(c q^n) q^n."""
-    fn = _as_integrand(f)
     q, c = to_real(q), to_real(c)
-    if not (0 < q < 1):
-        raise QDomainError(f"jackson_integral_finite requires 0 < q < 1, got {q}")
+    _check_q(q, c=c)
     if c <= 0:
         raise QDomainError(f"jackson_integral_finite requires c > 0, got {c}")
-    lo = to_real(fn.support[0])
     with ctx.working():
         def term(n):
-            x = c * q ** n
-            if lo > 0 and x < lo:
-                return None
-            return fn(x) * q ** n
+            return to_real(f(c * q ** n)) * q ** n
 
         s = _geometric_sum(term, ctx, ctx.tail_tol(), ctx.max_terms,
                            "jackson_integral_finite")

@@ -26,7 +26,6 @@ _MAX_DRAWS = 10_000
 
 @dataclass(frozen=True)
 class IdentityResult:
-    point: QPoint
     lhs_value: mpf
     rhs_value: mpf
     abs_err: mpf
@@ -70,7 +69,6 @@ def eval_identity(identity_id: str, point: QPoint, tol=None,
         floor = ctx.rel_floor()
         rel_err = abs_err / max(abs(lhs.value), abs(rhs.value), floor)
         return IdentityResult(
-            point=point,
             lhs_value=lhs.value,
             rhs_value=rhs.value,
             abs_err=abs_err,

@@ -60,7 +60,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "b32338643cb24b51176394d667c05c60372fae185a153ec83ce67b269902b63f")
+        "dc5525281a4cb992e65d922823fc20779f213f79e569ffbb3cc07167c3ad9e89")
 
 
 def test_seed_changes_sampled_points():
@@ -83,8 +83,6 @@ def test_unknown_identity_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(points_per_identity=0)
-    with pytest.raises(ValueError):
-        RunConfig(report_format="xml")
 
 
 def test_synthetic_offset_detected():

@@ -285,15 +285,12 @@ def test_geometric_closure_is_sound(digits):
             assert v.terms_used < 1000, (label, v.terms_used)
 
 
-def _ratio_series_every_term(num_params, den_params, q, arg, ctx,
-                             extra_q_factorial, start_at_one=False):
+def _ratio_series_every_term(num_params, den_params, q, arg, ctx):
     """Reference loop that builds the geometric closure bound at every
     term."""
     tol = ctx.tail_tol()
     floor = ctx.rel_floor()
     cs = [abs(c) for c in num_params + den_params]
-    if extra_q_factorial:
-        cs.append(q)
     omq = 1 - q
     c_sum = mpf(0)
     for c in cs:
@@ -302,25 +299,10 @@ def _ratio_series_every_term(num_params, den_params, q, arg, ctx,
     s_val = mpf(0)
     qn = mpf(1)
     n = 0
-    if start_at_one:
-        t = arg
-        for u in num_params:
-            t *= 1 - u
-        for b in den_params:
-            d = 1 - b
-            if d == 0:
-                raise PoleError("vanishing denominator factor at n=1")
-            t /= d
-        if extra_q_factorial:
-            t /= 1 - q
-        qn = q
-        n = 1
-    else:
-        t = mpf(1)
-    start = n
+    t = mpf(1)
     while True:
         if t == 0:
-            return SeriesValue(s_val, mpf(0), n - start, True)
+            return SeriesValue(s_val, mpf(0), n, True)
         value = s_val + t / (1 - arg)
         limit = tol * max(abs(value), floor)
         xs = [c * qn for c in cs]
@@ -330,48 +312,45 @@ def _ratio_series_every_term(num_params, den_params, q, arg, ctx,
                 rest += x * x / (omq * (1 - x))
             err = mp.expm1(c_over_omq * qn + rest) * (abs(t) / (1 - abs(arg)))
             if err <= limit:
-                return SeriesValue(value, err, n - start + 1, True)
+                return SeriesValue(value, err, n + 1, True)
         s_val += t
         num = mpf(1)
         for u in num_params:
             num *= 1 - u * qn
         den = mpf(1)
-        if extra_q_factorial:
-            den *= 1 - q * qn
         for b in den_params:
             f = 1 - b * qn
             if f == 0:
                 raise PoleError(f"vanishing denominator factor at n={n}")
             den *= f
-        if den == 0:
-            raise PoleError(f"vanishing (q;q)_n factor at n={n}")
         t = t * num / den * arg
         qn *= q
         n += 1
 
 
 def _ratio_series_cases():
-    """(num, den, q, arg, extra_q_factorial, start_at_one) as phi and
-    psi_bilateral pass them, built at the precision in force."""
+    """(num, den, q, arg) as phi and psi_bilateral pass them, built at the
+    precision in force: phi puts q first among the den parameters, for the
+    (q;q)_n."""
     q = mpf("0.6")
     for z in (mpf("0.7"), mpf("-0.7")):
-        yield [mpf("0.3")], [], q, z, True, False  # 1phi0
-        yield [mpf("0.2"), mpf("-0.5")], [mpf("0.7")], q, z, True, False
-        yield ([mpf("0.1"), mpf("0.4"), mpf("-0.6")], [mpf("0.3"), mpf("0.8")],
-               mpf("0.9"), z, True, False)  # 3phi2
+        yield [mpf("0.3")], [q], q, z  # 1phi0
+        yield [mpf("0.2"), mpf("-0.5")], [q, mpf("0.7")], q, z
+        yield ([mpf("0.1"), mpf("0.4"), mpf("-0.6")],
+               [mpf("0.9"), mpf("0.3"), mpf("0.8")], mpf("0.9"), z)  # 3phi2
     # |b| > 1: the tail cannot close until |b| q^n < 1
-    yield [mpf("0.5")], [mpf("1.7")], q, mpf("0.6"), True, False
-    yield [mpf("0.5")], [mpf("-2.5")], q, mpf("-0.6"), True, False
+    yield [mpf("0.5")], [q, mpf("1.7")], q, mpf("0.6")
+    yield [mpf("0.5")], [q, mpf("-2.5")], q, mpf("-0.6")
     # even where a tiny argument makes g |t|/(1-|arg|) small early
-    yield [mpf("0.5")], [mpf(-40)], q, mpf("1e-20"), True, False
+    yield [mpf("0.5")], [q, mpf(-40)], q, mpf("1e-20")
     # |b| q^n = 1 exactly at n = 2 does not close the tail there
-    yield [mpf("0.5")], [mpf(-4)], mpf("0.5"), mpf("1e-20"), True, False
+    yield [mpf("0.5")], [mpf("0.5"), mpf(-4)], mpf("0.5"), mpf("1e-20")
     # psi_bilateral with b = q sums the positive half alone
-    yield [mpf("0.4")], [q], q, mpf("0.5"), False, False
-    # the negative half of psi_bilateral([a], [b], q, z)
+    yield [mpf("0.4")], [q], q, mpf("0.5")
+    # the negative half of psi_bilateral([a], [b], q, z), shifted to m = 0
     a, b = mpf("0.5"), mpf("0.3")
     for z in (mpf("0.7"), mpf("-0.9")):
-        yield [q / b], [q / a], q, b / (a * z), False, True
+        yield [q * q / b], [q * q / a], q, b / (a * z)
 
 
 @pytest.mark.parametrize("ctx", [PrecisionCtx(digits=20),
@@ -395,9 +374,9 @@ def test_ratio_series_bit_identical(monkeypatch, ctx):
     monkeypatch.setattr(qcore, "_closure_err", counting_closure_err)
     with ctx.working():
         for case in _ratio_series_cases():
-            ref = _ratio_series_every_term(*case[:4], ctx, *case[4:])
+            ref = _ratio_series_every_term(*case, ctx)
             built.clear()
-            got = qcore._ratio_series(*case[:4], ctx, *case[4:])
+            got = qcore._ratio_series(*case, ctx)
             assert got == ref, case
             # g |t|/(1-|arg|) is tight once q^n is small: L and its expm1
             # are built at no more than two terms of these sums
@@ -434,16 +413,29 @@ def test_psi_matches_product_side(ctx40):
 
 
 def test_psi_negative_half_counts_terms_summed(ctx40):
-    # lower b = q^3 at q = 1/2 makes the negative half's upper parameter
-    # q/b = q^-2, so that half ends after its terms m = 1 and m = 2
+    # lower b = q^3 at q = 1/2 makes the shifted negative half's upper
+    # parameter q^2/b = q^-1, so that half ends after its terms m = 0 and
+    # m = 1 (the terms m = 1 and m = 2 of sum_{n<0})
     q, a, b, z = mpf("0.5"), mpf("0.9"), mpf("0.125"), mpf("0.6")
     with ctx40.working():
-        neg = qcore._ratio_series([q / b], [q / a], q, b / (a * z), ctx40,
-                                  False, start_at_one=True)
-        pos = qcore._ratio_series([a], [b], q, z, ctx40, False)
+        neg = qcore._ratio_series([q * q / b], [q * q / a], q, b / (a * z),
+                                  ctx40)
+        pos = qcore._ratio_series([a], [b], q, z, ctx40)
     assert neg.terms_used == 2
     assert psi_bilateral([a], [b], q, z, ctx40).terms_used == (
         pos.terms_used + 2)
+
+
+@pytest.mark.parametrize("q", ["0.5", "0.3"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_psi_negative_half_pole(ctx40, q, k):
+    # a = q^k makes (q/a;q)_m vanish at m = k, a pole of every negative-index
+    # term from there on: a typed PoleError, never a ZeroDivisionError
+    q = mpf(q)
+    with ctx40.working():
+        a = q ** k
+    with pytest.raises(PoleError):
+        psi_bilateral([a], [a / 10], q, mpf("0.6"), ctx40)
 
 
 def test_psi_rejects_outside_annulus():
