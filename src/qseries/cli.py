@@ -7,7 +7,8 @@ import argparse
 import os
 import sys
 
-from .errors import ParseError, QSeriesError, UnknownIdentityError
+from .errors import (ParseError, QDomainError, QSeriesError,
+                     UnknownIdentityError)
 from .harness import (RunConfig, full_registry, render_json, render_text,
                       report_passed, run)
 from .params import parse_param
@@ -20,14 +21,27 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _default_digits() -> int:
-    env = os.environ.get("QSERIES_DIGITS")
-    if env is None:
-        return 40
+def _error(message: str, code: int = EXIT_USAGE) -> int:
+    """Print one `qseries: error:` line and return the exit code."""
+    print(f"qseries: error: {message}", file=sys.stderr)
+    return code
+
+
+def _ctx(args) -> PrecisionCtx:
+    """The context of --digits, else of QSERIES_DIGITS, else of 40 digits;
+    a precision that is not an integer >= 10 is a usage error."""
+    digits = args.digits
+    if digits is None:
+        env = os.environ.get("QSERIES_DIGITS", "40")
+        try:
+            digits = int(env)
+        except ValueError:
+            raise SystemExit(
+                _error(f"QSERIES_DIGITS must be an integer, got {env!r}"))
     try:
-        return int(env)
-    except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        return PrecisionCtx(digits=digits)
+    except QDomainError as exc:
+        raise SystemExit(_error(str(exc)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,34 +88,27 @@ def _explicit_point(args, ctx: PrecisionCtx) -> QPoint | None:
     if not args.set and args.q is None:
         return None
     if args.q is None:
-        print("qseries: error: --set requires --q", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_error("--set requires --q"))
     # decimals are converted under the working precision, so an explicit
     # point carries every digit typed rather than the nearest double
     try:
         with ctx.working():
             q = to_real(args.q)
     except ValueError:
-        print(f"qseries: error: invalid --q value {args.q!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_error(f"invalid --q value {args.q!r}"))
     params = {}
     for item in args.set:
         name, sep, expr_text = item.partition("=")
         if not sep or not name:
-            print(f"qseries: error: --set expects NAME=EXPR, got {item!r}",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise SystemExit(_error(f"--set expects NAME=EXPR, got {item!r}"))
         try:
             params[name] = parse_param(expr_text).eval(q, ctx)
         except ParseError as exc:
-            print(f"qseries: error: bad expression for {name!r}: {exc}",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise SystemExit(_error(f"bad expression for {name!r}: {exc}"))
     try:
         return QPoint(q, params)
     except QSeriesError as exc:
-        print(f"qseries: error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_error(str(exc)))
 
 
 def _cmd_list() -> int:
@@ -111,26 +118,22 @@ def _cmd_list() -> int:
 
 
 def _cmd_verify(args) -> int:
-    digits = args.digits if args.digits is not None else _default_digits()
-    ctx = PrecisionCtx(digits=digits)
+    ctx = _ctx(args)
     point = _explicit_point(args, ctx)
     if point is not None and args.identity == "all":
-        print("qseries: error: explicit points require a single --identity",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _error("explicit points require a single --identity")
     try:
         config = RunConfig(
             identities=("all",) if args.identity == "all" else (args.identity,),
             points_per_identity=args.points,
             seed=args.seed,
-            digits=digits,
+            digits=ctx.digits,
             tolerance=args.tol,
             explicit_points=(point,) if point is not None else (),
         )
         report = run(config)
     except (UnknownIdentityError, ValueError) as exc:
-        print(f"qseries: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(str(exc))
     text = render_json(report) if args.report == "json" else render_text(report)
     if args.out:
         with open(args.out, "w") as fh:
@@ -141,35 +144,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    digits = args.digits if args.digits is not None else _default_digits()
-    ctx = PrecisionCtx(digits=digits)
+    ctx = _ctx(args)
     point = _explicit_point(args, ctx)
     if point is None:
-        print("qseries: error: eval requires --q (and --set for each parameter)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _error("eval requires --q (and --set for each parameter)")
     try:
         entry = _lookup(args.identity, full_registry())
     except UnknownIdentityError as exc:
-        print(f"qseries: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(str(exc))
     missing = [n for n in entry.param_names if n not in point.params]
     if missing:
-        print(f"qseries: error: missing --set for {', '.join(missing)}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"missing --set for {', '.join(missing)}")
     violations = entry.domain(point, ctx)
     if violations:
-        print(f"qseries: error: {entry.id}: {'; '.join(violations)}",
-              file=sys.stderr)
-        return EXIT_FAIL
+        return _error(f"{entry.id}: {'; '.join(violations)}", EXIT_FAIL)
     side = entry.lhs if args.side == "lhs" else entry.rhs
     try:
         value = side(point, ctx)
     except QSeriesError as exc:
-        print(f"qseries: error: evaluation failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    print(real_str(value.value, digits))
+        return _error(f"evaluation failed: {exc}", EXIT_FAIL)
+    print(real_str(value.value, ctx.digits))
     return EXIT_PASS
 
 

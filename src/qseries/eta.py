@@ -22,13 +22,12 @@ def eta_nome(q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
 
 
 def eta_quotient(scales, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
-    """prod_m eta(q^m)^e for scales = {m: e} (or iterable of (m, e) pairs)."""
+    """prod_m eta(q^m)^e for scales = {m: e}."""
     q = to_real(q)
-    items = scales.items() if hasattr(scales, "items") else scales
     out = SeriesValue.of(1)
     terms = 0
     with ctx.working():
-        for m, e in items:
+        for m, e in scales.items():
             if m <= 0:
                 raise QDomainError(f"eta_quotient scale must be positive, got {m}")
             factor = eta_nome(q ** m, ctx)

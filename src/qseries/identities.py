@@ -3,9 +3,10 @@ constraint table, sampler and two independently built sides.
 
 Left sides use direct (split) bilateral summation, eta quotients or Gamma
 quotients; right sides only infinite products and unilateral series, so
-pointwise agreement is evidence rather than circularity. The right sides of
-Theorems 2.1, 2.2 and 2.3 are composed as in the paper's proofs, from the
-single-sided transforms (2.5)+(2.6), (2.8)+(2.9) and (2.5)+(2.9) minus 1.
+pointwise agreement is evidence rather than circularity. Section 2 is
+Heine's (2.1) and (2.2) applied to the two halves of (1.1), as in the
+paper's proofs; each classical limit is one Gamma ratio against one beta
+series.
 
 Note on eq-3.2: the printed single-sum form of that identity telescopes the
 bilateral ratio (-q;q)_n/(-q^3;q)_n to 1/((1+q^{n+1})(1+q^{n+2})) but drops
@@ -30,7 +31,7 @@ from .qcore import (
     psi_bilateral,
     qpow,
 )
-from .qgamma import _gamma_quot, _levin_sum, classical_gamma
+from .qgamma import _beta_series, _gamma_quot, _gamma_ratio, classical_gamma
 from .rng import SplitMix64
 
 __all__ = ["CATALOG", "IdentityEntry", "full_registry"]
@@ -186,68 +187,52 @@ def _rhs_eq11(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
                     [z, b / (a * z), b, q / a], q, ctx)
 
 
-def _lhs_heine(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    return phi([p["a"], p["b"]], [p["c"]], p.q, p["z"], ctx)
+# Section 2 is Heine's two transforms (2.1) and (2.2) of 2phi1(A, B; C; q, Z)
+# (Gasper & Rahman, Basic Hypergeometric Series, section 1.4), each taken at
+# one of three parameter maps: eq-2.1/2.2's own point, the n >= 0 half of
+# (1.1), 2phi1(q, a; b; q, z), or its n < 0 half plus the n = 0 term 1,
+# 2phi1(q, q/b; q/a; q, b/(az)). A theorem is a transformed positive half
+# plus a transformed negative half, minus the 1 counted twice.
+
+def _phi21(A, B, C, Z, q, ctx: PrecisionCtx) -> SeriesValue:
+    return phi([A, B], [C], q, Z, ctx)
 
 
-def _rhs_heine1(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, c, z, q = p["a"], p["b"], p["c"], p["z"], p.q
-    return (prodquot([b, a * z], [c, z], q, ctx)
-            * phi([c / b, z], [a * z], q, b, ctx))
+def _heine1(A, B, C, Z, q, ctx: PrecisionCtx) -> SeriesValue:
+    return (prodquot([B, A * Z], [C, Z], q, ctx)
+            * phi([C / B, Z], [A * Z], q, B, ctx))
 
 
-def _rhs_heine2(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, c, z, q = p["a"], p["b"], p["c"], p["z"], p.q
-    return (prodquot([c / b, b * z], [c, z], q, ctx)
-            * phi([a * b * z / c, b], [b * z], q, c / b, ctx))
+def _heine2(A, B, C, Z, q, ctx: PrecisionCtx) -> SeriesValue:
+    return (prodquot([C / B, B * Z], [C, Z], q, ctx)
+            * phi([A * B * Z / C, B], [B * Z], q, C / B, ctx))
 
 
-def _lhs_ratio_sum(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    # sum_{n>=0} (a;q)_n/(b;q)_n z^n as a phi with the (q;q)_n cancelled
+def _own(p: QPoint) -> tuple:
+    return p["a"], p["b"], p["c"], p["z"]
+
+
+def _pos(p: QPoint) -> tuple:
+    return p.q, p["a"], p["b"], p["z"]
+
+
+def _neg(p: QPoint) -> tuple:
     a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return phi([a, q], [b], q, z, ctx)
+    return q, q / b, q / a, b / (a * z)
 
 
-def _lhs_inverted_sum(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    # sum_{n>=0} (q/b;q)_n/(q/a;q)_n (b/az)^n
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return phi([q / b, q], [q / a], q, b / (a * z), ctx)
+def _at(form, pmap):
+    """The side ``form`` at the 2phi1 parameters ``pmap`` gives a point."""
+
+    def side(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+        return form(*pmap(p), p.q, ctx)
+
+    return side
 
 
-def _rhs_eq25(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return (prodquot([b / a, a * z], [b, z], q, ctx)
-            * phi([a, a * q * z / b], [a * z], q, b / a, ctx))
-
-
-def _rhs_eq26(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return (prodquot([q / b, b * q / (a * z)], [q / a, b / (a * z)], q, ctx)
-            * phi([b / a, b / (a * z)], [b * q / (a * z)], q, q / b, ctx))
-
-
-def _rhs_eq28(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return (prodquot([a, q * z], [b, z], q, ctx)
-            * phi([b / a, z], [q * z], q, a, ctx))
-
-
-def _rhs_eq29(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return (prodquot([b / a, q / (a * z)], [q / a, b / (a * z)], q, ctx)
-            * phi([q / z, q / b], [q / (a * z)], q, b / a, ctx))
-
-
-def _rhs_thm21(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    return _rhs_eq25(p, ctx) + _rhs_eq26(p, ctx) - 1
-
-
-def _rhs_thm22(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    return _rhs_eq28(p, ctx) + _rhs_eq29(p, ctx) - 1
-
-
-def _rhs_thm23(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    return _rhs_eq25(p, ctx) + _rhs_eq29(p, ctx) - 1
+def _halves(pos_form, neg_form):
+    pos, neg = _at(pos_form, _pos), _at(neg_form, _neg)
+    return lambda p, ctx: pos(p, ctx) + neg(p, ctx) - 1
 
 
 def _lhs_eq31(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
@@ -403,48 +388,33 @@ def _section5_rhs(first, second):
 
 def _lhs_eq55(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     b, z = p["b"], p["z"]
-    return SeriesValue.of(classical_gamma(1 - b, ctx)
-                          * classical_gamma(b + 1 - z, ctx)
-                          / classical_gamma(1 - z, ctx))
+    return _gamma_ratio([1 - b, b + 1 - z], [1 - z], ctx)
 
 
 def _rhs_eq55(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     b, z = p["b"], p["z"]
-    # t_n = (b)_n/n! * (b-z)/(b-z+n)
-    return _levin_sum(1, lambda n: ((b + n) / (n + 1)
-                                    * (b - z + n) / (b - z + n + 1)),
-                      ctx)
+    return _beta_series(1, b, b - z, ctx)
 
 
 def _lhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     x, y = p["x"], p["y"]
-    return SeriesValue.of(classical_gamma(x, ctx) * classical_gamma(y, ctx)
-                          / classical_gamma(x + y, ctx))
+    return _gamma_ratio([x, y], [x + y], ctx)
 
 
 def _rhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     x, y = p["x"], p["y"]
-    # u_n = prod_{k<=n}(k-x)/n! * 1/(n+y)
-    return _levin_sum(y,
-                      lambda n: ((n + 1 - x) / (n + 1) * (n + y) / (n + 1 + y)),
-                      ctx)
+    return _beta_series(y, 1 - x, y, ctx)
 
 
 def _lhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z = p["a"], p["b"], p["z"]
-    num = (classical_gamma(a, ctx) * classical_gamma(z, ctx)
-           * classical_gamma(1 - a, ctx) * classical_gamma(b - a - z, ctx))
-    den = (classical_gamma(a + z, ctx) * classical_gamma(b - a, ctx)
-           * classical_gamma(1 - a - z, ctx))
-    return SeriesValue.of(num / den)
+    return _gamma_ratio([a, z, 1 - a, b - a - z], [a + z, b - a, 1 - a - z],
+                        ctx)
 
 
 def _rhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z = p["a"], p["b"], p["z"]
-    # t_n = (b-a)_n/(n! (n+z))
-    return _levin_sum(z,
-                      lambda n: ((b - a + n) / (n + 1) * (n + z) / (n + 1 + z)),
-                      ctx)
+    return _beta_series(z, b - a, z, ctx)
 
 
 def _lhs_eq59(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
@@ -454,32 +424,19 @@ def _lhs_eq59(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
 
 
 def _rhs_eq59(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    # t_n = (1/2)_n/(n! (4n+1))
-    half = mpf(1) / 2
-    return _levin_sum(1,
-                      lambda n: ((n + half) / (n + 1)
-                                 * (4 * n + 1) / (4 * n + 5)),
-                      ctx)
+    return _beta_series(1, mpf(1) / 2, mpf(1) / 4, ctx)
 
 
 def _lhs_eq512(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z = p["a"], p["b"], p["z"]
-    num = (classical_gamma(b, ctx) * classical_gamma(1 - a, ctx)
-           * classical_gamma(z, ctx) * classical_gamma(b - a - z, ctx))
-    den = classical_gamma(a + z, ctx) * classical_gamma(1 - a - z, ctx)
-    return SeriesValue.of(num / den)
+    return _gamma_ratio([b, 1 - a, z, b - a - z], [a + z, 1 - a - z], ctx)
 
 
 def _rhs_eq512(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     a, b, z = p["a"], p["b"], p["z"]
-    beta = (classical_gamma(b - a, ctx) * classical_gamma(a - b + 1, ctx)
-            / classical_gamma(1, ctx))
-    bracket = (classical_gamma(1 - a, ctx) * classical_gamma(b - a - z, ctx)
-               / (classical_gamma(1 - z, ctx) * classical_gamma(1 - b, ctx))
-               + classical_gamma(b, ctx) * classical_gamma(z, ctx)
-               / (classical_gamma(a, ctx)
-                  * classical_gamma(a + 1 + z - b, ctx)))
-    return SeriesValue.of(bracket * beta)
+    return (_gamma_ratio([b - a, a - b + 1], [1], ctx)
+            * (_gamma_ratio([1 - a, b - a - z], [1 - z, 1 - b], ctx)
+               + _gamma_ratio([b, z], [a, a + 1 + z - b], ctx)))
 
 
 # --- q-gamma and classical samplers ----------------------------------------
@@ -579,8 +536,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         default_tol=Q_TOL,
         constraints=(_Z_IN_DISC,
                      ("0 < |b| < 1", lambda p: 0 < abs(p["b"]) < 1)),
-        lhs=_lhs_heine,
-        rhs=_rhs_heine1,
+        lhs=_at(_phi21, _own),
+        rhs=_at(_heine1, _own),
         sampler=_heine_sampler("eq-2.1"),
     ),
     IdentityEntry(
@@ -591,8 +548,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         constraints=(_Z_IN_DISC,
                      ("0 < |c/b| < 1",
                       lambda p: 0 < abs(p["c"]) < abs(p["b"]))),
-        lhs=_lhs_heine,
-        rhs=_rhs_heine2,
+        lhs=_at(_phi21, _own),
+        rhs=_at(_heine2, _own),
         sampler=_heine_sampler("eq-2.2"),
     ),
     IdentityEntry(
@@ -601,8 +558,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=("a", "b", "z"),
         default_tol=Q_TOL,
         constraints=(_Z_IN_DISC, _B_OVER_A),
-        lhs=_lhs_ratio_sum,
-        rhs=_rhs_eq25,
+        lhs=_at(_phi21, _pos),
+        rhs=_at(_heine2, _pos),
         sampler=_transform_sampler("eq-2.5"),
     ),
     IdentityEntry(
@@ -611,8 +568,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=("a", "b", "z"),
         default_tol=Q_TOL,
         constraints=(_INVERTED_ARG, _Q_BELOW_B),
-        lhs=_lhs_inverted_sum,
-        rhs=_rhs_eq26,
+        lhs=_at(_phi21, _neg),
+        rhs=_at(_heine1, _neg),
         sampler=_transform_sampler("eq-2.6"),
     ),
     IdentityEntry(
@@ -622,8 +579,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         default_tol=Q_TOL,
         constraints=(_Z_IN_DISC,
                      ("0 < |a| < 1", lambda p: 0 < abs(p["a"]) < 1)),
-        lhs=_lhs_ratio_sum,
-        rhs=_rhs_eq28,
+        lhs=_at(_phi21, _pos),
+        rhs=_at(_heine1, _pos),
         sampler=_transform_sampler("eq-2.8"),
     ),
     IdentityEntry(
@@ -632,8 +589,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=("a", "b", "z"),
         default_tol=Q_TOL,
         constraints=(_INVERTED_ARG, _B_OVER_A),
-        lhs=_lhs_inverted_sum,
-        rhs=_rhs_eq29,
+        lhs=_at(_phi21, _neg),
+        rhs=_at(_heine2, _neg),
         sampler=_transform_sampler("eq-2.9"),
     ),
     IdentityEntry(
@@ -643,7 +600,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         default_tol=Q_TOL,
         constraints=_ANNULUS + (_Q_BELOW_B,),
         lhs=_lhs_bilateral,
-        rhs=_rhs_thm21,
+        rhs=_halves(_heine2, _heine1),
         sampler=_bilateral_sampler("thm-2.1"),
     ),
     IdentityEntry(
@@ -653,7 +610,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         default_tol=Q_TOL,
         constraints=_ANNULUS + (("|a| < 1", lambda p: abs(p["a"]) < 1),),
         lhs=_lhs_bilateral,
-        rhs=_rhs_thm22,
+        rhs=_halves(_heine1, _heine2),
         sampler=_bilateral_sampler("thm-2.2"),
     ),
     IdentityEntry(
@@ -663,7 +620,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         default_tol=Q_TOL,
         constraints=_ANNULUS,
         lhs=_lhs_bilateral,
-        rhs=_rhs_thm23,
+        rhs=_halves(_heine2, _heine2),
         sampler=_bilateral_sampler("thm-2.3"),
     ),
     IdentityEntry(

@@ -2,8 +2,8 @@
 
 All scalar arithmetic is done with mpmath ``mpf`` values; a
 :class:`PrecisionCtx` decides the working precision (requested digits plus
-guard digits to absorb cancellation), the truncation-error target and the
-hard cap on summed or multiplied terms.
+ten guard digits to absorb cancellation), the truncation-error target
+10**-digits and the hard cap on summed or multiplied terms.
 """
 
 from __future__ import annotations
@@ -17,42 +17,35 @@ from .errors import QDomainError
 __all__ = ["PrecisionCtx", "DEFAULT_CTX", "to_real", "real_str"]
 
 
+# extra internal digits to absorb cancellation
+_GUARD_DIGITS = 10
+
+
 @dataclass(frozen=True)
 class PrecisionCtx:
     """Evaluation context governing every series/product evaluation.
 
-    digits        decimal working precision of reported values
-    max_terms     hard cap on summed/multiplied terms per evaluation
-    tail_rel_tol  target relative truncation error (None -> 10**-digits)
-    guard_digits  extra internal digits to absorb cancellation
+    digits     decimal precision of reported values; 10**-digits is both the
+               relative truncation-error target and the floor of
+               relative-error denominators
+    max_terms  hard cap on summed/multiplied terms per evaluation
     """
 
     digits: int = 40
     max_terms: int = 500_000
-    tail_rel_tol: float | None = None
-    guard_digits: int = 10
 
     def __post_init__(self):
         if self.digits < 10:
             raise QDomainError("digits must be >= 10")
         if self.max_terms < 1:
             raise QDomainError("max_terms must be >= 1")
-        if self.guard_digits < 0:
-            raise QDomainError("guard_digits must be >= 0")
-        if self.tail_rel_tol is not None and not (0 < self.tail_rel_tol < 1):
-            raise QDomainError("tail_rel_tol must lie in (0, 1)")
 
     @property
     def working_dps(self) -> int:
-        return self.digits + self.guard_digits
+        return self.digits + _GUARD_DIGITS
 
     def tail_tol(self) -> mpf:
-        if self.tail_rel_tol is None:
-            return mpf(10) ** (-self.digits)
-        return mpf(self.tail_rel_tol)
-
-    def rel_floor(self) -> mpf:
-        """Floor used in relative-error denominators: 10**-digits."""
+        """10**-digits."""
         return mpf(10) ** (-self.digits)
 
     def working(self):

@@ -4,14 +4,14 @@ Powers of q (fractional exponents included), q-Pochhammer symbols for all
 integer orders, unilateral and bilateral basic hypergeometric series, and
 convergence acceleration for slowly convergent classical series.
 
-Truncation rule: a product stops once a certified bound on the log of its
-remaining factors meets tail_rel_tol, and that bound becomes the error
-estimate. A phi/psi series closes its tail geometrically: from the next term
-t on, every term ratio is arg times a factor whose partial products lie
-within exp(+-L) of 1, so the tail is t / (1 - arg) to within
+Truncation rule, with tol = 10**-digits: a product stops once a certified
+bound on the log of its remaining factors meets tol, and that bound becomes
+the error estimate. A phi/psi series closes its tail geometrically: from
+the next term t on, every term ratio is arg times a factor whose partial
+products lie within exp(+-L) of 1, so the tail is t / (1 - arg) to within
 expm1(L) |t| / (1 - |arg|). The series stops once that bound meets
-tail_rel_tol * |sum + t / (1 - arg)| and returns the closed sum with the
-bound as its estimate; near |arg| = 1 this costs about log(tol) / log(q)
+tol * |sum + t / (1 - arg)| and returns the closed sum with the bound as its
+estimate; near |arg| = 1 this costs about log(tol) / log(q)
 terms, not log(tol) / log|arg|. Each stop test is skipped only where it
 provably cannot pass, because a cheaper lower bound on its rounded value
 already exceeds the tolerance (see pochhammer_inf and _ratio_series), so
@@ -34,7 +34,7 @@ from math import comb
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
-from mpmath.libmp import (fhalf, finf, fone, fzero, mpf_abs, mpf_add, mpf_div,
+from mpmath.libmp import (finf, fone, fzero, mpf_abs, mpf_add, mpf_div,
                           mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
                           mpf_rdiv_int, mpf_shift, mpf_sub)
 from mpmath.libmp import round_nearest as RN
@@ -192,7 +192,8 @@ def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         omq = mpf_sub(fone, q, prec, RN)
         # bound = u/((1-q)(1-u)) rounds to at least u/(1-q), so it cannot
         # meet tol while u > 2 tol (1-q); expm1(b) >= b, so expm1 cannot
-        # meet tol before bound does
+        # meet tol before bound does. tol <= 1e-10, so u <= 2 tol (1-q)
+        # also keeps u below 1/2, where the bound holds
         gate = mpf_mul(mpf_mul_int(tol_, 2, prec, RN), omq, prec, RN)
         prod = fone
         qn = fone  # q^n
@@ -206,8 +207,8 @@ def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
             n += 1
             qn = mpf_mul(qn, q, prec, RN)
             u = mpf_mul(aa, qn, prec, RN)
-            if mpf_le(u, gate) and mpf_lt(u, fhalf):
-                # for u < 1/2, |log of remaining product| <= u/((1-q)(1-u))
+            if mpf_le(u, gate):
+                # |log of remaining product| <= u/((1-q)(1-u))
                 bound = mpf_div(
                     u, mpf_mul(omq, mpf_sub(fone, u, prec, RN), prec, RN),
                     prec, RN)
@@ -278,6 +279,22 @@ def _closure_err(cs, qn, g, h, omq, prec):
     return mpf_mul(rel, h, prec, RN)
 
 
+class _DenominatorPole(PoleError):
+    """The factor 1 - b q^n of _ratio_series's den parameter b vanished."""
+
+    def __init__(self, b, n):
+        super().__init__(f"vanishing denominator factor 1 - ({b})*q^{n}")
+        self.b, self.n = b, n
+
+
+def _neg_half_pole(upper, i, m) -> PoleError:
+    """psi's negative half has a pole: (q/a_i;q)_m gains the vanishing
+    factor 1 - q^m/a_i at m."""
+    qm = "q" if m == 1 else f"q^{m}"
+    return PoleError(f"bilateral pole: 1 - {qm}/a{i} vanishes at m = {m} "
+                     f"(a{i}={upper[i - 1]})")
+
+
 def _ratio_series(num_params, den_params, q, arg, ctx):
     """Sum over n >= 0 of prod (num;q)_n / prod (den;q)_n * arg^n for |arg|
     < 1; terms_used counts the terms summed plus the closing term. phi passes
@@ -290,14 +307,13 @@ def _ratio_series(num_params, den_params, q, arg, ctx):
     has |log| <= L = sum_c c q^n / ((1-q)(1-c q^n)), so the closed tail is
     off by at most err = expm1(L) |t_n| / (1 - |arg|) (Gasper & Rahman, Basic
     Hypergeometric Series, 1.2). The sum stops at the first n where err <=
-    tol * max(|s + t_n/(1-arg)|, floor) and returns s + t_n/(1-arg) with
+    tol * max(|s + t_n/(1-arg)|, tol) and returns s + t_n/(1-arg) with
     err as its certified estimate. Computed in round to nearest, L is never
     below g = c_sum q^n / (1-q) and expm1(L) >= L, so L and expm1 are built
     only once g |t_n| / (1 - |arg|) meets the limit.
     """
     prec = mp.prec
     tol = ctx.tail_tol()._mpf_
-    floor = ctx.rel_floor()._mpf_
     max_terms = ctx.max_terms
     nums = [u._mpf_ for u in num_params]
     dens = [b._mpf_ for b in den_params]
@@ -320,8 +336,8 @@ def _ratio_series(num_params, den_params, q, arg, ctx):
             return SeriesValue(mp.make_mpf(s_val), mpf(0), n, True)
         value = mpf_add(s_val, mpf_div(t, one_minus_arg, prec, RN), prec, RN)
         abs_v = mpf_abs(value, prec, RN)
-        # max(|value|, floor)
-        limit = mpf_mul(tol, floor if mpf_gt(floor, abs_v) else abs_v,
+        # max(|value|, tol)
+        limit = mpf_mul(tol, tol if mpf_gt(tol, abs_v) else abs_v,
                         prec, RN)
         h = mpf_div(mpf_abs(t, prec, RN), one_minus_abs_arg, prec, RN)
         g = mpf_mul(c_over_omq, qn, prec, RN)
@@ -339,8 +355,7 @@ def _ratio_series(num_params, den_params, q, arg, ctx):
         for b, b_mpf in zip(dens, den_params):
             f = mpf_sub(fone, mpf_mul(b, qn, prec, RN), prec, RN)
             if f == fzero:
-                raise PoleError(
-                    f"vanishing denominator factor 1 - ({b_mpf})*q^{n}")
+                raise _DenominatorPole(b_mpf, n)
             den = mpf_mul(den, f, prec, RN)
         t = mpf_mul(mpf_div(mpf_mul(t, num, prec, RN), den, prec, RN), arg_,
                     prec, RN)
@@ -418,11 +433,16 @@ def psi_bilateral(upper, lower, q, z,
         for i, a_i in enumerate(upper, 1):
             d = 1 - q / a_i
             if d == 0:
-                raise PoleError(
-                    f"bilateral pole: 1 - q/a{i} vanishes at m = 1 (a{i}={a_i})")
+                raise _neg_half_pole(upper, i, 1)
             head /= d
-        neg = _ratio_series([q * q / b for b in lower],
-                            [q * q / a for a in upper], q, w, ctx)
+        dens = [q * q / a for a in upper]
+        try:
+            neg = _ratio_series([q * q / b for b in lower], dens, q, w, ctx)
+        except _DenominatorPole as exc:
+            # the factor 1 - (q^2/a_i) q^n of term n is (q/a_i;q)_m's
+            # factor at m = n + 2
+            raise _neg_half_pole(upper, dens.index(exc.b) + 1,
+                                 exc.n + 2) from None
         return pos + head * neg
 
 
@@ -439,13 +459,12 @@ def sum_with_ratio_bound(term_fn, rho_fn, ctx: PrecisionCtx,
     tolerance, and the sum stops at the same term as one that calls it at
     every term."""
     tol = ctx.tail_tol()
-    floor = ctx.rel_floor()
     s = mpf(0)
     n = start
     while True:
         t = term_fn(n)
         abs_t = abs(t)
-        limit = tol * max(abs(s), floor)
+        limit = tol * max(abs(s), tol)
         if abs_t <= limit:
             rho = rho_fn(n)
             if rho < 1:

@@ -1,7 +1,10 @@
 """q-gamma function, Jackson q-integrals, classical gamma, and the
-helpers the q-gamma and classical-limit identity sides are built from."""
+helpers the q-gamma and classical-limit identity sides are built from: a
+Gamma_q quotient, a Gamma ratio and a beta series."""
 
 from __future__ import annotations
+
+from math import prod
 
 from mpmath import mp, mpf
 
@@ -69,56 +72,55 @@ def classical_gamma(x, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
 _DECAY_WINDOW = 5  # consecutive decaying terms required before trusting a tail
 
 
-def _geometric_sum(term_fn, ctx: PrecisionCtx, tol, max_terms,
-                   what: str) -> SeriesValue:
-    """Sum term_fn(n) for n >= 0 assuming eventual geometric decay, with an
-    observed-ratio tail estimate (heuristic, so certified=False)."""
-    s = mpf(0)
-    prev = None
-    ratios: list = []
-    n = 0
-    while n < max_terms:
-        t = term_fn(n)
-        s += t
-        if prev is not None and prev != 0:
-            ratios.append(abs(t) / abs(prev))
-            if len(ratios) > _DECAY_WINDOW:
-                ratios.pop(0)
-        if (len(ratios) == _DECAY_WINDOW and max(ratios) < 1
-                and abs(t) <= tol * max(abs(s), mpf(1))):
-            r = max(ratios)
-            return SeriesValue(s, abs(t) * r / (1 - r), n + 1, False)
-        prev = t
-        n += 1
-    raise NonConvergenceError(
-        f"{what}: no geometric decay within {max_terms} terms")
-
-
 def jackson_integral_finite(f, c, q,
                             ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
-    """int_0^c f(t) d_q t = c (1-q) sum_{n>=0} f(c q^n) q^n."""
+    """int_0^c f(t) d_q t = c (1-q) sum_{n>=0} f(c q^n) q^n, summed until
+    _DECAY_WINDOW successive term ratios lie below 1, with an observed-ratio
+    tail estimate (heuristic, so certified=False)."""
     q, c = to_real(q), to_real(c)
     _check_q(q, c=c)
     if c <= 0:
         raise QDomainError(f"jackson_integral_finite requires c > 0, got {c}")
     with ctx.working():
-        def term(n):
-            return to_real(f(c * q ** n)) * q ** n
-
-        s = _geometric_sum(term, ctx, ctx.tail_tol(), ctx.max_terms,
-                           "jackson_integral_finite")
-        return (c * (1 - q)) * s
+        tol = ctx.tail_tol()
+        s = mpf(0)
+        prev = None
+        ratios: list = []
+        for n in range(ctx.max_terms):
+            t = to_real(f(c * q ** n)) * q ** n
+            s += t
+            if prev is not None and prev != 0:
+                ratios.append(abs(t) / abs(prev))
+                if len(ratios) > _DECAY_WINDOW:
+                    ratios.pop(0)
+            if (len(ratios) == _DECAY_WINDOW and max(ratios) < 1
+                    and abs(t) <= tol * max(abs(s), mpf(1))):
+                r = max(ratios)
+                return (c * (1 - q)) * SeriesValue(s, abs(t) * r / (1 - r),
+                                                   n + 1, False)
+            prev = t
+        raise NonConvergenceError(f"jackson_integral_finite: no geometric "
+                                  f"decay within {ctx.max_terms} terms")
 
 
 # --- helpers of the identity sides ------------------------------------------
 
-def _levin_sum(c, ratio_fn, ctx: PrecisionCtx) -> SeriesValue:
-    """Levin-accelerated sum of t_0 = 1/c, t_(n+1) = t_n * ratio_fn(n),
-    for identity sides, which run at the working precision."""
+def _gamma_ratio(nums, dens, ctx: PrecisionCtx) -> SeriesValue:
+    """prod Gamma(x) over nums / prod Gamma(x) over dens, each product
+    multiplied left to right."""
+    return SeriesValue.of(prod(classical_gamma(x, ctx) for x in nums)
+                          / prod(classical_gamma(x, ctx) for x in dens))
+
+
+def _beta_series(c, alpha, beta, ctx: PrecisionCtx) -> SeriesValue:
+    """Levin-accelerated sum of t_n = (alpha)_n/n! * beta/(n+beta) / c,
+    which is beta/c * B(beta, 1 - alpha), built by t_0 = 1/c, t_(n+1) =
+    t_n * (alpha+n)/(n+1) * (n+beta)/(n+1+beta); identity sides run at the
+    working precision."""
     # the transform reads at most _LEVIN_MAX_ORDER + 1 terms (kmax = len - 2)
     terms = []
     t = 1 / to_real(c)
     for n in range(_LEVIN_MAX_ORDER + 2):
         terms.append(t)
-        t = t * ratio_fn(n)
+        t = t * ((alpha + n) / (n + 1) * (n + beta) / (n + 1 + beta))
     return accelerate(terms, ctx)

@@ -66,8 +66,8 @@ def eval_identity(identity_id: str, point: QPoint, tol=None,
             raise EvaluationError("rhs", exc) from exc
         tol_v = mpf(tol) if tol is not None else mpf(entry.default_tol)
         abs_err = abs(lhs.value - rhs.value)
-        floor = ctx.rel_floor()
-        rel_err = abs_err / max(abs(lhs.value), abs(rhs.value), floor)
+        rel_err = abs_err / max(abs(lhs.value), abs(rhs.value),
+                                ctx.tail_tol())
         return IdentityResult(
             lhs_value=lhs.value,
             rhs_value=rhs.value,

@@ -63,7 +63,7 @@ def test_eta_quotient_empty(ctx40):
 def test_eta_quotient_pairs_match_definition(ctx40):
     q = mpf("0.2")
     with ctx40.working():
-        quot = eta_quotient([(1, 1), (2, -2)], q, ctx40).value
+        quot = eta_quotient({1: 1, 2: -2}, q, ctx40).value
         direct = (qpow(q, mpf(-1) / 8, ctx40)
                   * pochhammer_inf(q, q, ctx40).value
                   / pochhammer_inf(q ** 2, q ** 2, ctx40).value ** 2)
@@ -73,7 +73,7 @@ def test_eta_quotient_pairs_match_definition(ctx40):
 def test_eta_quotient_general_oracle(ctx40):
     q = mpf("0.15")
     with ctx40.working():
-        quot = eta_quotient([(2, 10), (1, -4), (4, -2)], q, ctx40).value
+        quot = eta_quotient({2: 10, 1: -4, 4: -2}, q, ctx40).value
         direct = (eta_nome(q ** 2, ctx40).value ** 10
                   / eta_nome(q, ctx40).value ** 4
                   / eta_nome(q ** 4, ctx40).value ** 2)

@@ -60,7 +60,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "dc5525281a4cb992e65d922823fc20779f213f79e569ffbb3cc07167c3ad9e89")
+        "139aae91718d43d09db4e0c9a96130ab7af865f342732b89bb03eb526d2b06b6")
 
 
 def test_seed_changes_sampled_points():
@@ -275,6 +275,37 @@ def test_cli_digits_env(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["config"]["digits"] == 25
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "eq-3.2", "--points", "1", "--digits", "5"],
+    ["eval", "--identity", "eq-3.2", "--side", "rhs", "--q", "0.5",
+     "--digits", "5"],
+])
+def test_cli_low_digits_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "qseries: error: digits must be >= 10\n"
+
+
+@pytest.mark.parametrize("env, message", [
+    ("abc", "QSERIES_DIGITS must be an integer, got 'abc'"),
+    ("5", "digits must be >= 10"),
+])
+@pytest.mark.parametrize("command", [
+    ["verify", "--identity", "eq-3.2", "--points", "1"],
+    ["eval", "--identity", "eq-3.2", "--side", "rhs", "--q", "0.5"],
+])
+def test_cli_bad_digits_env_is_usage_error(monkeypatch, capsys, env, message,
+                                           command):
+    monkeypatch.setenv("QSERIES_DIGITS", env)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qseries: error: {message}\n"
+    assert not captured.out
 
 
 def test_cli_verify_out_file(tmp_path, capsys):

@@ -94,10 +94,6 @@ def test_precision_ctx_validation():
         PrecisionCtx(digits=5)
     with pytest.raises(QDomainError):
         PrecisionCtx(max_terms=0)
-    with pytest.raises(QDomainError):
-        PrecisionCtx(tail_rel_tol=2.0)
-    with pytest.raises(QDomainError):
-        PrecisionCtx(guard_digits=-1)
 
 
 def test_precision_ctx_defaults():
