@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from .errors import (ParseError, QDomainError, QSeriesError,
                      UnknownIdentityError)
@@ -21,10 +22,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _error(message: str, code: int = EXIT_USAGE) -> int:
-    """Print one `qseries: error:` line and return the exit code."""
-    print(f"qseries: error: {message}", file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """Ends a command: `main` prints the message as one `qseries: error:`
+    line and returns the exit code."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
 
 
 def _ctx(args) -> PrecisionCtx:
@@ -36,17 +40,13 @@ def _ctx(args) -> PrecisionCtx:
         try:
             digits = int(env)
         except ValueError:
-            raise SystemExit(
-                _error(f"QSERIES_DIGITS must be an integer, got {env!r}"))
-    try:
-        return PrecisionCtx(digits=digits)
-    except QDomainError as exc:
-        raise SystemExit(_error(str(exc)))
+            raise _Failure(f"QSERIES_DIGITS must be an integer, got {env!r}")
+    return PrecisionCtx(digits=digits)
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default already exits 2; keep explicit
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+    def error(self, message):
+        raise _Failure(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,27 +88,24 @@ def _explicit_point(args, ctx: PrecisionCtx) -> QPoint | None:
     if not args.set and args.q is None:
         return None
     if args.q is None:
-        raise SystemExit(_error("--set requires --q"))
+        raise _Failure("--set requires --q")
     # decimals are converted under the working precision, so an explicit
     # point carries every digit typed rather than the nearest double
     try:
         with ctx.working():
             q = to_real(args.q)
     except ValueError:
-        raise SystemExit(_error(f"invalid --q value {args.q!r}"))
+        raise _Failure(f"invalid --q value {args.q!r}")
     params = {}
     for item in args.set:
         name, sep, expr_text = item.partition("=")
         if not sep or not name:
-            raise SystemExit(_error(f"--set expects NAME=EXPR, got {item!r}"))
+            raise _Failure(f"--set expects NAME=EXPR, got {item!r}")
         try:
             params[name] = parse_param(expr_text).eval(q, ctx)
         except ParseError as exc:
-            raise SystemExit(_error(f"bad expression for {name!r}: {exc}"))
-    try:
-        return QPoint(q, params)
-    except QSeriesError as exc:
-        raise SystemExit(_error(str(exc)))
+            raise _Failure(f"bad expression for {name!r}: {exc}")
+    return QPoint(q, params)
 
 
 def _cmd_list() -> int:
@@ -117,63 +114,62 @@ def _cmd_list() -> int:
     return EXIT_PASS
 
 
-def _cmd_verify(args) -> int:
-    ctx = _ctx(args)
-    point = _explicit_point(args, ctx)
+def _cmd_verify(args, ctx: PrecisionCtx, point: QPoint | None) -> int:
     if point is not None and args.identity == "all":
-        return _error("explicit points require a single --identity")
+        raise _Failure("explicit points require a single --identity")
+    config = RunConfig(
+        identities=(args.identity,),
+        points_per_identity=args.points,
+        seed=args.seed,
+        digits=ctx.digits,
+        tolerance=args.tol,
+        explicit_points=(point,) if point is not None else (),
+    )
+    # opened before the campaign, so an unwritable path costs no evaluation
     try:
-        config = RunConfig(
-            identities=("all",) if args.identity == "all" else (args.identity,),
-            points_per_identity=args.points,
-            seed=args.seed,
-            digits=ctx.digits,
-            tolerance=args.tol,
-            explicit_points=(point,) if point is not None else (),
-        )
+        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise _Failure(f"cannot write --out {args.out!r}: {exc.strerror}")
+    with out as fh:
         report = run(config)
-    except (UnknownIdentityError, ValueError) as exc:
-        return _error(str(exc))
-    text = render_json(report) if args.report == "json" else render_text(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        fh.write(render_json(report) if args.report == "json"
+                 else render_text(report))
     return EXIT_PASS if report_passed(report) else EXIT_FAIL
 
 
-def _cmd_eval(args) -> int:
-    ctx = _ctx(args)
-    point = _explicit_point(args, ctx)
+def _cmd_eval(args, ctx: PrecisionCtx, point: QPoint | None) -> int:
     if point is None:
-        return _error("eval requires --q (and --set for each parameter)")
-    try:
-        entry = _lookup(args.identity, full_registry())
-    except UnknownIdentityError as exc:
-        return _error(str(exc))
-    missing = [n for n in entry.param_names if n not in point.params]
-    if missing:
-        return _error(f"missing --set for {', '.join(missing)}")
+        raise _Failure("eval requires --q (and --set for each parameter)")
+    entry = _lookup(args.identity, full_registry())
     violations = entry.domain(point, ctx)
     if violations:
-        return _error(f"{entry.id}: {'; '.join(violations)}", EXIT_FAIL)
+        raise _Failure(f"{entry.id}: {'; '.join(violations)}", EXIT_FAIL)
     side = entry.lhs if args.side == "lhs" else entry.rhs
     try:
         value = side(point, ctx)
     except QSeriesError as exc:
-        return _error(f"evaluation failed: {exc}", EXIT_FAIL)
+        raise _Failure(f"evaluation failed: {exc}", EXIT_FAIL)
     print(real_str(value.value, ctx.digits))
     return EXIT_PASS
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_eval(args)
+    """Run one command and return its exit code; every error is printed
+    here, as one `qseries: error:` line."""
+    try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "list":
+            return _cmd_list()
+        ctx = _ctx(args)
+        command = _cmd_verify if args.command == "verify" else _cmd_eval
+        return command(args, ctx, _explicit_point(args, ctx))
+    except _Failure as exc:
+        message, code = str(exc), exc.code
+    except (UnknownIdentityError, QDomainError, ValueError) as exc:
+        # the library refusing an input: an id, a precision, q or tolerance
+        message, code = str(exc), EXIT_USAGE
+    print(f"qseries: error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

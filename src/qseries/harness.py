@@ -9,11 +9,11 @@ from typing import Optional, Tuple
 
 from mpmath import mpf, sqrt as mp_sqrt
 
-from .errors import QSeriesError, UnknownIdentityError
+from .errors import QSeriesError
 from .identities import full_registry
 from .precision import PrecisionCtx, real_str
 from .qcore import QPoint
-from .registry import eval_identity, sample_domain
+from .registry import _check_tol, _lookup, eval_identity, sample_domain
 
 TOOL_VERSION = "0.1.0"
 
@@ -36,16 +36,8 @@ class RunConfig:
     def __post_init__(self):
         if self.points_per_identity < 1:
             raise ValueError("points_per_identity must be >= 1")
-
-
-def _resolve_ids(config: RunConfig, registry) -> list:
-    known = [e.id for e in registry]
-    if tuple(config.identities) == ("all",):
-        return sorted(known)
-    for ident in config.identities:
-        if ident not in known:
-            raise UnknownIdentityError(f"unknown identity id {ident!r}")
-    return sorted(set(config.identities))
+        if self.tolerance is not None:
+            _check_tol(self.tolerance, ValueError)
 
 
 def _point_record(point: QPoint, digits: int) -> dict:
@@ -76,18 +68,19 @@ def run(config: RunConfig, registry=None) -> dict:
     """
     if registry is None:
         registry = full_registry()
-    ids = _resolve_ids(config, registry)
-    by_id = {e.id: e for e in registry}
+    if tuple(config.identities) == ("all",):
+        entries = sorted(registry, key=lambda e: e.id)
+    else:
+        entries = [_lookup(i, registry) for i in sorted(set(config.identities))]
     ctx = PrecisionCtx(digits=config.digits)
     digits = config.digits
 
     results = []
-    for ident in ids:
-        entry = by_id[ident]
+    for entry in entries:
         if config.explicit_points:
             points = list(config.explicit_points)
         else:
-            points = sample_domain(ident, config.points_per_identity,
+            points = sample_domain(entry.id, config.points_per_identity,
                                    config.seed, registry)
         recs = []
         ratios = []
@@ -97,7 +90,7 @@ def run(config: RunConfig, registry=None) -> dict:
         for point in points:
             rec = {"params": _point_record(point, digits)}
             try:
-                res = eval_identity(ident, point, tol=config.tolerance,
+                res = eval_identity(entry.id, point, tol=config.tolerance,
                                     ctx=ctx, registry=registry)
             except QSeriesError as exc:
                 n_err += 1
@@ -133,7 +126,7 @@ def run(config: RunConfig, registry=None) -> dict:
             if offset is not None:
                 aggregate["suspectedConstantOffset"] = offset
         results.append({
-            "id": ident,
+            "id": entry.id,
             "paperRef": entry.paper_ref,
             "points": recs,
             "aggregate": aggregate,

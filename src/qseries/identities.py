@@ -492,8 +492,6 @@ _ANNULUS = (("|b/a| < |z|", _b_below_az), _Z_IN_DISC)
 _INVERTED_ARG = ("|b/(az)| < 1", _b_below_az)
 _Q_BELOW_B = ("|q| < |b|", lambda p: p.q < abs(p["b"]))
 _B_OVER_A = ("0 < |b/a| < 1", lambda p: 0 < abs(p["b"]) < abs(p["a"]))
-# the eta expansions are summed only where their cost stays controlled
-_ETA_RANGE = (("0.01 < q < 0.8", lambda p: mpf("0.01") < p.q < mpf("0.8")),)
 # the strip of Section 5, shared by the q-gamma theorems and their limits
 _STRIP = (("0 < z < b - a", lambda p: 0 < p["z"] < p["b"] - p["a"]),
           ("b - a < 1", lambda p: p["b"] - p["a"] < 1),
@@ -658,7 +656,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (4.2), eta(tau)/eta^2(2 tau) expansion",
         param_names=(),
         default_tol=ETA_TOL,
-        constraints=_ETA_RANGE,
+        constraints=(),
         lhs=_lhs_eq42,
         rhs=_rhs_eq42,
         sampler=_q_only_sampler(),
@@ -668,7 +666,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (4.3), eta^10(2 tau)/(eta^4(tau) eta^2(4 tau)) expansion",
         param_names=(),
         default_tol=ETA_TOL,
-        constraints=_ETA_RANGE,
+        constraints=(),
         lhs=_lhs_eq43,
         rhs=_rhs_eq43,
         sampler=_q_only_sampler(),
@@ -678,7 +676,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (4.4), eta^3(3 tau)/eta(tau) expansion",
         param_names=(),
         default_tol=ETA_TOL,
-        constraints=_ETA_RANGE,
+        constraints=(),
         lhs=_lhs_eq44,
         rhs=_rhs_eq44,
         sampler=_q_only_sampler(),

@@ -10,6 +10,7 @@ from mpmath import mpf
 from .errors import (
     DomainViolationError,
     EvaluationError,
+    QDomainError,
     QSeriesError,
     SamplingError,
     UnknownIdentityError,
@@ -41,17 +42,28 @@ def _lookup(identity_id: str, registry) -> IdentityEntry:
     return entry
 
 
+def _check_tol(tol, error=QDomainError) -> mpf:
+    """``tol`` as an mpf, raising ``error`` unless it is finite with
+    0 < tol < 1: relErr is at most 2, so a larger one passes anything."""
+    tol_v = mpf(tol)
+    if not 0 < tol_v < 1:  # false for nan and inf too
+        raise error(f"tolerance must satisfy 0 < tol < 1, got {tol!r}")
+    return tol_v
+
+
 def eval_identity(identity_id: str, point: QPoint, tol=None,
                   ctx: PrecisionCtx = DEFAULT_CTX,
                   registry=CATALOG) -> IdentityResult:
     """Evaluate both sides of a registered identity at one point.
 
-    Deterministic for fixed inputs. Raises DomainViolationError naming each
-    missing parameter or violated constraint, and EvaluationError with
-    lhs/rhs attribution when a side fails to evaluate.
+    Deterministic for fixed inputs. Raises QDomainError for a tolerance
+    outside 0 < tol < 1, DomainViolationError naming each missing parameter
+    or violated constraint, and EvaluationError with lhs/rhs attribution
+    when a side fails to evaluate.
     """
     entry = _lookup(identity_id, registry)
     with ctx.working():
+        tol_v = _check_tol(entry.default_tol if tol is None else tol)
         violations = entry.domain(point, ctx)
         if violations:
             raise DomainViolationError(
@@ -64,7 +76,6 @@ def eval_identity(identity_id: str, point: QPoint, tol=None,
             rhs = entry.rhs(point, ctx)
         except QSeriesError as exc:
             raise EvaluationError("rhs", exc) from exc
-        tol_v = mpf(tol) if tol is not None else mpf(entry.default_tol)
         abs_err = abs(lhs.value - rhs.value)
         rel_err = abs_err / max(abs(lhs.value), abs(rhs.value),
                                 ctx.tail_tol())

@@ -151,17 +151,25 @@ def test_criterion_5_eta_classification(registry):
         worst = mpf(agg["worstRelErr"])
         ok = ok and agg["pass"] and worst <= mpf("1e-25")
         details.append(f"{ident} PASS (worst {mp.nstr(worst, 3)})")
-    # eq-4.3: definitive FAIL classification with the measured ratios
+    # eq-4.3: definitive FAIL classification, with each measured ratio
+    # lhs/rhs pinned to its closed form -(q^4;q^4)_inf^2 (mp.qp oracle)
     res43 = reports["eq-4.3"]["results"][0]
-    ratios = [mpf(pt["lhs"]) / mpf(pt["rhs"]) for pt in res43["points"]
-              if "lhs" in pt]
+    ratios = []
+    worst43 = mpf(0)
+    with mp.workdps(60):
+        for pt in res43["points"]:
+            ratio = mpf(pt["lhs"]) / mpf(pt["rhs"])
+            q4 = mpf(pt["params"]["q"]) ** 4
+            closed = mp.qp(q4, q4) ** 2
+            worst43 = max(worst43, abs(ratio + closed) / closed)
+            ratios.append(ratio)
     classified = (not res43["aggregate"]["pass"]
                   and len(ratios) == 10
-                  and all(mp.isfinite(r) for r in ratios))
+                  and worst43 <= mpf("1e-30"))
     ok = ok and classified
     details.append(f"eq-4.3 FAIL as printed, lhs/rhs in "
                    f"[{mp.nstr(min(ratios), 6)}, {mp.nstr(max(ratios), 6)}] "
-                   f"(q-dependent, no constant offset)")
+                   f"= -(q^4;q^4)_inf^2 to {mp.nstr(worst43, 3)} relative")
     _report(5, ok, "; ".join(details))
 
 

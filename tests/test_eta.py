@@ -89,7 +89,8 @@ def test_eta_quotient_rejects_bad_scale(ctx40):
 
 @pytest.mark.parametrize("ident", ["eq-4.2", "eq-4.4"])
 def test_eta_identities_pass(registry, ctx40, ident):
-    for q in (mpf("0.1"), mpf("0.3"), mpf("0.55")):
+    # q = 0.005 and 0.95 lie outside the sampled range [0.05, 0.6]
+    for q in (mpf("0.005"), mpf("0.1"), mpf("0.3"), mpf("0.55"), mpf("0.95")):
         res = eval_identity(ident, QPoint(q, {}), ctx=ctx40, registry=registry)
         assert res.passed, f"{ident} at q={q}: relErr={res.rel_err}"
 
@@ -98,7 +99,7 @@ def test_eq43_fails_without_constant_offset(registry, ctx40):
     # The printed right side of eq-4.3 does not match the eta quotient; the
     # lhs/rhs ratio varies with q, so this is not a constant normalization slip.
     ratios = []
-    for q in (mpf("0.1"), mpf("0.3"), mpf("0.5")):
+    for q in (mpf("0.005"), mpf("0.1"), mpf("0.3"), mpf("0.5"), mpf("0.95")):
         res = eval_identity("eq-4.3", QPoint(q, {}), ctx=ctx40, registry=registry)
         assert not res.passed
         ratios.append(res.lhs_value / res.rhs_value)

@@ -10,10 +10,12 @@ import pytest
 import qseries.cli as cli
 from qseries import (
     IdentityEntry,
+    QDomainError,
     QPoint,
     RunConfig,
     SeriesValue,
     UnknownIdentityError,
+    eval_identity,
     full_registry,
     run,
 )
@@ -162,6 +164,16 @@ def test_cli_verify_failing_identity(capsys):
 
 def test_cli_verify_unknown_identity(capsys):
     assert cli.main(["verify", "--identity", "nope"]) == 2
+    assert capsys.readouterr().err == (
+        "qseries: error: no identity registered as 'nope'\n")
+
+
+def test_cli_eval_unknown_identity(capsys):
+    # the same lookup, and so the same line, as verify's
+    assert cli.main(["eval", "--identity", "nope", "--side", "lhs",
+                     "--q", "0.5"]) == 2
+    assert capsys.readouterr().err == (
+        "qseries: error: no identity registered as 'nope'\n")
 
 
 def test_cli_verify_explicit_point(capsys):
@@ -188,10 +200,9 @@ def test_cli_verify_bad_point_is_a_point_error(capsys, ident, sets, named):
     assert named in point["error"]
 
 
-def test_cli_set_requires_q():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--identity", "eq-1.1", "--set", "a=0.5"])
-    assert exc.value.code == 2
+def test_cli_set_requires_q(capsys):
+    assert cli.main(["verify", "--identity", "eq-1.1", "--set", "a=0.5"]) == 2
+    assert capsys.readouterr().err == "qseries: error: --set requires --q\n"
 
 
 def test_cli_explicit_point_requires_single_identity(capsys):
@@ -237,10 +248,12 @@ def test_cli_eval_parses_set_at_working_precision(capsys):
 
 
 def test_cli_eval_missing_param(capsys):
+    # a point error, as under verify: exit 1 with the catalog's message
     code = cli.main(["eval", "--identity", "eq-1.1", "--side", "lhs",
                      "--q", "0.3", "--set", "a=0.5"])
-    assert code == 2
-    assert "missing --set" in capsys.readouterr().err
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "qseries: error: eq-1.1: missing parameter b; missing parameter z\n")
 
 
 @pytest.mark.parametrize("ident, sets, named", [
@@ -283,9 +296,7 @@ def test_cli_digits_env(monkeypatch, capsys):
      "--digits", "5"],
 ])
 def test_cli_low_digits_is_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
+    assert cli.main(argv) == 2
     assert capsys.readouterr().err == "qseries: error: digits must be >= 10\n"
 
 
@@ -300,9 +311,7 @@ def test_cli_low_digits_is_usage_error(capsys, argv):
 def test_cli_bad_digits_env_is_usage_error(monkeypatch, capsys, env, message,
                                            command):
     monkeypatch.setenv("QSERIES_DIGITS", env)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(command)
-    assert exc.value.code == 2
+    assert cli.main(command) == 2
     captured = capsys.readouterr()
     assert captured.err == f"qseries: error: {message}\n"
     assert not captured.out
@@ -319,7 +328,50 @@ def test_cli_verify_out_file(tmp_path, capsys):
 
 
 def test_cli_bad_q(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["eval", "--identity", "eq-3.2", "--side", "lhs",
-                  "--q", "zap"])
-    assert exc.value.code == 2
+    assert cli.main(["eval", "--identity", "eq-3.2", "--side", "lhs",
+                     "--q", "zap"]) == 2
+    assert capsys.readouterr().err == "qseries: error: invalid --q value 'zap'\n"
+
+
+def test_cli_argparse_error_is_returned(capsys):
+    # argparse's own errors come back through main as exit 2 and one line
+    assert cli.main(["verify", "--points", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "qseries: error: argument --points: invalid int value: 'x'\n")
+    assert not captured.out
+
+
+_BAD_TOLS = ["inf", "nan", "0", "-1", "1"]
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_cli_bad_tol_is_usage_error(capsys, tol):
+    # relErr is at most 2, so a tolerance of 1 or more would pass eq-4.3
+    code = cli.main(["verify", "--identity", "eq-4.3", "--points", "1",
+                     "--tol", tol])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("qseries: error: tolerance must satisfy")
+    assert captured.err.count("\n") == 1
+    assert not captured.out
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_bad_tolerance_rejected(tol):
+    with pytest.raises(ValueError):
+        RunConfig(tolerance=float(tol))
+    with pytest.raises(QDomainError):
+        eval_identity("eq-3.2", QPoint(mpf("0.5"), {}), tol=float(tol))
+
+
+def test_cli_unwritable_out_is_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "r.json"
+    code = cli.main(["verify", "--identity", "eq-3.2", "--points", "1",
+                     "--out", str(out_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("qseries: error: cannot write --out")
+    assert str(out_path) in captured.err
+    assert captured.err.count("\n") == 1
+    assert not captured.out
