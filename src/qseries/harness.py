@@ -11,7 +11,7 @@ from mpmath import mpf, sqrt as mp_sqrt
 
 from .errors import QSeriesError
 from .identities import full_registry
-from .precision import PrecisionCtx, real_str
+from .precision import PrecisionCtx, _check_digits, real_str
 from .qcore import QPoint
 from .registry import _check_tol, _lookup, eval_identity, sample_domain
 
@@ -36,6 +36,7 @@ class RunConfig:
     def __post_init__(self):
         if self.points_per_identity < 1:
             raise ValueError("points_per_identity must be >= 1")
+        _check_digits(self.digits, ValueError)
         if self.tolerance is not None:
             _check_tol(self.tolerance, ValueError)
 

@@ -35,8 +35,7 @@ class PrecisionCtx:
     max_terms: int = 500_000
 
     def __post_init__(self):
-        if self.digits < 10:
-            raise QDomainError("digits must be >= 10")
+        _check_digits(self.digits)
         if self.max_terms < 1:
             raise QDomainError("max_terms must be >= 1")
 
@@ -51,6 +50,12 @@ class PrecisionCtx:
     def working(self):
         """Context manager switching mpmath to the working precision."""
         return mp.workdps(self.working_dps)
+
+
+def _check_digits(digits, error=QDomainError):
+    """Raise ``error`` for fewer than 10 requested digits."""
+    if digits < 10:
+        raise error("digits must be >= 10")
 
 
 DEFAULT_CTX = PrecisionCtx()

@@ -4,22 +4,22 @@ Powers of q (fractional exponents included), q-Pochhammer symbols for all
 integer orders, unilateral and bilateral basic hypergeometric series, and
 convergence acceleration for slowly convergent classical series.
 
-Truncation rule, with tol = 10**-digits: a product stops once a certified
-bound on the log of its remaining factors meets tol, and that bound becomes
-the error estimate. A phi/psi series closes its tail geometrically: from
-the next term t on, every term ratio is arg times a factor whose partial
-products lie within exp(+-L) of 1, so the tail is t / (1 - arg) to within
-expm1(L) |t| / (1 - |arg|). The series stops once that bound meets
-tol * |sum + t / (1 - arg)| and returns the closed sum with the bound as its
-estimate; near |arg| = 1 this costs about log(tol) / log(q)
-terms, not log(tol) / log|arg|. Each stop test is skipped only where it
-provably cannot pass, because a cheaper lower bound on its rounded value
-already exceeds the tolerance (see pochhammer_inf and _ratio_series), so
-every product and series stops at the same term, with the same estimate,
-as one that tests at every term. Accelerated limits carry only a heuristic
-estimate and are flagged non-certified.
+Truncation rule, with tol = 10**-digits: one bound certifies every product
+and series. With C the absolute values of the parameters whose factors
+1 - c q^k, k >= n, are still to come, and every c q^n < 1, each partial
+product of those factors has |log| <= L = sum_c c q^n / ((1-q)(1-c q^n))
+(Gasper & Rahman, Basic Hypergeometric Series, 1.2). A product quotient
+stops once expm1(L) meets tol and is certified to within |value| expm1(L).
+A phi/psi series closes its tail from the next term t on as t / (1 - arg),
+to within expm1(L) |t| / (1 - |arg|), and stops once that meets
+tol * |sum + t / (1 - arg)|; near |arg| = 1 this costs about
+log(tol) / log(q) terms, not log(tol) / log|arg|. The rounded L is never
+below g = sum_c c q^n / (1-q), and expm1(L) >= L, so L is built only once g
+meets the limit: every product and series stops at the same term, with the
+same estimate, as one that tests at every term. Accelerated limits carry
+only a heuristic estimate and are flagged non-certified.
 
-The inner loops of pochhammer_inf, _ratio_series (phi, psi_bilateral) and
+The inner loops of prodquot, _ratio_series (phi, psi_bilateral) and
 _levin_u run on mpmath's raw ``_mpf_`` tuples through ``mpmath.libmp``:
 each step calls the libmpf function the mpf operator would call, at the
 working precision ``mp.prec`` in round-to-nearest, so the results are bit
@@ -161,10 +161,10 @@ def _check_q(q, /, **params):
             raise QDomainError(f"parameter {name} is not finite, got {x}")
 
 
-def _series_params(upper, lower, z) -> dict:
-    """The parameters of a series by their r_phi_s names a1.., b1.., z."""
+def _series_params(upper, lower) -> dict:
+    """The upper and lower parameters by their r_phi_s names a1.., b1.."""
     return {**{f"a{i}": u for i, u in enumerate(upper, 1)},
-            **{f"b{j}": b for j, b in enumerate(lower, 1)}, "z": z}
+            **{f"b{j}": b for j, b in enumerate(lower, 1)}}
 
 
 def qpow(q, e, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
@@ -180,46 +180,12 @@ def qpow(q, e, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
 
 
 def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
-    """(a;q)_inf = prod_{n>=0} (1 - a q^n), with a certified log-product
-    tail bound. Returns exact 0 when some factor vanishes."""
+    """(a;q)_inf = prod_{n>=0} (1 - a q^n), certified as prodquot([a], []).
+    Returns exact 0 when some factor vanishes."""
     with ctx.working():
         a, q = to_real(a), to_real(q)
         _check_q(q, a=a)
-        prec = mp.prec
-        tol = ctx.tail_tol()
-        max_terms = ctx.max_terms
-        a, q, tol_ = a._mpf_, q._mpf_, tol._mpf_
-        omq = mpf_sub(fone, q, prec, RN)
-        # bound = u/((1-q)(1-u)) rounds to at least u/(1-q), so it cannot
-        # meet tol while u > 2 tol (1-q); expm1(b) >= b, so expm1 cannot
-        # meet tol before bound does. tol <= 1e-10, so u <= 2 tol (1-q)
-        # also keeps u below 1/2, where the bound holds
-        gate = mpf_mul(mpf_mul_int(tol_, 2, prec, RN), omq, prec, RN)
-        prod = fone
-        qn = fone  # q^n
-        n = 0
-        aa = mpf_abs(a, prec, RN)
-        while True:
-            f = mpf_sub(fone, mpf_mul(a, qn, prec, RN), prec, RN)
-            if f == fzero:
-                return SeriesValue(mpf(0), mpf(0), n + 1, True)
-            prod = mpf_mul(prod, f, prec, RN)
-            n += 1
-            qn = mpf_mul(qn, q, prec, RN)
-            u = mpf_mul(aa, qn, prec, RN)
-            if mpf_le(u, gate):
-                # |log of remaining product| <= u/((1-q)(1-u))
-                bound = mpf_div(
-                    u, mpf_mul(omq, mpf_sub(fone, u, prec, RN), prec, RN),
-                    prec, RN)
-                if mpf_le(bound, tol_):
-                    rel = mp.expm1(mp.make_mpf(bound))
-                    if rel <= tol:
-                        prod = mp.make_mpf(prod)
-                        return SeriesValue(prod, abs(prod) * rel, n, True)
-            if n >= max_terms:
-                raise CapExceededError(
-                    f"(a;q)_inf not certified within {max_terms} factors")
+        return prodquot([a], [], q, ctx)
 
 
 def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
@@ -251,16 +217,6 @@ def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         return SeriesValue(1 / prod, mpf(0), -n, True)
 
 
-def prodquot(nums, dens, q, ctx) -> SeriesValue:
-    """prod (x;q)_inf over nums divided by the same over dens."""
-    out = SeriesValue.of(1)
-    for x in nums:
-        out = out * pochhammer_inf(x, q, ctx)
-    for x in dens:
-        out = out / pochhammer_inf(x, q, ctx)
-    return out
-
-
 def _closure_err(cs, qn, g, h, omq, prec):
     """expm1(L) * h with L = sum_c c q^n / ((1-q)(1-c q^n)) over cs, or None
     where some c q^n >= 1. L is built as g + sum_c (c q^n)^2 / ((1-q)(1-c
@@ -280,11 +236,59 @@ def _closure_err(cs, qn, g, h, omq, prec):
 
 
 class _DenominatorPole(PoleError):
-    """The factor 1 - b q^n of _ratio_series's den parameter b vanished."""
+    """The factor 1 - b q^n of a den parameter b of prodquot or
+    _ratio_series vanished."""
 
     def __init__(self, b, n):
         super().__init__(f"vanishing denominator factor 1 - ({b})*q^{n}")
         self.b, self.n = b, n
+
+
+def prodquot(nums, dens, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
+    """prod (x;q)_inf over nums divided by the same over dens, in one pass
+    over n with one shared q^n, stopped and certified by the module's bound
+    L over every |x| and |y|. A vanishing numerator factor makes the value
+    exact 0, but the loop runs on to its normal stop, so a vanishing
+    denominator factor still raises PoleError. terms_used counts the factors
+    computed, n (#nums + #dens)."""
+    with ctx.working():
+        nums = [to_real(x) for x in nums]
+        dens = [to_real(y) for y in dens]
+        q = to_real(q)
+        _check_q(q, **_series_params(nums, dens))
+        prec = mp.prec
+        tol = ctx.tail_tol()._mpf_
+        xs, ys = [x._mpf_ for x in nums], [y._mpf_ for y in dens]
+        q_ = q._mpf_
+        cs = [mpf_abs(c, prec, RN) for c in xs + ys]
+        omq = mpf_sub(fone, q_, prec, RN)
+        c_sum = fzero
+        for c in cs:
+            c_sum = mpf_add(c_sum, c, prec, RN)
+        c_over_omq = mpf_div(c_sum, omq, prec, RN)
+        top = bottom = qn = fone  # qn = q^n
+        n = 0
+        while True:
+            for x in xs:
+                top = mpf_mul(top, mpf_sub(fone, mpf_mul(x, qn, prec, RN),
+                                           prec, RN), prec, RN)
+            for y in ys:
+                f = mpf_sub(fone, mpf_mul(y, qn, prec, RN), prec, RN)
+                if f == fzero:
+                    raise _DenominatorPole(mp.make_mpf(y), n)
+                bottom = mpf_mul(bottom, f, prec, RN)
+            n += 1
+            qn = mpf_mul(qn, q_, prec, RN)
+            g = mpf_mul(c_over_omq, qn, prec, RN)
+            if mpf_le(g, tol):
+                rel = _closure_err(cs, qn, g, fone, omq, prec)
+                if rel is not None and mpf_le(rel, tol):
+                    value = mp.make_mpf(mpf_div(top, bottom, prec, RN))
+                    return SeriesValue(value, abs(value) * mp.make_mpf(rel),
+                                       n * len(cs), True)
+            if n >= ctx.max_terms:
+                raise CapExceededError(f"(a;q)_inf not certified within "
+                                       f"{ctx.max_terms} factors of each a")
 
 
 def _neg_half_pole(upper, i, m) -> PoleError:
@@ -302,15 +306,11 @@ def _ratio_series(num_params, den_params, q, arg, ctx):
 
     Terms are generated by the one-step recurrence t_{k+1} = arg r_k t_k,
     r_k = prod (1 - num q^k) / prod (1 - den q^k). The tail from t_n on is
-    closed geometrically, as t_n / (1 - arg): with C the |num| and the |den|,
-    and every c in C with c q^n < 1, each partial product of the r_k, k >= n,
-    has |log| <= L = sum_c c q^n / ((1-q)(1-c q^n)), so the closed tail is
-    off by at most err = expm1(L) |t_n| / (1 - |arg|) (Gasper & Rahman, Basic
-    Hypergeometric Series, 1.2). The sum stops at the first n where err <=
-    tol * max(|s + t_n/(1-arg)|, tol) and returns s + t_n/(1-arg) with
-    err as its certified estimate. Computed in round to nearest, L is never
-    below g = c_sum q^n / (1-q) and expm1(L) >= L, so L and expm1 are built
-    only once g |t_n| / (1 - |arg|) meets the limit.
+    closed as t_n / (1 - arg), with the module's bound L over the |num| and
+    the |den|: the sum stops at the first n where err = expm1(L) |t_n| /
+    (1 - |arg|) <= tol * max(|s + t_n/(1-arg)|, tol) and returns
+    s + t_n/(1-arg) with err as its certified estimate. L is built only once
+    g |t_n| / (1 - |arg|) meets that limit.
     """
     prec = mp.prec
     tol = ctx.tail_tol()._mpf_
@@ -375,7 +375,7 @@ def phi(upper, lower, q, z, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         upper = [to_real(u) for u in upper]
         lower = [to_real(b) for b in lower]
         q, z = to_real(q), to_real(z)
-        _check_q(q, **_series_params(upper, lower, z))
+        _check_q(q, **_series_params(upper, lower), z=z)
         if abs(z) >= 1:
             raise DivergenceError(f"phi requires |z| < 1, got |z| = {abs(z)}")
         if z == 0:
@@ -401,7 +401,7 @@ def psi_bilateral(upper, lower, q, z,
         upper = [to_real(u) for u in upper]
         lower = [to_real(b) for b in lower]
         q, z = to_real(q), to_real(z)
-        _check_q(q, **_series_params(upper, lower, z))
+        _check_q(q, **_series_params(upper, lower), z=z)
         if len(upper) != len(lower) or not upper:
             raise QDomainError(
                 "bilateral series needs equally many upper and lower parameters")

@@ -62,7 +62,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "139aae91718d43d09db4e0c9a96130ab7af865f342732b89bb03eb526d2b06b6")
+        "705369825a54b304e955ff338c972df93db2d07ba760cb8103e4092028311f58")
 
 
 def test_seed_changes_sampled_points():
@@ -85,6 +85,8 @@ def test_unknown_identity_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(points_per_identity=0)
+    with pytest.raises(ValueError, match="digits must be >= 10"):
+        RunConfig(digits=5)
 
 
 def test_synthetic_offset_detected():

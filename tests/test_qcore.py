@@ -103,28 +103,29 @@ def test_pochhammer_inf_cap():
 
 
 def _pochhammer_inf_expm1_every_factor(a, q, ctx, expm1):
-    """Reference loop that tests expm1(bound) <= tol at every factor."""
+    """Reference loop that tests expm1(L) <= tol, L built in _closure_err's
+    form, at every factor where a q^n < 1 and g = |a| q^n / (1-q) <= 2 tol.
+    The rounded L is at least g, so a factor with g > 2 tol cannot stop."""
     with ctx.working():
         tol = ctx.tail_tol()
-        prod, qn, n, aa = mpf(1), mpf(1), 0, abs(a)
+        prod, qn, n, aa, omq = mpf(1), mpf(1), 0, abs(a), 1 - q
+        c_over_omq = aa / omq
         while True:
-            f = 1 - a * qn
-            if f == 0:
-                return SeriesValue(mpf(0), mpf(0), n + 1, True)
-            prod *= f
+            prod *= 1 - a * qn
             n += 1
             qn *= q
-            u = aa * qn
-            if u < mpf("0.5"):
-                rel = expm1(u / ((1 - q) * (1 - u)))
+            g = c_over_omq * qn
+            x = aa * qn
+            if g <= 2 * tol and x < 1:
+                rel = expm1(g + x * x / (omq * (1 - x)))
                 if rel <= tol:
                     return SeriesValue(prod, abs(prod) * rel, n, True)
 
 
 def test_pochhammer_inf_one_expm1_bit_identical(monkeypatch):
-    # expm1(b) >= b, so evaluating expm1 only once the bound itself meets
-    # tol, and the bound only once u <= 2 tol (1-q), must stop at the same
-    # factor with the same error estimate
+    # the rounded L is never below g and expm1(L) >= L, so building L only
+    # once g meets tol must stop at the same factor with the same error
+    # estimate, after at most one expm1
     expm1 = mp.expm1
     calls = []
 
@@ -153,6 +154,64 @@ def test_pochhammer_inf_wide_input_bit_identical():
         for x in (a, -a):
             ref = _pochhammer_inf_expm1_every_factor(x, q, ctx, mp.expm1)
             assert pochhammer_inf(x, q, ctx) == ref, (x, digits)
+
+
+# --- prodquot ------------------------------------------------------------------
+
+# (#nums, #dens) of the quotients checked at each q and precision: every
+# count from 1 to 4 numerators and from 0 to 4 denominators
+_PRODQUOT_SHAPES = ((1, 0), (1, 3), (2, 4), (3, 1), (4, 2))
+
+
+@pytest.mark.parametrize("q", ["0.05", "0.5", "0.9", "0.99"])
+def test_prodquot_matches_qp_oracle(q):
+    # four parameters of each sign, drawn once, and a tiny numerator whose
+    # own bound would stop the loop long before the denominators' does; the
+    # oracle is mpmath's qp at 60 digits, at least 20 above every precision
+    # checked
+    rng = SplitMix64(int(q[2:]))
+    pos = [mpf(rng.uniform(0.05, 1.9)) for _ in range(4)]
+    neg = [mpf(rng.uniform(-1.9, -0.05)) for _ in range(4)]
+    tiny = mpf("1e-9")
+    q = mpf(q)
+    with mp.workdps(60):
+        qp = {x: mp.qp(x, q, maxterms=10 ** 6) for x in pos + neg + [tiny]}
+    # alternate signs, so that every side with two or more parameters
+    # mixes them
+    cases = [([(pos, neg)[i % 2][i // 2] for i in range(n_num)],
+              [(neg, pos)[i % 2][i // 2 + 2] for i in range(n_den)])
+             for n_num, n_den in _PRODQUOT_SHAPES]
+    cases.append(([tiny], [neg[2], pos[2], neg[3], pos[3]]))
+    for digits in (20, 40):
+        ctx = PrecisionCtx(digits=digits)
+        for nums, dens in cases:
+            got = qcore.prodquot(nums, dens, q, ctx)
+            assert got.certified
+            assert got.terms_used % (len(nums) + len(dens)) == 0
+            with mp.workdps(60):
+                oracle = mp.fprod(qp[x] for x in nums) / mp.fprod(
+                    qp[y] for y in dens)
+                bound = got.err_estimate + mpf(10) ** -digits * abs(oracle)
+                assert abs(got.value - oracle) <= bound, (nums, dens, digits)
+
+
+def test_prodquot_vanishing_numerator_is_exact_zero():
+    # 1 - 8 q^3 = 0 at q = 1/2; the loop still runs to its normal stop
+    got = qcore.prodquot([8, mpf("0.3")], [mpf("-0.4")], mpf("0.5"))
+    assert got.value == 0 and got.err_estimate == 0 and got.certified
+    assert got.terms_used > 3 * 3
+
+
+@pytest.mark.parametrize("nums, dens, factor", [
+    ([mpf("0.3")], [4], r"1 - \(4\.0\)\*q\^2"),
+    ([8], [4], r"1 - \(4\.0\)\*q\^2"),
+    ([4], [8], r"1 - \(8\.0\)\*q\^3"),
+], ids=["pole", "pole-before-zero", "pole-after-zero"])
+def test_prodquot_vanishing_denominator_is_a_pole(nums, dens, factor):
+    # at q = 1/2, 1 - 4 q^2 and 1 - 8 q^3 vanish; a pole raises even after
+    # a numerator factor has made the value 0
+    with pytest.raises(PoleError, match=factor):
+        qcore.prodquot(nums, dens, mpf("0.5"))
 
 
 # --- pochhammer_n ---------------------------------------------------------------
@@ -462,7 +521,9 @@ def test_psi_rejects_zero_argument():
     lambda: pochhammer_inf(mp.nan, 0.5),
     lambda: phi([0.5], [], 0.5, mp.nan),
     lambda: psi_bilateral([mp.inf], [0.1], 0.5, 0.5),
-], ids=["pochhammer_inf-nan-a", "phi-nan-z", "psi-inf-upper"])
+    lambda: qcore.prodquot([0.5], [0.2, mp.nan], 0.5),
+], ids=["pochhammer_inf-nan-a", "phi-nan-z", "psi-inf-upper",
+        "prodquot-nan-b2"])
 def test_non_finite_input_fails_fast(call):
     # a non-finite parameter must not run a product or series to its cap
     start = time.process_time()
