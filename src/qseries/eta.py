@@ -8,7 +8,8 @@ from mpmath import mpf
 
 from .errors import QDomainError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
-from .qcore import SeriesValue, _check_q, pochhammer_inf, qpow
+from .qcore import (SeriesValue, _check_q, _int_within_cap,
+                    pochhammer_inf, qpow)
 
 __all__ = ["eta_nome", "eta_quotient"]
 
@@ -22,7 +23,8 @@ def eta_nome(q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
 
 
 def eta_quotient(scales, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
-    """prod_m eta(q^m)^e for scales = {m: e}."""
+    """prod_m eta(q^m)^e for scales = {m: e}, each m > 0 and each e an
+    integer, checked before its factor is computed."""
     q = to_real(q)
     out = SeriesValue.of(1)
     terms = 0
@@ -30,9 +32,10 @@ def eta_quotient(scales, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         for m, e in scales.items():
             if m <= 0:
                 raise QDomainError(f"eta_quotient scale must be positive, got {m}")
+            e = _int_within_cap(e, f"eta_quotient exponent of scale {m}", ctx)
             factor = eta_nome(q ** m, ctx)
             terms += factor.terms_used
-            for _ in range(abs(int(e))):
+            for _ in range(abs(e)):
                 out = out * factor if e > 0 else out / factor
     # the power repeats one computed factor: count its terms once
     return replace(out, terms_used=terms)

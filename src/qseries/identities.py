@@ -6,7 +6,17 @@ quotients; right sides only infinite products and unilateral series, so
 pointwise agreement is evidence rather than circularity. Section 2 is
 Heine's (2.1) and (2.2) applied to the two halves of (1.1), as in the
 paper's proofs; each classical limit is one Gamma ratio against one beta
-series.
+series. Sections 3 and 4 are Section 1-2 sides at the paper's parameter
+maps (q^k; a, b, z), times a printed scale and plus a printed shift:
+
+    eq-3.1  q/(1+q) times (1.1)'s lhs and thm-2.1's rhs at (q; -1/q, -1, z)
+    eq-3.2  lhs: (1.1)'s lhs at (q; -q, -q^3, q)
+    eq-3.3  (1.1)'s lhs and thm-2.3's rhs at (q^2; -q^-2, -q^4, q)
+    eq-4.2  rhs: q^(-1/8) - q^(7/8)/(1+q) eq-2.8's rhs at (q^2; q, q^4, q^2)
+    eq-4.3  rhs: -c thm-2.1's rhs at (q^2; -q^-4, -1, q^3),
+            c = 2(1+q) q^(4/3) / ((1+q^2)(1+q^4))
+    eq-4.4  rhs: c4 thm-2.3's rhs at (q^3; -q^-5, -q, q^4),
+            c4 = q^(4/3) (1+q+q^2) / ((1+q^2)(1+q^5))
 
 Note on eq-3.2: the printed single-sum form of that identity telescopes the
 bilateral ratio (-q;q)_n/(-q^3;q)_n to 1/((1+q^{n+1})(1+q^{n+2})) but drops
@@ -235,27 +245,27 @@ def _halves(pos_form, neg_form):
     return lambda p, ctx: pos(p, ctx) + neg(p, ctx) - 1
 
 
-def _lhs_eq31(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+# Sections 3 and 4: Section 1-2 sides at the maps the module docstring lists
+
+def _special(side, point, scale=None, shift=None):
+    """``side`` at the point (base, a, b, z) = point(q, p), times
+    scale(q, ctx) and plus shift(q, ctx) where they are given."""
+
+    def special(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+        base, a, b, z = point(p.q, p)
+        value = side(QPoint(base, {"a": a, "b": b, "z": z}), ctx)
+        if scale is not None:
+            value = scale(p.q, ctx) * value
+        if shift is not None:
+            value = shift(p.q, ctx) + value
+        return value
+
+    return special
+
+
+def _at31(q, p: QPoint) -> tuple:
     # sum_{n in Z} z^n / (1 + q^{n-1}) = q/(1+q) 1psi1(-1/q; -1; q, z)
-    q = p.q
-    return q / (1 + q) * psi_bilateral([-1 / q], [mpf(-1)], q, p["z"], ctx)
-
-
-def _rhs_eq31(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    q, z = p.q, p["z"]
-    head = SeriesValue.of(-q / (1 + q))
-    mid = ((q / (1 + q))
-           * prodquot([q, -z / q], [mpf(-1), z], q, ctx)
-           * phi([z, -1 / q], [-z / q], q, q, ctx))
-    # last series: sum (-q)^n / (1 - q^{n+1}/z), a 2phi1 after
-    # (q/z;q)_n / (q^2/z;q)_n = (1 - q/z) / (1 - q^{n+1}/z)
-    tail = phi([q / z, q], [q ** 2 / z], q, -q, ctx) / (1 - q / z)
-    return head + mid + q * tail
-
-
-def _lhs_eq32(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    q = p.q
-    return psi_bilateral([-q], [-q ** 3], q, q, ctx)
+    return q, -1 / q, -1, p["z"]
 
 
 def _rhs_eq32(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
@@ -263,22 +273,11 @@ def _rhs_eq32(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     return SeriesValue.of((1 + q ** 2) * (1 + q) / (q * (1 - q)))
 
 
-def _lhs_eq33(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+def _at33(q, p: QPoint) -> tuple:
     # sum_{n in Z} 2(1+1/q^2)(1+q^2) q^n / ((1+q^{2n-2})(1+q^{2n})(1+q^{2n+2}))
     # = 1psi1(-1/q^2; -q^4; q^2, q): the Pochhammer quotient telescopes to
     # the printed three-factor denominator
-    q = p.q
-    return psi_bilateral([-1 / q ** 2], [-q ** 4], q ** 2, q, ctx)
-
-
-def _rhs_eq33(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    q = p.q
-    base = q ** 2
-    t1 = (prodquot([q ** 6, -1 / q], [-q ** 4, q], base, ctx)
-          * phi([1 / q ** 3, -1 / q ** 2], [-1 / q], base, q ** 6, ctx))
-    t2 = (prodquot([q ** 6, -q ** 3], [-q ** 4, q ** 5], base, ctx)
-          * phi([q, -1 / q ** 2], [-q ** 3], base, q ** 6, ctx))
-    return t1 + t2 - 1
+    return q ** 2, -1 / q ** 2, -q ** 4, q
 
 
 # --- eta-quotient expansions -----------------------------------------------
@@ -288,46 +287,14 @@ def _lhs_eq42(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     return eta_quotient({1: 1, 2: -2}, p.q, ctx)
 
 
-def _rhs_eq42(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    q = p.q
-    base = q ** 2
-    head = SeriesValue.of(qpow(q, mpf(-1) / 8, ctx))
-    series = (prodquot([q], [base], base, ctx)
-              * phi([q ** 3, q ** 2], [q ** 4], base, q, ctx))
-    return head - (qpow(q, mpf(7) / 8, ctx) / (1 + q)) * series
-
-
 def _lhs_eq43(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     # eta^10(2 tau)/(eta^4(tau) eta^2(4 tau)) in the nome
     return eta_quotient({2: 10, 1: -4, 4: -2}, p.q, ctx)
 
 
-def _rhs_eq43(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    q = p.q
-    base = q ** 2
-    c = 2 * (1 + q) * qpow(q, mpf(4) / 3, ctx) / ((1 + q ** 2) * (1 + q ** 4))
-    # middle series: sum (1-q^{2n+2})/(1-q^{2n+1}) (-q^2)^n
-    s_mid = (1 + q) * phi([q ** 4, q], [q ** 3], base, -q ** 2, ctx)
-    t3 = (prodquot([q ** 4, -1 / q], [-1, q ** 3], base, ctx)
-          * phi([q, -1 / q ** 4], [-1 / q], base, q ** 4, ctx))
-    return SeriesValue.of(c) - (2 * qpow(q, mpf(4) / 3, ctx) / (1 - q)) * s_mid - c * t3
-
-
 def _lhs_eq44(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     # eta^3(3 tau)/eta(tau) in the nome
     return eta_quotient({3: 3, 1: -1}, p.q, ctx)
-
-
-def _rhs_eq44(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    q = p.q
-    base = q ** 3
-    c4 = qpow(q, mpf(4) / 3, ctx) * (1 + q + q ** 2) / ((1 + q ** 2) * (1 + q ** 5))
-    t1 = (prodquot([-1 / q], [-q, q ** 4], base, ctx)
-          * phi([q, -1 / q ** 5], [-1 / q], base, q ** 6, ctx))
-    t2 = (prodquot([-q ** 4], [-q ** 8, q ** 2], base, ctx)
-          * phi([1 / q, -q ** 2], [-q ** 4], base, q ** 6, ctx))
-    # both terms carry (q^6;q^3)_inf, computed once
-    return c4 * (prodquot([q ** 6], [], base, ctx) * (t1 + t2) - 1)
 
 
 # --- q-gamma theorems and classical limits ---------------------------------
@@ -627,8 +594,9 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=("z",),
         default_tol=Q_TOL,
         constraints=(("|q| < |z|", lambda p: p.q < abs(p["z"])), _Z_IN_DISC),
-        lhs=_lhs_eq31,
-        rhs=_rhs_eq31,
+        lhs=_special(_lhs_bilateral, _at31, lambda q, ctx: q / (1 + q)),
+        rhs=_special(_halves(_heine2, _heine1), _at31,
+                     lambda q, ctx: q / (1 + q)),
         sampler=_q_only_sampler(with_z=True),
     ),
     IdentityEntry(
@@ -637,7 +605,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=(),
         default_tol=Q_TOL,
         constraints=(),
-        lhs=_lhs_eq32,
+        lhs=_special(_lhs_bilateral, lambda q, p: (q, -q, -q ** 3, q)),
         rhs=_rhs_eq32,
         sampler=_q_only_sampler(),
     ),
@@ -647,8 +615,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=(),
         default_tol=Q_TOL,
         constraints=(),
-        lhs=_lhs_eq33,
-        rhs=_rhs_eq33,
+        lhs=_special(_lhs_bilateral, _at33),
+        rhs=_special(_halves(_heine2, _heine2), _at33),
         sampler=_q_only_sampler(),
     ),
     IdentityEntry(
@@ -658,7 +626,10 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         default_tol=ETA_TOL,
         constraints=(),
         lhs=_lhs_eq42,
-        rhs=_rhs_eq42,
+        rhs=_special(_at(_heine1, _pos),
+                     lambda q, p: (q ** 2, q, q ** 4, q ** 2),
+                     lambda q, ctx: -qpow(q, mpf(7) / 8, ctx) / (1 + q),
+                     lambda q, ctx: qpow(q, mpf(-1) / 8, ctx)),
         sampler=_q_only_sampler(),
     ),
     IdentityEntry(
@@ -668,7 +639,10 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         default_tol=ETA_TOL,
         constraints=(),
         lhs=_lhs_eq43,
-        rhs=_rhs_eq43,
+        rhs=_special(_halves(_heine2, _heine1),
+                     lambda q, p: (q ** 2, -1 / q ** 4, -1, q ** 3),
+                     lambda q, ctx: (-2 * (1 + q) * qpow(q, mpf(4) / 3, ctx)
+                                     / ((1 + q ** 2) * (1 + q ** 4)))),
         sampler=_q_only_sampler(),
     ),
     IdentityEntry(
@@ -678,7 +652,11 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         default_tol=ETA_TOL,
         constraints=(),
         lhs=_lhs_eq44,
-        rhs=_rhs_eq44,
+        rhs=_special(_halves(_heine2, _heine2),
+                     lambda q, p: (q ** 3, -1 / q ** 5, -q, q ** 4),
+                     lambda q, ctx: (qpow(q, mpf(4) / 3, ctx)
+                                     * (1 + q + q ** 2)
+                                     / ((1 + q ** 2) * (1 + q ** 5)))),
         sampler=_q_only_sampler(),
     ),
     IdentityEntry(

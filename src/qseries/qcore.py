@@ -188,6 +188,18 @@ def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         return prodquot([a], [], q, ctx)
 
 
+def _int_within_cap(x, what, ctx: PrecisionCtx) -> int:
+    """x as an int: QDomainError unless x is an integer, CapExceededError
+    when the |x| factors it asks for exceed ctx.max_terms."""
+    if not (isinstance(x, (int, float, mpf)) and mp.isfinite(x)
+            and x == int(x)):
+        raise QDomainError(f"{what} must be an integer, got {x!r}")
+    if abs(x) > ctx.max_terms:
+        raise CapExceededError(f"{what} = {x} exceeds the cap of "
+                               f"{ctx.max_terms} factors")
+    return int(x)
+
+
 def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """(a;q)_n for any integer n per (a)_n = (a)_inf / (a q^n)_inf.
 
@@ -195,6 +207,7 @@ def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     n < 0: reciprocal finite product 1 / prod_{k=1}^{|n|}(1 - a q^-k);
     raises PoleError when a factor vanishes (the symbol is infinite).
     """
+    n = _int_within_cap(n, "(a;q)_n index n", ctx)
     with ctx.working():
         a, q = to_real(a), to_real(q)
         _check_q(q, a=a)
@@ -215,6 +228,17 @@ def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
                     f"(a;q)_n pole: factor 1 - a*q^-{k} vanishes (a={a}, q={q})")
             prod *= f
         return SeriesValue(1 / prod, mpf(0), -n, True)
+
+
+def _bound_consts(params, q_, prec):
+    """The constants of the module's bound L over the raw ``params``: their
+    absolute values cs, 1 - q and c_sum / (1 - q) with c_sum = sum cs."""
+    cs = [mpf_abs(c, prec, RN) for c in params]
+    omq = mpf_sub(fone, q_, prec, RN)
+    c_sum = fzero
+    for c in cs:
+        c_sum = mpf_add(c_sum, c, prec, RN)
+    return cs, omq, mpf_div(c_sum, omq, prec, RN)
 
 
 def _closure_err(cs, qn, g, h, omq, prec):
@@ -260,12 +284,7 @@ def prodquot(nums, dens, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         tol = ctx.tail_tol()._mpf_
         xs, ys = [x._mpf_ for x in nums], [y._mpf_ for y in dens]
         q_ = q._mpf_
-        cs = [mpf_abs(c, prec, RN) for c in xs + ys]
-        omq = mpf_sub(fone, q_, prec, RN)
-        c_sum = fzero
-        for c in cs:
-            c_sum = mpf_add(c_sum, c, prec, RN)
-        c_over_omq = mpf_div(c_sum, omq, prec, RN)
+        cs, omq, c_over_omq = _bound_consts(xs + ys, q_, prec)
         top = bottom = qn = fone  # qn = q^n
         n = 0
         while True:
@@ -318,12 +337,7 @@ def _ratio_series(num_params, den_params, q, arg, ctx):
     nums = [u._mpf_ for u in num_params]
     dens = [b._mpf_ for b in den_params]
     q_, arg_ = q._mpf_, arg._mpf_
-    cs = [mpf_abs(c, prec, RN) for c in nums + dens]
-    omq = mpf_sub(fone, q_, prec, RN)
-    c_sum = fzero
-    for c in cs:
-        c_sum = mpf_add(c_sum, c, prec, RN)
-    c_over_omq = mpf_div(c_sum, omq, prec, RN)
+    cs, omq, c_over_omq = _bound_consts(nums + dens, q_, prec)
     one_minus_arg = mpf_sub(fone, arg_, prec, RN)
     one_minus_abs_arg = mpf_sub(fone, mpf_abs(arg_, prec, RN), prec, RN)
     s_val = fzero

@@ -237,3 +237,72 @@ def test_transforms_match_parent_theorems(registry, ctx40):
         res = eval_identity(ident, QPoint(q, {"a": a, "b": b, "z": z}),
                             ctx=ctx40, registry=registry)
         assert res.passed, f"{ident} failed: relErr {res.rel_err}"
+
+
+# --- the printed right sides of Sections 3 and 4 ---------------------------
+
+def _qp(*args):
+    # a product of (x;q)_inf, the base last
+    *xs, q = args
+    out = mpf(1)
+    for x in xs:
+        out *= mp.qp(x, q)
+    return out
+
+
+def _phi21(a, b, c, q, z):
+    return mp.qhyper([a, b], [c], q, z)
+
+
+def _printed_rhs(ident, q, z):
+    """The right side of (3.1), (3.3), (4.2), (4.3) or (4.4) as printed,
+    from mpmath's qp and qhyper at the caller's precision."""
+    if ident == "eq-3.1":
+        # the last series is sum (-q)^n / (1 - q^{n+1}/z)
+        last = _phi21(q / z, q, q ** 2 / z, q, -q) / (1 - q / z)
+        return (-q / (1 + q)
+                + q / (1 + q) * _qp(q, -z / q, q) / _qp(-1, z, q)
+                * _phi21(z, -1 / q, -z / q, q, q)
+                + q * last)
+    if ident == "eq-3.3":
+        Q = q ** 2
+        return (_qp(q ** 6, -1 / q, Q) / _qp(-q ** 4, q, Q)
+                * _phi21(q ** -3, -q ** -2, -1 / q, Q, q ** 6)
+                + _qp(q ** 6, -q ** 3, Q) / _qp(-q ** 4, q ** 5, Q)
+                * _phi21(q, -q ** -2, -q ** 3, Q, q ** 6) - 1)
+    if ident == "eq-4.2":
+        Q = q ** 2
+        return (q ** (-mpf(1) / 8) - q ** (mpf(7) / 8) / (1 + q)
+                * _qp(q, Q) / _qp(Q, Q) * _phi21(q ** 3, Q, q ** 4, Q, q))
+    if ident == "eq-4.3":
+        Q = q ** 2
+        c = 2 * (1 + q) * q ** (mpf(4) / 3) / ((1 + Q) * (1 + q ** 4))
+        # the middle series is sum (1 - q^{2n+2}) / (1 - q^{2n+1}) (-q^2)^n
+        mid = (1 + q) * _phi21(q ** 4, q, q ** 3, Q, -Q)
+        last = (_qp(q ** 4, -1 / q, Q) / _qp(-1, q ** 3, Q)
+                * _phi21(q, -q ** -4, -1 / q, Q, q ** 4))
+        return c - 2 * q ** (mpf(4) / 3) / (1 - q) * mid - c * last
+    assert ident == "eq-4.4"
+    Q = q ** 3
+    c4 = q ** (mpf(4) / 3) * (1 + q + q ** 2) / ((1 + q ** 2) * (1 + q ** 5))
+    t1 = (_qp(-1 / q, Q) / _qp(-q, q ** 4, Q)
+          * _phi21(q, -q ** -5, -1 / q, Q, q ** 6))
+    t2 = (_qp(-q ** 4, Q) / _qp(-q ** 8, q ** 2, Q)
+          * _phi21(1 / q, -q ** 2, -q ** 4, Q, q ** 6))
+    return c4 * (_qp(q ** 6, Q) * (t1 + t2) - 1)
+
+
+@pytest.mark.parametrize("ident, z", [("eq-3.1", "0.92"), ("eq-3.1", "0.97"),
+                                      ("eq-3.3", None), ("eq-4.2", None),
+                                      ("eq-4.3", None), ("eq-4.4", None)])
+@pytest.mark.parametrize("q", ["0.1", "0.5", "0.9"])
+def test_printed_rhs_matches_qhyper_oracle(ctx40, ident, z, q):
+    # the catalog's right side against the formula the paper prints, built
+    # from mpmath's qp and qhyper at 60 digits
+    q = mpf(q)
+    params = {} if z is None else {"z": mpf(z)}
+    entry = next(e for e in CATALOG if e.id == ident)
+    got = entry.rhs(QPoint(q, params), ctx40).value
+    with mp.workdps(60):
+        want = _printed_rhs(ident, q, params.get("z"))
+        assert abs(got - want) <= mpf("1e-35") * abs(want)

@@ -18,6 +18,7 @@ from qseries import (
     SeriesValue,
     SplitMix64,
     accelerate,
+    eta_quotient,
     phi,
     pochhammer_inf,
     pochhammer_n,
@@ -517,17 +518,29 @@ def test_psi_rejects_zero_argument():
         psi_bilateral([0.5], [0.1], 0.5, 0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: pochhammer_inf(mp.nan, 0.5),
-    lambda: phi([0.5], [], 0.5, mp.nan),
-    lambda: psi_bilateral([mp.inf], [0.1], 0.5, 0.5),
-    lambda: qcore.prodquot([0.5], [0.2, mp.nan], 0.5),
+@pytest.mark.parametrize("call, error", [
+    (lambda: pochhammer_inf(mp.nan, 0.5), QDomainError),
+    (lambda: phi([0.5], [], 0.5, mp.nan), QDomainError),
+    (lambda: psi_bilateral([mp.inf], [0.1], 0.5, 0.5), QDomainError),
+    (lambda: qcore.prodquot([0.5], [0.2, mp.nan], 0.5), QDomainError),
+    (lambda: pochhammer_n(0.5, 0.5, 2.5), QDomainError),
+    (lambda: pochhammer_n(0.5, 0.5, 10 ** 7), CapExceededError),
+    (lambda: pochhammer_n(0.5, 0.5, -10 ** 7), CapExceededError),
+    (lambda: eta_quotient({1: 0.5}, 0.5), QDomainError),
+    (lambda: eta_quotient({1: 1.5}, 0.5), QDomainError),
+    (lambda: eta_quotient({1: mp.nan}, 0.5), QDomainError),
+    (lambda: eta_quotient({1: 10 ** 6}, 0.5), CapExceededError),
 ], ids=["pochhammer_inf-nan-a", "phi-nan-z", "psi-inf-upper",
-        "prodquot-nan-b2"])
-def test_non_finite_input_fails_fast(call):
-    # a non-finite parameter must not run a product or series to its cap
+        "prodquot-nan-b2", "pochhammer_n-half-n", "pochhammer_n-huge-n",
+        "pochhammer_n-huge-negative-n", "eta_quotient-half-e",
+        "eta_quotient-one-and-a-half-e", "eta_quotient-nan-e",
+        "eta_quotient-huge-e"])
+def test_non_finite_input_fails_fast(call, error):
+    # a non-finite parameter must not run a product or series to its cap,
+    # nor must a count (an index or an exponent) that is not an integer or
+    # exceeds the term cap
     start = time.process_time()
-    with pytest.raises(QDomainError):
+    with pytest.raises(error):
         call()
     assert time.process_time() - start < 0.5
 
