@@ -90,7 +90,8 @@ def _explicit_point(args, ctx: PrecisionCtx) -> QPoint | None:
     if args.q is None:
         raise _Failure("--set requires --q")
     # decimals are converted under the working precision, so an explicit
-    # point carries every digit typed rather than the nearest double
+    # point carries every digit typed rather than the nearest double, and
+    # each parameter reaches the primitives as the exact monomial typed
     try:
         with ctx.working():
             q = to_real(args.q)
@@ -102,10 +103,11 @@ def _explicit_point(args, ctx: PrecisionCtx) -> QPoint | None:
         if not sep or not name:
             raise _Failure(f"--set expects NAME=EXPR, got {item!r}")
         try:
-            params[name] = parse_param(expr_text).eval(q, ctx)
+            params[name] = parse_param(expr_text)
         except ParseError as exc:
             raise _Failure(f"bad expression for {name!r}: {exc}")
-    return QPoint(q, params)
+    with ctx.working():
+        return QPoint(q, params)
 
 
 def _cmd_list() -> int:

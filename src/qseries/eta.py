@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from mpmath import mpf
 
 from .errors import QDomainError
@@ -24,18 +22,19 @@ def eta_nome(q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
 
 def eta_quotient(scales, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """prod_m eta(q^m)^e for scales = {m: e}, each m > 0 and each e an
-    integer, checked before its factor is computed."""
+    integer, checked before its factor is computed. Each eta(q^m) is
+    computed once and raised to the power e once, its relative error scaled
+    by |e|."""
     q = to_real(q)
     out = SeriesValue.of(1)
-    terms = 0
     with ctx.working():
         for m, e in scales.items():
             if m <= 0:
                 raise QDomainError(f"eta_quotient scale must be positive, got {m}")
             e = _int_within_cap(e, f"eta_quotient exponent of scale {m}", ctx)
             factor = eta_nome(q ** m, ctx)
-            terms += factor.terms_used
-            for _ in range(abs(e)):
-                out = out * factor if e > 0 else out / factor
-    # the power repeats one computed factor: count its terms once
-    return replace(out, terms_used=terms)
+            power = factor.value ** e
+            out = out * SeriesValue(
+                power, abs(power * e) * factor.err_estimate / abs(factor.value),
+                factor.terms_used, factor.certified)
+    return out

@@ -6,8 +6,10 @@ quotients; right sides only infinite products and unilateral series, so
 pointwise agreement is evidence rather than circularity. Section 2 is
 Heine's (2.1) and (2.2) applied to the two halves of (1.1), as in the
 paper's proofs; each classical limit is one Gamma ratio against one beta
-series. Sections 3 and 4 are Section 1-2 sides at the paper's parameter
-maps (q^k; a, b, z), times a printed scale and plus a printed shift:
+series. Sides of Sections 1-4 take a point's parameters as ParamExprs, so
+exact monomials reach the primitives unrounded. Sections 3 and 4 are
+Section 1-2 sides at the paper's parameter maps (q^k; a, b, z), monomials
+written as data, times a printed scale and plus a printed shift:
 
     eq-3.1  q/(1+q) times (1.1)'s lhs and thm-2.1's rhs at (q; -1/q, -1, z)
     eq-3.2  lhs: (1.1)'s lhs at (q; -q, -q^3, q)
@@ -27,11 +29,13 @@ equals the full bilateral value, which is what the LHS evaluator computes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable
 
 from mpmath import mp, mpf
 
 from .eta import eta_quotient
+from .params import ParamExpr, Q
 from .precision import DEFAULT_CTX, PrecisionCtx
 from .qcore import (
     QPoint,
@@ -187,14 +191,20 @@ def _q_only_sampler(with_z=False):
 
 # --- evaluators ------------------------------------------------------------
 
+def _abz(p: QPoint) -> tuple:
+    """The point's a, b and z as monomials."""
+    return p.exprs["a"], p.exprs["b"], p.exprs["z"]
+
+
 def _lhs_bilateral(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    return psi_bilateral([p["a"]], [p["b"]], p.q, p["z"], ctx)
+    a, b, z = _abz(p)
+    return psi_bilateral([a], [b], p.q, z, ctx)
 
 
 def _rhs_eq11(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return prodquot([a * z, q / (a * z), q, b / a],
-                    [z, b / (a * z), b, q / a], q, ctx)
+    a, b, z = _abz(p)
+    return prodquot([a * z, Q / (a * z), Q, b / a],
+                    [z, b / (a * z), b, Q / a], p.q, ctx)
 
 
 # Section 2 is Heine's two transforms (2.1) and (2.2) of 2phi1(A, B; C; q, Z)
@@ -219,16 +229,16 @@ def _heine2(A, B, C, Z, q, ctx: PrecisionCtx) -> SeriesValue:
 
 
 def _own(p: QPoint) -> tuple:
-    return p["a"], p["b"], p["c"], p["z"]
+    return p.exprs["a"], p.exprs["b"], p.exprs["c"], p.exprs["z"]
 
 
 def _pos(p: QPoint) -> tuple:
-    return p.q, p["a"], p["b"], p["z"]
+    return (Q,) + _abz(p)
 
 
 def _neg(p: QPoint) -> tuple:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return q, q / b, q / a, b / (a * z)
+    a, b, z = _abz(p)
+    return Q, Q / b, Q / a, b / (a * z)
 
 
 def _at(form, pmap):
@@ -245,15 +255,32 @@ def _halves(pos_form, neg_form):
     return lambda p, ctx: pos(p, ctx) + neg(p, ctx) - 1
 
 
-# Sections 3 and 4: Section 1-2 sides at the maps the module docstring lists
+# Sections 3 and 4: Section 1-2 sides at the maps the module docstring lists,
+# each (k, a, b, z) for the base q^k and monomials c q^r in q written (c, r);
+# eq-3.1's z is the point's own, and sum_{n in Z} z^n / (1 + q^{n-1}) =
+# q/(1+q) 1psi1(-1/q; -1; q, z)
+_AT31 = (1, (-1, -1), (-1, 0), None)
+_AT32 = (1, (-1, 1), (-1, 3), (1, 1))
+# sum_{n in Z} 2(1+1/q^2)(1+q^2) q^n / ((1+q^{2n-2})(1+q^{2n})(1+q^{2n+2}))
+# = 1psi1(-1/q^2; -q^4; q^2, q): the Pochhammer quotient telescopes to
+# the printed three-factor denominator
+_AT33 = (2, (-1, -2), (-1, 4), (1, 1))
+_AT42 = (2, (1, 1), (1, 4), (1, 2))
+_AT43 = (2, (-1, -4), (-1, 0), (1, 3))
+_AT44 = (3, (-1, -5), (-1, 1), (1, 4))
 
-def _special(side, point, scale=None, shift=None):
-    """``side`` at the point (base, a, b, z) = point(q, p), times
-    scale(q, ctx) and plus shift(q, ctx) where they are given."""
+
+def _special(side, at, scale=None, shift=None):
+    """``side`` at the map ``at``, its monomials rewritten in the base q^k,
+    times scale(q, ctx) and plus shift(q, ctx) where they are given."""
+    k, a, b, z = at
 
     def special(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-        base, a, b, z = point(p.q, p)
-        value = side(QPoint(base, {"a": a, "b": b, "z": z}), ctx)
+        monomials = {"a": ParamExpr(*a), "b": ParamExpr(*b),
+                     "z": p.exprs["z"] if z is None else ParamExpr(*z)}
+        value = side(QPoint(p.q ** k, {
+            name: ParamExpr(x.coefficient, Fraction(x.exponent, k))
+            for name, x in monomials.items()}), ctx)
         if scale is not None:
             value = scale(p.q, ctx) * value
         if shift is not None:
@@ -263,38 +290,16 @@ def _special(side, point, scale=None, shift=None):
     return special
 
 
-def _at31(q, p: QPoint) -> tuple:
-    # sum_{n in Z} z^n / (1 + q^{n-1}) = q/(1+q) 1psi1(-1/q; -1; q, z)
-    return q, -1 / q, -1, p["z"]
-
-
 def _rhs_eq32(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
     q = p.q
     return SeriesValue.of((1 + q ** 2) * (1 + q) / (q * (1 - q)))
 
 
-def _at33(q, p: QPoint) -> tuple:
-    # sum_{n in Z} 2(1+1/q^2)(1+q^2) q^n / ((1+q^{2n-2})(1+q^{2n})(1+q^{2n+2}))
-    # = 1psi1(-1/q^2; -q^4; q^2, q): the Pochhammer quotient telescopes to
-    # the printed three-factor denominator
-    return q ** 2, -1 / q ** 2, -q ** 4, q
-
-
 # --- eta-quotient expansions -----------------------------------------------
 
-def _lhs_eq42(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    # eta(tau)/eta^2(2 tau) in the nome
-    return eta_quotient({1: 1, 2: -2}, p.q, ctx)
-
-
-def _lhs_eq43(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    # eta^10(2 tau)/(eta^4(tau) eta^2(4 tau)) in the nome
-    return eta_quotient({2: 10, 1: -4, 4: -2}, p.q, ctx)
-
-
-def _lhs_eq44(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    # eta^3(3 tau)/eta(tau) in the nome
-    return eta_quotient({3: 3, 1: -1}, p.q, ctx)
+def _eta(scales):
+    """The eta quotient prod_m eta(m tau)^e, scales = {m: e}, in the nome."""
+    return lambda p, ctx: eta_quotient(scales, p.q, ctx)
 
 
 # --- q-gamma theorems and classical limits ---------------------------------
@@ -594,8 +599,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=("z",),
         default_tol=Q_TOL,
         constraints=(("|q| < |z|", lambda p: p.q < abs(p["z"])), _Z_IN_DISC),
-        lhs=_special(_lhs_bilateral, _at31, lambda q, ctx: q / (1 + q)),
-        rhs=_special(_halves(_heine2, _heine1), _at31,
+        lhs=_special(_lhs_bilateral, _AT31, lambda q, ctx: q / (1 + q)),
+        rhs=_special(_halves(_heine2, _heine1), _AT31,
                      lambda q, ctx: q / (1 + q)),
         sampler=_q_only_sampler(with_z=True),
     ),
@@ -605,7 +610,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=(),
         default_tol=Q_TOL,
         constraints=(),
-        lhs=_special(_lhs_bilateral, lambda q, p: (q, -q, -q ** 3, q)),
+        lhs=_special(_lhs_bilateral, _AT32),
         rhs=_rhs_eq32,
         sampler=_q_only_sampler(),
     ),
@@ -615,8 +620,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=(),
         default_tol=Q_TOL,
         constraints=(),
-        lhs=_special(_lhs_bilateral, _at33),
-        rhs=_special(_halves(_heine2, _heine2), _at33),
+        lhs=_special(_lhs_bilateral, _AT33),
+        rhs=_special(_halves(_heine2, _heine2), _AT33),
         sampler=_q_only_sampler(),
     ),
     IdentityEntry(
@@ -625,9 +630,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=(),
         default_tol=ETA_TOL,
         constraints=(),
-        lhs=_lhs_eq42,
-        rhs=_special(_at(_heine1, _pos),
-                     lambda q, p: (q ** 2, q, q ** 4, q ** 2),
+        lhs=_eta({1: 1, 2: -2}),
+        rhs=_special(_at(_heine1, _pos), _AT42,
                      lambda q, ctx: -qpow(q, mpf(7) / 8, ctx) / (1 + q),
                      lambda q, ctx: qpow(q, mpf(-1) / 8, ctx)),
         sampler=_q_only_sampler(),
@@ -638,9 +642,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=(),
         default_tol=ETA_TOL,
         constraints=(),
-        lhs=_lhs_eq43,
-        rhs=_special(_halves(_heine2, _heine1),
-                     lambda q, p: (q ** 2, -1 / q ** 4, -1, q ** 3),
+        lhs=_eta({2: 10, 1: -4, 4: -2}),
+        rhs=_special(_halves(_heine2, _heine1), _AT43,
                      lambda q, ctx: (-2 * (1 + q) * qpow(q, mpf(4) / 3, ctx)
                                      / ((1 + q ** 2) * (1 + q ** 4)))),
         sampler=_q_only_sampler(),
@@ -651,9 +654,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=(),
         default_tol=ETA_TOL,
         constraints=(),
-        lhs=_lhs_eq44,
-        rhs=_special(_halves(_heine2, _heine2),
-                     lambda q, p: (q ** 3, -1 / q ** 5, -q, q ** 4),
+        lhs=_eta({3: 3, 1: -1}),
+        rhs=_special(_halves(_heine2, _heine2), _AT44,
                      lambda q, ctx: (qpow(q, mpf(4) / 3, ctx)
                                      * (1 + q + q ** 2)
                                      / ((1 + q ** 2) * (1 + q ** 5)))),

@@ -1,28 +1,32 @@
-"""Parameter-expression mini-language.
+"""Parameters as monomials c q^r (ParamExpr), and their command-line form.
 
-Grammar (exact):
+The exponent r is an exact rational; the coefficient c is exact (int or
+Fraction) where it was typed or written in the catalog, while a sampled real
+is its own mpf coefficient with r = 0. Exact monomials multiply and divide
+exactly, so the primitives decide cancellations, telescoping pairs and
+vanishing factors 1 - q^-n q^n from exponents. Command-line grammar:
 
     expr     := number | ["-"] [number "*"] "q" ["^" rational]
     rational := integer | integer "/" positive-integer | decimal
 
-So "0.35" is a literal, "-q^3" is -(q cubed) and "-q^-5/3" is -(q to the
--5/3). Parsing, printing and re-parsing is stable. Decimals are kept as
-typed and converted when evaluated, at the context's working precision.
+So "0.35" is 7/20, "-q^3" is -(q cubed) and "-q^-5/3" is -(q to the -5/3).
+Parsing, printing and re-parsing is stable.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .errors import ParseError
-from .precision import DEFAULT_CTX, PrecisionCtx
-from .qcore import qpow
+from .precision import DEFAULT_CTX, PrecisionCtx, to_real
 
-__all__ = ["ParamExpr", "parse_param"]
+__all__ = ["ParamExpr", "Q", "parse_param"]
 
 _MAX_EXPONENT = 100
 
@@ -30,57 +34,84 @@ _NUMBER = r"\d+(?:\.\d+)?"
 _LITERAL_RE = re.compile(rf"^-?{_NUMBER}$")
 _QFORM_RE = re.compile(
     rf"^(?P<sign>-)?(?:(?P<coeff>{_NUMBER})\*)?q"
-    rf"(?:\^(?P<exp>-?\d+(?:\.\d+)?(?:/\d+)?))?$")
+    rf"(?:\^(?P<exp>-?\d+(?:\.\d+|/0*[1-9]\d*)?))?$")
+
+
+def _real(c) -> mpf:
+    """An exact coefficient rounded once to the precision in force."""
+    return c if isinstance(c, mpf) else mpf(c.numerator) / c.denominator
+
+
+def _combine(op, x, y):
+    """op on two coefficients: exact unless one of them is an mpf."""
+    if isinstance(x, mpf) or isinstance(y, mpf):
+        return op(_real(x), _real(y))
+    return op(Fraction(x), y)
 
 
 @dataclass(frozen=True)
 class ParamExpr:
-    """Either a plain literal or sign * coefficient * q**exponent; the
-    literal, the coefficient and a decimal exponent are decimal text."""
+    """The monomial coefficient * q**exponent."""
 
-    literal: str | None = None
-    sign: int = 1
-    coefficient: str = "1"
-    exponent: Fraction | str = Fraction(1)
+    coefficient: int | Fraction | mpf = 1
+    exponent: int | Fraction = 0
+
+    @staticmethod
+    def of(x) -> "ParamExpr":
+        """x itself, an int as an exact coefficient, any other real as its
+        own mpf coefficient."""
+        if isinstance(x, ParamExpr):
+            return x
+        return ParamExpr(x if isinstance(x, int) else to_real(x))
 
     @property
-    def is_literal(self) -> bool:
-        return self.literal is not None
+    def zero_index(self) -> int | None:
+        """n >= 0 where this is exactly q^-n, so that 1 - x q^n = 0."""
+        c, r = self.coefficient, self.exponent
+        exact = not isinstance(c, mpf) and c == 1 and r.denominator == 1
+        return -int(r) if exact and r <= 0 else None
+
+    def value(self, q) -> mpf:
+        """c q^r at the precision in force, q^r by mpf powering for an
+        integer r and as qcore.qpow computes it otherwise."""
+        c, r = _real(self.coefficient), self.exponent
+        if r == 0:
+            return c
+        if r.denominator == 1:
+            return c * q ** int(r)
+        return c * mp.exp(mpf(r.numerator) / r.denominator * mp.log(q))
 
     def eval(self, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
+        """The value at q, at the ctx's working precision."""
         with ctx.working():
-            if self.is_literal:
-                return mpf(self.literal)
-            e = (mpf(self.exponent.numerator) / self.exponent.denominator
-                 if isinstance(self.exponent, Fraction)
-                 else mpf(self.exponent))
-            return self.sign * mpf(self.coefficient) * qpow(q, e, ctx)
+            return self.value(to_real(q))
+
+    def __mul__(self, other: "ParamExpr") -> "ParamExpr":
+        return ParamExpr(_combine(operator.mul, self.coefficient,
+                                  other.coefficient),
+                         self.exponent + other.exponent)
+
+    def __truediv__(self, other: "ParamExpr") -> "ParamExpr":
+        return ParamExpr(_combine(operator.truediv, self.coefficient,
+                                  other.coefficient),
+                         self.exponent - other.exponent)
 
     def __str__(self) -> str:
-        if self.is_literal:
-            return self.literal
-        out = "-" if self.sign < 0 else ""
-        if self.coefficient != "1":
-            out += f"{self.coefficient}*"
-        out += "q"
-        if isinstance(self.exponent, Fraction):
-            if self.exponent != 1:
-                if self.exponent.denominator == 1:
-                    out += f"^{self.exponent.numerator}"
-                else:
-                    out += f"^{self.exponent}"
-        elif self.exponent != 1:
-            out += f"^{self.exponent}"
-        return out
+        c, r = self.coefficient, self.exponent
+        if r == 0:
+            return _number(c)
+        scale = "" if abs(c) == 1 else f"{_number(abs(c))}*"
+        return ("-" if c < 0 else "") + scale + ("q" if r == 1 else f"q^{r}")
 
 
-def _parse_rational(text: str) -> Fraction | str:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    if "." in text:
-        return text
-    return Fraction(int(text))
+Q = ParamExpr(1, 1)
+
+
+def _number(c) -> str:
+    """A coefficient as text: an exact one as a decimal where it ends."""
+    if isinstance(c, mpf):
+        return str(c)
+    return format(Decimal(c.numerator) / c.denominator, "f")
 
 
 def parse_param(text: str) -> ParamExpr:
@@ -90,11 +121,12 @@ def parse_param(text: str) -> ParamExpr:
         raise ParseError("empty parameter expression", 0)
     s = text.strip()
     if _LITERAL_RE.match(s):
-        return ParamExpr(literal=s)
+        return ParamExpr(Fraction(s))
     m = _QFORM_RE.match(s)
     if m is None:
-        # locate the first character that cannot extend a valid prefix
-        pos = 0
+        # locate the first character that cannot extend a valid prefix, or
+        # the end where every prefix can be completed
+        pos = len(s)
         for i in range(1, len(s) + 1):
             prefix = s[:i]
             if not (_LITERAL_RE.match(prefix) or _QFORM_RE.match(prefix)
@@ -102,12 +134,11 @@ def parse_param(text: str) -> ParamExpr:
                 pos = i - 1
                 break
         raise ParseError(f"invalid parameter expression {text!r}", pos)
-    sign = -1 if m.group("sign") else 1
-    coeff = m.group("coeff") or "1"
-    exp = _parse_rational(m.group("exp")) if m.group("exp") else Fraction(1)
-    if abs(Fraction(exp)) > _MAX_EXPONENT:
+    exp = Fraction(m.group("exp") or 1)
+    if abs(exp) > _MAX_EXPONENT:
         raise ParseError(f"exponent magnitude exceeds {_MAX_EXPONENT}")
-    return ParamExpr(sign=sign, coefficient=coeff, exponent=exp)
+    return ParamExpr(Fraction((m.group("sign") or "") + (m.group("coeff")
+                                                         or "1")), exp)
 
 
 def _is_viable_prefix(prefix: str) -> bool:

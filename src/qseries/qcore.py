@@ -29,14 +29,14 @@ become mpf only where they leave a loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
+from dataclasses import dataclass, field
+from math import comb, prod
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
 from mpmath.libmp import (finf, fone, fzero, mpf_abs, mpf_add, mpf_div,
-                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
-                          mpf_rdiv_int, mpf_shift, mpf_sub)
+                          mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_rdiv_int, mpf_shift, mpf_sub)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import (
@@ -47,6 +47,7 @@ from .errors import (
     PoleError,
     QDomainError,
 )
+from .params import ParamExpr, Q
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
 
 __all__ = [
@@ -135,16 +136,22 @@ class SeriesValue:
 
 @dataclass(frozen=True)
 class QPoint:
-    """A parameter assignment: the base q in (0,1) plus named reals."""
+    """A parameter assignment: the base q in (0,1) plus named reals or
+    ParamExprs, kept as ParamExprs in ``exprs`` and as their values at the
+    precision in force in ``params``."""
 
     q: mpf
     params: dict
+    exprs: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", to_real(self.q))
-        object.__setattr__(
-            self, "params", {k: to_real(v) for k, v in self.params.items()})
-        _check_q(self.q, **self.params)
+        q = to_real(self.q)
+        exprs = {k: ParamExpr.of(v) for k, v in self.params.items()}
+        _check_q(q, **exprs)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "exprs", exprs)
+        object.__setattr__(self, "params",
+                           {k: e.value(q) for k, e in exprs.items()})
 
     def __getitem__(self, name):
         return self.params[name]
@@ -157,7 +164,8 @@ def _check_q(q, /, **params):
     if not (0 < q < 1):
         raise QDomainError(f"q must lie strictly in (0,1), got {q}")
     for name, x in params.items():
-        if not mp.isfinite(x):
+        if not mp.isfinite(x.coefficient if isinstance(x, ParamExpr)
+                           else to_real(x)):
             raise QDomainError(f"parameter {name} is not finite, got {x}")
 
 
@@ -182,10 +190,7 @@ def qpow(q, e, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
 def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """(a;q)_inf = prod_{n>=0} (1 - a q^n), certified as prodquot([a], []).
     Returns exact 0 when some factor vanishes."""
-    with ctx.working():
-        a, q = to_real(a), to_real(q)
-        _check_q(q, a=a)
-        return prodquot([a], [], q, ctx)
+    return prodquot([a], [], q, ctx)
 
 
 def _int_within_cap(x, what, ctx: PrecisionCtx) -> int:
@@ -201,33 +206,14 @@ def _int_within_cap(x, what, ctx: PrecisionCtx) -> int:
 
 
 def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
-    """(a;q)_n for any integer n per (a)_n = (a)_inf / (a q^n)_inf.
-
-    n >= 0: finite product prod_{k=0}^{n-1}(1 - a q^k).
-    n < 0: reciprocal finite product 1 / prod_{k=1}^{|n|}(1 - a q^-k);
-    raises PoleError when a factor vanishes (the symbol is infinite).
-    """
+    """(a;q)_n for any integer n, as (a;q)_inf / (a q^n;q)_inf, which
+    prodquot telescopes to prod_{k=0}^{n-1}(1 - a q^k) for n >= 0 and to
+    1 / prod_{k=1}^{|n|}(1 - a q^-k) for n < 0, where a vanishing factor
+    raises PoleError (the symbol is infinite)."""
     n = _int_within_cap(n, "(a;q)_n index n", ctx)
     with ctx.working():
-        a, q = to_real(a), to_real(q)
-        _check_q(q, a=a)
-        if n >= 0:
-            prod = mpf(1)
-            qk = mpf(1)
-            for _ in range(n):
-                prod *= 1 - a * qk
-                qk *= q
-            return SeriesValue(prod, mpf(0), max(n, 1), True)
-        prod = mpf(1)
-        qk = mpf(1)
-        for k in range(1, -n + 1):
-            qk /= q
-            f = 1 - a * qk
-            if f == 0:
-                raise PoleError(
-                    f"(a;q)_n pole: factor 1 - a*q^-{k} vanishes (a={a}, q={q})")
-            prod *= f
-        return SeriesValue(1 / prod, mpf(0), -n, True)
+        a = ParamExpr.of(a)
+        return prodquot([a], [a * ParamExpr(1, n)], q, ctx)
 
 
 def _bound_consts(params, q_, prec):
@@ -264,50 +250,114 @@ class _DenominatorPole(PoleError):
     _ratio_series vanished."""
 
     def __init__(self, b, n):
-        super().__init__(f"vanishing denominator factor 1 - ({b})*q^{n}")
+        super().__init__(f"pole: vanishing denominator factor "
+                         f"1 - ({b})*q^{n}")
         self.b, self.n = b, n
 
 
+def _values(xs, q) -> list:
+    """Reals or monomials in q as their values at q."""
+    return [x.value(q) if isinstance(x, ParamExpr) else to_real(x)
+            for x in xs]
+
+
+def _telescope(xs, ys):
+    """Pair each den y with a num x of equal coefficient and an integer gap
+    k = x.exponent - y.exponent, least |k| first. k = 0 cancels; otherwise
+    (x;q)_inf / (x q^-k;q)_inf is (x;q)_-k over the line for k < 0 and
+    (y;q)_k under it for k > 0. Returns the unpaired nums and dens and the
+    finite products as (start, count, over)."""
+    xs, rest, finite = list(xs), [], []
+    for y in ys:
+        gaps = [(x, x.exponent - y.exponent) for x in xs
+                if x.coefficient == y.coefficient]
+        gaps = [(x, int(k)) for x, k in gaps if k.denominator == 1]
+        if not gaps:
+            rest.append(y)
+            continue
+        x, k = min(gaps, key=lambda gap: abs(gap[1]))
+        xs.remove(x)
+        if k:
+            finite.append((x, -k, True) if k < 0 else (y, k, False))
+    return xs, rest, finite
+
+
 def prodquot(nums, dens, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
-    """prod (x;q)_inf over nums divided by the same over dens, in one pass
-    over n with one shared q^n, stopped and certified by the module's bound
-    L over every |x| and |y|. A vanishing numerator factor makes the value
-    exact 0, but the loop runs on to its normal stop, so a vanishing
-    denominator factor still raises PoleError. terms_used counts the factors
-    computed, n (#nums + #dens)."""
+    """prod (x;q)_inf over nums divided by the same over dens, each x a real
+    or a monomial (ParamExpr) in q. _telescope cancels and telescopes the
+    pairs it can, and a factor 1 - q^-n q^n is decided from exponents: exact
+    0 over the line, PoleError under it. The infinite products left run in
+    one pass over n with one shared q^n, from the finite products on,
+    stopped and certified by the module's bound L over every |x| and |y|,
+    and refused up front where g cannot meet tol within ctx.max_terms
+    factors. A numerator factor that is 0 as a value makes the value exact
+    0, but the loop runs on to its normal stop, so a vanishing denominator
+    factor still raises PoleError. terms_used counts the finite factors and
+    the loop's n (#nums + #dens)."""
     with ctx.working():
-        nums = [to_real(x) for x in nums]
-        dens = [to_real(y) for y in dens]
         q = to_real(q)
         _check_q(q, **_series_params(nums, dens))
-        prec = mp.prec
-        tol = ctx.tail_tol()._mpf_
-        xs, ys = [x._mpf_ for x in nums], [y._mpf_ for y in dens]
-        q_ = q._mpf_
-        cs, omq, c_over_omq = _bound_consts(xs + ys, q_, prec)
-        top = bottom = qn = fone  # qn = q^n
-        n = 0
-        while True:
-            for x in xs:
-                top = mpf_mul(top, mpf_sub(fone, mpf_mul(x, qn, prec, RN),
-                                           prec, RN), prec, RN)
-            for y in ys:
-                f = mpf_sub(fone, mpf_mul(y, qn, prec, RN), prec, RN)
-                if f == fzero:
-                    raise _DenominatorPole(mp.make_mpf(y), n)
-                bottom = mpf_mul(bottom, f, prec, RN)
-            n += 1
-            qn = mpf_mul(qn, q_, prec, RN)
-            g = mpf_mul(c_over_omq, qn, prec, RN)
-            if mpf_le(g, tol):
-                rel = _closure_err(cs, qn, g, fone, omq, prec)
-                if rel is not None and mpf_le(rel, tol):
-                    value = mp.make_mpf(mpf_div(top, bottom, prec, RN))
-                    return SeriesValue(value, abs(value) * mp.make_mpf(rel),
-                                       n * len(cs), True)
-            if n >= ctx.max_terms:
-                raise CapExceededError(f"(a;q)_inf not certified within "
-                                       f"{ctx.max_terms} factors of each a")
+        return _quotient([*map(ParamExpr.of, nums)],
+                         [*map(ParamExpr.of, dens)], q, ctx)
+
+
+def _quotient(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
+    """prodquot of checked monomials, at the precision in force."""
+    nums, dens, finite = _telescope(nums, dens)
+    for y in dens:
+        if y.zero_index is not None:
+            raise _DenominatorPole(y, y.zero_index)
+    top = mpf(0 if any(x.zero_index is not None for x in nums) else 1)
+    bottom = mpf(1)
+    for x, count, over in finite:
+        v, qj, n0 = x.value(q), mpf(1), x.zero_index
+        for j in range(count):
+            f = 0 if j == n0 else 1 - v * qj
+            if over:
+                top *= f
+            elif f == 0:
+                raise _DenominatorPole(x, j)
+            else:
+                bottom *= f
+            qj *= q
+    used = sum(count for _, count, _ in finite)
+    prec = mp.prec
+    tol = ctx.tail_tol()._mpf_
+    xs = [x._mpf_ for x in _values(nums, q)]
+    ys = [y._mpf_ for y in _values(dens, q)]
+    q_ = q._mpf_
+    cs, omq, c_over_omq = _bound_consts(xs + ys, q_, prec)
+    # log g at n = max_terms, at 64 bits: above 2^-20, more than its
+    # rounding and that of the loop's g, g stays above tol to the cap
+    if c_over_omq != fzero and mpf_gt(mpf_add(
+            mpf_log(mpf_div(c_over_omq, tol, 64, RN), 64, RN),
+            mpf_mul_int(mpf_log(q_, 64, RN), ctx.max_terms, 64, RN),
+            64, RN), mpf_shift(fone, -20)):
+        raise CapExceededError(f"(a;q)_inf cannot be certified within "
+                               f"{ctx.max_terms} factors of each a")
+    top, bottom, qn = top._mpf_, bottom._mpf_, fone  # qn = q^n
+    n = 0
+    while True:
+        for x in xs:
+            top = mpf_mul(top, mpf_sub(fone, mpf_mul(x, qn, prec, RN),
+                                       prec, RN), prec, RN)
+        for y in ys:
+            f = mpf_sub(fone, mpf_mul(y, qn, prec, RN), prec, RN)
+            if f == fzero:
+                raise _DenominatorPole(mp.make_mpf(y), n)
+            bottom = mpf_mul(bottom, f, prec, RN)
+        n += 1
+        qn = mpf_mul(qn, q_, prec, RN)
+        g = mpf_mul(c_over_omq, qn, prec, RN)
+        if mpf_le(g, tol):
+            rel = _closure_err(cs, qn, g, fone, omq, prec)
+            if rel is not None and mpf_le(rel, tol):
+                value = mp.make_mpf(mpf_div(top, bottom, prec, RN))
+                return SeriesValue(value, abs(value) * mp.make_mpf(rel),
+                                   used + n * len(cs), True)
+        if n >= ctx.max_terms:
+            raise CapExceededError(f"(a;q)_inf not certified within "
+                                   f"{ctx.max_terms} factors of each a")
 
 
 def _neg_half_pole(upper, i, m) -> PoleError:
@@ -386,10 +436,10 @@ def phi(upper, lower, q, z, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     sum_{n>=0} [prod (a_i;q)_n / ((q;q)_n prod (b_j;q)_n)] z^n for |z| < 1.
     """
     with ctx.working():
-        upper = [to_real(u) for u in upper]
-        lower = [to_real(b) for b in lower]
-        q, z = to_real(q), to_real(z)
+        q = to_real(q)
         _check_q(q, **_series_params(upper, lower), z=z)
+        upper, lower = _values(upper, q), _values(lower, q)
+        z = ParamExpr.of(z).value(q)
         if abs(z) >= 1:
             raise DivergenceError(f"phi requires |z| < 1, got |z| = {abs(z)}")
         if z == 0:
@@ -406,16 +456,18 @@ def psi_bilateral(upper, lower, q, z,
     rewritten by the Pochhammer inversion, then shifted to start at m = 0 by
     (x;q)_{m+1} = (1 - x)(xq;q)_m:
     sum_{n<0} = sum_{m>=1} prod (q/b;q)_m / prod (q/a;q)_m * w^m
-      = w prod (1 - q/b) / prod (1 - q/a)
+      = w prod (q/b, q^2/a;q)_inf / prod (q^2/b, q/a;q)_inf
         * sum_{m>=0} prod (q^2/b;q)_m / prod (q^2/a;q)_m * w^m,
     w = prod b/(prod a * z), so both halves carry certified geometric tail
-    bounds.
+    bounds; prodquot telescopes the head to its 2r finite factors, and an
+    upper a = q^k, k >= 1, is decided to be a pole at m = k before any sum.
     """
     with ctx.working():
-        upper = [to_real(u) for u in upper]
-        lower = [to_real(b) for b in lower]
-        q, z = to_real(q), to_real(z)
+        q = to_real(q)
         _check_q(q, **_series_params(upper, lower), z=z)
+        ups, lows = [*map(ParamExpr.of, upper)], [*map(ParamExpr.of, lower)]
+        upper, lower = _values(ups, q), _values(lows, q)
+        z = ParamExpr.of(z).value(q)
         if len(upper) != len(lower) or not upper:
             raise QDomainError(
                 "bilateral series needs equally many upper and lower parameters")
@@ -425,13 +477,7 @@ def psi_bilateral(upper, lower, q, z,
             # z = 0 lies inside the inner circle of the annulus
             raise DivergenceError(
                 f"bilateral series requires 0 < |z| < 1, got |z| = {abs(z)}")
-        num = mpf(1)
-        for b_j in lower:
-            num *= b_j
-        den = z
-        for a_i in upper:
-            den *= a_i
-        w = num / den
+        w = prod(lower) / prod([z] + upper)
         if any(b_j == q for b_j in lower):
             # some (b;q)_{-m} is infinite for every m >= 1: the negative
             # half vanishes identically and only |z| < 1 is needed
@@ -440,15 +486,15 @@ def psi_bilateral(upper, lower, q, z,
             raise DivergenceError(
                 f"bilateral domain |b../a..| < |z| < 1 violated: "
                 f"|b../(a..z)| = {abs(w)}, |z| = {abs(z)}")
+        for i, a in enumerate(ups, 1):
+            # q/a = q^-n, exactly or as the value a = q, is a pole at m = n + 1
+            n = 0 if upper[i - 1] == q else (Q / a).zero_index
+            if n is not None:
+                raise _neg_half_pole(upper, i, n + 1)
         pos = _ratio_series(upper, lower, q, z, ctx)
-        head = w
-        for b_j in lower:
-            head *= 1 - q / b_j
-        for i, a_i in enumerate(upper, 1):
-            d = 1 - q / a_i
-            if d == 0:
-                raise _neg_half_pole(upper, i, 1)
-            head /= d
+        head = w * _quotient([Q / b for b in lows] + [Q * Q / a for a in ups],
+                             [Q * Q / b for b in lows] + [Q / a for a in ups],
+                             q, ctx).value
         dens = [q * q / a for a in upper]
         try:
             neg = _ratio_series([q * q / b for b in lower], dens, q, w, ctx)

@@ -1,5 +1,7 @@
 """Eta-function primitives and the eta-quotient identities eq-4.2 .. eq-4.4."""
 
+import time
+
 from mpmath import mp, mpf
 
 import pytest
@@ -105,3 +107,17 @@ def test_eq43_fails_without_constant_offset(registry, ctx40):
         ratios.append(res.lhs_value / res.rhs_value)
     spread = max(ratios) - min(ratios)
     assert spread > mpf("1e-3")
+
+
+def test_eta_quotient_takes_one_power_per_scale(ctx40):
+    # eta(q)^100000 is one eta and one power, its relative error scaled by
+    # the exponent, not 100000 products
+    start = time.process_time()
+    got = eta_quotient({1: 100_000}, mpf("0.5"), ctx40)
+    assert time.process_time() - start < 0.1
+    with mp.workdps(60):
+        q = mpf("0.5")
+        oracle = (q ** (mpf(1) / 24) * mp.qp(q, q)) ** 100_000
+        assert (abs(got.value - oracle)
+                <= got.err_estimate + mpf("1e-35") * abs(oracle))
+    assert got.terms_used == eta_nome(mpf("0.5"), ctx40).terms_used

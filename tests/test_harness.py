@@ -62,7 +62,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "66be565286f371b8fe8450eb63e0f3236ebb1f436964168254d44b94ef2ad5c7")
+        "1e0e69e89b8373f295c67154d1d805b7ea1aa16cfdb161818025e5435fb4d931")
 
 
 def test_seed_changes_sampled_points():
@@ -200,6 +200,25 @@ def test_cli_verify_bad_point_is_a_point_error(capsys, ident, sets, named):
     (point,) = result["points"]
     assert point["pass"] is False
     assert named in point["error"]
+
+
+def test_cli_verify_exact_pole_is_a_point_error(capsys):
+    # a = q^2 reaches psi and prodquot as the exact monomial: a pole, not a
+    # PASS from two rounded values of about 3.9e50
+    assert cli.main(["verify", "--identity", "eq-1.1", "--q", "0.3",
+                     "--set", "a=q^2", "--set", "b=0.01", "--set", "z=0.9",
+                     "--report", "json"]) == 1
+    out = capsys.readouterr().out
+    point = json.loads(out)["results"][0]["points"][0]
+    assert "bilateral pole: 1 - q^2/a1 vanishes at m = 2" in point["error"]
+    assert '"pass": true' not in out
+    # each side names its vanishing factor: a1's at m = 2, and q/a = q^-1's
+    for side, named in (("lhs", "1 - q^2/a1"), ("rhs", "1 - (q^-1)*q^1")):
+        assert cli.main(["eval", "--identity", "eq-1.1", "--side", side,
+                         "--q", "0.3", "--set", "a=q^2", "--set", "b=0.01",
+                         "--set", "z=0.9"]) == 1
+        err = capsys.readouterr().err
+        assert "pole" in err and named in err
 
 
 def test_cli_set_requires_q(capsys):

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,15 @@ from mpmath import mp, mpf
 import qseries
 from qseries import (
     DomainViolationError,
+    EvaluationError,
+    PoleError,
     PrecisionCtx,
     QPoint,
     QSeriesError,
+    SeriesValue,
     UnknownIdentityError,
     eval_identity,
+    parse_param,
     phi,
     pochhammer_inf,
     psi_bilateral,
@@ -306,3 +311,29 @@ def test_printed_rhs_matches_qhyper_oracle(ctx40, ident, z, q):
     with mp.workdps(60):
         want = _printed_rhs(ident, q, params.get("z"))
         assert abs(got - want) <= mpf("1e-35") * abs(want)
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.5", "0.7"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_eq11_pole_at_exact_q_power(registry, ctx40, q, k):
+    # a = q^k, typed exactly, is a pole of both sides of (1.1): the lhs's
+    # (q/a;q)_m vanishes at m = k, the rhs's (q/a;q)_inf at its factor k - 1.
+    # As a rounded mpf, q^2 at q = 0.3 makes no factor vanish, and both
+    # sides agree at about 3.9e50
+    with ctx40.working():
+        point = QPoint(mpf(q), {"a": parse_param(f"q^{k}"),
+                                "b": parse_param("0.0001"),
+                                "z": parse_param("0.9")})
+    report = qseries.run(qseries.RunConfig(identities=("eq-1.1",),
+                                           explicit_points=(point,)))
+    rec = report["results"][0]["points"][0]
+    assert "pole" in rec["error"] and rec["pass"] is False
+    entry = next(e for e in registry if e.id == "eq-1.1")
+    for side in ("lhs", "rhs"):
+        # the other side replaced by 1, so that this one is evaluated
+        other = "rhs" if side == "lhs" else "lhs"
+        probe = replace(entry, **{other: lambda p, ctx: SeriesValue.of(1)})
+        with pytest.raises(EvaluationError) as info:
+            eval_identity("eq-1.1", point, ctx=ctx40, registry=[probe])
+        assert info.value.side == side
+        assert isinstance(info.value.cause, PoleError)

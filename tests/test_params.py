@@ -10,7 +10,7 @@ from qseries.rng import SplitMix64, fnv1a64, stream_for
 
 def test_literal():
     e = parse_param("0.35")
-    assert e.is_literal
+    assert e.exponent == 0
     with DEFAULT_CTX.working():
         assert e.eval(0.5) == mpf("0.35")
     assert str(e) == "0.35"
@@ -33,7 +33,7 @@ def test_negative_literal():
 
 def test_simple_q_power():
     e = parse_param("-q^3")
-    assert not e.is_literal and e.sign == -1
+    assert e.exponent == 3 and e.coefficient == -1
     assert e.eval(0.5) == mpf("-0.125")
 
 
@@ -78,6 +78,22 @@ def test_parse_error_empty():
 def test_parse_error_garbage():
     with pytest.raises(ParseError):
         parse_param("a+b")
+
+
+@pytest.mark.parametrize("text", ["q^", "2*", "q^-"])
+def test_parse_error_position_of_an_incomplete_expression(text):
+    # every prefix can still be completed: the expression ends too early
+    with pytest.raises(ParseError) as exc:
+        parse_param(text)
+    assert exc.value.position == len(text)
+
+
+@pytest.mark.parametrize("text", ["q^1/0", "q^1.5/2"])
+def test_parse_error_bad_rational(text):
+    # a zero denominator or a decimal over an integer is no rational of the
+    # grammar: a ParseError, not a ZeroDivisionError or an int() ValueError
+    with pytest.raises(ParseError):
+        parse_param(text)
 
 
 def test_exponent_cap():

@@ -2,6 +2,7 @@
 custom bounded sums, and acceleration."""
 
 import time
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from qseries import (
     CapExceededError,
     DivergenceError,
     InsufficientTermsError,
+    ParamExpr,
     PoleError,
     PrecisionCtx,
     QDomainError,
@@ -213,6 +215,111 @@ def test_prodquot_vanishing_denominator_is_a_pole(nums, dens, factor):
     # a numerator factor has made the value 0
     with pytest.raises(PoleError, match=factor):
         qcore.prodquot(nums, dens, mpf("0.5"))
+
+
+def _qp60(x, q):
+    return mp.qp(x, q, maxterms=10 ** 6)
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.8"])
+@pytest.mark.parametrize("k", [-4, -3, -2, -1, 1, 2, 3, 4])
+def test_prodquot_reduces_exact_monomials(q, k):
+    # x = -3/7 q^(1/2) over x q^k is the |k| finite factors of (x;q)_k or
+    # 1/(x q^k;q)_-k, the equal pair 5/4 q^(3/2) cancels, and only the
+    # sampled real 0.61 is left to the loop, so terms_used is |k| plus that
+    # loop's factors; the oracle is mpmath's qp at 60 digits
+    ctx = PrecisionCtx(digits=40)
+    q = mpf(q)
+    x = ParamExpr(Fraction(-3, 7), Fraction(1, 2))
+    pair = ParamExpr(Fraction(5, 4), Fraction(3, 2))
+    real = mpf("0.61")
+    got = qcore.prodquot([x, pair, real], [pair, x * ParamExpr(1, k)], q, ctx)
+    assert got.certified
+    assert got.terms_used == abs(k) + pochhammer_inf(real, q, ctx).terms_used
+    with mp.workdps(60):
+        xv = mpf(-3) / 7 * mp.sqrt(q)
+        oracle = _qp60(xv, q) * _qp60(real, q) / _qp60(xv * q ** k, q)
+        bound = got.err_estimate + mpf(10) ** -40 * abs(oracle)
+        assert abs(got.value - oracle) <= bound
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.8"])
+def test_prodquot_exact_zero_numerator(q):
+    # 1 - q^-2 q^2 vanishes exactly, as an infinite product and inside a
+    # telescoped (q^-2;q)_3, whatever the rounded q^-2 q^2 is
+    q = mpf(q)
+    zero = ParamExpr(1, -2)
+    for nums, dens in (([zero, mpf("0.4")], [mpf("-0.3")]),
+                       ([zero], [ParamExpr(1, 1)])):
+        got = qcore.prodquot(nums, dens, q)
+        assert got.value == 0 and got.err_estimate == 0 and got.certified
+    # over (q^-1;q)_inf, which vanishes too, the quotient telescopes to the
+    # one factor 1 - q^-2
+    got = qcore.prodquot([zero], [ParamExpr(1, -1)], q)
+    with mp.workdps(60):
+        assert rel_diff(got.value, 1 - q ** -2) < mpf("1e-45")
+    assert got.terms_used == 1
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.8"])
+@pytest.mark.parametrize("nums, dens, factor", [
+    ([mpf("0.4")], [ParamExpr(1, -3)], r"1 - \(q\^-3\)\*q\^3"),
+    ([ParamExpr(1, 1)], [ParamExpr(1, -1)], r"1 - \(q\^-1\)\*q\^1"),
+], ids=["infinite", "telescoped"])
+def test_prodquot_exact_pole_denominator(q, nums, dens, factor):
+    # (q^-n;q) under the line vanishes at its factor n: a PoleError decided
+    # from exponents, before any factor is computed
+    with pytest.raises(PoleError, match=factor):
+        qcore.prodquot(nums, dens, mpf(q))
+
+
+@pytest.mark.parametrize("a, q", [("0.5", "0.5"), ("-1.7", "0.3"),
+                                  ("0.9", "0.7")])
+def test_prodquot_refuses_a_stop_beyond_the_cap(monkeypatch, a, q):
+    # a quotient stops no earlier than g = sum|c| q^n/(1-q) meets tol: under
+    # a cap at or just above its stop index it is certified as without a
+    # cap, under one just below it raises, and under one far below it is
+    # refused before the loop builds any bound
+    a, q = mpf(a), mpf(q)
+    free = pochhammer_inf(a, q, PrecisionCtx(digits=20))
+    stop = free.terms_used
+    assert stop < 200
+    for cap in (stop, stop + 1):
+        assert pochhammer_inf(a, q, PrecisionCtx(digits=20,
+                                                 max_terms=cap)) == free
+    with pytest.raises(CapExceededError):
+        pochhammer_inf(a, q, PrecisionCtx(digits=20, max_terms=stop - 1))
+    built = []
+    monkeypatch.setattr(qcore, "_closure_err",
+                        lambda *args: built.append(args))
+    with pytest.raises(CapExceededError, match="cannot be certified"):
+        pochhammer_inf(a, q, PrecisionCtx(digits=20, max_terms=stop // 2))
+    assert not built
+
+
+def test_prodquot_cap_never_refuses_a_certified_product():
+    # at every cap from the stop index up, the up-front check lets through
+    # what the loop certifies, on products of one to three parameters
+    rng = SplitMix64(23)
+    for _ in range(40):
+        q = mpf(rng.uniform(0.05, 0.95))
+        nums = [mpf(rng.uniform(-2, 2)) for _ in range(1 + rng.next_u64() % 2)]
+        dens = [mpf(rng.uniform(-0.9, 0.9)) for _ in range(rng.next_u64() % 2)]
+        free = qcore.prodquot(nums, dens, q, PrecisionCtx(digits=20))
+        stop = free.terms_used // (len(nums) + len(dens))
+        capped = PrecisionCtx(digits=20, max_terms=stop)
+        assert qcore.prodquot(nums, dens, q, capped) == free
+
+
+@pytest.mark.parametrize("call", [lambda: pochhammer_inf(0.5, 0.9999999),
+                                  lambda: qgamma.gamma_q(0.5, 0.9999999)],
+                         ids=["pochhammer_inf", "gamma_q"])
+def test_q_near_one_fails_fast(call):
+    # about 10^9 factors would be needed: refused at once, not after seconds
+    start = time.process_time()
+    with pytest.raises(CapExceededError):
+        call()
+    assert time.process_time() - start < 0.1
 
 
 # --- pochhammer_n ---------------------------------------------------------------
