@@ -4,20 +4,33 @@ Powers of q (fractional exponents included), q-Pochhammer symbols for all
 integer orders, unilateral and bilateral basic hypergeometric series, and
 convergence acceleration for slowly convergent classical series.
 
-Truncation rule, with tol = 10**-digits: one bound certifies every product
-and series. With C the absolute values of the parameters whose factors
-1 - c q^k, k >= n, are still to come, and every c q^n < 1, each partial
-product of those factors has |log| <= L = sum_c c q^n / ((1-q)(1-c q^n))
-(Gasper & Rahman, Basic Hypergeometric Series, 1.2). A product quotient
-stops once expm1(L) meets tol and is certified to within |value| expm1(L).
-A phi/psi series closes its tail from the next term t on as t / (1 - arg),
-to within expm1(L) |t| / (1 - |arg|), and stops once that meets
+Truncation rule, with tol = 10**-digits. A product quotient splits each
+(x;q)_inf at theta = min(1/2, 3(1-q)): a head of explicit factors
+1 - x q^n while |x q^n| > theta, which holds every factor that can vanish,
+and Euler's series (r;q)_inf = sum_k (-r)^k q^(k(k-1)/2) / (q;q)_k on the
+remainder r = x q^n0 (Gasper & Rahman, Basic Hypergeometric Series,
+1.3.16). Its term ratios |r| q^k / (1 - q^(k+1)) decrease in k, so the
+tail from term N is at most |t_N| / (1 - rho_N), rho_N = |r| q^N /
+(1 - q^(N+1)); every series of a quotient is summed in one pass with the
+shared coefficients and stops where that bound at R = max |r| meets
+tol 2^-10 / #series. |r| <= theta bounds the cancellation a priori,
+sum |t| / |sum t| <= (-theta;q)_inf / (theta;q)_inf <= e^12, and every
+|(r;q)_inf| >= e^-6, so the relative truncation error is below tol / 2.
+The certified estimate adds the rounding: 2(N+1)^2 ulps per series
+amplified by sum |t| / |sum t|, and for each head factor its q^n's n
+ulps amplified by |x q^n| / |1 - x q^n|. terms_used counts the head factors
+and N terms per series; a quotient whose heads alone need more than
+max_terms factors, at least log(theta/|x|) / log(q) each, is refused up
+front. A phi/psi series, with C the absolute values of its parameters,
+closes its tail from the next term t on as t / (1 - arg), to within
+expm1(L) |t| / (1 - |arg|), L = sum_c c q^n / ((1-q)(1-c q^n)) over C once
+every c q^n < 1 (Gasper & Rahman, 1.2), and stops once that meets
 tol * |sum + t / (1 - arg)|; near |arg| = 1 this costs about
 log(tol) / log(q) terms, not log(tol) / log|arg|. The rounded L is never
 below g = sum_c c q^n / (1-q), and expm1(L) >= L, so L is built only once g
-meets the limit: every product and series stops at the same term, with the
-same estimate, as one that tests at every term. Accelerated limits carry
-only a heuristic estimate and are flagged non-certified.
+meets the limit: every series stops at the same term, with the same
+estimate, as one that tests at every term. Accelerated limits carry only a
+heuristic estimate and are flagged non-certified.
 
 The inner loops of prodquot, _ratio_series (phi, psi_bilateral) and
 _levin_u run on mpmath's raw ``_mpf_`` tuples through ``mpmath.libmp``:
@@ -30,13 +43,14 @@ become mpf only where they leave a loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import comb, inf, ldexp, prod
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
-from mpmath.libmp import (finf, fone, fzero, mpf_abs, mpf_add, mpf_div,
-                          mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_rdiv_int, mpf_shift, mpf_sub)
+from mpmath.libmp import (finf, fone, from_int, fzero, mpf_abs, mpf_add,
+                          mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pos, mpf_rdiv_int,
+                          mpf_shift, mpf_sub, to_float)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import (
@@ -286,19 +300,115 @@ def prodquot(nums, dens, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """prod (x;q)_inf over nums divided by the same over dens, each x a real
     or a monomial (ParamExpr) in q. _telescope cancels and telescopes the
     pairs it can, and a factor 1 - q^-n q^n is decided from exponents: exact
-    0 over the line, PoleError under it. The infinite products left run in
-    one pass over n with one shared q^n, from the finite products on,
-    stopped and certified by the module's bound L over every |x| and |y|,
-    and refused up front where g cannot meet tol within ctx.max_terms
-    factors. A numerator factor that is 0 as a value makes the value exact
-    0, but the loop runs on to its normal stop, so a vanishing denominator
-    factor still raises PoleError. terms_used counts the finite factors and
-    the loop's n (#nums + #dens)."""
+    0 over the line, PoleError under it. Each infinite product left is its
+    head of factors 1 - x q^n while |x q^n| > theta = min(1/2, 3(1-q)),
+    times Euler's series on the remainder, every series summed in one pass
+    with shared coefficients (module docstring). Every factor that can
+    vanish lies in a head: one that is 0 as a value makes the value exact 0
+    over the line and raises PoleError under it. terms_used counts the
+    finite factors, the head factors and N terms for each series."""
     with ctx.working():
         q = to_real(q)
         _check_q(q, **_series_params(nums, dens))
         return _quotient([*map(ParamExpr.of, nums)],
                          [*map(ParamExpr.of, dens)], q, ctx)
+
+
+def _cap_error(ctx: PrecisionCtx) -> CapExceededError:
+    return CapExceededError(f"(a;q)_inf cannot be certified within "
+                            f"{ctx.max_terms} factors and terms")
+
+
+def _factors(v, zero, q_, count, theta, prec):
+    """The product of 1 - v q^n from n = 0 for count factors, or while
+    |v q^n| > theta where count is None; the factor at n = zero (an exact
+    zero index, or None) is exactly 0. Returns the product, the number of
+    factors, v q^n past the last one, the first n whose factor is 0 (or
+    None) and a float bound on sum n |v q^n| / |1 - v q^n| over the nonzero
+    factors, each ratio bounded by 2^(e_x - e_f + 1) from the exponents."""
+    prod, qn, n, first_zero, amp = fone, fone, 0, None, 0.0
+    while True:
+        x = mpf_mul(v, qn, prec, RN)
+        if n == count or (count is None
+                          and mpf_le(mpf_abs(x, prec, RN), theta)):
+            return prod, n, x, first_zero, amp
+        f = fzero if n == zero else mpf_sub(fone, x, prec, RN)
+        if f == fzero:
+            if first_zero is None:
+                first_zero = n
+        elif n:
+            d = x[2] + x[3] - f[2] - f[3] + 1
+            amp += ldexp(n, d) if d < 990 else inf
+        prod = mpf_mul(prod, f, prec, RN)
+        qn = mpf_mul(qn, q_, prec, RN)
+        n += 1
+
+
+def _euler_tail(tau, big, c, prec):
+    """tau / (1 - big c), the geometric tail bound from a term bounded by tau
+    when every later term ratio is below big c, or None where big c >= 1."""
+    rho = mpf_mul(big, c, prec, RN)
+    if not mpf_lt(rho, fone):
+        return None
+    return mpf_div(tau, mpf_sub(fone, rho, prec, RN), prec, RN)
+
+
+def _euler(rs, q_, omq, tol, room, ctx, prec):
+    """Euler's (r;q)_inf = sum_k e_k (-r)^k, e_k = q^(k(k-1)/2)/(q;q)_k, for
+    every r of rs (each |r| <= theta) in one pass over k with the shared
+    e_{k+1} = e_k q^k / (1 - q^(k+1)), 1 - q^(k+1) = (1 - q^k) q + (1 - q).
+    Even and odd terms go to separate sums, so the sum of |t| is
+    |even| + |odd|. Stops at the first N where e_N R^N / (1 - R q^N /
+    (1 - q^(N+1))), R = max |r|, meets tol 2^-10 / #rs; CapExceededError
+    where #rs N would pass room. Returns the (even, odd) sums, N and that
+    tail bound."""
+    m = len(rs)
+    big = fzero
+    for r in rs:
+        if mpf_gt(mpf_abs(r, prec, RN), big):
+            big = mpf_abs(r, prec, RN)
+    limit = mpf_div(mpf_shift(tol, -10), from_int(m), prec, RN)
+    steps = [mpf_neg(r) for r in rs]
+    powers = [fone] * m  # (-r)^N
+    even, odd = [fzero] * m, [fzero] * m
+    e, qk, om, bigk = fone, fone, omq, fone  # e_N, q^N, 1 - q^(N+1), R^N
+    n = 0
+    while True:
+        c = mpf_div(qk, om, prec, RN)  # e_{N+1} / e_N
+        tau = mpf_mul(e, bigk, prec, RN)  # >= |t_N| of every series
+        if mpf_le(tau, limit):
+            tail = _euler_tail(tau, big, c, prec)
+            if tail is not None and mpf_le(tail, limit):
+                return even, odd, n, tail
+        if m * (n + 1) > room:
+            raise _cap_error(ctx)
+        acc = odd if n & 1 else even
+        for i in range(m):
+            acc[i] = mpf_add(acc[i], mpf_mul(e, powers[i], prec, RN),
+                             prec, RN)
+            powers[i] = mpf_mul(powers[i], steps[i], prec, RN)
+        e = mpf_mul(e, c, prec, RN)
+        qk = mpf_mul(qk, q_, prec, RN)
+        om = mpf_add(mpf_mul(om, q_, prec, RN), omq, prec, RN)
+        bigk = mpf_mul(bigk, big, prec, RN)
+        n += 1
+
+
+def _heads_beyond_cap(runs, q, theta, cap) -> bool:
+    """True where the runs surely take more than cap factors. A head takes
+    at most |x| / (theta (1-q)) + 1 of them (log y < y, log(1/q) >= 1 - q),
+    so only where those can pass cap is the lower bound log(|x|/theta) /
+    log(1/q) computed, at 64 bits: one less and a 2^-20 margin cover the
+    logs' rounding and a head that stops one early where |x q^n| rounds to
+    theta."""
+    need = sum(count for _, _, count, _ in runs if count is not None)
+    heads = [abs(mp.make_mpf(v)) for _, v, count, _ in runs if count is None]
+    heads = [x for x in heads if x > theta]
+    if need + sum(x / (theta * (1 - q)) + 1 for x in heads) <= cap:
+        return False
+    with mp.workprec(64):
+        need += sum(mp.log(x / theta) / -mp.log(q) - 1 for x in heads)
+        return need * (1 - mpf(2) ** -20) > cap
 
 
 def _quotient(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
@@ -307,57 +417,67 @@ def _quotient(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
     for y in dens:
         if y.zero_index is not None:
             raise _DenominatorPole(y, y.zero_index)
-    top = mpf(0 if any(x.zero_index is not None for x in nums) else 1)
-    bottom = mpf(1)
-    for x, count, over in finite:
-        v, qj, n0 = x.value(q), mpf(1), x.zero_index
-        for j in range(count):
-            f = 0 if j == n0 else 1 - v * qj
-            if over:
-                top *= f
-            elif f == 0:
-                raise _DenominatorPole(x, j)
-            else:
-                bottom *= f
-            qj *= q
-    used = sum(count for _, count, _ in finite)
-    prec = mp.prec
-    tol = ctx.tail_tol()._mpf_
-    xs = [x._mpf_ for x in _values(nums, q)]
-    ys = [y._mpf_ for y in _values(dens, q)]
+    # q and the values rounded to the working precision first
+    prec, q = mp.prec, +q
     q_ = q._mpf_
-    cs, omq, c_over_omq = _bound_consts(xs + ys, q_, prec)
-    # log g at n = max_terms, at 64 bits: above 2^-20, more than its
-    # rounding and that of the loop's g, g stays above tol to the cap
-    if c_over_omq != fzero and mpf_gt(mpf_add(
-            mpf_log(mpf_div(c_over_omq, tol, 64, RN), 64, RN),
-            mpf_mul_int(mpf_log(q_, 64, RN), ctx.max_terms, 64, RN),
-            64, RN), mpf_shift(fone, -20)):
-        raise CapExceededError(f"(a;q)_inf cannot be certified within "
-                               f"{ctx.max_terms} factors of each a")
-    top, bottom, qn = top._mpf_, bottom._mpf_, fone  # qn = q^n
-    n = 0
-    while True:
-        for x in xs:
-            top = mpf_mul(top, mpf_sub(fone, mpf_mul(x, qn, prec, RN),
-                                       prec, RN), prec, RN)
-        for y in ys:
-            f = mpf_sub(fone, mpf_mul(y, qn, prec, RN), prec, RN)
-            if f == fzero:
-                raise _DenominatorPole(mp.make_mpf(y), n)
-            bottom = mpf_mul(bottom, f, prec, RN)
-        n += 1
-        qn = mpf_mul(qn, q_, prec, RN)
-        g = mpf_mul(c_over_omq, qn, prec, RN)
-        if mpf_le(g, tol):
-            rel = _closure_err(cs, qn, g, fone, omq, prec)
-            if rel is not None and mpf_le(rel, tol):
-                value = mp.make_mpf(mpf_div(top, bottom, prec, RN))
-                return SeriesValue(value, abs(value) * mp.make_mpf(rel),
-                                   used + n * len(cs), True)
-        if n >= ctx.max_terms:
-            raise CapExceededError(f"(a;q)_inf not certified within "
-                                   f"{ctx.max_terms} factors of each a")
+    omq = mpf_sub(fone, q_, prec, RN)
+    theta = mpf_mul_int(omq, 3, prec, RN)
+    if mpf_gt(theta, mpf_shift(fone, -1)):
+        theta = mpf_shift(fone, -1)
+    runs = [(x, mpf_pos(x.value(q)._mpf_, prec, RN), count, over)
+            for x, count, over in finite + [(x, None, True) for x in nums]
+            + [(y, None, False) for y in dens]]
+    if _heads_beyond_cap(runs, q, mp.make_mpf(theta), ctx.max_terms):
+        raise _cap_error(ctx)
+    # relative rounding, in units of 2^(1-prec); 1 for top / bottom
+    top, bottom, used, rounding = fone, fone, 0, 1.0
+    series = []
+    for x, v, count, over in runs:
+        prod, n, r, zero, amp = _factors(v, x.zero_index, q_, count, theta,
+                                         prec)
+        if zero is not None and not over:
+            raise _DenominatorPole(x if count is not None else mp.make_mpf(v),
+                                   zero)
+        if over:
+            top = mpf_mul(top, prod, prec, RN)
+        else:
+            bottom = mpf_mul(bottom, prod, prec, RN)
+        used += n
+        # each factor: its q^n's n roundings amplified by |x|/|f|, the
+        # subtraction and the multiplication
+        rounding += amp + 2 * n
+        if count is None:
+            series.append((r, over, n))
+    if used > ctx.max_terms:
+        raise _cap_error(ctx)
+    trunc = fzero
+    if series:
+        even, odd, n, tail = _euler([r for r, _, _ in series], q_, omq,
+                                    ctx.tail_tol()._mpf_,
+                                    ctx.max_terms - used, ctx, prec)
+        used += n * len(series)
+        for ev, od, (_, over, head) in zip(even, odd, series):
+            s = mpf_add(ev, od, prec, RN)
+            abs_s = mpf_abs(s, prec, RN)
+            if over:
+                top = mpf_mul(top, s, prec, RN)
+            else:
+                bottom = mpf_mul(bottom, s, prec, RN)
+            # |S - s| <= tail and |S| >= |s| - tail bound s/S - 1 and
+            # S/s - 1 by tail / (|s| - 2 tail)
+            trunc = mpf_add(trunc, mpf_div(tail, mpf_sub(
+                abs_s, mpf_shift(tail, 1), prec, RN), prec, RN), prec, RN)
+            # 2(N+1)^2 roundings per term, amplified by sum |t| / |s|; the
+            # remainder's own head + 1 roundings, amplified at most 6 times;
+            # the multiplication
+            amplification = ((abs(to_float(ev)) + abs(to_float(od)))
+                             / to_float(abs_s))
+            rounding += 2 * (n + 1) ** 2 * amplification + 6 * (head + 1) + 1
+    value = mp.make_mpf(mpf_div(top, bottom, prec, RN))
+    trunc = mp.make_mpf(trunc)
+    # expm1(trunc) <= trunc + trunc^2 for trunc <= 1
+    rel = trunc * (1 + trunc) + mp.ldexp(mpf(rounding), 1 - prec)
+    return SeriesValue(value, abs(value) * rel, used, True)
 
 
 def _neg_half_pole(upper, i, m) -> PoleError:
@@ -366,6 +486,33 @@ def _neg_half_pole(upper, i, m) -> PoleError:
     qm = "q" if m == 1 else f"q^{m}"
     return PoleError(f"bilateral pole: 1 - {qm}/a{i} vanishes at m = {m} "
                      f"(a{i}={upper[i - 1]})")
+
+
+def _cannot_stop(num_params, den_params, q, arg, tol, n) -> bool:
+    """True where _ratio_series cannot stop within n terms. If every term
+    ratio |arg prod (1 - u q^k) / prod (1 - b q^k)| is at least 1 for
+    0 <= k <= n, the terms never shrink, and a stop at k needs g_k |t_k| /
+    (1 - |arg|) <= tol |s + t_k / (1 - arg)| <= tol (k + 1 / (1 - |arg|))
+    |t_k|, so g_k <= tol (k + 1), while g_k >= g_n. Over those k, u q^k runs
+    between u and u q^n, so |1 - u q^k| lies between its values at the two
+    ends unless it changes sign. At 64 bits, with margins of 2^-20 on the
+    log and the ratio and 2^-50 (1 + |u|) on each end; q^n <= e^(-n(1-q))
+    and log y < 0.7 mag(y) end most calls before any log."""
+    with mp.workprec(64):
+        params = num_params + den_params
+        g = sum(abs(c) for c in params) / (1 - q) / (tol * (n + 1))
+        if (n * (1 - q) >= 0.7 * max(mp.mag(g), 0)
+                or not mp.log(g) + n * mp.log(q) > mpf(2) ** -20):
+            return False
+        qn, low = q ** n, abs(arg)
+        for i, u in enumerate(params):
+            ends = sorted([abs(1 - u), abs(1 - u * qn)])
+            eps = (1 + abs(u)) * mpf(2) ** -50
+            if (1 - u) * (1 - u * qn) <= 0 or ends[0] <= eps:
+                return False
+            low = (low * (ends[0] - eps) if i < len(num_params)
+                   else low / (ends[1] + eps))
+        return low > 1 + mpf(2) ** -20
 
 
 def _ratio_series(num_params, den_params, q, arg, ctx):
@@ -388,6 +535,9 @@ def _ratio_series(num_params, den_params, q, arg, ctx):
     dens = [b._mpf_ for b in den_params]
     q_, arg_ = q._mpf_, arg._mpf_
     cs, omq, c_over_omq = _bound_consts(nums + dens, q_, prec)
+    if _cannot_stop(num_params, den_params, q, arg, ctx.tail_tol(), max_terms):
+        raise CapExceededError(f"series cannot be certified within "
+                               f"{max_terms} terms")
     one_minus_arg = mpf_sub(fone, arg_, prec, RN)
     one_minus_abs_arg = mpf_sub(fone, mpf_abs(arg_, prec, RN), prec, RN)
     s_val = fzero

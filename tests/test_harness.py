@@ -62,7 +62,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "1e0e69e89b8373f295c67154d1d805b7ea1aa16cfdb161818025e5435fb4d931")
+        "d2925af1d49481e13e742fba7a556e2d42d0b76cb00896f69c623b47d70bfe04")
 
 
 def test_seed_changes_sampled_points():

@@ -125,38 +125,57 @@ def _pochhammer_inf_expm1_every_factor(a, q, ctx, expm1):
                     return SeriesValue(prod, abs(prod) * rel, n, True)
 
 
-def test_pochhammer_inf_one_expm1_bit_identical(monkeypatch):
-    # the rounded L is never below g and expm1(L) >= L, so building L only
-    # once g meets tol must stop at the same factor with the same error
-    # estimate, after at most one expm1
+def test_pochhammer_inf_agrees_with_factor_loop_and_qp(monkeypatch):
+    # Euler's series after the head agrees with the factor-by-factor
+    # reference loop within both error bounds, and with mpmath's qp at 60
+    # digits within its own bound plus 10^-60; the tail bound is built at
+    # no more than two terms, and no expm1 is called
     expm1 = mp.expm1
-    calls = []
+    calls, built = [], []
+    euler_tail = qcore._euler_tail
 
-    def counting_expm1(x):
-        calls.append(x)
-        return expm1(x)
+    def counting_euler_tail(*args):
+        built.append(args)
+        return euler_tail(*args)
 
-    monkeypatch.setattr(mp, "expm1", counting_expm1)
+    monkeypatch.setattr(mp, "expm1", lambda x: calls.append(x) or expm1(x))
+    monkeypatch.setattr(qcore, "_euler_tail", counting_euler_tail)
+    oracles = {}
     for ctx in [PrecisionCtx(digits=digits) for digits in (20, 40, 100)]:
         for q in ("0.1", "0.5", "0.9", "0.99"):
             for a in dict.fromkeys(("-0.99", "-0.9", "0.3", "0.99", q)):
                 a, q = mpf(a), mpf(q)
                 ref = _pochhammer_inf_expm1_every_factor(a, q, ctx, expm1)
                 calls.clear()
+                built.clear()
                 got = pochhammer_inf(a, q, ctx)
-                assert got == ref, (a, q, ctx)
-                assert len(calls) <= 1, (a, q, ctx, len(calls))
+                assert got.certified
+                assert (abs(got.value - ref.value)
+                        <= got.err_estimate + ref.err_estimate), (a, q, ctx)
+                with mp.workdps(60):
+                    if (a, q) not in oracles:
+                        oracles[a, q] = mp.qp(a, q, maxterms=10 ** 6)
+                    oracle = oracles[a, q]
+                    assert abs(got.value - oracle) <= (
+                        got.err_estimate + mpf(10) ** -60 * abs(oracle)), (
+                        a, q, ctx)
+                assert not calls and len(built) <= 2, (a, q, ctx, built)
 
 
 def test_pochhammer_inf_wide_input_bit_identical():
-    # inputs wider than the working precision round as mpf operators do
+    # inputs wider than the working precision give the result of the same
+    # inputs rounded to it first
     with mp.workdps(200):
         a, q = mp.pi / 4, 1 / mp.e
+        wide = ((a, q), (-a, q))
     for digits in (20, 40):
         ctx = PrecisionCtx(digits=digits)
-        for x in (a, -a):
-            ref = _pochhammer_inf_expm1_every_factor(x, q, ctx, mp.expm1)
-            assert pochhammer_inf(x, q, ctx) == ref, (x, digits)
+        for x, y in wide:
+            with ctx.working():
+                rx, ry = +x, +y
+            assert rx != x and ry != y
+            assert pochhammer_inf(x, y, ctx) == pochhammer_inf(rx, ry, ctx), (
+                x, digits)
 
 
 # --- prodquot ------------------------------------------------------------------
@@ -164,6 +183,32 @@ def test_pochhammer_inf_wide_input_bit_identical():
 # (#nums, #dens) of the quotients checked at each q and precision: every
 # count from 1 to 4 numerators and from 0 to 4 denominators
 _PRODQUOT_SHAPES = ((1, 0), (1, 3), (2, 4), (3, 1), (4, 2))
+
+
+def _documented_terms(params, q, ctx):
+    """prodquot's terms_used for parameters that neither cancel nor
+    telescope, by its documented rule: each head runs while |x q^n| >
+    theta = min(1/2, 3(1-q)), and Euler's series on the remainders r stop
+    at the first N where e_N R^N / (1 - R q^N / (1 - q^(N+1))), R = max |r|,
+    meets tol 2^-10 / #params."""
+    with ctx.working():
+        theta = min(mpf(1) / 2, 3 * (1 - q))
+        heads, rs = 0, []
+        for x in params:
+            n = 0
+            while abs(x * q ** n) > theta:
+                n += 1
+            heads += n
+            rs.append(abs(x * q ** n))
+        big, m = max(rs), len(params)
+        limit = ctx.tail_tol() / 1024 / m
+        n = 0
+        while True:
+            e = q ** (n * (n - 1) // 2) / mp.qp(q, q, n)
+            rho = big * q ** n / (1 - q ** (n + 1))
+            if rho < 1 and e * big ** n / (1 - rho) <= limit:
+                return heads + m * n
+            n += 1
 
 
 @pytest.mark.parametrize("q", ["0.05", "0.5", "0.9", "0.99"])
@@ -190,12 +235,29 @@ def test_prodquot_matches_qp_oracle(q):
         for nums, dens in cases:
             got = qcore.prodquot(nums, dens, q, ctx)
             assert got.certified
-            assert got.terms_used % (len(nums) + len(dens)) == 0
+            assert got.terms_used == _documented_terms(nums + dens, q, ctx)
             with mp.workdps(60):
                 oracle = mp.fprod(qp[x] for x in nums) / mp.fprod(
                     qp[y] for y in dens)
                 bound = got.err_estimate + mpf(10) ** -digits * abs(oracle)
                 assert abs(got.value - oracle) <= bound, (nums, dens, digits)
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.7", "0.9"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_prodquot_err_estimate_carries_rounding(q, n):
+    # 1 - x q^n is about 1e-25 for x = q^-n (1 + 1e-25), so the rounding of
+    # q^n, amplified 10^25 times, leaves an error far above 10^-20; the
+    # certified estimate still covers it
+    ctx = PrecisionCtx(digits=20)
+    with ctx.working():
+        q = mpf(q)
+        x = q ** -n * (1 + mpf("1e-25"))
+    got = qcore.prodquot([x], [mpf("0.5")], q, ctx)
+    with mp.workdps(80):
+        oracle = mp.qp(x, q) / mp.qp(mpf("0.5"), q)
+        err = abs(got.value - oracle)
+    assert mpf(10) ** -20 * abs(oracle) < err <= got.err_estimate
 
 
 def test_prodquot_vanishing_numerator_is_exact_zero():
@@ -276,10 +338,10 @@ def test_prodquot_exact_pole_denominator(q, nums, dens, factor):
 @pytest.mark.parametrize("a, q", [("0.5", "0.5"), ("-1.7", "0.3"),
                                   ("0.9", "0.7")])
 def test_prodquot_refuses_a_stop_beyond_the_cap(monkeypatch, a, q):
-    # a quotient stops no earlier than g = sum|c| q^n/(1-q) meets tol: under
-    # a cap at or just above its stop index it is certified as without a
-    # cap, under one just below it raises, and under one far below it is
-    # refused before the loop builds any bound
+    # a product stops after terms_used head factors and series terms: under
+    # a cap at or just above that it is certified as without a cap, under
+    # one just below it raises, and under one far below it is refused
+    # before any tail bound is built
     a, q = mpf(a), mpf(q)
     free = pochhammer_inf(a, q, PrecisionCtx(digits=20))
     stop = free.terms_used
@@ -290,7 +352,7 @@ def test_prodquot_refuses_a_stop_beyond_the_cap(monkeypatch, a, q):
     with pytest.raises(CapExceededError):
         pochhammer_inf(a, q, PrecisionCtx(digits=20, max_terms=stop - 1))
     built = []
-    monkeypatch.setattr(qcore, "_closure_err",
+    monkeypatch.setattr(qcore, "_euler_tail",
                         lambda *args: built.append(args))
     with pytest.raises(CapExceededError, match="cannot be certified"):
         pochhammer_inf(a, q, PrecisionCtx(digits=20, max_terms=stop // 2))
@@ -306,20 +368,38 @@ def test_prodquot_cap_never_refuses_a_certified_product():
         nums = [mpf(rng.uniform(-2, 2)) for _ in range(1 + rng.next_u64() % 2)]
         dens = [mpf(rng.uniform(-0.9, 0.9)) for _ in range(rng.next_u64() % 2)]
         free = qcore.prodquot(nums, dens, q, PrecisionCtx(digits=20))
-        stop = free.terms_used // (len(nums) + len(dens))
-        capped = PrecisionCtx(digits=20, max_terms=stop)
+        capped = PrecisionCtx(digits=20, max_terms=free.terms_used)
         assert qcore.prodquot(nums, dens, q, capped) == free
 
 
-@pytest.mark.parametrize("call", [lambda: pochhammer_inf(0.5, 0.9999999),
-                                  lambda: qgamma.gamma_q(0.5, 0.9999999)],
-                         ids=["pochhammer_inf", "gamma_q"])
+@pytest.mark.parametrize("call", [
+    lambda: pochhammer_inf(0.5, 0.9999999),
+    lambda: qgamma.gamma_q(0.5, 0.9999999),
+    lambda: phi([0.5], [], 0.9999999, 0.5),
+    lambda: psi_bilateral([2.5], [0.999], 0.9999999, 0.9),
+], ids=["pochhammer_inf", "gamma_q", "phi", "psi_bilateral"])
 def test_q_near_one_fails_fast(call):
-    # about 10^9 factors would be needed: refused at once, not after seconds
+    # about 10^8 head factors, or series terms that keep growing past the
+    # cap: refused at once, not after seconds
     start = time.process_time()
     with pytest.raises(CapExceededError):
         call()
     assert time.process_time() - start < 0.1
+
+
+def test_ratio_series_near_one_certifies_what_it_can():
+    # under a cap at its stop index, g at the cap is about 12, far above
+    # tol, yet the terms of (0.5;q)_n/(q;q)_n 0.5^n shrink after n = 25:
+    # the sum is certified as without a cap, as the q-binomial theorem's
+    # (0.25;q)_inf / (0.5;q)_inf, and not refused up front
+    q = mpf("0.99")
+    free = phi([0.5], [], q, 0.5)
+    capped = phi([0.5], [], q, 0.5, PrecisionCtx(max_terms=free.terms_used))
+    assert capped == free and free.certified
+    with mp.workdps(60):
+        oracle = _qp60(mpf("0.25"), q) / _qp60(mpf("0.5"), q)
+        assert abs(free.value - oracle) <= (
+            free.err_estimate + mpf(10) ** -40 * abs(oracle))
 
 
 # --- pochhammer_n ---------------------------------------------------------------
