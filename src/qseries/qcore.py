@@ -32,25 +32,48 @@ meets the limit: every series stops at the same term, with the same
 estimate, as one that tests at every term. Accelerated limits carry only a
 heuristic estimate and are flagged non-certified.
 
-The inner loops of prodquot, _ratio_series (phi, psi_bilateral) and
-_levin_u run on mpmath's raw ``_mpf_`` tuples through ``mpmath.libmp``:
-each step calls the libmpf function the mpf operator would call, at the
-working precision ``mp.prec`` in round-to-nearest, so the results are bit
-for bit those of mpf arithmetic without the operator wrappers. Values
-become mpf only where they leave a loop.
+The inner loops of prodquot and _levin_u run on mpmath's raw ``_mpf_``
+tuples through ``mpmath.libmp``: each step calls the libmpf function the
+mpf operator would call, at the working precision ``mp.prec`` in
+round-to-nearest, so the results are bit for bit those of mpf arithmetic
+without the operator wrappers. Values become mpf only where they leave a
+loop.
+
+The phi/psi series loop (_ratio_kernel) runs in fixed point instead, as
+mpmath's own hypergeometric summation does: q^n, the parameters and the sum
+are Python ints scaled by 2^wp, wp = prec + 32 (19 guard bits for log2 of
+the default 500,000-term cap, 13 to spare) plus log2 of the largest
+|parameter| above 1, and a term carries its own scale 2^-(wp + sh), so
+that it keeps wp bits however small it gets. A step is T A prod(1 - x q^n)
+// prod(1 - y q^n) with each factor one - (X QN >> wp): every shift and the
+one floor division err by less than one unit of the last place. The stop
+test screens by bit lengths, then runs the mpf test above on the values
+rounded to mpf, so terms_used is that of the same sum in mpf arithmetic.
+The certified estimate adds a bound on the kernel's rounding, rounded up.
+q^n errs by at most 2 min(n, 1/(1-q)) units of 2^-wp, so while every
+|x q^n| <= 1/2 (each factor is then at least 1/2) a step's relative error
+is below a + b min(n, 1/(1-q)) units, a = 4 #params + 3 and b = 4 sum(|x|
++ 2); at the first terms, where some |x q^n| > 1/2, each factor gets its
+own bound. Term k's relative error, at most the sum of the steps' before
+it, times sum (k + 1) |t_k|, the floors of the sum and the roundings to
+mpf make the bound. Where it passes 2^-4 of the limit, as when the terms
+peak far above the sum, the series is rerun once with wp raised by the
+bits the bound says were lost. A factor within its error bound of 0 is
+recomputed in libmpf at prec, q^n by n roundings, so one that is exactly 0
+there ends the series (a numerator) or raises a PoleError (a denominator).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, inf, ldexp, prod
+from math import comb, inf, ldexp, log, log1p, prod
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
-from mpmath.libmp import (finf, fone, from_int, fzero, mpf_abs, mpf_add,
-                          mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul,
+from mpmath.libmp import (finf, fone, from_int, from_man_exp, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul,
                           mpf_mul_int, mpf_neg, mpf_pos, mpf_rdiv_int,
-                          mpf_shift, mpf_sub, to_float)
+                          mpf_shift, mpf_sub, round_ceiling, to_float)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import (
@@ -515,18 +538,202 @@ def _cannot_stop(num_params, den_params, q, arg, tol, n) -> bool:
         return low > 1 + mpf(2) ** -20
 
 
-def _ratio_series(num_params, den_params, q, arg, ctx):
+# bits of the series kernel beyond the working precision: 19 for log2 of
+# the default 500,000-term cap, 13 to spare
+_GUARD_BITS = 32
+
+
+def _fixed(x, wp) -> int:
+    """The raw mpf x as an int X with |X - x 2^wp| < 1."""
+    sign, man, exp, _ = x
+    v = man << exp + wp if exp + wp >= 0 else man >> -exp - wp
+    return -v if sign else v
+
+
+def _mag(x) -> int:
+    """e with 2^(e-1) <= |x| < 2^e, for a raw nonzero finite mpf x."""
+    return x[2] + x[3]
+
+
+def _head_step(T, sh, A, D0, xs, raws, m, QN, n, q_, prec, wp):
+    """T's next value in _ratio_kernel at a term n where some |x q^n| may
+    exceed 1/2. Each factor 1 - x q^n gets its own bound of 2 + (|x| + 1)
+    2n units of 2^-wp. One within that bound of 0, or within the rounding
+    (n + 2) |x q^n| 2^-prec of the libmpf expression, is recomputed as 1 -
+    x q^n in libmpf at prec, q^n by n roundings; an exact 0 there makes the
+    next term 0 (the first m raws are numerators) or raises
+    _DenominatorPole. Returns the next term and its scale sh, T near
+    2^(wp+2) where sh >= 0 allows, and twice the step's relative error in
+    units of 2^-wp, A's and the floor's included."""
+    one = 1 << wp
+    P, D, err, zero = T * A, D0, 6, False
+    for i, (X, x) in enumerate(zip(xs, raws)):
+        F = one - (X * QN >> wp)
+        bound = ((abs(X) >> wp) + 2) * 2 * n + 2
+        if abs(F) > bound + (abs(one - F) * (n + 2) >> prec):
+            err += 2 * ((bound << wp) // abs(F) + 1)
+        else:
+            qn = fone
+            for _ in range(n):
+                qn = mpf_mul(q_, qn, prec, RN)
+            xq = mpf_mul(x, qn, prec, RN)
+            f = mpf_sub(fone, xq, prec, RN)
+            if f == fzero:
+                if i >= m:
+                    raise _DenominatorPole(mp.make_mpf(x), n)
+                zero = True
+                continue
+            F = _fixed(f, wp)
+            # q^n's n roundings, x q^n's and the subtraction's, each at most
+            # 2^-prec relative, then F's own
+            ratio = _fixed(mpf_abs(mpf_div(xq, f, prec, RN)), wp - prec)
+            err += 2 * ((n + 1) * (ratio + 1) + (1 << wp - prec)
+                        + (one // abs(F)) + 1)
+        if i < m:
+            P *= F
+        else:
+            D *= F
+    if zero:
+        return 0, 0, err
+    # T' near 2^(wp+2) at scale 2^-(wp + sh'), sh' >= 0
+    shift = max(wp + 2 + D.bit_length() - P.bit_length(), -sh)
+    return ((P << shift) // D if shift >= 0 else P // (D << -shift),
+            sh + shift, err)
+
+
+def _ratio_kernel(nums, dens, q_, arg_, consts, tol, max_terms, prec, wp):
+    """One run of _ratio_series over the raw mpfs nums, dens, q_ and arg_ in
+    wp-bit fixed point (module docstring). Returns the value, the closure
+    error, terms_used, the rounding bound and the limit, raw mpfs at prec
+    (the limit None after an exact zero), then sum (n + 1) |t_n| over the
+    summed terms in units of 2^-wp and h = |t| / (1 - |arg|) at the stop."""
+    cs, omq, c_over_omq = consts
+    one, m = 1 << wp, len(nums)
+    xs = [_fixed(x, wp) for x in nums + dens]
+    Q = _fixed(q_, wp)
+    # arg = A 2^-(wp + ea) with 2^(wp-1) <= |A| < 2^wp: a term carries its
+    # own scale 2^-(wp + sh), and each step adds ea to sh
+    ea = -_mag(arg_)
+    A = _fixed(arg_, wp + ea)
+    # the next term is T A prod(num factors) // (D0 prod(den factors))
+    shift = (m + 1 - len(dens)) * wp
+    A, D0 = (A << -shift, 1) if shift < 0 else (A, 1 << shift)
+    # every |x q^n| <= 1/2 from the term head on, so every factor is at
+    # least 1/2 and the bulk steps need no bound of their own
+    of = to_float(omq)
+    lq = -log1p(-of) or 5e-324
+    head = max([int(min(max_terms + 1, log(2 * to_float(c)) / lq + 2))
+                for c in cs if to_float(c) > 0.5], default=0)
+    # q^n's error is below 2 min(n, nq) units of 2^-wp; a bulk step's
+    # relative error below a + b min(n, nq) units
+    nq = int(1 / of) + 1 if of > 1e-300 else max_terms + 1
+    a = 4 * len(xs) + 3
+    b = 4 * sum((abs(X) >> wp) + 2 for X in xs)
+    low = wp + len(xs) + 3
+    one_minus_arg = mpf_sub(fone, arg_, prec, RN)
+    one_minus_abs_arg = mpf_sub(fone, mpf_abs(arg_, prec, RN), prec, RN)
+    # the stop test runs where bit lengths allow g h <= limit. With
+    # 2^(e-1) <= |t| 2^wp < 2^e, 2^(qb-1) <= q^n 2^wp, |s| 2^wp < 2^sb,
+    # c_sum/(1-q) >= 2^lc, 2^l1 < 1/(1-|arg|) <= 2^(l1+1) and tol < 2^lt,
+    # one bit for the roundings: g h >= 2^(qb + e + lc + l1 - 2wp - 3) and
+    # limit < 2^(lt + 1 + max(sb - wp + 2, e - wp + l1 + 3, lt))
+    lc, l1, lt = _mag(c_over_omq) - 1, -_mag(one_minus_abs_arg), _mag(tol)
+    screen = lt + 4 + wp - lc - l1
+    la, ltw = l1 + 3, lt + wp
+    S, T, QN = 0, one, one
+    sh, mom, eps = 0, 0, 0  # eps: the head steps' relative error
+    ups, downs = xs[:m], xs[m:]
+    for n in range(max_terms + 1):
+        bt = T.bit_length()
+        e = bt - sh
+        d = QN.bit_length() + e - screen
+        if d <= ltw or d <= e + la or d <= S.bit_length() + 2:
+            t_ = from_man_exp(T, -wp - sh, prec, RN)
+            s_ = from_man_exp(S, -wp, prec, RN)
+            tail = mpf_div(t_, one_minus_arg, prec, RN)
+            value = mpf_add(s_, tail, prec, RN)
+            abs_v = mpf_abs(value, prec, RN)
+            # max(|value|, tol)
+            limit = mpf_mul(tol, tol if mpf_gt(tol, abs_v) else abs_v,
+                            prec, RN)
+            h = mpf_div(mpf_abs(t_, prec, RN), one_minus_abs_arg, prec, RN)
+            qn = from_man_exp(QN, -wp, prec, RN)
+            g = mpf_mul(c_over_omq, qn, prec, RN)
+            if mpf_le(mpf_mul(g, h, prec, RN), limit):
+                err = _closure_err(cs, qn, g, h, omq, prec)
+                if err is not None and mpf_le(err, limit):
+                    return (value, err, n + 1,
+                            _kernel_rounding(s_, tail, value, n, mom, eps, a,
+                                             b, nq, prec, wp),
+                            limit, mom, h)
+        S += T >> sh
+        mom += n + 1 << e if e > 0 else n + 1
+        if n < head:
+            T, sh, step = _head_step(T, sh, A, D0, xs, nums + dens, m, QN, n,
+                                     q_, prec, wp)
+            eps += step
+            if not T:
+                # a numerator factor vanished; every later term carries it
+                if n == max_terms:
+                    break
+                s_ = from_man_exp(S, -wp, prec, RN)
+                return (s_, fzero, n + 1,
+                        _kernel_rounding(s_, fzero, fzero, n + 1, mom, eps,
+                                         a, b, nq, prec, wp),
+                        None, mom, fzero)
+        else:
+            if bt < low:
+                # keep T at 2^wp or more after the step
+                T <<= low + 32 - bt
+                sh += low + 32 - bt
+            P = T * A
+            for X in ups:
+                P *= one - (X * QN >> wp)
+            D = D0
+            for X in downs:
+                D *= one - (X * QN >> wp)
+            T = P // D
+        sh += ea
+        QN = QN * Q >> wp
+    raise CapExceededError(f"series not certified within {max_terms} terms")
+
+
+def _kernel_rounding(s_, tail, value, n, mom, eps, a, b, nq, prec, wp):
+    """_ratio_kernel's rounding bound after n summed terms, rounded up: the
+    terms' relative errors, at most eps + k (a + b min(k, nq)) units of
+    2^-wp at term k, times sum (k + 1) |t_k| (mom), the n floors of the sum,
+    the closing tail's error and the conversions to mpf; first order, so
+    2^-16 more, and infinite where the relative error passes 2^-20."""
+    coef = eps + a + b * min(n, nq)
+    if (eps + n * (coef - eps)) >> wp - 20:
+        return finf
+    RC = round_ceiling
+    terms = from_man_exp(coef * mom + (n + 1 << wp), -2 * wp, prec, RC)
+    closing = mpf_mul(from_man_exp(eps + n * (coef - eps), -wp, prec, RC),
+                      mpf_abs(tail, prec, RC), prec, RC)
+    conversions = mpf_shift(mpf_add(mpf_add(mpf_abs(s_), mpf_abs(value), prec,
+                                            RC),
+                                    mpf_shift(mpf_abs(tail), 1), prec, RC),
+                            -prec)
+    total = mpf_add(mpf_add(terms, closing, prec, RC), conversions, prec, RC)
+    return mpf_add(total, mpf_shift(total, -16), prec, RC)
+
+
+def _ratio_series(num_params, den_params, q, arg, ctx, arg_err=0.0):
     """Sum over n >= 0 of prod (num;q)_n / prod (den;q)_n * arg^n for |arg|
     < 1; terms_used counts the terms summed plus the closing term. phi passes
     q as its first den parameter, for the (q;q)_n.
 
     Terms are generated by the one-step recurrence t_{k+1} = arg r_k t_k,
-    r_k = prod (1 - num q^k) / prod (1 - den q^k). The tail from t_n on is
-    closed as t_n / (1 - arg), with the module's bound L over the |num| and
-    the |den|: the sum stops at the first n where err = expm1(L) |t_n| /
-    (1 - |arg|) <= tol * max(|s + t_n/(1-arg)|, tol) and returns
-    s + t_n/(1-arg) with err as its certified estimate. L is built only once
-    g |t_n| / (1 - |arg|) meets that limit.
+    r_k = prod (1 - num q^k) / prod (1 - den q^k), in fixed point
+    (_ratio_kernel). The tail from t_n on is closed as t_n / (1 - arg), with
+    the module's bound L over the |num| and the |den|: the sum stops at the
+    first n where err = expm1(L) |t_n| / (1 - |arg|) <= tol * max(|s +
+    t_n/(1-arg)|, tol) and returns s + t_n/(1-arg) with err plus the
+    kernel's rounding bound as its certified estimate. L is built only once
+    g |t_n| / (1 - |arg|) meets that limit. An arg known only to within a
+    relative arg_err moves the sum by at most arg_err sum n |t_n|, which the
+    estimate adds with the tail of that sum bounded through L.
     """
     prec = mp.prec
     tol = ctx.tail_tol()._mpf_
@@ -534,50 +741,31 @@ def _ratio_series(num_params, den_params, q, arg, ctx):
     nums = [u._mpf_ for u in num_params]
     dens = [b._mpf_ for b in den_params]
     q_, arg_ = q._mpf_, arg._mpf_
-    cs, omq, c_over_omq = _bound_consts(nums + dens, q_, prec)
-    if _cannot_stop(num_params, den_params, q, arg, ctx.tail_tol(), max_terms):
+    consts = _bound_consts(nums + dens, q_, prec)
+    if _cannot_stop(num_params, den_params, q, arg, mp.make_mpf(tol),
+                    max_terms):
         raise CapExceededError(f"series cannot be certified within "
                                f"{max_terms} terms")
-    one_minus_arg = mpf_sub(fone, arg_, prec, RN)
-    one_minus_abs_arg = mpf_sub(fone, mpf_abs(arg_, prec, RN), prec, RN)
-    s_val = fzero
-    qn = fone  # q^n for the current term index n
-    n = 0
-    t = fone
-    while True:
-        if t == fzero:
-            # a numerator factor vanished; every later term carries it too
-            return SeriesValue(mp.make_mpf(s_val), mpf(0), n, True)
-        value = mpf_add(s_val, mpf_div(t, one_minus_arg, prec, RN), prec, RN)
-        abs_v = mpf_abs(value, prec, RN)
-        # max(|value|, tol)
-        limit = mpf_mul(tol, tol if mpf_gt(tol, abs_v) else abs_v,
-                        prec, RN)
-        h = mpf_div(mpf_abs(t, prec, RN), one_minus_abs_arg, prec, RN)
-        g = mpf_mul(c_over_omq, qn, prec, RN)
-        if mpf_le(mpf_mul(g, h, prec, RN), limit):
-            err = _closure_err(cs, qn, g, h, omq, prec)
-            if err is not None and mpf_le(err, limit):
-                return SeriesValue(mp.make_mpf(value), mp.make_mpf(err),
-                                   n + 1, True)
-        s_val = mpf_add(s_val, t, prec, RN)
-        num = fone
-        for u in nums:
-            num = mpf_mul(num, mpf_sub(fone, mpf_mul(u, qn, prec, RN),
-                                       prec, RN), prec, RN)
-        den = fone
-        for b, b_mpf in zip(dens, den_params):
-            f = mpf_sub(fone, mpf_mul(b, qn, prec, RN), prec, RN)
-            if f == fzero:
-                raise _DenominatorPole(b_mpf, n)
-            den = mpf_mul(den, f, prec, RN)
-        t = mpf_mul(mpf_div(mpf_mul(t, num, prec, RN), den, prec, RN), arg_,
-                    prec, RN)
-        qn = mpf_mul(q_, qn, prec, RN)
-        n += 1
-        if n > max_terms:
-            raise CapExceededError(
-                f"series not certified within {max_terms} terms")
+    # a parameter |x| > 1 multiplies q^n's error by |x|: as many more bits
+    wp = prec + _GUARD_BITS + max([0, *map(_mag, consts[0])])
+    run = _ratio_kernel(nums, dens, q_, arg_, consts, tol, max_terms, prec, wp)
+    value, err, used, rounding, limit, mom, h = run
+    if limit is not None and mpf_gt(rounding, mpf_shift(limit, -4)):
+        # cancellation: rerun once with the bits the bound says were lost
+        wp += (wp if rounding == finf
+               else _mag(rounding) - _mag(limit) + 6)
+        run = _ratio_kernel(nums, dens, q_, arg_, consts, tol, max_terms,
+                            prec, wp)
+        value, err, used, rounding, limit, mom, h = run
+    err = mpf_add(err, rounding, prec, round_ceiling)
+    if arg_err:
+        # sum n |t_n| over the summed terms, and over the tail, where |t_m|
+        # <= e^L |t_n| |arg|^(m-n) and e^L h = h + err
+        a = mp.make_mpf(mpf_abs(arg_))
+        moment = (mp.ldexp(mom, -wp) + (mp.make_mpf(h) + mp.make_mpf(err))
+                  * (used + a / (1 - a)))
+        err = mpf_add(err, (arg_err * moment)._mpf_, prec, round_ceiling)
+    return SeriesValue(mp.make_mpf(value), mp.make_mpf(err), used, True)
 
 
 def phi(upper, lower, q, z, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
@@ -611,6 +799,8 @@ def psi_bilateral(upper, lower, q, z,
     w = prod b/(prod a * z), so both halves carry certified geometric tail
     bounds; prodquot telescopes the head to its 2r finite factors, and an
     upper a = q^k, k >= 1, is decided to be a pole at m = k before any sum.
+    w's 2r + 2 roundings, at most (2r + 1) 2^(1-prec) relative, enter the
+    estimate through the head and the negative half's arg_err.
     """
     with ctx.working():
         q = to_real(q)
@@ -642,12 +832,17 @@ def psi_bilateral(upper, lower, q, z,
             if n is not None:
                 raise _neg_half_pole(upper, i, n + 1)
         pos = _ratio_series(upper, lower, q, z, ctx)
-        head = w * _quotient([Q / b for b in lows] + [Q * Q / a for a in ups],
-                             [Q * Q / b for b in lows] + [Q / a for a in ups],
-                             q, ctx).value
+        quot = _quotient([Q / b for b in lows] + [Q * Q / a for a in ups],
+                         [Q * Q / b for b in lows] + [Q / a for a in ups],
+                         q, ctx)
+        # a prefactor, so no terms of its own
+        w_err = mp.ldexp(2 * len(upper) + 1, 1 - mp.prec)
+        head = SeriesValue(w * quot.value, abs(w) * (
+            quot.err_estimate + w_err * abs(quot.value)), 0, True)
         dens = [q * q / a for a in upper]
         try:
-            neg = _ratio_series([q * q / b for b in lower], dens, q, w, ctx)
+            neg = _ratio_series([q * q / b for b in lower], dens, q, w, ctx,
+                                w_err)
         except _DenominatorPole as exc:
             # the factor 1 - (q^2/a_i) q^n of term n is (q/a_i;q)_m's
             # factor at m = n + 2

@@ -62,7 +62,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "d2925af1d49481e13e742fba7a556e2d42d0b76cb00896f69c623b47d70bfe04")
+        "bc2b479d7019516fa2d216306599a5c150091267cdd2fc2d2338667d60460c18")
 
 
 def test_seed_changes_sampled_points():

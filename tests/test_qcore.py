@@ -586,6 +586,9 @@ def _ratio_series_cases():
     yield [mpf("0.5")], [q, mpf(-40)], q, mpf("1e-20")
     # |b| q^n = 1 exactly at n = 2 does not close the tail there
     yield [mpf("0.5")], [mpf("0.5"), mpf(-4)], mpf("0.5"), mpf("1e-20")
+    # an upper parameter q^-2 ends the sum after n = 2 with no closure
+    # error: its estimate is the rounding bound alone
+    yield [mpf(4)], [mpf("0.5"), mpf("0.3")], mpf("0.5"), mpf("0.7")
     # psi_bilateral with b = q sums the positive half alone
     yield [mpf("0.4")], [q], q, mpf("0.5")
     # the negative half of psi_bilateral([a], [b], q, z), shifted to m = 0
@@ -598,11 +601,12 @@ def _ratio_series_cases():
                                  PrecisionCtx(digits=40),
                                  PrecisionCtx(digits=100)],
                          ids=["d20", "d40", "d100"])
-def test_ratio_series_bit_identical(monkeypatch, ctx):
+def test_ratio_series_matches_every_term_reference(monkeypatch, ctx):
     # the rounded closure bound is never below g |t|/(1-|arg|), g the
     # rounded c_sum q^n/(1-q), so building it only once that meets the
-    # limit must stop at the same term with the same value and bound as
-    # building it at every term
+    # limit must stop at the same term as building it at every term; the
+    # fixed-point sum must lie within its estimate, rounding included, of
+    # the reference summed with 64 more bits
     closure_err = qcore._closure_err
     built = []
 
@@ -615,9 +619,13 @@ def test_ratio_series_bit_identical(monkeypatch, ctx):
     with ctx.working():
         for case in _ratio_series_cases():
             ref = _ratio_series_every_term(*case, ctx)
+            with mp.workprec(mp.prec + 64):
+                fine = _ratio_series_every_term(*case, ctx)
             built.clear()
             got = qcore._ratio_series(*case, ctx)
-            assert got == ref, case
+            assert got.certified and got.terms_used == ref.terms_used, case
+            with mp.workprec(mp.prec + 64):
+                assert abs(got.value - fine.value) <= got.err_estimate, case
             # g |t|/(1-|arg|) is tight once q^n is small: L and its expm1
             # are built at no more than two terms of these sums
             assert sum(built) <= 2, (case, built)
@@ -650,6 +658,23 @@ def test_psi_matches_product_side(ctx40):
                    * pochhammer_inf(b, q, ctx40)
                    * pochhammer_inf(q / a, q, ctx40)))
         assert rel_diff(lhs, prod.value) < mpf("1e-35")
+
+
+def test_psi_estimate_carries_the_rounding_of_w():
+    # b/a just inside z = -0.7, so |w| = |b/(az)| = 1 - 2^-20: the rounding
+    # of w moves the negative half about 1/(1-|w|)^2 times as much, here
+    # 8e-19 on an error of 7.5824e-14 that the truncation bound alone
+    # (7.58232e-14) does not cover
+    with mp.workdps(40):
+        q, a, z = mpf("0.3"), mpf("0.5"), mpf("-0.7")
+        b = a * z * (1 - mpf(2) ** -20)
+        oracle = (_qp60(q, q) * _qp60(b / a, q) * _qp60(a * z, q)
+                  * _qp60(q / (a * z), q)
+                  / (_qp60(b, q) * _qp60(q / a, q) * _qp60(z, q)
+                     * _qp60(b / (a * z), q)))
+    got = psi_bilateral([a], [b], q, z, PrecisionCtx(digits=20))
+    with mp.workdps(40):
+        assert got.certified and abs(got.value - oracle) <= got.err_estimate
 
 
 def test_psi_negative_half_counts_terms_summed(ctx40):

@@ -1,0 +1,103 @@
+"""Property test of phi and psi_bilateral: random series over 0.05 <= q <=
+0.99 and |z| <= 0.999 of both signs, parameters near q^-n included, against
+mpmath's qhyper and Ramanujan's 1psi1 product at 70 digits."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+
+from qseries import PrecisionCtx, QSeriesError, phi, psi_bilateral
+from qseries import qcore
+
+
+def _param(draw, q):
+    """|x| <= 2.5 of either sign, half of them within 1e-6 relative of
+    +-q^-n."""
+    if draw(st.booleans()):
+        return draw(st.floats(-2.5, 2.5))
+    n_max = 0
+    while q ** -(n_max + 1) <= 2.5:
+        n_max += 1
+    n = draw(st.integers(0, n_max))
+    sign = draw(st.sampled_from([1, -1]))
+    return sign * q ** -n * (1 + draw(st.floats(-1e-6, 1e-6)))
+
+
+@st.composite
+def _series(draw):
+    """(kind, q, upper, lower, z, digits): a 1phi0, 2phi1 or 3phi2, or a
+    1psi1 with b = a z s, |s| < 1, so that |b/a| < |z|."""
+    q = draw(st.floats(0.05, 0.99))
+    z = draw(st.floats(0.05, 0.999)) * draw(st.sampled_from([1, -1]))
+    digits = draw(st.sampled_from([20, 40]))
+    if draw(st.booleans()):
+        a = _param(draw, q)
+        b = a * z * draw(st.floats(-0.999, 0.999))
+        return "psi", mpf(q), [mpf(a)], [mpf(b)], mpf(z), digits
+    r = draw(st.integers(1, 3))
+    upper = [mpf(_param(draw, q)) for _ in range(r)]
+    lower = [mpf(_param(draw, q)) for _ in range(r - 1)]
+    return "phi", mpf(q), upper, lower, mpf(z), digits
+
+
+def _oracle(kind, q, upper, lower, z):
+    def qp(x, q):
+        return mp.qp(x, q, maxterms=10 ** 6)
+
+    if kind == "phi":
+        if 1 in upper:
+            # every term past the first carries the factor 1 - 1 q^0 = 0,
+            # which qhyper's summation never sees stop
+            return mpf(1)
+        return mp.qhyper(upper, lower, q, z, maxterms=10 ** 6)
+    (a,), (b,) = upper, lower
+    return (qp(q, q) * qp(b / a, q) * qp(a * z, q) * qp(q / (a * z), q)
+            / (qp(b, q) * qp(q / a, q) * qp(z, q) * qp(b / (a * z), q)))
+
+
+# a 1phi0 whose sum (az;q)_inf/(z;q)_inf is about 1e-31, az = 1 - 2^-100,
+# while its terms are about 1: the rounding bound passes its share of the
+# limit and the kernel reruns with more bits
+with mp.workprec(128):
+    _CANCELLING = ("phi", mpf("0.5"), [-2 + mpf(2) ** -99], [],
+                   mpf("-0.5"), 20)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_series())
+@example(_CANCELLING)
+# the corners: terms about 1e93 at q = 0.99, and |z| = 0.999 in psi
+@example(("phi", mpf("0.99"), [mpf("0.3"), mpf("-0.7")], [mpf("0.4")],
+          mpf("0.95"), 40))
+@example(("psi", mpf("0.99"), [mpf("1.5")], [mpf("-1.3486")], mpf("-0.999"),
+          20))
+def test_series_within_its_bound_or_typed_error(case):
+    kind, q, upper, lower, z, digits = case
+    evaluate = phi if kind == "phi" else psi_bilateral
+    try:
+        got = evaluate(upper, lower, q, z, PrecisionCtx(digits=digits))
+    except QSeriesError:
+        return
+    assert got.certified
+    with mp.workdps(70):
+        oracle = _oracle(kind, q, upper, lower, z)
+        assert abs(got.value - oracle) <= (
+            got.err_estimate + mpf(10) ** -digits * abs(oracle)), case
+
+
+def test_cancelling_series_reruns_within_its_bound(monkeypatch):
+    kernel, runs = qcore._ratio_kernel, []
+
+    def recording_kernel(*args):
+        runs.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(qcore, "_ratio_kernel", recording_kernel)
+    kind, q, upper, lower, z, digits = _CANCELLING
+    got = phi(upper, lower, q, z, PrecisionCtx(digits=digits))
+    # one rerun, at more bits
+    assert len(runs) == 2 and runs[1] > runs[0]
+    with mp.workdps(70):
+        oracle = _oracle(kind, q, upper, lower, z)
+        assert abs(oracle) < mpf(10) ** -25
+        assert abs(got.value - oracle) <= got.err_estimate
