@@ -14,9 +14,9 @@ __all__ = ["eta_nome", "eta_quotient"]
 
 def eta_nome(q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """eta as a function of the nome: q^(1/24) * (q; q)_inf, for 0 < q < 1."""
-    q = to_real(q)
-    _check_q(q)
     with ctx.working():
+        q = to_real(q)
+        _check_q(q)
         return qpow(q, mpf(1) / 24, ctx) * pochhammer_inf(q, q, ctx)
 
 
@@ -25,9 +25,9 @@ def eta_quotient(scales, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     integer, checked before its factor is computed. Each eta(q^m) is
     computed once and raised to the power e once, its relative error scaled
     by |e|."""
-    q = to_real(q)
     out = SeriesValue.of(1)
     with ctx.working():
+        q = to_real(q)
         for m, e in scales.items():
             if m <= 0:
                 raise QDomainError(f"eta_quotient scale must be positive, got {m}")

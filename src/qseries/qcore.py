@@ -25,12 +25,9 @@ front. A phi/psi series, with C the absolute values of its parameters,
 closes its tail from the next term t on as t / (1 - arg), to within
 expm1(L) |t| / (1 - |arg|), L = sum_c c q^n / ((1-q)(1-c q^n)) over C once
 every c q^n < 1 (Gasper & Rahman, 1.2), and stops once that meets
-tol * |sum + t / (1 - arg)|; near |arg| = 1 this costs about
-log(tol) / log(q) terms, not log(tol) / log|arg|. The rounded L is never
-below g = sum_c c q^n / (1-q), and expm1(L) >= L, so L is built only once g
-meets the limit: every series stops at the same term, with the same
-estimate, as one that tests at every term. Accelerated limits carry only a
-heuristic estimate and are flagged non-certified.
+tol * max(|sum + t / (1 - arg)|, tol); near |arg| = 1 this costs about
+log(tol) / log(q) terms, not log(tol) / log|arg|. Accelerated limits carry
+only a heuristic estimate and are flagged non-certified.
 
 The inner loops of prodquot and _levin_u run on mpmath's raw ``_mpf_``
 tuples through ``mpmath.libmp``: each step calls the libmpf function the
@@ -47,20 +44,27 @@ the default 500,000-term cap, 13 to spare) plus log2 of the largest
 that it keeps wp bits however small it gets. A step is T A prod(1 - x q^n)
 // prod(1 - y q^n) with each factor one - (X QN >> wp): every shift and the
 one floor division err by less than one unit of the last place. The stop
-test screens by bit lengths, then runs the mpf test above on the values
-rounded to mpf, so terms_used is that of the same sum in mpf arithmetic.
-The certified estimate adds a bound on the kernel's rounding, rounded up.
-q^n errs by at most 2 min(n, 1/(1-q)) units of 2^-wp, so while every
-|x q^n| <= 1/2 (each factor is then at least 1/2) a step's relative error
-is below a + b min(n, 1/(1-q)) units, a = 4 #params + 3 and b = 4 sum(|x|
-+ 2); at the first terms, where some |x q^n| > 1/2, each factor gets its
-own bound. Term k's relative error, at most the sum of the steps' before
-it, times sum (k + 1) |t_k|, the floors of the sum and the roundings to
-mpf make the bound. Where it passes 2^-4 of the limit, as when the terms
-peak far above the sum, the series is rerun once with wp raised by the
-bits the bound says were lost. A factor within its error bound of 0 is
-recomputed in libmpf at prec, q^n by n roundings, so one that is exactly 0
-there ends the series (a numerator) or raises a PoleError (a denominator).
+test is one comparison in the same ints, in units of 2^-(2wp + sh): ERR
+TEN^2 <= max(|V| TEN, 2^wp) 2^(wp + sh), TEN = 10^digits, V the value s +
+t / (1 - arg) and ERR a bound on expm1(L) |t| / (1 - |arg|), by ceiling
+divisions from upper bounds on each c, q^n, 1/(1-q) and 1/(1-|arg|), and on
+e^L by e^x <= (2 + x)/(2 - x), 0 <= x < 2 (Pade), at x = L 2^-j < 2^-16
+squared j times. That holds for every L and exceeds expm1(L) by a relative
+(L + 1) 2^-32 / 12 beside the roundings: but for such a tie, terms_used is
+that of the same test with expm1 in mpf. A bit-length screen skips the
+terms where the test cannot pass. The certified estimate adds a bound on
+the kernel's rounding, rounded up. q^n errs by at most 2 min(n, 1/(1-q))
+units of 2^-wp, so while every |x q^n| <= 1/2 (each factor is then at least
+1/2) a step's relative error is below a + b min(n, 1/(1-q)) units, a = 4
+#params + 3 and b = 4 sum(|x| + 2); at the first terms, where some |x q^n|
+> 1/2, each factor gets its own bound. Term k's relative error, at most the
+sum of the steps' before it, times sum (k + 1) |t_k|, the floors of the sum
+and the roundings to mpf make the bound. Where it passes 2^-4 of the limit,
+as when the terms peak far above the sum, the series is rerun once with wp
+raised by the bits the bound says were lost. A factor within its error
+bound of 0 is recomputed in libmpf at prec, q^n by n roundings, so one that
+is exactly 0 there ends the series (a numerator) or raises a PoleError (a
+denominator).
 """
 
 from __future__ import annotations
@@ -251,35 +255,6 @@ def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     with ctx.working():
         a = ParamExpr.of(a)
         return prodquot([a], [a * ParamExpr(1, n)], q, ctx)
-
-
-def _bound_consts(params, q_, prec):
-    """The constants of the module's bound L over the raw ``params``: their
-    absolute values cs, 1 - q and c_sum / (1 - q) with c_sum = sum cs."""
-    cs = [mpf_abs(c, prec, RN) for c in params]
-    omq = mpf_sub(fone, q_, prec, RN)
-    c_sum = fzero
-    for c in cs:
-        c_sum = mpf_add(c_sum, c, prec, RN)
-    return cs, omq, mpf_div(c_sum, omq, prec, RN)
-
-
-def _closure_err(cs, qn, g, h, omq, prec):
-    """expm1(L) * h with L = sum_c c q^n / ((1-q)(1-c q^n)) over cs, or None
-    where some c q^n >= 1. L is built as g + sum_c (c q^n)^2 / ((1-q)(1-c
-    q^n)) with g the rounded c_sum q^n / (1-q), so the rounded L is never
-    below g."""
-    rest = fzero
-    for c in cs:
-        x = mpf_mul(c, qn, prec, RN)
-        if not mpf_lt(x, fone):
-            return None
-        rest = mpf_add(rest, mpf_div(
-            mpf_mul(x, x, prec, RN),
-            mpf_mul(omq, mpf_sub(fone, x, prec, RN), prec, RN), prec, RN),
-            prec, RN)
-    rel = mp.expm1(mp.make_mpf(mpf_add(g, rest, prec, RN)))._mpf_
-    return mpf_mul(rel, h, prec, RN)
 
 
 class _DenominatorPole(PoleError):
@@ -601,13 +576,34 @@ def _head_step(T, sh, A, D0, xs, raws, m, QN, n, q_, prec, wp):
             sh + shift, err)
 
 
-def _ratio_kernel(nums, dens, q_, arg_, consts, tol, max_terms, prec, wp):
+def _closure_bound(cs, qn, iq, bits, wp):
+    """expm1(L) 2^wp rounded up (module docstring) from upper bounds on every
+    |c| 2^wp (cs), q^n 2^wp (qn) and 2^wp / (1-q) (iq), or None where some c
+    q^n may reach 1 or the bound reaches the given bit length: the squares
+    only grow, and the bound has L + wp bits or more."""
+    one = 1 << wp
+    L = 0
+    for c in cs:
+        x = -(-c * qn >> wp)
+        if x >= one:
+            return None
+        L -= -x * iq // (one - x)
+    if L >= bits << wp:
+        return None
+    j = max(0, L.bit_length() - wp + 16)
+    two = 1 << wp + j + 1
+    E = -((-(two + L) << wp) // (two - L))
+    while j and (E - one).bit_length() < bits:
+        E, j = -(-E * E >> wp), j - 1
+    return E - one if (E - one).bit_length() < bits else None
+
+
+def _ratio_kernel(nums, dens, q_, arg_, digits, max_terms, prec, wp):
     """One run of _ratio_series over the raw mpfs nums, dens, q_ and arg_ in
-    wp-bit fixed point (module docstring). Returns the value, the closure
-    error, terms_used, the rounding bound and the limit, raw mpfs at prec
-    (the limit None after an exact zero), then sum (n + 1) |t_n| over the
-    summed terms in units of 2^-wp and h = |t| / (1 - |arg|) at the stop."""
-    cs, omq, c_over_omq = consts
+    wp-bit fixed point (module docstring), stopping at tol = 10^-digits.
+    Returns the value, the closure error, terms_used and the rounding bound,
+    raw mpfs at prec, then sum (n + 1) |t_n| over the summed terms in units
+    of 2^-wp and h = |t| / (1 - |arg|) at the stop, rounded up."""
     one, m = 1 << wp, len(nums)
     xs = [_fixed(x, wp) for x in nums + dens]
     Q = _fixed(q_, wp)
@@ -618,69 +614,64 @@ def _ratio_kernel(nums, dens, q_, arg_, consts, tol, max_terms, prec, wp):
     # the next term is T A prod(num factors) // (D0 prod(den factors))
     shift = (m + 1 - len(dens)) * wp
     A, D0 = (A << -shift, 1) if shift < 0 else (A, 1 << shift)
+    # the stop test's upper bounds on |x| 2^wp, 2^wp / (1-q) and 2^wp / (1 -
+    # |arg|), the last two from the exact 1 - q and 1 - |arg|; 1 - arg is
+    # exactly oma 2^aexp
+    cs = [abs(X) + 1 for X in xs]
+    _, qm, qexp, _ = q_
+    neg, am, aexp, _ = arg_
+    iq = -((-1 << wp - qexp) // ((1 << -qexp) - qm))
+    ia = -((-1 << wp - aexp) // ((1 << -aexp) - am))
+    oma = (1 << -aexp) + (am if neg else -am)
     # every |x q^n| <= 1/2 from the term head on, so every factor is at
     # least 1/2 and the bulk steps need no bound of their own
-    of = to_float(omq)
-    lq = -log1p(-of) or 5e-324
-    head = max([int(min(max_terms + 1, log(2 * to_float(c)) / lq + 2))
-                for c in cs if to_float(c) > 0.5], default=0)
+    of = one / iq  # 1 - q; log(1/q) from q's mantissa where of rounds to 1
+    lq = -log1p(-of) or 5e-324 if of < 1 else -qexp * log(2) - log(qm)
+    head = max([int(min(max_terms + 1, log(2 * c) / lq + 2)) for c in
+                map(abs, map(to_float, nums + dens)) if c > 0.5], default=0)
     # q^n's error is below 2 min(n, nq) units of 2^-wp; a bulk step's
     # relative error below a + b min(n, nq) units
     nq = int(1 / of) + 1 if of > 1e-300 else max_terms + 1
     a = 4 * len(xs) + 3
     b = 4 * sum((abs(X) >> wp) + 2 for X in xs)
     low = wp + len(xs) + 3
-    one_minus_arg = mpf_sub(fone, arg_, prec, RN)
-    one_minus_abs_arg = mpf_sub(fone, mpf_abs(arg_, prec, RN), prec, RN)
-    # the stop test runs where bit lengths allow g h <= limit. With
-    # 2^(e-1) <= |t| 2^wp < 2^e, 2^(qb-1) <= q^n 2^wp, |s| 2^wp < 2^sb,
-    # c_sum/(1-q) >= 2^lc, 2^l1 < 1/(1-|arg|) <= 2^(l1+1) and tol < 2^lt,
-    # one bit for the roundings: g h >= 2^(qb + e + lc + l1 - 2wp - 3) and
-    # limit < 2^(lt + 1 + max(sb - wp + 2, e - wp + l1 + 3, lt))
-    lc, l1, lt = _mag(c_over_omq) - 1, -_mag(one_minus_abs_arg), _mag(tol)
-    screen = lt + 4 + wp - lc - l1
-    la, ltw = l1 + 3, lt + wp
+    # the stop test (module docstring), M = max(|V| TEN, 2^wp), runs where
+    # bit lengths allow it: with 2^(e-1) <= |t| 2^wp < 2^e, |S| < 2^sb and K
+    # = sum cs iq, ERR >= K (QN + 2n) |T| ia 2^-3wp and |V| < 2^(max(sb, e +
+    # ab - wp, 0) + 2); expm1(L) 2^wp fails it from M's bit length - e + lb
+    # bits on
+    TEN = 10 ** digits
+    TEN2, pb, ab = TEN * TEN, TEN.bit_length(), ia.bit_length()
+    screen = 4 * wp + 6 - (sum(cs) * iq).bit_length() - ab - 2 * pb
+    la, ls, lb = ab - wp + pb + 2, pb + 2, 2 * wp + 5 - ab - 2 * pb
     S, T, QN = 0, one, one
     sh, mom, eps = 0, 0, 0  # eps: the head steps' relative error
     ups, downs = xs[:m], xs[m:]
     for n in range(max_terms + 1):
         bt = T.bit_length()
         e = bt - sh
-        d = QN.bit_length() + e - screen
-        if d <= ltw or d <= e + la or d <= S.bit_length() + 2:
-            t_ = from_man_exp(T, -wp - sh, prec, RN)
-            s_ = from_man_exp(S, -wp, prec, RN)
-            tail = mpf_div(t_, one_minus_arg, prec, RN)
-            value = mpf_add(s_, tail, prec, RN)
-            abs_v = mpf_abs(value, prec, RN)
-            # max(|value|, tol)
-            limit = mpf_mul(tol, tol if mpf_gt(tol, abs_v) else abs_v,
-                            prec, RN)
-            h = mpf_div(mpf_abs(t_, prec, RN), one_minus_abs_arg, prec, RN)
-            qn = from_man_exp(QN, -wp, prec, RN)
-            g = mpf_mul(c_over_omq, qn, prec, RN)
-            if mpf_le(mpf_mul(g, h, prec, RN), limit):
-                err = _closure_err(cs, qn, g, h, omq, prec)
-                if err is not None and mpf_le(err, limit):
-                    return (value, err, n + 1,
-                            _kernel_rounding(s_, tail, value, n, mom, eps, a,
-                                             b, nq, prec, wp),
-                            limit, mom, h)
+        d = (QN + 2 * n).bit_length() + e - screen
+        if d <= wp or d <= e + la or d <= S.bit_length() + ls:
+            M = max(abs(S + (T << -aexp >> sh) // oma) * TEN, one)
+            EL = _closure_bound(cs, QN + 2 * n, iq, M.bit_length() - e + lb,
+                                wp)
+            if EL is not None:
+                ERR = -(-EL * abs(T) * ia >> wp)
+                if -(-ERR * TEN2 >> wp + sh) <= M:
+                    break
         S += T >> sh
         mom += n + 1 << e if e > 0 else n + 1
         if n < head:
             T, sh, step = _head_step(T, sh, A, D0, xs, nums + dens, m, QN, n,
                                      q_, prec, wp)
             eps += step
-            if not T:
+            if not T and n < max_terms:
                 # a numerator factor vanished; every later term carries it
-                if n == max_terms:
-                    break
                 s_ = from_man_exp(S, -wp, prec, RN)
                 return (s_, fzero, n + 1,
                         _kernel_rounding(s_, fzero, fzero, n + 1, mom, eps,
                                          a, b, nq, prec, wp),
-                        None, mom, fzero)
+                        mom, fzero)
         else:
             if bt < low:
                 # keep T at 2^wp or more after the step
@@ -695,7 +686,18 @@ def _ratio_kernel(nums, dens, q_, arg_, consts, tol, max_terms, prec, wp):
             T = P // D
         sh += ea
         QN = QN * Q >> wp
-    raise CapExceededError(f"series not certified within {max_terms} terms")
+    else:
+        raise CapExceededError(f"series not certified within {max_terms} "
+                               f"terms")
+    # the value s + t / (1 - arg) in libmpf, as the mpf sum
+    t_ = from_man_exp(T, -wp - sh, prec, RN)
+    s_ = from_man_exp(S, -wp, prec, RN)
+    tail = mpf_div(t_, from_man_exp(oma, aexp, prec, RN), prec, RN)
+    value = mpf_add(s_, tail, prec, RN)
+    scale = -2 * wp - sh
+    return (value, from_man_exp(ERR, scale, prec, round_ceiling), n + 1,
+            _kernel_rounding(s_, tail, value, n, mom, eps, a, b, nq, prec, wp),
+            mom, from_man_exp(abs(T) * ia, scale, prec, round_ceiling))
 
 
 def _kernel_rounding(s_, tail, value, n, mom, eps, a, b, nq, prec, wp):
@@ -729,34 +731,29 @@ def _ratio_series(num_params, den_params, q, arg, ctx, arg_err=0.0):
     (_ratio_kernel). The tail from t_n on is closed as t_n / (1 - arg), with
     the module's bound L over the |num| and the |den|: the sum stops at the
     first n where err = expm1(L) |t_n| / (1 - |arg|) <= tol * max(|s +
-    t_n/(1-arg)|, tol) and returns s + t_n/(1-arg) with err plus the
-    kernel's rounding bound as its certified estimate. L is built only once
-    g |t_n| / (1 - |arg|) meets that limit. An arg known only to within a
-    relative arg_err moves the sum by at most arg_err sum n |t_n|, which the
-    estimate adds with the tail of that sum bounded through L.
+    t_n/(1-arg)|, tol), tested in the kernel's ints with err rounded up,
+    and returns s + t_n/(1-arg) with err plus the kernel's rounding bound as
+    its certified estimate. An arg known only to within a relative arg_err
+    moves the sum by at most arg_err sum n |t_n|, which the estimate adds
+    with the tail of that sum bounded through L.
     """
     prec = mp.prec
-    tol = ctx.tail_tol()._mpf_
+    tol = ctx.tail_tol()
     max_terms = ctx.max_terms
-    nums = [u._mpf_ for u in num_params]
-    dens = [b._mpf_ for b in den_params]
-    q_, arg_ = q._mpf_, arg._mpf_
-    consts = _bound_consts(nums + dens, q_, prec)
-    if _cannot_stop(num_params, den_params, q, arg, mp.make_mpf(tol),
-                    max_terms):
+    if _cannot_stop(num_params, den_params, q, arg, tol, max_terms):
         raise CapExceededError(f"series cannot be certified within "
                                f"{max_terms} terms")
+    nums, dens = [u._mpf_ for u in num_params], [b._mpf_ for b in den_params]
+    q_, arg_ = q._mpf_, arg._mpf_
     # a parameter |x| > 1 multiplies q^n's error by |x|: as many more bits
-    wp = prec + _GUARD_BITS + max([0, *map(_mag, consts[0])])
-    run = _ratio_kernel(nums, dens, q_, arg_, consts, tol, max_terms, prec, wp)
-    value, err, used, rounding, limit, mom, h = run
-    if limit is not None and mpf_gt(rounding, mpf_shift(limit, -4)):
+    wp = prec + _GUARD_BITS + max([0, *map(_mag, nums + dens)])
+    kernel = (nums, dens, q_, arg_, ctx.digits, max_terms, prec)
+    value, err, used, rounding, mom, h = _ratio_kernel(*kernel, wp)
+    limit = (tol * max(abs(mp.make_mpf(value)), tol))._mpf_
+    if mpf_gt(rounding, mpf_shift(limit, -4)):
         # cancellation: rerun once with the bits the bound says were lost
-        wp += (wp if rounding == finf
-               else _mag(rounding) - _mag(limit) + 6)
-        run = _ratio_kernel(nums, dens, q_, arg_, consts, tol, max_terms,
-                            prec, wp)
-        value, err, used, rounding, limit, mom, h = run
+        wp += wp if rounding == finf else _mag(rounding) - _mag(limit) + 6
+        value, err, used, rounding, mom, h = _ratio_kernel(*kernel, wp)
     err = mpf_add(err, rounding, prec, round_ceiling)
     if arg_err:
         # sum n |t_n| over the summed terms, and over the tail, where |t_m|

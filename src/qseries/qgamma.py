@@ -36,13 +36,13 @@ def _gamma_quot(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
     (q^x;q)_inf over nums, with k = #nums - #dens and e = sum (1-x) over
     nums - sum (1-x) over dens, so that terms_used counts each product
     computed once."""
-    q = to_real(q)
-    nums = [to_real(x) for x in nums]
-    dens = [to_real(x) for x in dens]
-    _check_q(q, **{f"x{i}": x for i, x in enumerate(nums + dens, 1)})
-    for x in nums + dens:
-        _check_pole(x, "gamma_q")
     with ctx.working():
+        q = to_real(q)
+        nums = [to_real(x) for x in nums]
+        dens = [to_real(x) for x in dens]
+        _check_q(q, **{f"x{i}": x for i, x in enumerate(nums + dens, 1)})
+        for x in nums + dens:
+            _check_pole(x, "gamma_q")
         k = len(nums) - len(dens)
         tops = [q] * k + [qpow(q, x, ctx) for x in dens]
         bottoms = [q] * -k + [qpow(q, x, ctx) for x in nums]
@@ -77,11 +77,12 @@ def jackson_integral_finite(f, c, q,
     """int_0^c f(t) d_q t = c (1-q) sum_{n>=0} f(c q^n) q^n, summed until
     _DECAY_WINDOW successive term ratios lie below 1, with an observed-ratio
     tail estimate (heuristic, so certified=False)."""
-    q, c = to_real(q), to_real(c)
-    _check_q(q, c=c)
-    if c <= 0:
-        raise QDomainError(f"jackson_integral_finite requires c > 0, got {c}")
     with ctx.working():
+        q, c = to_real(q), to_real(c)
+        _check_q(q, c=c)
+        if c <= 0:
+            raise QDomainError(
+                f"jackson_integral_finite requires c > 0, got {c}")
         tol = ctx.tail_tol()
         s = mpf(0)
         prev = None

@@ -106,9 +106,10 @@ def test_pochhammer_inf_cap():
 
 
 def _pochhammer_inf_expm1_every_factor(a, q, ctx, expm1):
-    """Reference loop that tests expm1(L) <= tol, L built in _closure_err's
-    form, at every factor where a q^n < 1 and g = |a| q^n / (1-q) <= 2 tol.
-    The rounded L is at least g, so a factor with g > 2 tol cannot stop."""
+    """Reference loop that tests expm1(L) <= tol, L built as g + x^2 /
+    ((1-q)(1-x)), x = |a| q^n, at every factor where x < 1 and g = x / (1-q)
+    <= 2 tol. The rounded L is at least g, so a factor with g > 2 tol cannot
+    stop."""
     with ctx.working():
         tol = ctx.tail_tol()
         prod, qn, n, aa, omq = mpf(1), mpf(1), 0, abs(a), 1 - q
@@ -483,6 +484,19 @@ def test_phi_q_binomial_theorem(ctx40):
             assert rel_diff(lhs, rhs) < mpf("1e-32")
 
 
+@pytest.mark.parametrize("q", ["1e-17", "1e-80", "1e-400"])
+def test_phi_q_binomial_theorem_at_tiny_q(ctx40, q):
+    # 1 - q rounds to 1 as a float for q this small, and log1p(-1) raised a
+    # bare ValueError before the first term
+    q = mpf(q)
+    got = phi([0.5], [], q, 0.3, ctx40)
+    want = qcore.prodquot([mpf(0.5) * mpf(0.3)], [mpf(0.3)], q, ctx40)
+    with mp.workdps(60):
+        assert got.certified
+        assert abs(got.value - want.value) <= (got.err_estimate
+                                               + want.err_estimate)
+
+
 def _closure_oracle_cases():
     """(label, series, oracle) with the series a thunk evaluated at ctx and
     the oracle a closed form built from mpmath's qp: the q-binomial theorem
@@ -582,7 +596,9 @@ def _ratio_series_cases():
     # |b| > 1: the tail cannot close until |b| q^n < 1
     yield [mpf("0.5")], [q, mpf("1.7")], q, mpf("0.6")
     yield [mpf("0.5")], [q, mpf("-2.5")], q, mpf("-0.6")
-    # even where a tiny argument makes g |t|/(1-|arg|) small early
+    # even where a tiny argument makes g |t|/(1-|arg|) small early: this
+    # one stops at n = 8 with L = 5.165, so the bound on expm1(L) must hold
+    # far beyond L < 1
     yield [mpf("0.5")], [q, mpf(-40)], q, mpf("1e-20")
     # |b| q^n = 1 exactly at n = 2 does not close the tail there
     yield [mpf("0.5")], [mpf("0.5"), mpf(-4)], mpf("0.5"), mpf("1e-20")
@@ -602,33 +618,25 @@ def _ratio_series_cases():
                                  PrecisionCtx(digits=100)],
                          ids=["d20", "d40", "d100"])
 def test_ratio_series_matches_every_term_reference(monkeypatch, ctx):
-    # the rounded closure bound is never below g |t|/(1-|arg|), g the
-    # rounded c_sum q^n/(1-q), so building it only once that meets the
-    # limit must stop at the same term as building it at every term; the
-    # fixed-point sum must lie within its estimate, rounding included, of
-    # the reference summed with 64 more bits
-    closure_err = qcore._closure_err
-    built = []
-
-    def counting_closure_err(*args):
-        err = closure_err(*args)
-        built.append(err is not None)
-        return err
-
-    monkeypatch.setattr(qcore, "_closure_err", counting_closure_err)
+    # the integer stop test bounds expm1(L) from above within a relative
+    # 2^-32 and is screened only where it cannot pass, so it must stop at
+    # the same term as the mpf expm1 test at every term; the fixed-point sum
+    # must lie within its estimate, rounding included, of the reference
+    # summed with 64 more bits; and phi/psi call no expm1
+    expm1 = mp.expm1
+    calls = []
+    monkeypatch.setattr(mp, "expm1", lambda x: calls.append(x) or expm1(x))
     with ctx.working():
         for case in _ratio_series_cases():
             ref = _ratio_series_every_term(*case, ctx)
             with mp.workprec(mp.prec + 64):
                 fine = _ratio_series_every_term(*case, ctx)
-            built.clear()
+            calls.clear()
             got = qcore._ratio_series(*case, ctx)
+            assert not calls, case
             assert got.certified and got.terms_used == ref.terms_used, case
             with mp.workprec(mp.prec + 64):
                 assert abs(got.value - fine.value) <= got.err_estimate, case
-            # g |t|/(1-|arg|) is tight once q^n is small: L and its expm1
-            # are built at no more than two terms of these sums
-            assert sum(built) <= 2, (case, built)
 
 
 # --- psi_bilateral ------------------------------------------------------------------

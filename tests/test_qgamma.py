@@ -56,6 +56,25 @@ def test_gamma_q_functional_equation(ctx40):
                 assert rel_diff(lhs, rhs) < mpf("1e-36")
 
 
+@pytest.mark.parametrize("fn, args", [
+    (gamma_q, ("0.5", "0.3")),
+    (eta.eta_nome, ("0.3",)),
+    (eta.eta_quotient, ({1: 2, 2: -1}, "0.3")),
+    (jackson_integral_finite, (lambda t: 1 / (1 + t), "0.7", "0.3")),
+], ids=["gamma_q", "eta_nome", "eta_quotient", "jackson_integral_finite"])
+def test_decimal_strings_are_read_at_the_working_precision(ctx40, fn, args):
+    # at mpmath's default 15 digits a decimal string is still read at the
+    # ctx's precision: the same decimals as mpfs give the same value, within
+    # err_estimate (read at 15 digits, gamma_q's value was off by 7.5e-18
+    # against an estimate of 2e-47)
+    with ctx40.working():
+        ref = fn(*[mpf(x) if isinstance(x, str) else x for x in args], ctx40)
+    with mp.workdps(15):
+        got = fn(*args, ctx40)
+    with mp.workdps(60):
+        assert abs(got.value - ref.value) <= got.err_estimate
+
+
 # --- classical gamma ----------------------------------------------------------
 
 def test_classical_gamma_values(ctx40):
