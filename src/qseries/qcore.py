@@ -29,12 +29,14 @@ tol * max(|sum + t / (1 - arg)|, tol); near |arg| = 1 this costs about
 log(tol) / log(q) terms, not log(tol) / log|arg|. Accelerated limits carry
 only a heuristic estimate and are flagged non-certified.
 
-The inner loops of prodquot and _levin_u run on mpmath's raw ``_mpf_``
-tuples through ``mpmath.libmp``: each step calls the libmpf function the
-mpf operator would call, at the working precision ``mp.prec`` in
-round-to-nearest, so the results are bit for bit those of mpf arithmetic
-without the operator wrappers. Values become mpf only where they leave a
-loop.
+The inner loop of prodquot runs on mpmath's raw ``_mpf_`` tuples through
+``mpmath.libmp``: each step calls the libmpf function the mpf operator
+would call, at the working precision ``mp.prec`` in round-to-nearest, so
+the results are bit for bit those of mpf arithmetic without the operator
+wrappers. Values become mpf only where they leave a loop. The Levin sweep
+(_levin_u) rounds each s_j/omega_j and 1/omega_j once that way, holds them
+as Python ints at a common binary exponent, forms every order's weighted
+sums exactly and rounds once per order, at their quotient.
 
 The phi/psi series loop (_ratio_kernel) runs in fixed point instead, as
 mpmath's own hypergeometric summation does: q^n, the parameters and the sum
@@ -70,7 +72,9 @@ denominator).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, inf, ldexp, log, log1p, prod
+from itertools import chain, islice
+from math import inf, ldexp, log, log1p, prod
+from operator import mul
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
@@ -885,83 +889,117 @@ def sum_with_ratio_bound(term_fn, rho_fn, ctx: PrecisionCtx,
 _LEVIN_MAX_ORDER = 120
 # a sweep stops once an order's rounding floor exceeds the smallest
 # successive difference by this factor; on 100 classical-limit series at 40
-# digits every factor from 10**2 to 10**6 selects the estimate the full
-# sweep selects, and a factor of 1 does so for only 67
+# digits (summed at 60) every factor from 10**2 to 10**6 selects the
+# estimate the full sweep selects, and a factor of 1 does so for only 81
 _LEVIN_STOP_FACTOR = 10 ** 4
+
+
+def _scaled(xs, e, x, w):
+    """Append w times the raw mpf x to xs, ints at the common scale 2^e,
+    and return the scale, lowered to x's exponent where that is less."""
+    sign, man, exp, _ = x
+    if e is None or exp < e:
+        xs[:] = [v << (e - exp) for v in xs]  # xs is empty while e is None
+        e = exp
+    man = w * man << (exp - e)
+    xs.append(-man if sign else man)
+    return e
 
 
 def _levin_u(terms):
     """Levin u-transform estimates L_1, L_2, ... (beta = 1, remainder
-    model omega_j = (j+1) a_j) and the number of terms they read, one more
-    than the last order evaluated.
+    model omega_j = (j+1) a_j) of the raw mpf terms, read from the iterator
+    only as far as the sweep goes, and the number of terms they read, one
+    more than the last order evaluated.
 
     L_k = sum_j c_kj s_j/omega_j / sum_j c_kj/omega_j with the exact integer
     weights c_kj = (-1)^j C(k,j) (j+1)^(k-1): the factor (k+1)^-(k-1) of
-    the textbook weights cancels between the two sums. The sweep ends
+    the textbook weights cancels between the two sums. Each s_j/omega_j and
+    1/omega_j is rounded once to the working precision and held as an int
+    at a common binary exponent, times (j+1)^(k-1) at order k, so both sums
+    are exact and an order rounds once, at their quotient. The sweep ends
     before order j when omega_j = 0, at order _LEVIN_MAX_ORDER, and once
     kappa_k * 2^-prec * |L_k| exceeds _LEVIN_STOP_FACTOR times the smallest
-    successive difference so far, where kappa_k = sum |c_kj/omega_j| /
-    |sum c_kj/omega_j| is the condition number of the order's denominator:
-    past that point higher orders are rounding noise (Weniger, Comput. Phys.
-    Rep. 10, 1989). An order whose denominator vanishes gives no estimate.
+    successive difference so far, where kappa_k = sum |c_kj/omega_j| / |sum
+    c_kj/omega_j| is the condition number of the order's denominator: past
+    that point higher orders are rounding noise (Weniger, Comput. Phys. Rep.
+    10, 1989). The test is exact in the rounded L_k. An order whose
+    denominator vanishes gives no estimate.
     """
     prec = mp.prec
-    kmax = min(len(terms) - 2, _LEVIN_MAX_ORDER)
-    eps = mpf_shift(fone, -prec)
-    inv_om = []  # 1/omega_j
-    s_om = []  # s_j/omega_j
+    # (j+1)^(k-1) s_j/omega_j at 2^es and (j+1)^(k-1)/omega_j at 2^ei
+    s_om, inv_om = [], []
+    es = ei = None
+    binom = [1]  # (-1)^j C(k, j)
     psum = fzero
     estimates = []
-    best_diff = finf
+    best_diff = None
     read = 0
-    for k in range(kmax + 1):
-        psum = mpf_add(psum, terms[k]._mpf_, prec, RN)
-        om = mpf_mul_int(terms[k]._mpf_, k + 1, prec, RN)
+    for k, t in enumerate(islice(terms, _LEVIN_MAX_ORDER + 1)):
+        psum = mpf_add(psum, t, prec, RN)
+        om = mpf_mul_int(t, k + 1, prec, RN)
         if om == fzero:
             break
-        inv_om.append(mpf_rdiv_int(1, om, prec, RN))
-        s_om.append(mpf_div(psum, om, prec, RN))
+        s_om = list(map(mul, s_om, range(1, k + 1)))
+        inv_om = list(map(mul, inv_om, range(1, k + 1)))
+        w = (k + 1) ** (k - 1) if k else 1
+        es = _scaled(s_om, es, mpf_div(psum, om, prec, RN), w)
+        ei = _scaled(inv_om, ei, mpf_rdiv_int(1, om, prec, RN), w)
         if k == 0:
             continue
-        num = den = den_abs = fzero
-        for j in range(k + 1):
-            c = (-1) ** j * comb(k, j) * (j + 1) ** (k - 1)
-            num = mpf_add(num, mpf_mul_int(s_om[j], c, prec, RN), prec, RN)
-            w = mpf_mul_int(inv_om[j], c, prec, RN)
-            den = mpf_add(den, w, prec, RN)
-            den_abs = mpf_add(den_abs, mpf_abs(w, prec, RN), prec, RN)
+        binom = [a - b for a, b in zip(binom + [0], [0] + binom)]
+        ws = list(map(mul, binom, inv_om))
+        den = sum(ws)
         read = k + 1
-        if den == fzero:
+        if not den:
             continue
-        est = mpf_div(num, den, prec, RN)
+        num = sum(map(mul, binom, s_om))
+        est = mpf_shift(mpf_div(from_int(num), from_int(den), prec, RN),
+                        es - ei)
         if estimates:
-            d = mpf_abs(mpf_sub(est, estimates[-1], prec, RN), prec, RN)
-            if mpf_lt(d, best_diff):
+            d = mpf_abs(mpf_sub(est, estimates[-1]))
+            if best_diff is None or mpf_lt(d, best_diff):
                 best_diff = d
         estimates.append(est)
-        floor = mpf_mul(mpf_mul(mpf_div(den_abs, mpf_abs(den, prec, RN),
-                                        prec, RN), eps, prec, RN),
-                        mpf_abs(est, prec, RN), prec, RN)
-        if mpf_gt(floor, mpf_mul_int(best_diff, _LEVIN_STOP_FACTOR, prec, RN)):
+        if best_diff is None:
+            continue
+        # the stop test times |den| 2^prec, in ints at a common exponent
+        floor = sum(map(abs, ws)) * est[1]
+        limit = _LEVIN_STOP_FACTOR * abs(den) * best_diff[1]
+        sh = est[2] - best_diff[2] - prec
+        if floor << max(sh, 0) > limit << max(-sh, 0):
             break
     if len(estimates) < 2:
         raise NumericalBreakdownError("levin-u transform produced no estimates")
     return [mp.make_mpf(e) for e in estimates], read
 
 
+def _finite(partial_terms):
+    """The terms as raw mpf values, refusing a non-finite one as it is read."""
+    for k, t in enumerate(partial_terms):
+        t = to_real(t)
+        if not mp.isfinite(t):
+            raise QDomainError(f"accelerate: term {k} is {t}, not finite")
+        yield t._mpf_
+
+
 def accelerate(partial_terms, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """Levin u-transform limit estimate for a convergent series given its
-    terms.
+    terms, any iterable: the transform reads it at the context's working
+    precision and only as far as its sweep goes.
 
-    The error estimate comes from the stability of successive transform
-    orders and is never certified. ``terms_used`` is the number of terms the
-    transform read: the last evaluated order plus one.
+    A non-finite term raises QDomainError once it is read, and an iterable
+    of fewer than 8 terms InsufficientTermsError. The error estimate comes
+    from the stability of successive transform orders and is never
+    certified. ``terms_used`` is the number of terms the transform read:
+    the last evaluated order plus one.
     """
-    if len(partial_terms) < 8:
-        raise InsufficientTermsError(
-            f"need >= 8 terms, got {len(partial_terms)}")
     with ctx.working():
-        ests, used = _levin_u([to_real(t) for t in partial_terms])
+        terms = _finite(partial_terms)
+        head = list(islice(terms, 8))
+        if len(head) < 8:
+            raise InsufficientTermsError(f"need >= 8 terms, got {len(head)}")
+        ests, used = _levin_u(chain(head, terms))
         best_val = ests[-1]
         best_err = abs(ests[-1] - ests[-2])
         for i in range(1, len(ests)):

@@ -62,7 +62,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "bc2b479d7019516fa2d216306599a5c150091267cdd2fc2d2338667d60460c18")
+        "d2a726d75e11c264a80df62033b445faf6108b618bccfa1056bb557f5a26726f")
 
 
 def test_seed_changes_sampled_points():

@@ -1,12 +1,16 @@
 """Core evaluation engine: powers, Pochhammer symbols, phi/psi series,
 custom bounded sums, and acceleration."""
 
+import functools
+import itertools
+import re
 import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from qseries import (
     CapExceededError,
@@ -903,13 +907,23 @@ _LEVIN_CLOSED_FORMS = {
 
 
 def _levin_series(monkeypatch, registry, ctx, idents=tuple(_LEVIN_CLOSED_FORMS)):
-    """(identity, point, terms, rhs) at three seed-7 sample points of each
-    identity: the terms its series side hands to accelerate, and the side."""
+    """(identity, point, wide, read, full, rhs) at three seed-7 sample points
+    of each identity: the context its series side hands to accelerate, the
+    terms the transform read from its generator, those terms continued to
+    the order cap, and the side."""
     given = []
 
     def recording_accelerate(terms, ctx):
-        given.append(terms)
-        return accelerate(terms, ctx)
+        terms = iter(terms)
+        read = []
+
+        def record():
+            for t in terms:
+                read.append(t)
+                yield t
+
+        given.append((terms, ctx, read))
+        return accelerate(record(), ctx)
 
     monkeypatch.setattr(qgamma, "accelerate", recording_accelerate)
     entries = {e.id: e for e in registry}
@@ -918,31 +932,62 @@ def _levin_series(monkeypatch, registry, ctx, idents=tuple(_LEVIN_CLOSED_FORMS))
         for p in sample_domain(ident, 3, 7, registry=registry):
             with ctx.working():
                 rhs = entries[ident].rhs(p, ctx)
-            (terms,) = given
+            ((rest, wide, read),) = given
             given.clear()
-            out.append((ident, p, terms, rhs))
+            with wide.working():
+                more = list(itertools.islice(
+                    rest, qcore._LEVIN_MAX_ORDER + 1 - len(read)))
+            out.append((ident, p, wide, read, read + more, rhs))
+    return out
+
+
+def _frac(x):
+    """An mpf as the exact Fraction it is."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _round(x):
+    """A Fraction rounded to nearest at the working precision."""
+    return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec,
+                                     round_nearest))
+
+
+@functools.lru_cache(maxsize=None)
+def _levin_orders(terms, prec):
+    """Per order k >= 1 of qcore._levin_u at prec bits: (k, L_k or None,
+    sum |c_kj/omega_j|, sum c_kj/omega_j), with the same mpf roundings of
+    s_j/omega_j and 1/omega_j and the weighted sums formed exactly in
+    Fraction. Cached: each series is swept by two tests."""
+    out = []
+    inv_om, s_om, psum = [], [], mpf(0)
+    with mp.workprec(prec):
+        for k, t in enumerate(terms[:qcore._LEVIN_MAX_ORDER + 1]):
+            psum += t
+            om = (k + 1) * t
+            if om == 0:
+                break
+            inv_om.append(_frac(1 / om))
+            s_om.append(_frac(psum / om))
+            if k == 0:
+                continue
+            num = den = den_abs = 0
+            for j in range(k + 1):
+                c = (-1) ** j * comb(k, j) * (j + 1) ** (k - 1)
+                num += c * s_om[j]
+                w = c * inv_om[j]
+                den += w
+                den_abs += abs(w)
+            out.append((k, _round(num / den) if den else None, den_abs, den))
     return out
 
 
 def _levin_full_sweep(terms, ctx):
     """accelerate's levin-u value from every order up to the cap: the same
-    integer weights and arithmetic as qcore._levin_u, without its stop."""
+    sums as qcore._levin_u, without its stop."""
     with ctx.working():
-        kmax = min(len(terms) - 2, qcore._LEVIN_MAX_ORDER)
-        inv_om, s_om, psum = [], [], mpf(0)
-        for j, t in enumerate(terms[:kmax + 1]):
-            psum += t
-            om = (j + 1) * t
-            inv_om.append(1 / om)
-            s_om.append(psum / om)
-        ests = []
-        for k in range(1, kmax + 1):
-            num = den = mpf(0)
-            for j in range(k + 1):
-                c = (-1) ** j * comb(k, j) * (j + 1) ** (k - 1)
-                num += c * s_om[j]
-                den += c * inv_om[j]
-            ests.append(num / den)
+        ests = [est for _, est, _, _ in _levin_orders(tuple(terms), mp.prec)
+                if est is not None]
         best_val, best_err = ests[-1], abs(ests[-1] - ests[-2])
         for prev, cur in zip(ests, ests[1:]):
             if abs(cur - prev) < best_err:
@@ -951,73 +996,63 @@ def _levin_full_sweep(terms, ctx):
 
 
 def test_levin_stops_at_rounding_floor(monkeypatch, registry, ctx40):
-    # at 40 digits orders past ~40 are rounding noise: the sweep stops there
-    # instead of running to order 120, and terms_used counts what it read
-    for _, _, terms, rhs in _levin_series(monkeypatch, registry, ctx40,
-                                          idents=("eq-5.7",)):
-        assert rhs.terms_used <= 61
-        with ctx40.working():
-            estimates, read = qcore._levin_u(terms)
-        assert len(estimates) <= 60
-        assert rhs.terms_used == read == len(estimates) + 1
+    # at 40 digits the series run at 60, where orders past ~55 are rounding
+    # noise: the sweep stops there instead of running to order 120, and
+    # terms_used counts what it read. Over 100 points each of eq-5.5, 5.6,
+    # 5.7 and 5.9 (seeds 1-10) it reads 52 to 58 terms.
+    for _, _, wide, read, _, rhs in _levin_series(monkeypatch, registry, ctx40,
+                                                  idents=("eq-5.7",)):
+        assert rhs.terms_used <= 58
+        with wide.working():
+            estimates, used = qcore._levin_u(t._mpf_ for t in read)
+        assert rhs.terms_used == used == len(read) == len(estimates) + 1
 
 
 @pytest.mark.parametrize("digits", [20, 40, 100])
 def test_levin_stop_keeps_full_sweep_selection(monkeypatch, registry, digits):
     ctx = PrecisionCtx(digits=digits)
-    for ident, p, terms, rhs in _levin_series(monkeypatch, registry, ctx):
-        assert rhs.value == _levin_full_sweep(terms, ctx), (ident, p)
+    for ident, p, wide, _, full, rhs in _levin_series(monkeypatch, registry,
+                                                      ctx):
+        value = _levin_full_sweep(full, wide)
+        assert accelerate(full, wide).value == value, (ident, p)
+        with ctx.working():
+            assert rhs.value == +value, (ident, p)
 
 
-def _levin_u_mpf(terms):
-    """qcore._levin_u's sweep and stop rule in mpf arithmetic."""
-    kmax = min(len(terms) - 2, qcore._LEVIN_MAX_ORDER)
-    eps = mp.ldexp(mpf(1), -mp.prec)
-    inv_om, s_om, psum = [], [], mpf(0)
-    estimates, best_diff, read = [], mp.inf, 0
-    for k in range(kmax + 1):
-        psum += terms[k]
-        om = (k + 1) * terms[k]
-        if om == 0:
-            break
-        inv_om.append(1 / om)
-        s_om.append(psum / om)
-        if k == 0:
-            continue
-        num = den = den_abs = mpf(0)
-        for j in range(k + 1):
-            c = (-1) ** j * comb(k, j) * (j + 1) ** (k - 1)
-            num += c * s_om[j]
-            w = c * inv_om[j]
-            den += w
-            den_abs += abs(w)
+def _levin_u_exact(terms):
+    """qcore._levin_u's sweep and stop rule on _levin_orders' sums."""
+    estimates, best_diff, read = [], None, 0
+    for k, est, den_abs, den in _levin_orders(tuple(terms), mp.prec):
         read = k + 1
-        if den == 0:
+        if est is None:
             continue
-        est = num / den
         if estimates:
-            best_diff = min(best_diff, abs(est - estimates[-1]))
+            d = abs(_frac(est) - _frac(estimates[-1]))
+            best_diff = d if best_diff is None else min(best_diff, d)
         estimates.append(est)
-        if (den_abs / abs(den) * eps * abs(est)
-                > qcore._LEVIN_STOP_FACTOR * best_diff):
+        if best_diff is not None and (den_abs / abs(den) * abs(_frac(est))
+                                      / 2 ** mp.prec
+                                      > qcore._LEVIN_STOP_FACTOR * best_diff):
             break
     return estimates, read
 
 
 @pytest.mark.parametrize("digits", [20, 40, 100])
 def test_levin_u_bit_identical(monkeypatch, registry, digits):
-    # every estimate of the sweep, and where it stops, match mpf arithmetic
+    # every estimate of the sweep, and where it stops, match exact sums
+    # rounded once per order
     ctx = PrecisionCtx(digits=digits)
-    for ident, p, terms, _ in _levin_series(monkeypatch, registry, ctx):
-        with ctx.working():
-            assert qcore._levin_u(terms) == _levin_u_mpf(terms), (ident, p)
+    for ident, p, wide, _, full, _ in _levin_series(monkeypatch, registry, ctx):
+        with wide.working():
+            assert (qcore._levin_u(t._mpf_ for t in full)
+                    == _levin_u_exact(full)), (ident, p)
 
 
-@pytest.mark.parametrize("digits, tol", [(20, "1e-16"), (40, "1e-28"),
-                                         (100, "1e-65")])
+@pytest.mark.parametrize("digits, tol", [(20, "1e-20"), (40, "1e-40"),
+                                         (100, "1e-95")])
 def test_levin_series_match_closed_forms(monkeypatch, registry, digits, tol):
     ctx = PrecisionCtx(digits=digits)
-    for ident, p, _, rhs in _levin_series(monkeypatch, registry, ctx):
+    for ident, p, _, _, _, rhs in _levin_series(monkeypatch, registry, ctx):
         with mp.workdps(digits + 40):
             closed = _LEVIN_CLOSED_FORMS[ident](p)
             assert abs(rhs.value / closed - 1) <= mpf(tol), (ident, p)
@@ -1026,6 +1061,17 @@ def test_levin_series_match_closed_forms(monkeypatch, registry, digits, tol):
 def test_accelerate_needs_terms():
     with pytest.raises(InsufficientTermsError):
         accelerate([1, 2, 3])
+    # a generator is read, and refused, the same way
+    with pytest.raises(InsufficientTermsError, match="got 7"):
+        accelerate(mpf(2) ** -n for n in range(7))
+
+
+@pytest.mark.parametrize("bad", ["nan", "+inf", "-inf"])
+def test_accelerate_refuses_non_finite_term(bad):
+    terms = [mpf(2) ** -n for n in range(20)]
+    terms[3] = mpf(bad)
+    with pytest.raises(QDomainError, match=f"term 3 is {re.escape(bad)}"):
+        accelerate(terms)
 
 
 # --- SeriesValue / QPoint -------------------------------------------------------------
