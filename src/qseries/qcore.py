@@ -9,79 +9,82 @@ Truncation rule, with tol = 10**-digits. A product quotient splits each
 1 - x q^n while |x q^n| > theta, which holds every factor that can vanish,
 and Euler's series (r;q)_inf = sum_k (-r)^k q^(k(k-1)/2) / (q;q)_k on the
 remainder r = x q^n0 (Gasper & Rahman, Basic Hypergeometric Series,
-1.3.16). Its term ratios |r| q^k / (1 - q^(k+1)) decrease in k, so the
-tail from term N is at most |t_N| / (1 - rho_N), rho_N = |r| q^N /
-(1 - q^(N+1)); every series of a quotient is summed in one pass with the
-shared coefficients and stops where that bound at R = max |r| meets
-tol 2^-10 / #series. |r| <= theta bounds the cancellation a priori,
-sum |t| / |sum t| <= (-theta;q)_inf / (theta;q)_inf <= e^12, and every
-|(r;q)_inf| >= e^-6, so the relative truncation error is below tol / 2.
-The certified estimate adds the rounding: 2(N+1)^2 ulps per series
-amplified by sum |t| / |sum t|, and for each head factor its q^n's n
-ulps amplified by |x q^n| / |1 - x q^n|. terms_used counts the head factors
-and N terms per series; a quotient whose heads alone need more than
-max_terms factors, at least log(theta/|x|) / log(q) each, is refused up
-front. A phi/psi series, with C the absolute values of its parameters,
-closes its tail from the next term t on as t / (1 - arg), to within
-expm1(L) |t| / (1 - |arg|), L = sum_c c q^n / ((1-q)(1-c q^n)) over C once
-every c q^n < 1 (Gasper & Rahman, 1.2), and stops once that meets
-tol * max(|sum + t / (1 - arg)|, tol); near |arg| = 1 this costs about
-log(tol) / log(q) terms, not log(tol) / log|arg|. Accelerated limits carry
-only a heuristic estimate and are flagged non-certified.
+1.3.16). Its terms are t_(k+1) = t_k s c_k, s = -r/(1-q), |s| <= 3, c_k =
+q^k / (1 + q + ... + q^k) <= 1/(k+1), so |t_k| <= 3^k / k! and the tail
+from term N is at most |t_N| / (1 - rho_N), rho_N = |s| c_N. One pass at
+R = max |r| finds the first N where that bound meets tol 2^-10 / #series,
+and every series of the quotient is summed to N. As |(r;q)_inf| >= e^-6,
+the relative truncation error is below tol / 2. terms_used counts the head
+factors and N terms per series; a quotient whose heads alone need more
+than max_terms factors, at least log(theta/|x|) / log(q) each, is refused
+up front, and one whose N passes the cap before any series term. A phi/psi
+series, with C the absolute values of its parameters, closes its tail from
+the next term t on as t / (1 - arg), to within expm1(L) |t| / (1 - |arg|),
+L = sum_c c q^n / ((1-q)(1-c q^n)) over C once every c q^n < 1 (Gasper &
+Rahman, 1.2), and stops once that meets tol * max(|sum + t / (1 - arg)|,
+tol): about log(tol) / log(q) terms near |arg| = 1, not log(tol) /
+log|arg|. Accelerated limits carry only a heuristic, non-certified estimate.
 
-The inner loop of prodquot runs on mpmath's raw ``_mpf_`` tuples through
-``mpmath.libmp``: each step calls the libmpf function the mpf operator
-would call, at the working precision ``mp.prec`` in round-to-nearest, so
-the results are bit for bit those of mpf arithmetic without the operator
-wrappers. Values become mpf only where they leave a loop. The Levin sweep
-(_levin_u) rounds each s_j/omega_j and 1/omega_j once that way, holds them
-as Python ints at a common binary exponent, forms every order's weighted
-sums exactly and rounds once per order, at their quotient.
+Every product and series loop runs in one fixed point, as mpmath's own
+hypergeometric summation does: q^n, the parameters, the factors and the
+sums are Python ints scaled by 2^wp, wp = prec + 32 (19 guard bits for
+log2 of the default 500,000-term cap, 13 to spare) plus log2 of the
+largest |parameter| above 1; every shift and floor errs by less than one
+unit of 2^-wp. q^n, built by floors, errs by at most 2 min(n, 1/(1-q))
+units, so a factor 1 - x q^n by at most (|x| + 2) 2 min(n, 1/(1-q)) + 2
+(_factor). One within twice that of 0, or within the rounding (n + 2)
+|x q^n| 2^-prec of the libmpf expression, is recomputed in libmpf at prec,
+q^n by n roundings: exactly 0 there, it is an exact zero over the line (of
+a product, of a series' later terms) and a PoleError under it.
 
-The phi/psi series loop (_ratio_kernel) runs in fixed point instead, as
-mpmath's own hypergeometric summation does: q^n, the parameters and the sum
-are Python ints scaled by 2^wp, wp = prec + 32 (19 guard bits for log2 of
-the default 500,000-term cap, 13 to spare) plus log2 of the largest
-|parameter| above 1, and a term carries its own scale 2^-(wp + sh), so
-that it keeps wp bits however small it gets. A step is T A prod(1 - x q^n)
-// prod(1 - y q^n) with each factor one - (X QN >> wp): every shift and the
-one floor division err by less than one unit of the last place. The stop
-test is one comparison in the same ints, in units of 2^-(2wp + sh): ERR
-TEN^2 <= max(|V| TEN, 2^wp) 2^(wp + sh), TEN = 10^digits, V the value s +
-t / (1 - arg) and ERR a bound on expm1(L) |t| / (1 - |arg|), by ceiling
-divisions from upper bounds on each c, q^n, 1/(1-q) and 1/(1-|arg|), and on
-e^L by e^x <= (2 + x)/(2 - x), 0 <= x < 2 (Pade), at x = L 2^-j < 2^-16
-squared j times. That holds for every L and exceeds expm1(L) by a relative
-(L + 1) 2^-32 / 12 beside the roundings: but for such a tie, terms_used is
-that of the same test with expm1 in mpf. A bit-length screen skips the
-terms where the test cannot pass. The certified estimate adds a bound on
-the kernel's rounding, rounded up. q^n errs by at most 2 min(n, 1/(1-q))
-units of 2^-wp, so while every |x q^n| <= 1/2 (each factor is then at least
-1/2) a step's relative error is below a + b min(n, 1/(1-q)) units, a = 4
-#params + 3 and b = 4 sum(|x| + 2); at the first terms, where some |x q^n|
-> 1/2, each factor gets its own bound. Term k's relative error, at most the
-sum of the steps' before it, times sum (k + 1) |t_k|, the floors of the sum
-and the roundings to mpf make the bound. Where it passes 2^-4 of the limit,
-as when the terms peak far above the sum, the series is rerun once with wp
-raised by the bits the bound says were lost. A factor within its error
-bound of 0 is recomputed in libmpf at prec, q^n by n roundings, so one that
-is exactly 0 there ends the series (a numerator) or raises a PoleError (a
-denominator).
+A product holds its heads as P 2^E, P renormalised to wp + 2 bits after
+each factor, and Euler's terms in absolute units, T_(k+1) = T_k S C_k >>
+2wp, C_k from q^k and the sum 1 + ... + q^k, so that 1 - q^(k+1) keeps its
+relative precision as q -> 1. Its estimate is |value| (e^lam - 1), lam
+bounding |log| of the computed over the true value: sum tail / (|S| - A -
+2 tail) over the series, twice each factor's relative error and each
+renormalisation's 2^-(wp+1), and twice A / |S| per series, A = 21 (N + 944
++ dr / (1-q)) units, dr the error of r. For C_k errs by at most 4 min(k,
+1/(1-q)) + 3 units (its q^k and each q^j of its sum lie below the exact
+ones) and S by 2, so the step to T_(k+1) adds at most |t_k| (11 + 12 min(k,
+1/(1-q))) + 1 units, which later steps carry by factors whose products stay
+below 3^l / l!: as sum |t_k| <= e^3 and sum k |t_k| <= 3 e^3, the sum errs
+by at most e^3 (47 e^3 + N) <= 21 (944 + N), and r's error moves
+(r;q)_inf by at most dr sup |d/dr (r;q)_inf| <= e^3 dr / (1-q).
+
+The phi/psi loop (_ratio_kernel) gives each term its own scale 2^-(wp +
+sh), sh of either sign, so that it keeps about wp bits however small or
+large it gets; a step is T A prod(1 - x q^n) // prod(1 - y q^n). Its stop
+test is one comparison, ERR TEN^2 <= max(|V| TEN, 2^wp) 2^(wp + sh) in
+units of 2^-(2wp + sh), TEN = 10^digits, V the value s + t / (1 - arg) and
+ERR a ceiling bound on expm1(L) |t| / (1 - |arg|), with e^L from e^x <= (2
++ x)/(2 - x) at x = L 2^-j < 2^-16 squared j times (Pade): that exceeds
+expm1(L) by a relative (L + 1) 2^-32 / 12 at most, so but for such a tie
+terms_used is that of the test with expm1 in mpf. A bit-length screen
+skips the terms where it cannot pass. The estimate adds the kernel's
+rounding: while every |x q^n| <= 1/2 a step's relative error is below a +
+b min(n, 1/(1-q)) units, a = 4 #params + 3 and b = 4 sum(|x| + 2), and
+_factor bounds the steps before; term k's error, the sum of the steps'
+before it, is weighted by sum (k + 1) |t_k|. Where that passes 2^-4 of the
+limit, the series is rerun once with wp raised by the bits it says were
+lost. The Levin sweep (_levin_u) rounds each s_j/omega_j and 1/omega_j
+once in libmpf, forms every order's sums exactly in ints and rounds once
+per order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from math import inf, ldexp, log, log1p, prod
+from math import log, log1p, prod
 from operator import mul
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
 from mpmath.libmp import (finf, fone, from_int, from_man_exp, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_pos, mpf_rdiv_int,
-                          mpf_shift, mpf_sub, round_ceiling, to_float)
+                          mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_rdiv_int, mpf_shift, mpf_sub,
+                          round_ceiling, to_float)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import (
@@ -304,8 +307,8 @@ def prodquot(nums, dens, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     pairs it can, and a factor 1 - q^-n q^n is decided from exponents: exact
     0 over the line, PoleError under it. Each infinite product left is its
     head of factors 1 - x q^n while |x q^n| > theta = min(1/2, 3(1-q)),
-    times Euler's series on the remainder, every series summed in one pass
-    with shared coefficients (module docstring). Every factor that can
+    times Euler's series on the remainder, every series summed to the one
+    N its largest remainder needs (module docstring). Every factor that can
     vanish lies in a head: one that is 0 as a value makes the value exact 0
     over the line and raises PoleError under it. terms_used counts the
     finite factors, the head factors and N terms for each series."""
@@ -319,81 +322,6 @@ def prodquot(nums, dens, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
 def _cap_error(ctx: PrecisionCtx) -> CapExceededError:
     return CapExceededError(f"(a;q)_inf cannot be certified within "
                             f"{ctx.max_terms} factors and terms")
-
-
-def _factors(v, zero, q_, count, theta, prec):
-    """The product of 1 - v q^n from n = 0 for count factors, or while
-    |v q^n| > theta where count is None; the factor at n = zero (an exact
-    zero index, or None) is exactly 0. Returns the product, the number of
-    factors, v q^n past the last one, the first n whose factor is 0 (or
-    None) and a float bound on sum n |v q^n| / |1 - v q^n| over the nonzero
-    factors, each ratio bounded by 2^(e_x - e_f + 1) from the exponents."""
-    prod, qn, n, first_zero, amp = fone, fone, 0, None, 0.0
-    while True:
-        x = mpf_mul(v, qn, prec, RN)
-        if n == count or (count is None
-                          and mpf_le(mpf_abs(x, prec, RN), theta)):
-            return prod, n, x, first_zero, amp
-        f = fzero if n == zero else mpf_sub(fone, x, prec, RN)
-        if f == fzero:
-            if first_zero is None:
-                first_zero = n
-        elif n:
-            d = x[2] + x[3] - f[2] - f[3] + 1
-            amp += ldexp(n, d) if d < 990 else inf
-        prod = mpf_mul(prod, f, prec, RN)
-        qn = mpf_mul(qn, q_, prec, RN)
-        n += 1
-
-
-def _euler_tail(tau, big, c, prec):
-    """tau / (1 - big c), the geometric tail bound from a term bounded by tau
-    when every later term ratio is below big c, or None where big c >= 1."""
-    rho = mpf_mul(big, c, prec, RN)
-    if not mpf_lt(rho, fone):
-        return None
-    return mpf_div(tau, mpf_sub(fone, rho, prec, RN), prec, RN)
-
-
-def _euler(rs, q_, omq, tol, room, ctx, prec):
-    """Euler's (r;q)_inf = sum_k e_k (-r)^k, e_k = q^(k(k-1)/2)/(q;q)_k, for
-    every r of rs (each |r| <= theta) in one pass over k with the shared
-    e_{k+1} = e_k q^k / (1 - q^(k+1)), 1 - q^(k+1) = (1 - q^k) q + (1 - q).
-    Even and odd terms go to separate sums, so the sum of |t| is
-    |even| + |odd|. Stops at the first N where e_N R^N / (1 - R q^N /
-    (1 - q^(N+1))), R = max |r|, meets tol 2^-10 / #rs; CapExceededError
-    where #rs N would pass room. Returns the (even, odd) sums, N and that
-    tail bound."""
-    m = len(rs)
-    big = fzero
-    for r in rs:
-        if mpf_gt(mpf_abs(r, prec, RN), big):
-            big = mpf_abs(r, prec, RN)
-    limit = mpf_div(mpf_shift(tol, -10), from_int(m), prec, RN)
-    steps = [mpf_neg(r) for r in rs]
-    powers = [fone] * m  # (-r)^N
-    even, odd = [fzero] * m, [fzero] * m
-    e, qk, om, bigk = fone, fone, omq, fone  # e_N, q^N, 1 - q^(N+1), R^N
-    n = 0
-    while True:
-        c = mpf_div(qk, om, prec, RN)  # e_{N+1} / e_N
-        tau = mpf_mul(e, bigk, prec, RN)  # >= |t_N| of every series
-        if mpf_le(tau, limit):
-            tail = _euler_tail(tau, big, c, prec)
-            if tail is not None and mpf_le(tail, limit):
-                return even, odd, n, tail
-        if m * (n + 1) > room:
-            raise _cap_error(ctx)
-        acc = odd if n & 1 else even
-        for i in range(m):
-            acc[i] = mpf_add(acc[i], mpf_mul(e, powers[i], prec, RN),
-                             prec, RN)
-            powers[i] = mpf_mul(powers[i], steps[i], prec, RN)
-        e = mpf_mul(e, c, prec, RN)
-        qk = mpf_mul(qk, q_, prec, RN)
-        om = mpf_add(mpf_mul(om, q_, prec, RN), omq, prec, RN)
-        bigk = mpf_mul(bigk, big, prec, RN)
-        n += 1
 
 
 def _heads_beyond_cap(runs, q, theta, cap) -> bool:
@@ -413,6 +341,112 @@ def _heads_beyond_cap(runs, q, theta, cap) -> bool:
         return need * (1 - mpf(2) ** -20) > cap
 
 
+# bits of the fixed point beyond the working precision: 19 for log2 of the
+# default 500,000-term cap, 13 to spare
+_GUARD_BITS = 32
+
+
+def _fixed(x, wp) -> int:
+    """The raw mpf x as an int X with |X - x 2^wp| < 1."""
+    sign, man, exp, _ = x
+    v = man << exp + wp if exp + wp >= 0 else man >> -exp - wp
+    return -v if sign else v
+
+
+def _mag(x) -> int:
+    """e with 2^(e-1) <= |x| < 2^e, for a raw nonzero finite mpf x."""
+    return x[2] + x[3]
+
+
+def _shift(x, s) -> int:
+    """x 2^-s, floored: every change of scale by a shift of either sign."""
+    return x >> s if s >= 0 else x << -s
+
+
+def _inv_one_minus(x, wp) -> int:
+    """2^wp / (1 - |x|) rounded up, from the exact 1 - |x| of the raw mpf
+    x, 0 < |x| < 1."""
+    _, xm, xexp, _ = x
+    return -((-1 << wp - xexp) // ((1 << -xexp) - xm))
+
+
+def _factor(X, x, XQ, n, nq, q_, prec, wp):
+    """The factor 1 - x q^n at 2^-wp from X = x 2^wp, x the raw mpf, and XQ
+    = X QN >> wp, QN = q^n 2^wp as the loops build it, with twice a bound on
+    its relative error in units of 2^-wp; one near 0 is recomputed in libmpf
+    (module docstring), and (0, 0) where it is exactly 0 there."""
+    one = 1 << wp
+    F = one - XQ
+    bound = ((abs(X) >> wp) + 2) * 2 * min(n, nq) + 2
+    if abs(F) > 2 * bound + (abs(XQ) * (n + 2) >> prec):
+        return F, 2 * ((bound << wp) // abs(F) + 1)
+    qn = fone
+    for _ in range(n):
+        qn = mpf_mul(q_, qn, prec, RN)
+    xq = mpf_mul(x, qn, prec, RN)
+    f = mpf_sub(fone, xq, prec, RN)
+    if f == fzero:
+        return 0, 0
+    F = _fixed(f, wp)
+    # q^n's n roundings, x q^n's and the subtraction's, each at most 2^-prec
+    # relative, then F's own
+    ratio = _fixed(mpf_abs(mpf_div(xq, f, prec, RN)), wp - prec)
+    return F, 2 * ((n + 1) * (ratio + 1) + (1 << wp - prec) + one // abs(F)
+                   + 1)
+
+
+def _times(P, E, F, wp):
+    """P 2^E times F 2^-wp, renormalised to wp + 2 bits: a relative error
+    below 2^-(wp+1)."""
+    P *= F
+    s = P.bit_length() - wp - 2
+    return _shift(P, s), E + s - wp
+
+
+def _head(P, E, X, x, zero, count, Q, theta, nq, q_, prec, wp):
+    """P 2^E times the factors 1 - x q^n from n = 0, count of them, or while
+    |x q^n| > theta 2^-wp where count is None, leaving out each factor that
+    is 0, as the one at n = zero (an exact zero index, or None) is. Returns
+    the product as P 2^E, the factors' and renormalisations' error bounds,
+    the number of factors, x q^n past the last one at 2^-wp with its error
+    bound, and the first n whose factor is 0 (or None)."""
+    QN, n, err, first_zero = 1 << wp, 0, 0, None
+    while True:
+        XQ = X * QN >> wp
+        if n == count or (count is None and abs(XQ) <= theta):
+            bound = ((abs(X) >> wp) + 2) * 2 * min(n, nq) + 2
+            return P, E, err, n, XQ, bound, first_zero
+        F, e = (0, 0) if n == zero else _factor(X, x, XQ, n, nq, q_, prec,
+                                                wp)
+        if F:
+            P, E = _times(P, E, F, wp)
+            err += e + 1
+        elif first_zero is None:
+            first_zero = n
+        QN = QN * Q >> wp
+        n += 1
+
+
+def _euler_terms(big, Q, nq, K, room, wp):
+    """The shared c_n = q^n / (1 + q + ... + q^n) 2^wp, n < N, of Euler's
+    series for every |s| 2^wp <= big, s = -r / (1-q), N the first n <= room
+    where tau_n / (1 - rho_n) meets 1/K, tau_n >= e_n R^n and rho_n >= |s|
+    c_n rounded up at 2^-wp; with tau_N and rho_N, or None past room."""
+    one, cs = 1 << wp, []
+    QN, G, tau, kb = one, one, one, K.bit_length()
+    for n in range(room + 1):
+        C = (QN << wp) // G
+        if tau.bit_length() + kb <= wp + 2:
+            rho = (big * (C + 4 * min(n, nq) + 3) >> wp) + 1
+            if rho < one and tau * K <= one - rho:
+                return cs, tau, rho
+        cs.append(C)
+        tau = -(-tau * big * (C + 4 * min(n, nq) + 3) >> 2 * wp)
+        QN = QN * Q >> wp
+        G += QN
+    return None
+
+
 def _quotient(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
     """prodquot of checked monomials, at the precision in force."""
     nums, dens, finite = _telescope(nums, dens)
@@ -421,65 +455,68 @@ def _quotient(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
             raise _DenominatorPole(y, y.zero_index)
     # q and the values rounded to the working precision first
     prec, q = mp.prec, +q
-    q_ = q._mpf_
-    omq = mpf_sub(fone, q_, prec, RN)
-    theta = mpf_mul_int(omq, 3, prec, RN)
-    if mpf_gt(theta, mpf_shift(fone, -1)):
-        theta = mpf_shift(fone, -1)
-    runs = [(x, mpf_pos(x.value(q)._mpf_, prec, RN), count, over)
+    theta = min(mpf(0.5), 3 * (1 - q))
+    runs = [(x, (+x.value(q))._mpf_, count, over)
             for x, count, over in finite + [(x, None, True) for x in nums]
             + [(y, None, False) for y in dens]]
-    if _heads_beyond_cap(runs, q, mp.make_mpf(theta), ctx.max_terms):
+    if _heads_beyond_cap(runs, q, theta, ctx.max_terms):
         raise _cap_error(ctx)
-    # relative rounding, in units of 2^(1-prec); 1 for top / bottom
-    top, bottom, used, rounding = fone, fone, 0, 1.0
-    series = []
+    q_ = q._mpf_
+    # a parameter |x| > 1 multiplies q^n's error by |x|: as many more bits
+    wp = prec + _GUARD_BITS + max([0, *(_mag(v) for _, v, _, _ in runs)])
+    one, Q, iq = 1 << wp, _fixed(q_, wp), _inv_one_minus(q_, wp)
+    nq, th = (iq >> wp) + 1, _fixed(theta._mpf_, wp)
+    # the numerator and denominator products as P 2^E, and the bound on
+    # the log of computed over true value in units of 2^-wp
+    parts = dict.fromkeys((True, False), (1 << wp + 1, -wp - 1))
+    used, err, zero, series = 0, 0, False, []
     for x, v, count, over in runs:
-        prod, n, r, zero, amp = _factors(v, x.zero_index, q_, count, theta,
-                                         prec)
-        if zero is not None and not over:
+        P, E, e, n, R, dr, first = _head(*parts[over], _fixed(v, wp), v,
+                                         x.zero_index, count, Q, th, nq, q_,
+                                         prec, wp)
+        if first is not None and not over:
             raise _DenominatorPole(x if count is not None else mp.make_mpf(v),
-                                   zero)
-        if over:
-            top = mpf_mul(top, prod, prec, RN)
-        else:
-            bottom = mpf_mul(bottom, prod, prec, RN)
-        used += n
-        # each factor: its q^n's n roundings amplified by |x|/|f|, the
-        # subtraction and the multiplication
-        rounding += amp + 2 * n
+                                   first)
+        parts[over], used, err = (P, E), used + n, err + e
+        zero = zero or first is not None
         if count is None:
-            series.append((r, over, n))
+            series.append((R, dr, over))
     if used > ctx.max_terms:
         raise _cap_error(ctx)
-    trunc = fzero
+    trunc = 0
     if series:
-        even, odd, n, tail = _euler([r for r, _, _ in series], q_, omq,
-                                    ctx.tail_tol()._mpf_,
-                                    ctx.max_terms - used, ctx, prec)
-        used += n * len(series)
-        for ev, od, (_, over, head) in zip(even, odd, series):
-            s = mpf_add(ev, od, prec, RN)
-            abs_s = mpf_abs(s, prec, RN)
-            if over:
-                top = mpf_mul(top, s, prec, RN)
-            else:
-                bottom = mpf_mul(bottom, s, prec, RN)
-            # |S - s| <= tail and |S| >= |s| - tail bound s/S - 1 and
-            # S/s - 1 by tail / (|s| - 2 tail)
-            trunc = mpf_add(trunc, mpf_div(tail, mpf_sub(
-                abs_s, mpf_shift(tail, 1), prec, RN), prec, RN), prec, RN)
-            # 2(N+1)^2 roundings per term, amplified by sum |t| / |s|; the
-            # remainder's own head + 1 roundings, amplified at most 6 times;
-            # the multiplication
-            amplification = ((abs(to_float(ev)) + abs(to_float(od)))
-                             / to_float(abs_s))
-            rounding += 2 * (n + 1) ** 2 * amplification + 6 * (head + 1) + 1
-    value = mp.make_mpf(mpf_div(top, bottom, prec, RN))
-    trunc = mp.make_mpf(trunc)
-    # expm1(trunc) <= trunc + trunc^2 for trunc <= 1
-    rel = trunc * (1 + trunc) + mp.ldexp(mpf(rounding), 1 - prec)
-    return SeriesValue(value, abs(value) * rel, used, True)
+        ss = [-R * iq >> wp for R, _, _ in series]  # s 2^wp, |s| <= 3
+        K = 10 ** ctx.digits * len(ss) << 10
+        found = _euler_terms(max(map(abs, ss)) + 2, Q, nq, K,
+                             (ctx.max_terms - used) // len(ss), wp)
+        if found is None:
+            raise _cap_error(ctx)
+        cs, tau, rho = found
+        used += len(cs) * len(ss)
+        tail = -((-tau << wp) // (one - rho))
+        for s, (_, dr, over) in zip(ss, series):
+            S, T = 0, one
+            for C in cs:
+                S += T
+                T = T * s * C >> 2 * wp
+            # the sum's rounding and r's own error (module docstring)
+            a = 21 * (len(cs) + 944 + (dr * iq >> wp) + 1)
+            err += 2 - 2 * ((-a << wp) // abs(S))
+            trunc -= (-tail << wp) // (abs(S) - a - 2 * tail)
+            parts[over] = _times(*parts[over], S, wp)
+    if zero:
+        return SeriesValue(mpf(0), mpf(0), used, True)
+    (top, et), (bottom, eb) = parts[True], parts[False]
+    value = mp.make_mpf(from_man_exp((top << wp + 4) // bottom,
+                                     et - eb - wp - 4, prec, RN))
+    # the division's floor and the rounding to prec, then 2^-16 for the
+    # estimate's own rounding
+    lam = trunc + err + 2 + (2 << wp - prec)
+    lam += (lam >> 16) + 1
+    # e^lam - 1 <= lam + lam^2 for lam <= 1
+    rel = (from_man_exp(lam - (-lam * lam >> wp), -wp, prec, round_ceiling)
+           if lam < one else finf)
+    return SeriesValue(value, abs(value) * mp.make_mpf(rel), used, True)
 
 
 def _neg_half_pole(upper, i, m) -> PoleError:
@@ -517,65 +554,26 @@ def _cannot_stop(num_params, den_params, q, arg, tol, n) -> bool:
         return low > 1 + mpf(2) ** -20
 
 
-# bits of the series kernel beyond the working precision: 19 for log2 of
-# the default 500,000-term cap, 13 to spare
-_GUARD_BITS = 32
-
-
-def _fixed(x, wp) -> int:
-    """The raw mpf x as an int X with |X - x 2^wp| < 1."""
-    sign, man, exp, _ = x
-    v = man << exp + wp if exp + wp >= 0 else man >> -exp - wp
-    return -v if sign else v
-
-
-def _mag(x) -> int:
-    """e with 2^(e-1) <= |x| < 2^e, for a raw nonzero finite mpf x."""
-    return x[2] + x[3]
-
-
-def _head_step(T, sh, A, D0, xs, raws, m, QN, n, q_, prec, wp):
+def _head_step(T, sh, A, D0, xs, raws, m, QN, n, nq, q_, prec, wp):
     """T's next value in _ratio_kernel at a term n where some |x q^n| may
-    exceed 1/2. Each factor 1 - x q^n gets its own bound of 2 + (|x| + 1)
-    2n units of 2^-wp. One within that bound of 0, or within the rounding
-    (n + 2) |x q^n| 2^-prec of the libmpf expression, is recomputed as 1 -
-    x q^n in libmpf at prec, q^n by n roundings; an exact 0 there makes the
-    next term 0 (the first m raws are numerators) or raises
-    _DenominatorPole. Returns the next term and its scale sh, T near
-    2^(wp+2) where sh >= 0 allows, and twice the step's relative error in
-    units of 2^-wp, A's and the floor's included."""
-    one = 1 << wp
-    P, D, err, zero = T * A, D0, 6, False
+    exceed 1/2, each factor from _factor: an exact 0 there makes the next
+    term 0 (the first m raws are numerators) or raises _DenominatorPole.
+    Returns the next term near 2^(wp+2) and its scale sh, of either sign,
+    and twice the step's relative error in units of 2^-wp, A's and the
+    floor's included."""
+    P, D, err = T * A, D0, 6
     for i, (X, x) in enumerate(zip(xs, raws)):
-        F = one - (X * QN >> wp)
-        bound = ((abs(X) >> wp) + 2) * 2 * n + 2
-        if abs(F) > bound + (abs(one - F) * (n + 2) >> prec):
-            err += 2 * ((bound << wp) // abs(F) + 1)
-        else:
-            qn = fone
-            for _ in range(n):
-                qn = mpf_mul(q_, qn, prec, RN)
-            xq = mpf_mul(x, qn, prec, RN)
-            f = mpf_sub(fone, xq, prec, RN)
-            if f == fzero:
-                if i >= m:
-                    raise _DenominatorPole(mp.make_mpf(x), n)
-                zero = True
-                continue
-            F = _fixed(f, wp)
-            # q^n's n roundings, x q^n's and the subtraction's, each at most
-            # 2^-prec relative, then F's own
-            ratio = _fixed(mpf_abs(mpf_div(xq, f, prec, RN)), wp - prec)
-            err += 2 * ((n + 1) * (ratio + 1) + (1 << wp - prec)
-                        + (one // abs(F)) + 1)
+        F, e = _factor(X, x, X * QN >> wp, n, nq, q_, prec, wp)
+        if not F and i >= m:
+            raise _DenominatorPole(mp.make_mpf(x), n)
+        err += e
         if i < m:
             P *= F
         else:
             D *= F
-    if zero:
+    if not P:
         return 0, 0, err
-    # T' near 2^(wp+2) at scale 2^-(wp + sh'), sh' >= 0
-    shift = max(wp + 2 + D.bit_length() - P.bit_length(), -sh)
+    shift = wp + 2 + D.bit_length() - P.bit_length()
     return ((P << shift) // D if shift >= 0 else P // (D << -shift),
             sh + shift, err)
 
@@ -619,13 +617,11 @@ def _ratio_kernel(nums, dens, q_, arg_, digits, max_terms, prec, wp):
     shift = (m + 1 - len(dens)) * wp
     A, D0 = (A << -shift, 1) if shift < 0 else (A, 1 << shift)
     # the stop test's upper bounds on |x| 2^wp, 2^wp / (1-q) and 2^wp / (1 -
-    # |arg|), the last two from the exact 1 - q and 1 - |arg|; 1 - arg is
-    # exactly oma 2^aexp
+    # |arg|); 1 - arg is exactly oma 2^aexp
     cs = [abs(X) + 1 for X in xs]
     _, qm, qexp, _ = q_
     neg, am, aexp, _ = arg_
-    iq = -((-1 << wp - qexp) // ((1 << -qexp) - qm))
-    ia = -((-1 << wp - aexp) // ((1 << -aexp) - am))
+    iq, ia = _inv_one_minus(q_, wp), _inv_one_minus(arg_, wp)
     oma = (1 << -aexp) + (am if neg else -am)
     # every |x q^n| <= 1/2 from the term head on, so every factor is at
     # least 1/2 and the bulk steps need no bound of their own
@@ -635,7 +631,7 @@ def _ratio_kernel(nums, dens, q_, arg_, digits, max_terms, prec, wp):
                 map(abs, map(to_float, nums + dens)) if c > 0.5], default=0)
     # q^n's error is below 2 min(n, nq) units of 2^-wp; a bulk step's
     # relative error below a + b min(n, nq) units
-    nq = int(1 / of) + 1 if of > 1e-300 else max_terms + 1
+    nq = (iq >> wp) + 1
     a = 4 * len(xs) + 3
     b = 4 * sum((abs(X) >> wp) + 2 for X in xs)
     low = wp + len(xs) + 3
@@ -656,18 +652,18 @@ def _ratio_kernel(nums, dens, q_, arg_, digits, max_terms, prec, wp):
         e = bt - sh
         d = (QN + 2 * n).bit_length() + e - screen
         if d <= wp or d <= e + la or d <= S.bit_length() + ls:
-            M = max(abs(S + (T << -aexp >> sh) // oma) * TEN, one)
+            M = max(abs(S + _shift(T << -aexp, sh) // oma) * TEN, one)
             EL = _closure_bound(cs, QN + 2 * n, iq, M.bit_length() - e + lb,
                                 wp)
             if EL is not None:
                 ERR = -(-EL * abs(T) * ia >> wp)
-                if -(-ERR * TEN2 >> wp + sh) <= M:
+                if -_shift(-ERR * TEN2, wp + sh) <= M:
                     break
-        S += T >> sh
+        S += _shift(T, sh)
         mom += n + 1 << e if e > 0 else n + 1
         if n < head:
             T, sh, step = _head_step(T, sh, A, D0, xs, nums + dens, m, QN, n,
-                                     q_, prec, wp)
+                                     nq, q_, prec, wp)
             eps += step
             if not T and n < max_terms:
                 # a numerator factor vanished; every later term carries it

@@ -121,3 +121,22 @@ def test_eta_quotient_takes_one_power_per_scale(ctx40):
         assert (abs(got.value - oracle)
                 <= got.err_estimate + mpf("1e-50") * abs(oracle))
     assert got.terms_used == eta_nome(mpf("0.5"), ctx40).terms_used
+
+
+@pytest.mark.parametrize("q", ["0.999", "0.9999"])
+def test_products_near_one_match_the_modular_transformation(ctx40, q):
+    # (q;q)_inf = sqrt(2 pi/t) e^(t/24 - pi^2/(6t)) (r;r)_inf, t = -log q and
+    # r = e^(-4 pi^2/t), with r below 1e-17000 here; the product is a head
+    # of thousands of factors (81,113 at q = 0.9999) and a short Euler series
+    with ctx40.working():
+        q = mpf(q)
+    prod, eta = pochhammer_inf(q, q, ctx40), eta_nome(q, ctx40)
+    with mp.workdps(70):
+        t = -mp.log(q)
+        r = mp.exp(-4 * mp.pi ** 2 / t)
+        oracle = (mp.sqrt(2 * mp.pi / t) * mp.exp(t / 24 - mp.pi ** 2 / (6 * t))
+                  * mp.qp(r, r))
+        for got, want in ((prod, oracle), (eta, q ** (mpf(1) / 24) * oracle)):
+            assert got.certified
+            assert (abs(got.value - want) <= got.err_estimate
+                    <= mpf(10) ** -40 * abs(got.value))

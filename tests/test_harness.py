@@ -62,7 +62,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "d2a726d75e11c264a80df62033b445faf6108b618bccfa1056bb557f5a26726f")
+        "f04ba6be678a1967ca1fdaea46e56bfbcbb3de8c5921f3efbf86a91d8ddc62f3")
 
 
 def test_seed_changes_sampled_points():

@@ -133,18 +133,18 @@ def _pochhammer_inf_expm1_every_factor(a, q, ctx, expm1):
 def test_pochhammer_inf_agrees_with_factor_loop_and_qp(monkeypatch):
     # Euler's series after the head agrees with the factor-by-factor
     # reference loop within both error bounds, and with mpmath's qp at 60
-    # digits within its own bound plus 10^-60; the tail bound is built at
-    # no more than two terms, and no expm1 is called
+    # digits within its own bound plus 10^-60; its stop index is found in
+    # one pass over the shared coefficients, and no expm1 is called
     expm1 = mp.expm1
     calls, built = [], []
-    euler_tail = qcore._euler_tail
+    euler_terms = qcore._euler_terms
 
-    def counting_euler_tail(*args):
+    def counting_euler_terms(*args):
         built.append(args)
-        return euler_tail(*args)
+        return euler_terms(*args)
 
     monkeypatch.setattr(mp, "expm1", lambda x: calls.append(x) or expm1(x))
-    monkeypatch.setattr(qcore, "_euler_tail", counting_euler_tail)
+    monkeypatch.setattr(qcore, "_euler_terms", counting_euler_terms)
     oracles = {}
     for ctx in [PrecisionCtx(digits=digits) for digits in (20, 40, 100)]:
         for q in ("0.1", "0.5", "0.9", "0.99"):
@@ -164,7 +164,7 @@ def test_pochhammer_inf_agrees_with_factor_loop_and_qp(monkeypatch):
                     assert abs(got.value - oracle) <= (
                         got.err_estimate + mpf(10) ** -60 * abs(oracle)), (
                         a, q, ctx)
-                assert not calls and len(built) <= 2, (a, q, ctx, built)
+                assert not calls and len(built) == 1, (a, q, ctx, built)
 
 
 def test_pochhammer_inf_wide_input_bit_identical():
@@ -345,8 +345,8 @@ def test_prodquot_exact_pole_denominator(q, nums, dens, factor):
 def test_prodquot_refuses_a_stop_beyond_the_cap(monkeypatch, a, q):
     # a product stops after terms_used head factors and series terms: under
     # a cap at or just above that it is certified as without a cap, under
-    # one just below it raises, and under one far below it is refused
-    # before any tail bound is built
+    # one just below it raises, and under one far below it is refused by
+    # the pass that finds the stop index, before any series term is summed
     a, q = mpf(a), mpf(q)
     free = pochhammer_inf(a, q, PrecisionCtx(digits=20))
     stop = free.terms_used
@@ -356,12 +356,13 @@ def test_prodquot_refuses_a_stop_beyond_the_cap(monkeypatch, a, q):
                                                  max_terms=cap)) == free
     with pytest.raises(CapExceededError):
         pochhammer_inf(a, q, PrecisionCtx(digits=20, max_terms=stop - 1))
-    built = []
-    monkeypatch.setattr(qcore, "_euler_tail",
-                        lambda *args: built.append(args))
+    found = []
+    euler_terms = qcore._euler_terms
+    monkeypatch.setattr(qcore, "_euler_terms",
+                        lambda *args: found.append(euler_terms(*args)))
     with pytest.raises(CapExceededError, match="cannot be certified"):
         pochhammer_inf(a, q, PrecisionCtx(digits=20, max_terms=stop // 2))
-    assert not built
+    assert found == [None]
 
 
 def test_prodquot_cap_never_refuses_a_certified_product():
@@ -486,6 +487,34 @@ def test_phi_q_binomial_theorem(ctx40):
             rhs = (pochhammer_inf(mpf(a) * mpf(z), q, ctx40)
                    / pochhammer_inf(z, q, ctx40)).value
             assert rel_diff(lhs, rhs) < mpf("1e-32")
+
+
+def test_phi_far_above_the_fixed_point_scale(ctx40):
+    # the terms of (-10^60;q)_n / (q;q)_n 2^-n grow for about 200 head steps
+    # to near the value 1.16e5951, far above 2^wp, so the stop test runs
+    # with each term at a scale 2^-(wp + sh), wp + sh < 0; the oracle is
+    # mpmath's qhyper at 60 digits
+    got = phi([-1e60], [], 0.5, 0.5, ctx40)
+    assert got.certified
+    with mp.workdps(60):
+        oracle = mp.qhyper([mpf(-1e60)], [], mpf(0.5), mpf(0.5))
+        assert mpf("1e5951") < oracle < mpf("1e5952")
+        assert abs(got.value - oracle) <= (got.err_estimate
+                                           + mpf(10) ** -40 * abs(oracle))
+
+
+def test_psi_growing_head_terms_fail_fast():
+    # the negative half has upper parameters near 1e270 and argument about
+    # -6e-263: its terms grow by up to 1e270 a step until c q^n < 1 near n =
+    # 29,000, and each is kept at about wp bits, so the cap is reached in
+    # linear, not quadratic, time
+    start = time.process_time()
+    with pytest.raises(CapExceededError):
+        psi_bilateral([0.6588746115419815, 9.004478993653168e-09],
+                      [5.520942258610341e-271, 7.385324949087026e-271],
+                      0.9789538883489872, -1.0955444237645575e-270,
+                      PrecisionCtx(20, max_terms=1000))
+    assert time.process_time() - start < 1
 
 
 @pytest.mark.parametrize("q", ["1e-17", "1e-80", "1e-400"])
