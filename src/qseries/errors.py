@@ -30,7 +30,8 @@ class InsufficientTermsError(QSeriesError):
 
 
 class NumericalBreakdownError(QSeriesError):
-    """An acceleration transform denominator underflowed."""
+    """A denominator could not be told from 0: an acceleration transform's,
+    or a product or series factor's ball at the working precision."""
 
 
 class UnknownIdentityError(QSeriesError):

@@ -36,10 +36,11 @@ from mpmath import mp, mpf
 
 from .eta import eta_quotient
 from .params import ParamExpr, Q
-from .precision import DEFAULT_CTX, PrecisionCtx
+from .precision import DEFAULT_CTX, PrecisionCtx, to_real
 from .qcore import (
     QPoint,
     SeriesValue,
+    _qpowers,
     phi,
     prodquot,
     psi_bilateral,
@@ -322,8 +323,9 @@ def _scale(p: QPoint) -> mpf:
 
 
 def _q2phi1(alpha, beta, gamma, delta, q, ctx: PrecisionCtx) -> SeriesValue:
-    return phi([qpow(q, alpha, ctx), qpow(q, beta, ctx)],
-               [qpow(q, gamma, ctx)], q, qpow(q, delta, ctx), ctx)
+    with ctx.working():
+        a, b, c, z = _qpowers(to_real(q), [alpha, beta, gamma, delta])
+    return phi([a, b], [c], q, z, ctx)
 
 
 def _term_a(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:

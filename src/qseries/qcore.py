@@ -29,28 +29,39 @@ Every product and series loop runs in one fixed point, as mpmath's own
 hypergeometric summation does: q^n, the parameters, the factors and the
 sums are Python ints scaled by 2^wp, wp = prec + 32 (19 guard bits for
 log2 of the default 500,000-term cap, 13 to spare) plus log2 of the
-largest |parameter| above 1; every shift and floor errs by less than one
-unit of 2^-wp. q^n, built by floors, errs by at most 2 min(n, 1/(1-q))
-units, so a factor 1 - x q^n by at most (|x| + 2) 2 min(n, 1/(1-q)) + 2
-(_factor). One within twice that of 0, or within the rounding (n + 2)
-|x q^n| 2^-prec of the libmpf expression, is recomputed in libmpf at prec,
-q^n by n roundings: exactly 0 there, it is an exact zero over the line (of
-a product, of a series' later terms) and a PoleError under it.
+largest |parameter| above 1. Each carries a radius, in midpoint-radius
+(ball) arithmetic (van der Hoeven, "Ball arithmetic", 2009; Johansson,
+"Arb", IEEE TC 66, 2017): an int R in the units of its midpoint M, the
+exact value of the same expression in the rounded inputs lying within M
++- R. Every radius is rounded up, by one rule per operation:
+- an mpf read into the fixed point has radius 1;
+- a floored product of balls (a, r) and (b, s) at 2^-wp has radius (|a| s
+  + |b| r + r s) 2^-wp + 1, an exact sum the sum of the radii, and a
+  quotient a / b, b's ball clear of 0, (r |b| + |a| s) / (|b| (|b| - s))
+  + 1 in the quotient's units;
+- a term with a relative radius e (units of 2^-wp) times a ball of
+  relative radius f has e + f + e f 2^-wp; a factor of at least 1/2 with a
+  radius r <= 2^wp / 12 (every one here: r 2^-wp < 2^-30 as wp >= prec +
+  32 + log2 |x|) has a relative radius of at most 3 r, factors whose
+  relative radii sum to f < 2^wp have f + f^2 2^-wp together, and a floor
+  to a term of at least 2^wp adds 2 + e 2^-wp;
+- a rounding to mpf at prec adds 2^-prec of its result.
+A factor 1 - x q^n whose ball, widened by the rounding (n + 2) |x q^n|
+2^-prec of the same expression in libmpf, reaches 0 is recomputed in
+libmpf at prec, q^n by n roundings: exactly 0 there, it is an exact zero
+over the line (of a product, of a series' later terms) and a PoleError
+under it; otherwise it has the radius of those roundings. A series factor
+or a product's denominator whose ball still reaches 0 raises
+NumericalBreakdownError.
 
-A product holds its heads as P 2^E, P renormalised to wp + 2 bits after
-each factor, and Euler's terms in absolute units, T_(k+1) = T_k S C_k >>
-2wp, C_k from q^k and the sum 1 + ... + q^k, so that 1 - q^(k+1) keeps its
-relative precision as q -> 1. Its estimate is |value| (e^lam - 1), lam
-bounding |log| of the computed over the true value: sum tail / (|S| - A -
-2 tail) over the series, twice each factor's relative error and each
-renormalisation's 2^-(wp+1), and twice A / |S| per series, A = 21 (N + 944
-+ dr / (1-q)) units, dr the error of r. For C_k errs by at most 4 min(k,
-1/(1-q)) + 3 units (its q^k and each q^j of its sum lie below the exact
-ones) and S by 2, so the step to T_(k+1) adds at most |t_k| (11 + 12 min(k,
-1/(1-q))) + 1 units, which later steps carry by factors whose products stay
-below 3^l / l!: as sum |t_k| <= e^3 and sum k |t_k| <= 3 e^3, the sum errs
-by at most e^3 (47 e^3 + N) <= 21 (944 + N), and r's error moves
-(r;q)_inf by at most dr sup |d/dr (r;q)_inf| <= e^3 dr / (1-q).
+A product holds its heads as balls P 2^E, P renormalised to wp + 2 bits
+after each factor, and Euler's terms in absolute units, T_(k+1) = T_k S
+C_k >> 2wp, C_k = q^k 2^wp / (1 + ... + q^k), so that 1 - q^(k+1) keeps
+its relative precision as q -> 1. The pass that finds N also carries one
+radius for the terms of all the quotient's series, from the largest |s|
+and radius of s and |T_k| <= tau_k + radius; each sum's ball adds the
+truncation tail to that radius. The estimate is the radius of the
+quotient of the two products' balls, plus its floor and its rounding.
 
 The phi/psi loop (_ratio_kernel) gives each term its own scale 2^-(wp +
 sh), sh of either sign, so that it keeps about wp bits however small or
@@ -61,15 +72,17 @@ ERR a ceiling bound on expm1(L) |t| / (1 - |arg|), with e^L from e^x <= (2
 + x)/(2 - x) at x = L 2^-j < 2^-16 squared j times (Pade): that exceeds
 expm1(L) by a relative (L + 1) 2^-32 / 12 at most, so but for such a tie
 terms_used is that of the test with expm1 in mpf. A bit-length screen
-skips the terms where it cannot pass. The estimate adds the kernel's
-rounding: while every |x q^n| <= 1/2 a step's relative error is below a +
-b min(n, 1/(1-q)) units, a = 4 #params + 3 and b = 4 sum(|x| + 2), and
-_factor bounds the steps before; term k's error, the sum of the steps'
-before it, is weighted by sum (k + 1) |t_k|. Where that passes 2^-4 of the
-limit, the series is rerun once with wp raised by the bits it says were
-lost. The Levin sweep (_levin_u) rounds each s_j/omega_j and 1/omega_j
-once in libmpf, forms every order's sums exactly in ints and rounds once
-per order.
+skips the terms where it cannot pass. Each term carries a relative radius:
+a head step's from its factors' balls, a bulk step's from q^n's radius,
+every |x q^n| <= 1/2 there, and an argument known only to within a
+relative radius (psi's w) adds it at every step and to 1/(1 - arg). The
+estimate is the closure's bound at the upper ends of t's and arg's balls
+plus the radius of the value: the sum's, the closing term's and the
+roundings to mpf, converted once, rounded up. Where that radius passes
+2^-4 of the limit, the series is rerun once with wp raised by the bits it
+says were lost. The Levin sweep (_levin_u) rounds each s_j/omega_j and
+1/omega_j once in libmpf, forms every order's sums exactly in ints and
+rounds once per order.
 """
 
 from __future__ import annotations
@@ -81,7 +94,7 @@ from operator import mul
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
-from mpmath.libmp import (finf, fone, from_int, from_man_exp, fzero, mpf_abs,
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_abs,
                           mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul,
                           mpf_mul_int, mpf_rdiv_int, mpf_shift, mpf_sub,
                           round_ceiling, to_float)
@@ -228,11 +241,16 @@ def qpow(q, e, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     with ctx.working():
         q, e = to_real(q), to_real(e)
         _check_q(q, e=e)
-        if e == 0:
-            return mpf(1)
-        if e == 1:
-            return q
-        return mp.exp(e * mp.log(q))
+        return _qpowers(q, [e])[0]
+
+
+def _qpowers(q, exps) -> list:
+    """[q**e for e in exps], each as qpow gives it, for a checked q and
+    finite mpf exps at the precision in force: 1 and q at e = 0 and 1, else
+    exp(e*ln q) with one ln q for them all."""
+    lq = mp.log(q) if any(e not in (0, 1) for e in exps) else None
+    return [mpf(1) if e == 0 else q if e == 1 else mp.exp(e * lq)
+            for e in exps]
 
 
 def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
@@ -324,26 +342,42 @@ def _cap_error(ctx: PrecisionCtx) -> CapExceededError:
                             f"{ctx.max_terms} factors and terms")
 
 
-def _heads_beyond_cap(runs, q, theta, cap) -> bool:
+def _ln(x) -> float:
+    """log|x| as a double from the raw nonzero finite mpf x's mantissa and
+    exponent, at any magnitude: within a few 2^-52 of log|man| + |exp| ln 2."""
+    return log(x[1]) + x[2] * _LN2
+
+
+def _log_inv_q(q_, iq, wp) -> float:
+    """log(1/q) as a double from the raw mpf q and iq = 2^wp / (1-q) rounded
+    up: from 1 - q while q >= 2^-26, from q's mantissa and exponent below,
+    where 1 - q as a double loses q's digits; within 2^-30 either way."""
+    of = (1 << wp) / iq
+    return -log1p(-of) or 5e-324 if of < 1 - 2 ** -26 else -_ln(q_)
+
+
+def _heads_beyond_cap(runs, theta_, lq, cap) -> bool:
     """True where the runs surely take more than cap factors. A head takes
-    at most |x| / (theta (1-q)) + 1 of them (log y < y, log(1/q) >= 1 - q),
-    so only where those can pass cap is the lower bound log(|x|/theta) /
-    log(1/q) computed, at 64 bits: one less and a 2^-20 margin cover the
-    logs' rounding and a head that stops one early where |x q^n| rounds to
-    theta."""
+    at least log(|x|/theta) / log(1/q) - 1 of them, one less for a head that
+    stops one early where |x q^n| rounds to theta; the logs are doubles
+    (_ln, _log_inv_q), and a margin of 2^-20 of the total covers their
+    rounding."""
     need = sum(count for _, _, count, _ in runs if count is not None)
-    heads = [abs(mp.make_mpf(v)) for _, v, count, _ in runs if count is None]
-    heads = [x for x in heads if x > theta]
-    if need + sum(x / (theta * (1 - q)) + 1 for x in heads) <= cap:
-        return False
-    with mp.workprec(64):
-        need += sum(mp.log(x / theta) / -mp.log(q) - 1 for x in heads)
-        return need * (1 - mpf(2) ** -20) > cap
+    need += sum(max(0, (_ln(v) - _ln(theta_)) / lq - 1)
+                for _, v, count, _ in runs if count is None and v[1])
+    return need * (1 - 2 ** -20) > cap
 
 
 # bits of the fixed point beyond the working precision: 19 for log2 of the
 # default 500,000-term cap, 13 to spare
 _GUARD_BITS = 32
+_LN2 = log(2)
+
+
+def _working_bits(prec, raws) -> int:
+    """wp for the raw mpf parameters: a parameter |x| > 1 multiplies q^n's
+    radius by |x|, so as many more bits."""
+    return prec + _GUARD_BITS + max([0, *map(_mag, raws)])
 
 
 def _fixed(x, wp) -> int:
@@ -363,23 +397,33 @@ def _shift(x, s) -> int:
     return x >> s if s >= 0 else x << -s
 
 
-def _inv_one_minus(x, wp) -> int:
-    """2^wp / (1 - |x|) rounded up, from the exact 1 - |x| of the raw mpf
-    x, 0 < |x| < 1."""
-    _, xm, xexp, _ = x
-    return -((-1 << wp - xexp) // ((1 << -xexp) - xm))
+def _ceil_shift(x, s) -> int:
+    """x 2^-s rounded up: every radius's change of scale."""
+    return -_shift(-x, s)
 
 
-def _factor(X, x, XQ, n, nq, q_, prec, wp):
-    """The factor 1 - x q^n at 2^-wp from X = x 2^wp, x the raw mpf, and XQ
-    = X QN >> wp, QN = q^n 2^wp as the loops build it, with twice a bound on
-    its relative error in units of 2^-wp; one near 0 is recomputed in libmpf
-    (module docstring), and (0, 0) where it is exactly 0 there."""
-    one = 1 << wp
-    F = one - XQ
-    bound = ((abs(X) >> wp) + 2) * 2 * min(n, nq) + 2
-    if abs(F) > 2 * bound + (abs(XQ) * (n + 2) >> prec):
-        return F, 2 * ((bound << wp) // abs(F) + 1)
+def _rel(e, f, wp) -> int:
+    """The relative radius of a product of balls of relative radii e and f,
+    all in units of 2^-wp."""
+    return e + f - (-e * f >> wp)
+
+
+def _inv_one_minus(x, wp, e=0) -> int:
+    """2^wp / (1 - |x| (1 + e 2^-wp)) rounded up, for the raw mpf x and a
+    relative radius e of x, |x| (1 + e 2^-wp) < 1: the upper end over x's
+    ball."""
+    _, xm, xe, _ = x
+    return -((-1 << 2 * wp - xe) // ((1 << wp - xe) - xm * ((1 << wp) + e)))
+
+
+def _factor(XQ, r, x, n, q_, prec, wp):
+    """The ball of 1 - x q^n at 2^-wp from the ball (XQ, r) of x q^n, x the
+    raw mpf. Where it may reach 0, within r and the rounding (n + 2) |x q^n|
+    2^-prec of the same expression in libmpf, it is recomputed in libmpf at
+    prec, q^n by n roundings: (0, 0) where that is exactly 0."""
+    F = (1 << wp) - XQ
+    if abs(F) > r + (abs(XQ) * (n + 2) >> prec):
+        return F, r
     qn = fone
     for _ in range(n):
         qn = mpf_mul(q_, qn, prec, RN)
@@ -388,62 +432,72 @@ def _factor(X, x, XQ, n, nq, q_, prec, wp):
     if f == fzero:
         return 0, 0
     F = _fixed(f, wp)
-    # q^n's n roundings, x q^n's and the subtraction's, each at most 2^-prec
-    # relative, then F's own
-    ratio = _fixed(mpf_abs(mpf_div(xq, f, prec, RN)), wp - prec)
-    return F, 2 * ((n + 1) * (ratio + 1) + (1 << wp - prec) + one // abs(F)
-                   + 1)
+    # q^n's n roundings and x q^n's, within (n + 2) |x q^n| 2^-prec while
+    # (n + 2)^2 < 2^prec, the subtraction's and F's own floor
+    return F, _ceil_shift((abs(XQ) + r) * (n + 2) + abs(F) + 1, prec) + 1
 
 
-def _times(P, E, F, wp):
-    """P 2^E times F 2^-wp, renormalised to wp + 2 bits: a relative error
-    below 2^-(wp+1)."""
-    P *= F
-    s = P.bit_length() - wp - 2
-    return _shift(P, s), E + s - wp
+def _times(P, E, R, F, rF, wp):
+    """The ball P 2^E, radius R in its units, times the ball F 2^-wp, radius
+    rF, renormalised to wp + 2 bits."""
+    M, R = P * F, abs(P) * rF + abs(F) * R + R * rF
+    s = M.bit_length() - wp - 2
+    if s < 0:
+        return M << -s, E + s - wp, (R << -s) + 1
+    return M >> s, E + s - wp, -(-R >> s) + 1
 
 
-def _head(P, E, X, x, zero, count, Q, theta, nq, q_, prec, wp):
-    """P 2^E times the factors 1 - x q^n from n = 0, count of them, or while
-    |x q^n| > theta 2^-wp where count is None, leaving out each factor that
-    is 0, as the one at n = zero (an exact zero index, or None) is. Returns
-    the product as P 2^E, the factors' and renormalisations' error bounds,
-    the number of factors, x q^n past the last one at 2^-wp with its error
-    bound, and the first n whose factor is 0 (or None)."""
-    QN, n, err, first_zero = 1 << wp, 0, 0, None
+def _head(P, E, R, x, zero, count, Q, theta, q_, prec, wp):
+    """The ball P 2^E, radius R, times the factors 1 - x q^n, x the raw
+    mpf, from n = 0, count of them, or while |x q^n| > theta 2^-wp where
+    count is None, leaving out each factor that is 0, as the one at n = zero
+    (an exact zero index, or None) is. Returns the product as a ball P 2^E,
+    the number of factors, the ball of x q^n past the last one at 2^-wp, and
+    the first n whose factor is 0 (or None)."""
+    X, QN, rQ, n, first_zero = _fixed(x, wp), 1 << wp, 0, 0, None
     while True:
         XQ = X * QN >> wp
+        r = -(-(abs(X) * rQ + QN + rQ) >> wp) + 1
         if n == count or (count is None and abs(XQ) <= theta):
-            bound = ((abs(X) >> wp) + 2) * 2 * min(n, nq) + 2
-            return P, E, err, n, XQ, bound, first_zero
-        F, e = (0, 0) if n == zero else _factor(X, x, XQ, n, nq, q_, prec,
-                                                wp)
+            return P, E, R, n, XQ, r, first_zero
+        F, rF = (0, 0) if n == zero else _factor(XQ, r, x, n, q_, prec, wp)
         if F:
-            P, E = _times(P, E, F, wp)
-            err += e + 1
+            P, E, R = _times(P, E, R, F, rF, wp)
         elif first_zero is None:
             first_zero = n
+        rQ = -(-(rQ * Q + QN + rQ) >> wp) + 1
         QN = QN * Q >> wp
         n += 1
 
 
-def _euler_terms(big, Q, nq, K, room, wp):
+def _euler_terms(big, rs, Q, K, room, wp):
     """The shared c_n = q^n / (1 + q + ... + q^n) 2^wp, n < N, of Euler's
-    series for every |s| 2^wp <= big, s = -r / (1-q), N the first n <= room
-    where tau_n / (1 - rho_n) meets 1/K, tau_n >= e_n R^n and rho_n >= |s|
-    c_n rounded up at 2^-wp; with tau_N and rho_N, or None past room."""
+    series for every s = -r / (1-q) whose ball at 2^-wp has radius at most
+    rs and upper end at most big, N the first n <= room where tau_n / (1 -
+    rho_n) meets 1/K, tau_n >= e_n R^n and rho_n >= |s| c_n from the upper
+    ends of the balls; with the radius of every such series' sum to N, its
+    tail included, or None past room. A term's radius comes from its
+    predecessor's, |T| <= tau + radius, and the balls of s and c_n."""
     one, cs = 1 << wp, []
-    QN, G, tau, kb = one, one, one, K.bit_length()
+    QN, G, rQ, rG = one, one, 0, 0
+    tau, rT, rad, kb = one, 0, 0, K.bit_length()
     for n in range(room + 1):
         C = (QN << wp) // G
+        # the quotient of the balls q^n and G, as QN / G <= (C + 1) 2^-wp
+        rC = -(-((rQ << wp) + (C + 1) * rG) // (G - rG)) + 1
+        CU = C + rC
+        bc = big * CU
         if tau.bit_length() + kb <= wp + 2:
-            rho = (big * (C + 4 * min(n, nq) + 3) >> wp) + 1
+            rho = (bc >> wp) + 1
             if rho < one and tau * K <= one - rho:
-                return cs, tau, rho
+                return cs, rad - (-tau << wp) // (one - rho)
         cs.append(C)
-        tau = -(-tau * big * (C + 4 * min(n, nq) + 3) >> 2 * wp)
+        rad += rT
+        rT = -(-(rT * bc + (tau + rT) * (rs * CU + big * rC)) >> 2 * wp) + 1
+        tau = -(-tau * bc >> 2 * wp)
+        rQ = -(-(rQ * Q + QN + rQ) >> wp) + 1
         QN = QN * Q >> wp
-        G += QN
+        G, rG = G + QN, rG + rQ
     return None
 
 
@@ -459,64 +513,60 @@ def _quotient(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
     runs = [(x, (+x.value(q))._mpf_, count, over)
             for x, count, over in finite + [(x, None, True) for x in nums]
             + [(y, None, False) for y in dens]]
-    if _heads_beyond_cap(runs, q, theta, ctx.max_terms):
-        raise _cap_error(ctx)
-    q_ = q._mpf_
-    # a parameter |x| > 1 multiplies q^n's error by |x|: as many more bits
-    wp = prec + _GUARD_BITS + max([0, *(_mag(v) for _, v, _, _ in runs)])
+    q_, theta_ = q._mpf_, theta._mpf_
+    wp = _working_bits(prec, [v for _, v, _, _ in runs])
     one, Q, iq = 1 << wp, _fixed(q_, wp), _inv_one_minus(q_, wp)
-    nq, th = (iq >> wp) + 1, _fixed(theta._mpf_, wp)
-    # the numerator and denominator products as P 2^E, and the bound on
-    # the log of computed over true value in units of 2^-wp
-    parts = dict.fromkeys((True, False), (1 << wp + 1, -wp - 1))
-    used, err, zero, series = 0, 0, False, []
+    if _heads_beyond_cap(runs, theta_, _log_inv_q(q_, iq, wp),
+                         ctx.max_terms):
+        raise _cap_error(ctx)
+    th = _fixed(theta_, wp)
+    # the numerator and denominator products as balls P 2^E
+    parts = dict.fromkeys((True, False), (1 << wp + 1, -wp - 1, 0))
+    used, zero, series = 0, False, []
     for x, v, count, over in runs:
-        P, E, e, n, R, dr, first = _head(*parts[over], _fixed(v, wp), v,
-                                         x.zero_index, count, Q, th, nq, q_,
-                                         prec, wp)
+        P, E, R, n, XQ, r, first = _head(*parts[over], v, x.zero_index,
+                                         count, Q, th, q_, prec, wp)
         if first is not None and not over:
             raise _DenominatorPole(x if count is not None else mp.make_mpf(v),
                                    first)
-        parts[over], used, err = (P, E), used + n, err + e
+        parts[over], used = (P, E, R), used + n
         zero = zero or first is not None
         if count is None:
-            series.append((R, dr, over))
+            series.append((XQ, r, over))
     if used > ctx.max_terms:
         raise _cap_error(ctx)
-    trunc = 0
     if series:
-        ss = [-R * iq >> wp for R, _, _ in series]  # s 2^wp, |s| <= 3
+        # the balls of s = -r / (1-q) 2^wp, |s| <= 3, from r's and iq's
+        ss = [(-XQ * iq >> wp, _ceil_shift(abs(XQ) + (iq + 1) * r, wp) + 1)
+              for XQ, r, _ in series]
         K = 10 ** ctx.digits * len(ss) << 10
-        found = _euler_terms(max(map(abs, ss)) + 2, Q, nq, K,
+        found = _euler_terms(max(abs(s) + r for s, r in ss),
+                             max(r for _, r in ss), Q, K,
                              (ctx.max_terms - used) // len(ss), wp)
         if found is None:
             raise _cap_error(ctx)
-        cs, tau, rho = found
+        cs, rad = found
         used += len(cs) * len(ss)
-        tail = -((-tau << wp) // (one - rho))
-        for s, (_, dr, over) in zip(ss, series):
+        for (s, _), (_, _, over) in zip(ss, series):
             S, T = 0, one
             for C in cs:
                 S += T
                 T = T * s * C >> 2 * wp
-            # the sum's rounding and r's own error (module docstring)
-            a = 21 * (len(cs) + 944 + (dr * iq >> wp) + 1)
-            err += 2 - 2 * ((-a << wp) // abs(S))
-            trunc -= (-tail << wp) // (abs(S) - a - 2 * tail)
-            parts[over] = _times(*parts[over], S, wp)
+            parts[over] = _times(*parts[over], S, rad, wp)
     if zero:
         return SeriesValue(mpf(0), mpf(0), used, True)
-    (top, et), (bottom, eb) = parts[True], parts[False]
-    value = mp.make_mpf(from_man_exp((top << wp + 4) // bottom,
-                                     et - eb - wp - 4, prec, RN))
-    # the division's floor and the rounding to prec, then 2^-16 for the
-    # estimate's own rounding
-    lam = trunc + err + 2 + (2 << wp - prec)
-    lam += (lam >> 16) + 1
-    # e^lam - 1 <= lam + lam^2 for lam <= 1
-    rel = (from_man_exp(lam - (-lam * lam >> wp), -wp, prec, round_ceiling)
-           if lam < one else finf)
-    return SeriesValue(value, abs(value) * mp.make_mpf(rel), used, True)
+    (top, et, rt), (bottom, eb, rb) = parts[True], parts[False]
+    B = abs(bottom)
+    if rb >= B:
+        raise NumericalBreakdownError("a denominator cannot be told from 0")
+    V = (top << wp + 4) // bottom
+    # the quotient's radius and floor, and the rounding to prec
+    rad = (-(-(rt * B + abs(top) * rb << wp + 4) // (B * (B - rb))) + 2
+           + _ceil_shift(abs(V), prec))
+    scale = et - eb - wp - 4
+    return SeriesValue(mp.make_mpf(from_man_exp(V, scale, prec, RN)),
+                       mp.make_mpf(from_man_exp(rad, scale, prec,
+                                                round_ceiling)), used, True)
 
 
 def _neg_half_pole(upper, i, m) -> PoleError:
@@ -554,28 +604,32 @@ def _cannot_stop(num_params, den_params, q, arg, tol, n) -> bool:
         return low > 1 + mpf(2) ** -20
 
 
-def _head_step(T, sh, A, D0, xs, raws, m, QN, n, nq, q_, prec, wp):
+def _head_step(T, sh, e, A, D0, xs, raws, m, QN, rQ, n, q_, prec, wp):
     """T's next value in _ratio_kernel at a term n where some |x q^n| may
-    exceed 1/2, each factor from _factor: an exact 0 there makes the next
-    term 0 (the first m raws are numerators) or raises _DenominatorPole.
-    Returns the next term near 2^(wp+2) and its scale sh, of either sign,
-    and twice the step's relative error in units of 2^-wp, A's and the
-    floor's included."""
-    P, D, err = T * A, D0, 6
+    exceed 1/2, T of relative radius e (A's included), each factor a ball
+    from _factor: an exact 0 there makes the next term 0 (the first m raws
+    are numerators) or raises _DenominatorPole, and a ball that still
+    reaches 0 raises NumericalBreakdownError. Returns the next term near
+    2^(wp+2), its scale sh, of either sign, and its relative radius."""
+    P, D = T * A, D0
     for i, (X, x) in enumerate(zip(xs, raws)):
-        F, e = _factor(X, x, X * QN >> wp, n, nq, q_, prec, wp)
+        F, r = _factor(X * QN >> wp, -(-(abs(X) * rQ + QN + rQ) >> wp) + 1, x,
+                       n, q_, prec, wp)
         if not F and i >= m:
             raise _DenominatorPole(mp.make_mpf(x), n)
-        err += e
+        if F and abs(F) <= r:
+            raise NumericalBreakdownError(f"1 - ({mp.make_mpf(x)})*q^{n} "
+                                          f"cannot be told from 0")
         if i < m:
             P *= F
         else:
             D *= F
+        e = _rel(e, -(-r << wp) // (abs(F) - r), wp) if F else e
     if not P:
-        return 0, 0, err
+        return 0, 0, 0
     shift = wp + 2 + D.bit_length() - P.bit_length()
     return ((P << shift) // D if shift >= 0 else P // (D << -shift),
-            sh + shift, err)
+            sh + shift, e + (e >> wp) + 2)
 
 
 def _closure_bound(cs, qn, iq, bits, wp):
@@ -600,78 +654,73 @@ def _closure_bound(cs, qn, iq, bits, wp):
     return E - one if (E - one).bit_length() < bits else None
 
 
-def _ratio_kernel(nums, dens, q_, arg_, digits, max_terms, prec, wp):
-    """One run of _ratio_series over the raw mpfs nums, dens, q_ and arg_ in
-    wp-bit fixed point (module docstring), stopping at tol = 10^-digits.
-    Returns the value, the closure error, terms_used and the rounding bound,
-    raw mpfs at prec, then sum (n + 1) |t_n| over the summed terms in units
-    of 2^-wp and h = |t| / (1 - |arg|) at the stop, rounded up."""
+def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
+                  wp):
+    """One run of _ratio_series over the raw mpfs nums, dens, q_ and arg_,
+    arg_ known to within a relative arg_ulps 2^-prec, in wp-bit fixed point
+    (module docstring), stopping at tol = 10^-digits. Returns the value, its
+    estimate (the closure's bound plus the value's radius), terms_used and
+    the radius alone, raw mpfs at prec."""
     one, m = 1 << wp, len(nums)
     xs = [_fixed(x, wp) for x in nums + dens]
     Q = _fixed(q_, wp)
     # arg = A 2^-(wp + ea) with 2^(wp-1) <= |A| < 2^wp: a term carries its
-    # own scale 2^-(wp + sh), and each step adds ea to sh
+    # own scale 2^-(wp + sh), and each step adds ea to sh; A is exact, and
+    # arg's relative radius is eA
     ea = -_mag(arg_)
     A = _fixed(arg_, wp + ea)
+    eA = _ceil_shift(arg_ulps, prec - wp)
     # the next term is T A prod(num factors) // (D0 prod(den factors))
     shift = (m + 1 - len(dens)) * wp
     A, D0 = (A << -shift, 1) if shift < 0 else (A, 1 << shift)
     # the stop test's upper bounds on |x| 2^wp, 2^wp / (1-q) and 2^wp / (1 -
     # |arg|); 1 - arg is exactly oma 2^aexp
     cs = [abs(X) + 1 for X in xs]
-    _, qm, qexp, _ = q_
     neg, am, aexp, _ = arg_
     iq, ia = _inv_one_minus(q_, wp), _inv_one_minus(arg_, wp)
     oma = (1 << -aexp) + (am if neg else -am)
     # every |x q^n| <= 1/2 from the term head on, so every factor is at
-    # least 1/2 and the bulk steps need no bound of their own
-    of = one / iq  # 1 - q; log(1/q) from q's mantissa where of rounds to 1
-    lq = -log1p(-of) or 5e-324 if of < 1 else -qexp * log(2) - log(qm)
+    # least 1/2 and has a relative radius of at most 3 times its radius
+    lq = _log_inv_q(q_, iq, wp)
     head = max([int(min(max_terms + 1, log(2 * c) / lq + 2)) for c in
                 map(abs, map(to_float, nums + dens)) if c > 0.5], default=0)
-    # q^n's error is below 2 min(n, nq) units of 2^-wp; a bulk step's
-    # relative error below a + b min(n, nq) units
-    nq = (iq >> wp) + 1
-    a = 4 * len(xs) + 3
-    b = 4 * sum((abs(X) >> wp) + 2 for X in xs)
-    low = wp + len(xs) + 3
+    XK, low, f9 = sum(cs), wp + len(xs) + 3, eA + 9 * len(xs)
     # the stop test (module docstring), M = max(|V| TEN, 2^wp), runs where
     # bit lengths allow it: with 2^(e-1) <= |t| 2^wp < 2^e, |S| < 2^sb and K
-    # = sum cs iq, ERR >= K (QN + 2n) |T| ia 2^-3wp and |V| < 2^(max(sb, e +
-    # ab - wp, 0) + 2); expm1(L) 2^wp fails it from M's bit length - e + lb
-    # bits on
+    # = sum cs iq, ERR >= K q^n |T| ia 2^-3wp and |V| < 2^(max(sb, e + ab -
+    # wp, 0) + 2); expm1(L) 2^wp fails it from M's bit length - e + lb bits
+    # on
     TEN = 10 ** digits
     TEN2, pb, ab = TEN * TEN, TEN.bit_length(), ia.bit_length()
     screen = 4 * wp + 6 - (sum(cs) * iq).bit_length() - ab - 2 * pb
     la, ls, lb = ab - wp + pb + 2, pb + 2, 2 * wp + 5 - ab - 2 * pb
-    S, T, QN = 0, one, one
-    sh, mom, eps = 0, 0, 0  # eps: the head steps' relative error
+    # S and q^n with their radii, T with its relative radius
+    S, rS, T, rel, QN, rQ, sh = 0, 0, one, 0, one, 0, 0
     ups, downs = xs[:m], xs[m:]
     for n in range(max_terms + 1):
         bt = T.bit_length()
         e = bt - sh
-        d = (QN + 2 * n).bit_length() + e - screen
+        d = (QN + rQ).bit_length() + e - screen
         if d <= wp or d <= e + la or d <= S.bit_length() + ls:
             M = max(abs(S + _shift(T << -aexp, sh) // oma) * TEN, one)
-            EL = _closure_bound(cs, QN + 2 * n, iq, M.bit_length() - e + lb,
-                                wp)
+            EL = _closure_bound(cs, QN + rQ, iq, M.bit_length() - e + lb, wp)
             if EL is not None:
                 ERR = -(-EL * abs(T) * ia >> wp)
                 if -_shift(-ERR * TEN2, wp + sh) <= M:
                     break
-        S += _shift(T, sh)
-        mom += n + 1 << e if e > 0 else n + 1
+        # the term is below (|t| + 1) 2^-wp, its radius below rel times
+        # that, and t's floor adds 1
+        t = _shift(T, sh)
+        S += t
+        rS += -(-(abs(t) + 1) * rel >> wp) + 1
         if n < head:
-            T, sh, step = _head_step(T, sh, A, D0, xs, nums + dens, m, QN, n,
-                                     nq, q_, prec, wp)
-            eps += step
+            T, sh, rel = _head_step(T, sh, _rel(rel, eA, wp), A, D0, xs,
+                                    nums + dens, m, QN, rQ, n, q_, prec, wp)
             if not T and n < max_terms:
                 # a numerator factor vanished; every later term carries it
-                s_ = from_man_exp(S, -wp, prec, RN)
-                return (s_, fzero, n + 1,
-                        _kernel_rounding(s_, fzero, fzero, n + 1, mom, eps,
-                                         a, b, nq, prec, wp),
-                        mom, fzero)
+                rad = from_man_exp(rS + _ceil_shift(abs(S), prec), -wp, prec,
+                                   round_ceiling)
+                return from_man_exp(S, -wp, prec, RN), rad, n + 1, rad
         else:
             if bt < low:
                 # keep T at 2^wp or more after the step
@@ -684,44 +733,39 @@ def _ratio_kernel(nums, dens, q_, arg_, digits, max_terms, prec, wp):
             for X in downs:
                 D *= one - (X * QN >> wp)
             T = P // D
+            # a factor's radius is at most (|X| + 1) rQ 2^-wp + 2 (q^n <= 1),
+            # rounded up, and its relative radius 3 times that; summed over
+            # the k factors, with A's, to f <= eA + 9k + 3 XK rQ 2^-wp, XK =
+            # sum cs, rounded up, they make f + f^2
+            f = f9 - 3 * (-XK * rQ >> wp)
+            f -= -f * f >> wp
+            rel += f - (-rel * f >> wp)
+            rel += (rel >> wp) + 2
         sh += ea
+        rQ = -(-(rQ * Q + QN + rQ) >> wp) + 1
         QN = QN * Q >> wp
     else:
         raise CapExceededError(f"series not certified within {max_terms} "
                                f"terms")
     # the value s + t / (1 - arg) in libmpf, as the mpf sum
-    t_ = from_man_exp(T, -wp - sh, prec, RN)
-    s_ = from_man_exp(S, -wp, prec, RN)
-    tail = mpf_div(t_, from_man_exp(oma, aexp, prec, RN), prec, RN)
-    value = mpf_add(s_, tail, prec, RN)
+    tail = mpf_div(from_man_exp(T, -wp - sh, prec, RN),
+                   from_man_exp(oma, aexp, prec, RN), prec, RN)
+    value = mpf_add(from_man_exp(S, -wp, prec, RN), tail, prec, RN)
+    # in units of 2^-(2wp + sh): the closure's bound at the upper ends of
+    # t's and arg's balls, and the radius of the value: the sum's, the
+    # closing term's (t's and 1/(1 - arg)'s relative radii) and the four
+    # roundings to mpf, within 3 |s| 2^-prec + 6 |t / (1 - arg)| 2^-prec
+    T, ia2 = abs(T), _inv_one_minus(arg_, wp, eA)
+    trunc = -(-EL * (T + _ceil_shift(T * rel, wp)) * ia2 >> wp)
+    rad = (_ceil_shift(rS, -wp - sh) + _ceil_shift(3 * abs(S), prec - wp - sh)
+           + _ceil_shift(T * ia * _rel(rel, -(-eA * ia2 >> wp), wp), wp)
+           + _ceil_shift(6 * T * ia, prec))
     scale = -2 * wp - sh
-    return (value, from_man_exp(ERR, scale, prec, round_ceiling), n + 1,
-            _kernel_rounding(s_, tail, value, n, mom, eps, a, b, nq, prec, wp),
-            mom, from_man_exp(abs(T) * ia, scale, prec, round_ceiling))
+    return (value, from_man_exp(trunc + rad, scale, prec, round_ceiling),
+            n + 1, from_man_exp(rad, scale, prec, round_ceiling))
 
 
-def _kernel_rounding(s_, tail, value, n, mom, eps, a, b, nq, prec, wp):
-    """_ratio_kernel's rounding bound after n summed terms, rounded up: the
-    terms' relative errors, at most eps + k (a + b min(k, nq)) units of
-    2^-wp at term k, times sum (k + 1) |t_k| (mom), the n floors of the sum,
-    the closing tail's error and the conversions to mpf; first order, so
-    2^-16 more, and infinite where the relative error passes 2^-20."""
-    coef = eps + a + b * min(n, nq)
-    if (eps + n * (coef - eps)) >> wp - 20:
-        return finf
-    RC = round_ceiling
-    terms = from_man_exp(coef * mom + (n + 1 << wp), -2 * wp, prec, RC)
-    closing = mpf_mul(from_man_exp(eps + n * (coef - eps), -wp, prec, RC),
-                      mpf_abs(tail, prec, RC), prec, RC)
-    conversions = mpf_shift(mpf_add(mpf_add(mpf_abs(s_), mpf_abs(value), prec,
-                                            RC),
-                                    mpf_shift(mpf_abs(tail), 1), prec, RC),
-                            -prec)
-    total = mpf_add(mpf_add(terms, closing, prec, RC), conversions, prec, RC)
-    return mpf_add(total, mpf_shift(total, -16), prec, RC)
-
-
-def _ratio_series(num_params, den_params, q, arg, ctx, arg_err=0.0):
+def _ratio_series(num_params, den_params, q, arg, ctx, arg_ulps=0):
     """Sum over n >= 0 of prod (num;q)_n / prod (den;q)_n * arg^n for |arg|
     < 1; terms_used counts the terms summed plus the closing term. phi passes
     q as its first den parameter, for the (q;q)_n.
@@ -732,10 +776,9 @@ def _ratio_series(num_params, den_params, q, arg, ctx, arg_err=0.0):
     the module's bound L over the |num| and the |den|: the sum stops at the
     first n where err = expm1(L) |t_n| / (1 - |arg|) <= tol * max(|s +
     t_n/(1-arg)|, tol), tested in the kernel's ints with err rounded up,
-    and returns s + t_n/(1-arg) with err plus the kernel's rounding bound as
-    its certified estimate. An arg known only to within a relative arg_err
-    moves the sum by at most arg_err sum n |t_n|, which the estimate adds
-    with the tail of that sum bounded through L.
+    and returns s + t_n/(1-arg) with err plus the kernel's radius as its
+    certified estimate. An arg known only to within a relative arg_ulps
+    2^-prec carries that radius into every term and the closure.
     """
     prec = mp.prec
     tol = ctx.tail_tol()
@@ -744,24 +787,15 @@ def _ratio_series(num_params, den_params, q, arg, ctx, arg_err=0.0):
         raise CapExceededError(f"series cannot be certified within "
                                f"{max_terms} terms")
     nums, dens = [u._mpf_ for u in num_params], [b._mpf_ for b in den_params]
-    q_, arg_ = q._mpf_, arg._mpf_
-    # a parameter |x| > 1 multiplies q^n's error by |x|: as many more bits
-    wp = prec + _GUARD_BITS + max([0, *map(_mag, nums + dens)])
-    kernel = (nums, dens, q_, arg_, ctx.digits, max_terms, prec)
-    value, err, used, rounding, mom, h = _ratio_kernel(*kernel, wp)
+    wp = _working_bits(prec, nums + dens)
+    kernel = (nums, dens, q._mpf_, arg._mpf_, arg_ulps, ctx.digits,
+              max_terms, prec)
+    value, err, used, rad = _ratio_kernel(*kernel, wp)
     limit = (tol * max(abs(mp.make_mpf(value)), tol))._mpf_
-    if mpf_gt(rounding, mpf_shift(limit, -4)):
-        # cancellation: rerun once with the bits the bound says were lost
-        wp += wp if rounding == finf else _mag(rounding) - _mag(limit) + 6
-        value, err, used, rounding, mom, h = _ratio_kernel(*kernel, wp)
-    err = mpf_add(err, rounding, prec, round_ceiling)
-    if arg_err:
-        # sum n |t_n| over the summed terms, and over the tail, where |t_m|
-        # <= e^L |t_n| |arg|^(m-n) and e^L h = h + err
-        a = mp.make_mpf(mpf_abs(arg_))
-        moment = (mp.ldexp(mom, -wp) + (mp.make_mpf(h) + mp.make_mpf(err))
-                  * (used + a / (1 - a)))
-        err = mpf_add(err, (arg_err * moment)._mpf_, prec, round_ceiling)
+    if mpf_gt(rad, mpf_shift(limit, -4)):
+        # cancellation: rerun once with the bits the radius says were lost
+        wp += _mag(rad) - _mag(limit) + 6
+        value, err, used, _ = _ratio_kernel(*kernel, wp)
     return SeriesValue(mp.make_mpf(value), mp.make_mpf(err), used, True)
 
 
@@ -797,7 +831,8 @@ def psi_bilateral(upper, lower, q, z,
     bounds; prodquot telescopes the head to its 2r finite factors, and an
     upper a = q^k, k >= 1, is decided to be a pole at m = k before any sum.
     w's 2r + 2 roundings, at most (2r + 1) 2^(1-prec) relative, enter the
-    estimate through the head and the negative half's arg_err.
+    estimate through the head and as the radius of the negative half's
+    argument.
     """
     with ctx.working():
         q = to_real(q)
@@ -815,11 +850,13 @@ def psi_bilateral(upper, lower, q, z,
             raise DivergenceError(
                 f"bilateral series requires 0 < |z| < 1, got |z| = {abs(z)}")
         w = prod(lower) / prod([z] + upper)
+        w_ulps = 2 * (2 * len(upper) + 1)
         if any(b_j == q for b_j in lower):
             # some (b;q)_{-m} is infinite for every m >= 1: the negative
             # half vanishes identically and only |z| < 1 is needed
             return _ratio_series(upper, lower, q, z, ctx)
-        if abs(w) >= 1:
+        if abs(w) * (1 + mp.ldexp(2 * w_ulps, -mp.prec)) >= 1:
+            # beyond |w| < 1, or within twice w's rounding of it
             raise DivergenceError(
                 f"bilateral domain |b../a..| < |z| < 1 violated: "
                 f"|b../(a..z)| = {abs(w)}, |z| = {abs(z)}")
@@ -833,13 +870,13 @@ def psi_bilateral(upper, lower, q, z,
                          [Q * Q / b for b in lows] + [Q / a for a in ups],
                          q, ctx)
         # a prefactor, so no terms of its own
-        w_err = mp.ldexp(2 * len(upper) + 1, 1 - mp.prec)
         head = SeriesValue(w * quot.value, abs(w) * (
-            quot.err_estimate + w_err * abs(quot.value)), 0, True)
+            quot.err_estimate + mp.ldexp(w_ulps, -mp.prec) * abs(quot.value)),
+            0, True)
         dens = [q * q / a for a in upper]
         try:
             neg = _ratio_series([q * q / b for b in lower], dens, q, w, ctx,
-                                w_err)
+                                w_ulps)
         except _DenominatorPole as exc:
             # the factor 1 - (q^2/a_i) q^n of term n is (q/a_i;q)_m's
             # factor at m = n + 2

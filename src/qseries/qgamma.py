@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 
 from .errors import NonConvergenceError, PoleError, QDomainError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
-from .qcore import SeriesValue, _check_q, accelerate, prodquot, qpow
+from .qcore import SeriesValue, _check_q, _qpowers, accelerate, prodquot
 
 __all__ = [
     "gamma_q",
@@ -45,8 +45,9 @@ def _gamma_quot(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
         for x in nums + dens:
             _check_pole(x, "gamma_q")
         k = len(nums) - len(dens)
-        tops = [q] * k + [qpow(q, x, ctx) for x in dens]
-        bottoms = [q] * -k + [qpow(q, x, ctx) for x in nums]
+        powers = _qpowers(q, dens + nums)
+        tops = [q] * k + powers[:len(dens)]
+        bottoms = [q] * -k + powers[len(dens):]
         e = sum(1 - x for x in nums) - sum(1 - x for x in dens)
         return mp.power(1 - q, e) * prodquot(tops, bottoms, q, ctx)
 

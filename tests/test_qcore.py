@@ -113,8 +113,10 @@ def _pochhammer_inf_expm1_every_factor(a, q, ctx, expm1):
     """Reference loop that tests expm1(L) <= tol, L built as g + x^2 /
     ((1-q)(1-x)), x = |a| q^n, at every factor where x < 1 and g = x / (1-q)
     <= 2 tol. The rounded L is at least g, so a factor with g > 2 tol cannot
-    stop."""
-    with ctx.working():
+    stop. It runs at 20 digits above ctx's working precision, so that its
+    rounding, which its estimate leaves out, stays far below the estimates
+    compared."""
+    with mp.workdps(ctx.working_dps + 20):
         tol = ctx.tail_tol()
         prod, qn, n, aa, omq = mpf(1), mpf(1), 0, abs(a), 1 - q
         c_over_omq = aa / omq
@@ -276,7 +278,10 @@ def test_prodquot_vanishing_numerator_is_exact_zero():
     ([mpf("0.3")], [4], r"1 - \(4\.0\)\*q\^2"),
     ([8], [4], r"1 - \(4\.0\)\*q\^2"),
     ([4], [8], r"1 - \(8\.0\)\*q\^3"),
-], ids=["pole", "pole-before-zero", "pole-after-zero"])
+    # |x| beyond a double's range: its head of 1,330 factors passes the
+    # up-front cap check
+    ([mpf("1e400")], [4], r"1 - \(4\.0\)\*q\^2"),
+], ids=["pole", "pole-before-zero", "pole-after-zero", "pole-after-huge-head"])
 def test_prodquot_vanishing_denominator_is_a_pole(nums, dens, factor):
     # at q = 1/2, 1 - 4 q^2 and 1 - 8 q^3 vanish; a pole raises even after
     # a numerator factor has made the value 0
@@ -341,7 +346,7 @@ def test_prodquot_exact_pole_denominator(q, nums, dens, factor):
 
 
 @pytest.mark.parametrize("a, q", [("0.5", "0.5"), ("-1.7", "0.3"),
-                                  ("0.9", "0.7")])
+                                  ("0.9", "0.7"), ("-1.7", "1e-400")])
 def test_prodquot_refuses_a_stop_beyond_the_cap(monkeypatch, a, q):
     # a product stops after terms_used head factors and series terms: under
     # a cap at or just above that it is certified as without a cap, under

@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 
 from qseries import PrecisionCtx, QSeriesError, phi, psi_bilateral
 from qseries import qcore
+from qseries.harness import RunConfig, run
 
 
 def _param(draw, q):
@@ -101,3 +102,25 @@ def test_cancelling_series_reruns_within_its_bound(monkeypatch):
         oracle = _oracle(kind, q, upper, lower, z)
         assert abs(oracle) < mpf(10) ** -25
         assert abs(got.value - oracle) <= got.err_estimate
+
+
+def test_campaign_series_run_their_kernel_once(monkeypatch):
+    # over the seed-1 campaign at 5 points every radius stays within 2^-4
+    # of its series' limit, so no kernel is rerun: a looser radius would
+    # show here as more kernel runs than series
+    series, kernels = [], []
+    ratio_series, kernel = qcore._ratio_series, qcore._ratio_kernel
+
+    def counting_series(*args, **kwargs):
+        series.append(args)
+        return ratio_series(*args, **kwargs)
+
+    def counting_kernel(*args):
+        kernels.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(qcore, "_ratio_series", counting_series)
+    monkeypatch.setattr(qcore, "_ratio_kernel", counting_kernel)
+    run(RunConfig(points_per_identity=5, seed=1))
+    assert len(series) == 235
+    assert len(kernels) == len(series)
