@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="points per identity (default 5)")
     verify.add_argument("--seed", type=int, default=1, help="PRNG seed")
     verify.add_argument("--tol", type=float, default=None,
-                        help="override tolerance (default: per identity)")
+                        help="override tolerance (default: 10^(5 - digits))")
     verify.add_argument("--report", choices=("json", "text"), default="text")
     verify.add_argument("--out", default=None, help="write report to this path")
     add_point_flags(verify)

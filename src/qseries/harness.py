@@ -30,7 +30,7 @@ class RunConfig:
     points_per_identity: int = 5
     seed: int = 1
     digits: int = 40
-    tolerance: Optional[float] = None  # None: per-identity default
+    tolerance: Optional[float] = None  # None: 10^(5 - digits)
     explicit_points: Tuple[QPoint, ...] = ()
 
     def __post_init__(self):

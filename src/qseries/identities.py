@@ -51,12 +51,6 @@ from .rng import SplitMix64
 
 __all__ = ["CATALOG", "IdentityEntry", "full_registry"]
 
-# default verification tolerances at 40 digits, per family
-Q_TOL = 1e-25
-ETA_TOL = 1e-25
-QGAMMA_TOL = 1e-22
-CLASSICAL_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class IdentityEntry:
@@ -67,7 +61,6 @@ class IdentityEntry:
     id: str
     paper_ref: str
     param_names: tuple
-    default_tol: float
     constraints: tuple
     lhs: Callable[[QPoint, PrecisionCtx], SeriesValue]
     rhs: Callable[[QPoint, PrecisionCtx], SeriesValue]
@@ -495,7 +488,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-1.1",
         paper_ref="Eq. (1.1), Ramanujan 1psi1 summation",
         param_names=("a", "b", "z"),
-        default_tol=Q_TOL,
         constraints=_ANNULUS,
         lhs=_lhs_bilateral,
         rhs=_rhs_eq11,
@@ -505,7 +497,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.1",
         paper_ref="Eq. (2.1), Heine transformation (first form)",
         param_names=("a", "b", "c", "z"),
-        default_tol=Q_TOL,
         constraints=(_Z_IN_DISC,
                      ("0 < |b| < 1", lambda p: 0 < abs(p["b"]) < 1)),
         lhs=_at(_phi21, _own),
@@ -516,7 +507,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.2",
         paper_ref="Eq. (2.2), Heine transformation (second form)",
         param_names=("a", "b", "c", "z"),
-        default_tol=Q_TOL,
         constraints=(_Z_IN_DISC,
                      ("0 < |c/b| < 1",
                       lambda p: 0 < abs(p["c"]) < abs(p["b"]))),
@@ -528,7 +518,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.5",
         paper_ref="Eq. (2.5), transform of sum (a)_n/(b)_n z^n",
         param_names=("a", "b", "z"),
-        default_tol=Q_TOL,
         constraints=(_Z_IN_DISC, _B_OVER_A),
         lhs=_at(_phi21, _pos),
         rhs=_at(_heine2, _pos),
@@ -538,7 +527,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.6",
         paper_ref="Eq. (2.6), transform of sum (q/b)_n/(q/a)_n (b/az)^n",
         param_names=("a", "b", "z"),
-        default_tol=Q_TOL,
         constraints=(_INVERTED_ARG, _Q_BELOW_B),
         lhs=_at(_phi21, _neg),
         rhs=_at(_heine1, _neg),
@@ -548,7 +536,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.8",
         paper_ref="Eq. (2.8), transform of sum (a)_n/(b)_n z^n",
         param_names=("a", "b", "z"),
-        default_tol=Q_TOL,
         constraints=(_Z_IN_DISC,
                      ("0 < |a| < 1", lambda p: 0 < abs(p["a"]) < 1)),
         lhs=_at(_phi21, _pos),
@@ -559,7 +546,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-2.9",
         paper_ref="Eq. (2.9), transform of sum (q/b)_n/(q/a)_n (b/az)^n",
         param_names=("a", "b", "z"),
-        default_tol=Q_TOL,
         constraints=(_INVERTED_ARG, _B_OVER_A),
         lhs=_at(_phi21, _neg),
         rhs=_at(_heine2, _neg),
@@ -569,7 +555,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="thm-2.1",
         paper_ref="Theorem 2.1, Eq. (2.3)",
         param_names=("a", "b", "z"),
-        default_tol=Q_TOL,
         constraints=_ANNULUS + (_Q_BELOW_B,),
         lhs=_lhs_bilateral,
         rhs=_halves(_heine2, _heine1),
@@ -579,7 +564,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="thm-2.2",
         paper_ref="Theorem 2.2, Eq. (2.7)",
         param_names=("a", "b", "z"),
-        default_tol=Q_TOL,
         constraints=_ANNULUS + (("|a| < 1", lambda p: abs(p["a"]) < 1),),
         lhs=_lhs_bilateral,
         rhs=_halves(_heine1, _heine2),
@@ -589,7 +573,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="thm-2.3",
         paper_ref="Theorem 2.3, Eq. (2.10)",
         param_names=("a", "b", "z"),
-        default_tol=Q_TOL,
         constraints=_ANNULUS,
         lhs=_lhs_bilateral,
         rhs=_halves(_heine2, _heine2),
@@ -599,7 +582,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-3.1",
         paper_ref="Eq. (3.1), special case a=-1/q, b=-1 of Theorem 2.1",
         param_names=("z",),
-        default_tol=Q_TOL,
         constraints=(("|q| < |z|", lambda p: p.q < abs(p["z"])), _Z_IN_DISC),
         lhs=_special(_lhs_bilateral, _AT31, lambda q, ctx: q / (1 + q)),
         rhs=_special(_halves(_heine2, _heine1), _AT31,
@@ -610,7 +592,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-3.2",
         paper_ref="Eq. (3.2), special case a=-q, b=-q^3, z=q of Theorem 2.2",
         param_names=(),
-        default_tol=Q_TOL,
         constraints=(),
         lhs=_special(_lhs_bilateral, _AT32),
         rhs=_rhs_eq32,
@@ -620,7 +601,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-3.3",
         paper_ref="Eq. (3.3), special case of Theorem 2.3 after q -> q^2",
         param_names=(),
-        default_tol=Q_TOL,
         constraints=(),
         lhs=_special(_lhs_bilateral, _AT33),
         rhs=_special(_halves(_heine2, _heine2), _AT33),
@@ -630,7 +610,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-4.2",
         paper_ref="Eq. (4.2), eta(tau)/eta^2(2 tau) expansion",
         param_names=(),
-        default_tol=ETA_TOL,
         constraints=(),
         lhs=_eta({1: 1, 2: -2}),
         rhs=_special(_at(_heine1, _pos), _AT42,
@@ -642,7 +621,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-4.3",
         paper_ref="Eq. (4.3), eta^10(2 tau)/(eta^4(tau) eta^2(4 tau)) expansion",
         param_names=(),
-        default_tol=ETA_TOL,
         constraints=(),
         lhs=_eta({2: 10, 1: -4, 4: -2}),
         rhs=_special(_halves(_heine2, _heine1), _AT43,
@@ -654,7 +632,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-4.4",
         paper_ref="Eq. (4.4), eta^3(3 tau)/eta(tau) expansion",
         param_names=(),
-        default_tol=ETA_TOL,
         constraints=(),
         lhs=_eta({3: 3, 1: -1}),
         rhs=_special(_halves(_heine2, _heine2), _AT44,
@@ -667,7 +644,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="thm-5.1",
         paper_ref="Theorem 5.1, Eq. (5.4)",
         param_names=("a", "b", "z"),
-        default_tol=QGAMMA_TOL,
         constraints=_STRIP + (("b < 1", lambda p: p["b"] < 1),),
         lhs=_lhs_gamma_quotient,
         rhs=_section5_rhs(_term_a, _term_b),
@@ -677,7 +653,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.8",
         paper_ref="Eq. (5.8), q-analogue behind Theorem 5.2",
         param_names=("a", "b", "z"),
-        default_tol=QGAMMA_TOL,
         constraints=_STRIP,
         lhs=_lhs_gamma_quotient,
         rhs=_section5_rhs(_term_c, _term_d),
@@ -687,7 +662,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="thm-5.3",
         paper_ref="Theorem 5.3, Eq. (5.10)",
         param_names=("a", "b", "z"),
-        default_tol=QGAMMA_TOL,
         constraints=_STRIP,
         lhs=_lhs_gamma_quotient,
         rhs=_section5_rhs(_term_a, _term_d),
@@ -697,7 +671,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.5",
         paper_ref="Eq. (5.5), q -> 1 corollary of Theorem 5.1 at a = 0",
         param_names=("b", "z"),
-        default_tol=CLASSICAL_TOL,
         constraints=(("0 < z < b < 1", lambda p: 0 < p["z"] < p["b"] < 1),),
         lhs=_lhs_eq55,
         rhs=_rhs_eq55,
@@ -707,7 +680,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.6",
         paper_ref="Eq. (5.6), beta function series B(x, y)",
         param_names=("x", "y"),
-        default_tol=CLASSICAL_TOL,
         constraints=(("0 < x < 1", lambda p: 0 < p["x"] < 1),
                      ("y > 0", lambda p: p["y"] > 0)),
         lhs=_lhs_eq56,
@@ -718,7 +690,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.7",
         paper_ref="Theorem 5.2, Eq. (5.7)",
         param_names=("a", "b", "z"),
-        default_tol=CLASSICAL_TOL,
         constraints=_STRIP,
         lhs=_lhs_eq57,
         rhs=_rhs_eq57,
@@ -728,7 +699,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.9",
         paper_ref="Eq. (5.9), remark after Theorem 5.2",
         param_names=(),
-        default_tol=CLASSICAL_TOL,
         constraints=(),
         lhs=_lhs_eq59,
         rhs=_rhs_eq59,
@@ -738,7 +708,6 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         id="eq-5.12",
         paper_ref="Eq. (5.12), q -> 1 corollary of Theorem 5.3",
         param_names=("a", "b", "z"),
-        default_tol=CLASSICAL_TOL,
         constraints=_STRIP,
         lhs=_lhs_eq512,
         rhs=_rhs_eq512,

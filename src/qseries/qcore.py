@@ -399,7 +399,7 @@ def _shift(x, s) -> int:
 
 def _ceil_shift(x, s) -> int:
     """x 2^-s rounded up: every radius's change of scale."""
-    return -_shift(-x, s)
+    return -(-x >> s) if s >= 0 else x << -s
 
 
 def _rel(e, f, wp) -> int:
@@ -709,10 +709,13 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
                 if -_shift(-ERR * TEN2, wp + sh) <= M:
                     break
         # the term is below (|t| + 1) 2^-wp, its radius below rel times
-        # that, and t's floor adds 1
+        # that, and t's floor adds 1; for sh < 0, t = T 2^-sh exactly and
+        # the radius is formed from T's wp bits, then shifted once, as t
+        # has far more bits than T when the terms grow
         t = _shift(T, sh)
         S += t
-        rS += -(-(abs(t) + 1) * rel >> wp) + 1
+        rS += (-(-(abs(t) + 1) * rel >> wp) + 1 if sh >= 0
+               else _ceil_shift((abs(T) + 1) * rel, wp + sh))
         if n < head:
             T, sh, rel = _head_step(T, sh, _rel(rel, eA, wp), A, D0, xs,
                                     nums + dens, m, QN, rQ, n, q_, prec, wp)

@@ -56,6 +56,8 @@ def eval_identity(identity_id: str, point: QPoint, tol=None,
                   registry=CATALOG) -> IdentityResult:
     """Evaluate both sides of a registered identity at one point.
 
+    The sides pass when relErr <= tol, by default 10^(5 - ctx.digits):
+    they agree to all but 5 of the requested digits.
     Deterministic for fixed inputs. Raises QDomainError for a tolerance
     outside 0 < tol < 1, DomainViolationError naming each missing parameter
     or violated constraint, and EvaluationError with lhs/rhs attribution
@@ -63,7 +65,9 @@ def eval_identity(identity_id: str, point: QPoint, tol=None,
     """
     entry = _lookup(identity_id, registry)
     with ctx.working():
-        tol_v = _check_tol(entry.default_tol if tol is None else tol)
+        # in mpf: a double underflows past about 320 digits
+        tol_v = _check_tol(mpf(10) ** (5 - ctx.digits) if tol is None
+                           else tol)
         violations = entry.domain(point, ctx)
         if violations:
             raise DomainViolationError(

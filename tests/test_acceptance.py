@@ -389,7 +389,7 @@ def test_criterion_10_harness(monkeypatch, capsys):
 
     synthetic = IdentityEntry(
         id="synthetic-fail", paper_ref="synthetic test entry",
-        param_names=(), default_tol=1e-20, constraints=(),
+        param_names=(), constraints=(),
         lhs=failing, rhs=passing,
         sampler=lambda rng: QPoint(rng.uniform(0.1, 0.6), {}))
     base = harness.full_registry()

@@ -36,7 +36,6 @@ def _synthetic_offset_entry(num=2, den=1):
         id="synthetic-offset",
         paper_ref="synthetic test entry",
         param_names=(),
-        default_tol=1e-20,
         constraints=(),
         lhs=lhs,
         rhs=rhs,
@@ -162,6 +161,20 @@ def test_cli_verify_failing_identity(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "overall: FAIL" in out
+
+
+@pytest.mark.parametrize("digits", ["10", "15"])
+def test_cli_verify_low_digits_fails_only_the_false_identities(capsys,
+                                                               digits):
+    # the default tolerance 10^(5 - digits) follows --digits: every identity
+    # that holds passes, and only eq-4.3 and eq-5.7 as printed FAIL
+    code = cli.main(["verify", "--points", "2", "--digits", digits,
+                     "--report", "json"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert code == 1
+    assert sorted(r["id"] for r in results
+                  if not r["aggregate"]["pass"]) == ["eq-4.3", "eq-5.7"]
+    assert not [p for r in results for p in r["points"] if "error" in p]
 
 
 def test_cli_verify_unknown_identity(capsys):
