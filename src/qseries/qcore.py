@@ -18,11 +18,16 @@ the relative truncation error is below tol / 2. terms_used counts the head
 factors and N terms per series; a quotient whose heads alone need more
 than max_terms factors, at least log(theta/|x|) / log(q) each, is refused
 up front, and one whose N passes the cap before any series term. A phi/psi
-series, with C the absolute values of its parameters, closes its tail from
-the next term t on as t / (1 - arg), to within expm1(L) |t| / (1 - |arg|),
-L = sum_c c q^n / ((1-q)(1-c q^n)) over C once every c q^n < 1 (Gasper &
-Rahman, 1.2), and stops once that meets tol * max(|sum + t / (1 - arg)|,
-tol): about log(tol) / log(q) terms near |arg| = 1, not log(tol) /
+series closes its tail from the next term t at x = q^n with the next term
+of its expansion: the next m term ratios multiply to arg^m e^(lambda +
+rho), lambda = d x (1 - q^m) / (1-q), d = sum dens - sum nums (q is one of
+phi's dens), and once every |c| x < 1, |rho| <= L2 = sum c^2 x^2 / (2 (1 -
+q^2) (1 - |c| x)) over the parameters c (Gasper & Rahman, 1.2). So V = s +
+t / (1 - arg) (1 + d x arg / (1 - q arg)) lies within E |t| / (1 - |arg|),
+E = expm1(L1 + L2) - L1, L1 = |d| x / (1-q), and the sum stops once that
+meets tol * max(|V|, tol): never later than the first-order closure t / (1
+- arg), as E <= expm1(L), L = sum |c| x / ((1-q)(1 - |c| x)) >= L1 + L2,
+and after about log(tol) / log(q) terms near |arg| = 1, not log(tol) /
 log|arg|. Accelerated limits carry only a heuristic, non-certified estimate.
 
 Every product and series loop runs in one fixed point, as mpmath's own
@@ -67,29 +72,29 @@ The phi/psi loop (_ratio_kernel) gives each term its own scale 2^-(wp +
 sh), sh of either sign, so that it keeps about wp bits however small or
 large it gets; a step is T A prod(1 - x q^n) // prod(1 - y q^n). Its stop
 test is one comparison, ERR TEN^2 <= max(|V| TEN, 2^wp) 2^(wp + sh) in
-units of 2^-(2wp + sh), TEN = 10^digits, V the value s + t / (1 - arg) and
-ERR a ceiling bound on expm1(L) |t| / (1 - |arg|), with e^L from e^x <= (2
-+ x)/(2 - x) at x = L 2^-j < 2^-16 squared j times (Pade): that exceeds
-expm1(L) by a relative (L + 1) 2^-32 / 12 at most, so but for such a tie
-terms_used is that of the test with expm1 in mpf. A bit-length screen
-skips the terms where it cannot pass. Each term carries a relative radius:
-a head step's from its factors' balls, a bulk step's from q^n's radius,
-every |x q^n| <= 1/2 there, and an argument known only to within a
-relative radius (psi's w) adds it at every step and to 1/(1 - arg). The
-estimate is the closure's bound at the upper ends of t's and arg's balls
-plus the radius of the value: the sum's, the closing term's and the
-roundings to mpf, converted once, rounded up. Where that radius passes
-2^-4 of the limit, the series is rerun once with wp raised by the bits it
-says were lost. The Levin sweep (_levin_u) rounds each s_j/omega_j and
-1/omega_j once in libmpf, forms every order's sums exactly in ints and
-rounds once per order.
+units of 2^-(2wp + sh), TEN = 10^digits, ERR a ceiling bound on E |t| / (1
+- |arg|) within a relative y^2 / 36 or (y + 1) 2^-32, y = L1 + L2, so that
+but for such a tie terms_used is that of the test with E in mpf. A
+bit-length screen from E >= L2 + L1^2 / 2 skips the terms where it cannot
+pass, and _never_stops refuses, in doubles, a series that cannot stop
+within the cap. Each term carries a relative radius: a head step's from
+its factors' balls, a bulk step's one constant, as every |x q^n| <= 1/2
+there and q^n's radius below min(3n, 3 / (1 - q - 2^-wp)) 2^-wp; an argument
+known only to within a relative radius (psi's w) adds it at every step,
+to 1/(1 - arg) and to arg / (1 - q arg). The estimate is the closure's
+bound at the upper ends of t's and arg's balls plus the radius of V: the
+sum's, the closing term's and the correction's, and V's rounding to mpf.
+Where that radius passes 2^-4 of the limit, the series is rerun once with
+wp raised by the bits it says were lost. The Levin sweep (_levin_u)
+rounds each s_j/omega_j and 1/omega_j once in libmpf, forms every order's
+sums exactly in ints and rounds once per order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from math import log, log1p, prod
+from math import exp, expm1, inf, log, log1p, prod
 from operator import mul
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
@@ -138,25 +143,27 @@ class SeriesValue:
     terms_used: int
     certified: bool
 
-    # First-order error propagation so identity evaluators can assemble
-    # values from certified pieces without losing the error bookkeeping.
+    # Error propagation so identity evaluators can assemble values from
+    # certified pieces without losing the error bookkeeping: each operation
+    # bounds what its operands' errors can do to the exact result, and adds
+    # its own rounding, 2^-prec of the result.
 
     @staticmethod
     def of(x) -> "SeriesValue":
+        """x as an exact SeriesValue, or x itself if it is one."""
+        if isinstance(x, SeriesValue):
+            return x
         return SeriesValue(to_real(x), mpf(0), 0, True)
 
-    @staticmethod
-    def _lift(other) -> "SeriesValue":
-        if isinstance(other, SeriesValue):
-            return other
-        return SeriesValue.of(other)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return SeriesValue(self.value + o.value,
-                           self.err_estimate + o.err_estimate,
+    def _result(self, o, value, err) -> "SeriesValue":
+        return SeriesValue(value, err + mp.ldexp(abs(value), -mp.prec),
                            self.terms_used + o.terms_used,
                            self.certified and o.certified)
+
+    def __add__(self, other):
+        o = self.of(other)
+        return self._result(o, self.value + o.value,
+                            self.err_estimate + o.err_estimate)
 
     __radd__ = __add__
 
@@ -165,34 +172,35 @@ class SeriesValue:
                            self.terms_used, self.certified)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self + (-self.of(other))
 
     def __rsub__(self, other):
-        return self._lift(other) + (-self)
+        return self.of(other) + (-self)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        err = (abs(self.value) * o.err_estimate
-               + abs(o.value) * self.err_estimate
-               + self.err_estimate * o.err_estimate)
-        return SeriesValue(self.value * o.value, err,
-                           self.terms_used + o.terms_used,
-                           self.certified and o.certified)
+        o = self.of(other)
+        return self._result(o, self.value * o.value,
+                            abs(self.value) * o.err_estimate
+                            + abs(o.value) * self.err_estimate
+                            + self.err_estimate * o.err_estimate)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        """Within (e_a + |a/b| e_b) / (|b| - e_b) over the balls a +- e_a."""
+        o = self.of(other)
         if o.value == 0:
             raise PoleError("division by an exactly-zero series value")
+        if o.err_estimate >= abs(o.value):
+            raise NumericalBreakdownError(
+                "a divisor cannot be told from 0 within its error estimate")
         val = self.value / o.value
-        err = (self.err_estimate + abs(val) * o.err_estimate) / abs(o.value)
-        return SeriesValue(val, err,
-                           self.terms_used + o.terms_used,
-                           self.certified and o.certified)
+        return self._result(o, val,
+                            (self.err_estimate + abs(val) * o.err_estimate)
+                            / (abs(o.value) - o.err_estimate))
 
     def __rtruediv__(self, other):
-        return self._lift(other) / self
+        return self.of(other) / self
 
 
 @dataclass(frozen=True)
@@ -371,7 +379,7 @@ def _heads_beyond_cap(runs, theta_, lq, cap) -> bool:
 # bits of the fixed point beyond the working precision: 19 for log2 of the
 # default 500,000-term cap, 13 to spare
 _GUARD_BITS = 32
-_LN2 = log(2)
+_LN2, _LN10 = log(2), log(10)
 
 
 def _working_bits(prec, raws) -> int:
@@ -577,31 +585,40 @@ def _neg_half_pole(upper, i, m) -> PoleError:
                      f"(a{i}={upper[i - 1]})")
 
 
-def _cannot_stop(num_params, den_params, q, arg, tol, n) -> bool:
-    """True where _ratio_series cannot stop within n terms. If every term
-    ratio |arg prod (1 - u q^k) / prod (1 - b q^k)| is at least 1 for
-    0 <= k <= n, the terms never shrink, and a stop at k needs g_k |t_k| /
-    (1 - |arg|) <= tol |s + t_k / (1 - arg)| <= tol (k + 1 / (1 - |arg|))
-    |t_k|, so g_k <= tol (k + 1), while g_k >= g_n. Over those k, u q^k runs
-    between u and u q^n, so |1 - u q^k| lies between its values at the two
-    ends unless it changes sign. At 64 bits, with margins of 2^-20 on the
-    log and the ratio and 2^-50 (1 + |u|) on each end; q^n <= e^(-n(1-q))
-    and log y < 0.7 mag(y) end most calls before any log."""
-    with mp.workprec(64):
-        params = num_params + den_params
-        g = sum(abs(c) for c in params) / (1 - q) / (tol * (n + 1))
-        if (n * (1 - q) >= 0.7 * max(mp.mag(g), 0)
-                or not mp.log(g) + n * mp.log(q) > mpf(2) ** -20):
+def _log1m(z, pos) -> float:
+    """log|1 - s e^z| for s = 1 (pos) or -1, as a double: -inf at s e^z = 1."""
+    if z > 0:
+        return z + _log1m(-z, pos)
+    return (log(-expm1(z)) if z else -inf) if pos else log1p(exp(z))
+
+
+def _never_stops(nums, dens, q_, arg_, digits, n) -> bool:
+    """True where _ratio_kernel cannot stop within n terms, from the raw
+    mpfs in log-space doubles. If every term ratio |arg prod (1 - u q^k) /
+    prod (1 - b q^k)| is at least 1 for k <= n, |V_k| <= (k + (1 + L1) / (1
+    - |arg|)) |t_k| and |t_k| >= 1, so a stop at k needs E <= tol (k + 1 +
+    L1), while E - tol L1 >= L2 - tol^2 / 2 > tol (k + 1) where sum c^2
+    q^(2n) / (2 (1 - q^2)) > tol (n + 2). Each log|1 - u q^k| is monotone in
+    k unless a numerator's factor may vanish. Margins of 2^-20 and 2^-28 (1
+    + |log u| + n log(1/q)) cover the doubles' rounding."""
+    iq = _inv_one_minus(q_, 64)
+    lq = _log_inv_q(q_, iq, 64)
+    logs = [(_ln(c), not c[0], i < len(nums))
+            for i, c in enumerate(nums + dens) if c[1]]
+    top = max(lc for lc, _, _ in logs)
+    l2 = (2 * top + log(sum(exp(2 * (lc - top)) for lc, _, _ in logs))
+          - 2 * n * lq + log(iq) - 65 * _LN2 - log1p(to_float(q_)))
+    if l2 <= log(n + 2) - digits * _LN10 + 2 ** -20 + 2 ** -28 * n * lq:
+        return False
+    ratio = _ln(arg_)
+    for lc, pos, num in logs:
+        slack = 2 ** -28 * (1 + abs(lc) + n * lq)
+        lo, hi = lc - n * lq - slack, lc + slack
+        ends = _log1m(lo, pos), _log1m(hi, pos)
+        if num and pos and lo <= 0 <= hi:
             return False
-        qn, low = q ** n, abs(arg)
-        for i, u in enumerate(params):
-            ends = sorted([abs(1 - u), abs(1 - u * qn)])
-            eps = (1 + abs(u)) * mpf(2) ** -50
-            if (1 - u) * (1 - u * qn) <= 0 or ends[0] <= eps:
-                return False
-            low = (low * (ends[0] - eps) if i < len(num_params)
-                   else low / (ends[1] + eps))
-        return low > 1 + mpf(2) ** -20
+        ratio += min(ends) if num else -max(ends)
+    return ratio > 2 ** -20
 
 
 def _head_step(T, sh, e, A, D0, xs, raws, m, QN, rQ, n, q_, prec, wp):
@@ -632,26 +649,36 @@ def _head_step(T, sh, e, A, D0, xs, raws, m, QN, rQ, n, q_, prec, wp):
             sh + shift, e + (e >> wp) + 2)
 
 
-def _closure_bound(cs, qn, iq, bits, wp):
-    """expm1(L) 2^wp rounded up (module docstring) from upper bounds on every
-    |c| 2^wp (cs), q^n 2^wp (qn) and 2^wp / (1-q) (iq), or None where some c
-    q^n may reach 1 or the bound reaches the given bit length: the squares
-    only grow, and the bound has L + wp bits or more."""
+def _closure_bound(cs, qn, iq, iq2, du, bits, wp):
+    """E 2^wp rounded up, E = expm1(L1 + L2) - L1 (module docstring), from
+    upper bounds on every |c|, q^n, 1/(1-q), 1/(1-q^2) and |d|, times 2^wp,
+    or None where some |c| q^n may reach 1 or E 2^wp reaches the given bit
+    length. Below y = L1 + L2 = 2^-7, E = L2 + g(y), g(y) = expm1(y) - y <=
+    y^2 / (2 - 2y/3); above, E = expm1(y) - L1 >= y expm1(y) / 3, expm1 from
+    e^x <= (2 + x)/(2 - x) at x = y 2^-j < 2^-16 squared j times (Pade),
+    whose slack (y + 1) 2^-32 / 12 of e^y is then small in E."""
     one = 1 << wp
-    L = 0
+    L2 = 0
     for c in cs:
         x = -(-c * qn >> wp)
         if x >= one:
             return None
-        L -= -x * iq // (one - x)
-    if L >= bits << wp:
-        return None
-    j = max(0, L.bit_length() - wp + 16)
-    two = 1 << wp + j + 1
-    E = -((-(two + L) << wp) // (two - L))
-    while j and (E - one).bit_length() < bits:
-        E, j = -(-E * E >> wp), j - 1
-    return E - one if (E - one).bit_length() < bits else None
+        L2 -= -x * x * iq2 // ((one - x) << wp + 1)
+    L1 = -(-du * qn * iq >> 2 * wp)
+    Y = L1 + L2
+    if Y < one >> 7:
+        E = L2 - (-3 * Y * Y // (6 * one - 2 * Y))
+    else:
+        j = Y.bit_length() - wp + 16
+        two = 1 << wp + j + 1
+        E = -((-(two + Y) << wp) // (two - Y))
+        # expm1(y) at bits + 9 bits puts E at bits or more
+        while j and (E - one).bit_length() < bits + 9:
+            E, j = -(-E * E >> wp), j - 1
+        if j:
+            return None
+        E -= one + L1
+    return E if E.bit_length() < bits else None
 
 
 def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
@@ -673,37 +700,57 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
     # the next term is T A prod(num factors) // (D0 prod(den factors))
     shift = (m + 1 - len(dens)) * wp
     A, D0 = (A << -shift, 1) if shift < 0 else (A, 1 << shift)
-    # the stop test's upper bounds on |x| 2^wp, 2^wp / (1-q) and 2^wp / (1 -
-    # |arg|); 1 - arg is exactly oma 2^aexp
-    cs = [abs(X) + 1 for X in xs]
+    # the stop test's upper bounds on |x|, |d|, 1/(1-q), 1/(1-q^2) and 1/(1
+    # - |arg|), times 2^wp, DD = d 2^wp within a unit a parameter; 1 - arg
+    # is exactly oma 2^aexp, and H = h 2^wp, h = arg / (1 - q arg), floored
+    cs, DD = [abs(X) + 1 for X in xs], sum(xs[m:]) - sum(xs[:m])
     neg, am, aexp, _ = arg_
     iq, ia = _inv_one_minus(q_, wp), _inv_one_minus(arg_, wp)
-    oma = (1 << -aexp) + (am if neg else -am)
+    du, iq2 = abs(DD) + len(xs), -(-iq << wp) // (one + Q)
+    oma, sa = (1 << -aexp) + (am if neg else -am), -am if neg else am
+    H = (sa << wp - q_[2]) // ((1 << -q_[2] - aexp) - q_[1] * sa)
+    # q^n's radius stays below rQ: rQ_(n+1) <= rQ_n (Q + 1) 2^-wp + 3, so
+    # rQ_n <= 3n, and below 3 2^wp / (2^wp - Q - 1) where that is positive
+    rQ = min(3 * max_terms + 3, -(-3 << wp) // max(one - Q - 1, 1))
     # every |x q^n| <= 1/2 from the term head on, so every factor is at
-    # least 1/2 and has a relative radius of at most 3 times its radius
+    # least 1/2 and has a relative radius of at most 3 times its radius: at
+    # most (|X| + 1) rQ 2^-wp + 2 rounded up (q^n <= 1), so that a bulk
+    # step's factors and A have f <= eA + 9k + 3 XK rQ 2^-wp over the k
+    # parameters, XK = sum cs, and f + f^2 together
     lq = _log_inv_q(q_, iq, wp)
     head = max([int(min(max_terms + 1, log(2 * c) / lq + 2)) for c in
                 map(abs, map(to_float, nums + dens)) if c > 0.5], default=0)
-    XK, low, f9 = sum(cs), wp + len(xs) + 3, eA + 9 * len(xs)
+    low = wp + len(xs) + 3
+    f = eA + 9 * len(xs) - 3 * (-sum(cs) * rQ >> wp)
+    f -= -f * f >> wp
     # the stop test (module docstring), M = max(|V| TEN, 2^wp), runs where
-    # bit lengths allow it: with 2^(e-1) <= |t| 2^wp < 2^e, |S| < 2^sb and K
-    # = sum cs iq, ERR >= K q^n |T| ia 2^-3wp and |V| < 2^(max(sb, e + ab -
-    # wp, 0) + 2); expm1(L) 2^wp fails it from M's bit length - e + lb bits
-    # on
+    # bit lengths allow it: with 2^(e-1) <= |t| 2^wp < 2^e, 2^(bq-1) <= qn
+    # = (q^n + rQ 2^-wp) 2^wp < 2^bq and |S| < 2^sb, E 2^wp >= qn^2 K2
+    # 2^-5wp, K2 from L2 and y^2 / 2 >= L1^2 / 2, |kappa| < 2^(bq + lk)
+    # and |V| < 2^(max(sb, e + ab - wp + max(0, bq + lk)) + 2); E 2^wp fails
+    # it from M's bit length - e + lb bits on
     TEN = 10 ** digits
     TEN2, pb, ab = TEN * TEN, TEN.bit_length(), ia.bit_length()
-    screen = 4 * wp + 6 - (sum(cs) * iq).bit_length() - ab - 2 * pb
-    la, ls, lb = ab - wp + pb + 2, pb + 2, 2 * wp + 5 - ab - 2 * pb
-    # S and q^n with their radii, T with its relative radius
-    S, rS, T, rel, QN, rQ, sh = 0, 0, one, 0, one, 0, 0
+    K2 = (sum(c * c for c in cs) * iq << wp) + 2 * (du * iq) ** 2 >> 2
+    screen = 7 * wp + 7 - ab - 2 * pb - K2.bit_length()
+    ls, la, lb = pb + 1, ab - wp + pb + 1, 2 * wp + 5 - ab - 2 * pb
+    lk = du.bit_length() + iq.bit_length() + 1 - 3 * wp
+    # S with its radius, T with its relative radius, and q^n
+    S, rS, T, rel, QN, sh = 0, 0, one, 0, one, 0
     ups, downs = xs[:m], xs[m:]
     for n in range(max_terms + 1):
         bt = T.bit_length()
         e = bt - sh
-        d = (QN + rQ).bit_length() + e - screen
-        if d <= wp or d <= e + la or d <= S.bit_length() + ls:
-            M = max(abs(S + _shift(T << -aexp, sh) // oma) * TEN, one)
-            EL = _closure_bound(cs, QN + rQ, iq, M.bit_length() - e + lb, wp)
+        bq = (QN + rQ).bit_length()
+        d = 2 * bq + e - screen
+        if (d <= wp or d <= S.bit_length() + ls or d <= e + la
+                or d <= e + la + bq + lk):
+            # V = s + t / (1 - arg) (1 + kappa), kappa 2^wp = DD QN H 2^-2wp
+            CL = _shift(T << -aexp, sh) // oma
+            V = S + CL + (CL * (DD * H * QN >> 2 * wp) >> wp)
+            M = max(abs(V) * TEN, one)
+            EL = _closure_bound(cs, QN + rQ, iq, iq2, du,
+                                M.bit_length() - e + lb, wp)
             if EL is not None:
                 ERR = -(-EL * abs(T) * ia >> wp)
                 if -_shift(-ERR * TEN2, wp + sh) <= M:
@@ -736,36 +783,32 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
             for X in downs:
                 D *= one - (X * QN >> wp)
             T = P // D
-            # a factor's radius is at most (|X| + 1) rQ 2^-wp + 2 (q^n <= 1),
-            # rounded up, and its relative radius 3 times that; summed over
-            # the k factors, with A's, to f <= eA + 9k + 3 XK rQ 2^-wp, XK =
-            # sum cs, rounded up, they make f + f^2
-            f = f9 - 3 * (-XK * rQ >> wp)
-            f -= -f * f >> wp
             rel += f - (-rel * f >> wp)
             rel += (rel >> wp) + 2
         sh += ea
-        rQ = -(-(rQ * Q + QN + rQ) >> wp) + 1
         QN = QN * Q >> wp
     else:
         raise CapExceededError(f"series not certified within {max_terms} "
                                f"terms")
-    # the value s + t / (1 - arg) in libmpf, as the mpf sum
-    tail = mpf_div(from_man_exp(T, -wp - sh, prec, RN),
-                   from_man_exp(oma, aexp, prec, RN), prec, RN)
-    value = mpf_add(from_man_exp(S, -wp, prec, RN), tail, prec, RN)
-    # in units of 2^-(2wp + sh): the closure's bound at the upper ends of
-    # t's and arg's balls, and the radius of the value: the sum's, the
-    # closing term's (t's and 1/(1 - arg)'s relative radii) and the four
-    # roundings to mpf, within 3 |s| 2^-prec + 6 |t / (1 - arg)| 2^-prec
-    T, ia2 = abs(T), _inv_one_minus(arg_, wp, eA)
+    # in units of 2^-(2wp + sh), in which 2^-wp is 2^fine: the closure's
+    # bound at the upper ends of t's and arg's balls, and the radius of V:
+    # the sum's; CL's floor and ball (t's and 1/(1 - arg)'s relative
+    # radii); kappa's ball from d's, q^n's and h's (h's floor, and arg's
+    # radius through arg and 1/(1 - q arg)) and its floor, times CL's, and
+    # the product's floor; and the rounding to mpf
+    T, ia2, fine = abs(T), _inv_one_minus(arg_, wp, eA), wp + sh
+    ua, DH = -(-eA * ia2 >> wp), abs(DD * H)
+    rH = _ceil_shift((abs(H) + 1) * _rel(_rel(eA, ua, wp), ua, wp), wp) + 1
+    rK = -(-(du * (QN + rQ) * (abs(H) + rH) - DH * QN) >> 2 * wp) + 1
+    rCL = _ceil_shift(T * ia * _rel(rel, ua, wp), wp) + _ceil_shift(1, -fine)
     trunc = -(-EL * (T + _ceil_shift(T * rel, wp)) * ia2 >> wp)
-    rad = (_ceil_shift(rS, -wp - sh) + _ceil_shift(3 * abs(S), prec - wp - sh)
-           + _ceil_shift(T * ia * _rel(rel, -(-eA * ia2 >> wp), wp), wp)
-           + _ceil_shift(6 * T * ia, prec))
+    rad = (_ceil_shift(rS + 1, -fine) + rCL + _ceil_shift(abs(V), prec - fine)
+           + _ceil_shift(rCL * ((DH * QN >> 2 * wp) + 1 + rK)
+                         + _ceil_shift(abs(CL), -fine) * rK, wp))
     scale = -2 * wp - sh
-    return (value, from_man_exp(trunc + rad, scale, prec, round_ceiling),
-            n + 1, from_man_exp(rad, scale, prec, round_ceiling))
+    return (from_man_exp(V, -wp, prec, RN),
+            from_man_exp(trunc + rad, scale, prec, round_ceiling), n + 1,
+            from_man_exp(rad, scale, prec, round_ceiling))
 
 
 def _ratio_series(num_params, den_params, q, arg, ctx, arg_ulps=0):
@@ -775,21 +818,20 @@ def _ratio_series(num_params, den_params, q, arg, ctx, arg_ulps=0):
 
     Terms are generated by the one-step recurrence t_{k+1} = arg r_k t_k,
     r_k = prod (1 - num q^k) / prod (1 - den q^k), in fixed point
-    (_ratio_kernel). The tail from t_n on is closed as t_n / (1 - arg), with
-    the module's bound L over the |num| and the |den|: the sum stops at the
-    first n where err = expm1(L) |t_n| / (1 - |arg|) <= tol * max(|s +
-    t_n/(1-arg)|, tol), tested in the kernel's ints with err rounded up,
-    and returns s + t_n/(1-arg) with err plus the kernel's radius as its
-    certified estimate. An arg known only to within a relative arg_ulps
+    (_ratio_kernel). The tail from t_n on is closed to second order in
+    q^n (module docstring): the sum stops at the first n where err = E
+    |t_n| / (1 - |arg|) <= tol * max(|V|, tol), tested in the kernel's ints
+    with err rounded up, and returns V with err plus the kernel's radius as
+    its certified estimate. An arg known only to within a relative arg_ulps
     2^-prec carries that radius into every term and the closure.
     """
     prec = mp.prec
     tol = ctx.tail_tol()
     max_terms = ctx.max_terms
-    if _cannot_stop(num_params, den_params, q, arg, tol, max_terms):
+    nums, dens = [u._mpf_ for u in num_params], [b._mpf_ for b in den_params]
+    if _never_stops(nums, dens, q._mpf_, arg._mpf_, ctx.digits, max_terms):
         raise CapExceededError(f"series cannot be certified within "
                                f"{max_terms} terms")
-    nums, dens = [u._mpf_ for u in num_params], [b._mpf_ for b in den_params]
     wp = _working_bits(prec, nums + dens)
     kernel = (nums, dens, q._mpf_, arg._mpf_, arg_ulps, ctx.digits,
               max_terms, prec)

@@ -10,12 +10,14 @@ from qseries import (
     PrecisionCtx,
     QDomainError,
     QPoint,
+    SeriesValue,
     eta_nome,
     eta_quotient,
     eval_identity,
     pochhammer_inf,
     qpow,
 )
+from qseries import eta
 
 
 def rel_diff(x, y):
@@ -121,6 +123,16 @@ def test_eta_quotient_takes_one_power_per_scale(ctx40):
         assert (abs(got.value - oracle)
                 <= got.err_estimate + mpf("1e-50") * abs(oracle))
     assert got.terms_used == eta_nome(mpf("0.5"), ctx40).terms_used
+
+
+def test_eta_quotient_power_bounds_a_large_relative_error(monkeypatch):
+    # eta = 1 within 1e-3 raised to the 1000th lies anywhere in [0.999^1000,
+    # 1.001^1000] = [0.368, 2.717]: the estimate must reach 1.7169, which
+    # first order (1000 * 1e-3 = 1) falls short of
+    monkeypatch.setattr(eta, "eta_nome", lambda q, ctx: SeriesValue(
+        mpf(1), mpf("1e-3"), 1, True))
+    got = eta_quotient({1: 1000}, mpf("0.5"))
+    assert got.value == 1 and 1.001 ** 1000 - 1 <= got.err_estimate < 1.73
 
 
 @pytest.mark.parametrize("q", ["0.999", "0.9999"])

@@ -61,7 +61,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "f04ba6be678a1967ca1fdaea46e56bfbcbb3de8c5921f3efbf86a91d8ddc62f3")
+        "412d3c41065d93f3d49ce3401f67eb69cbb710bfdf1d2d92e57908b97590f070")
 
 
 def test_seed_changes_sampled_points():

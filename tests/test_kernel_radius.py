@@ -44,8 +44,9 @@ def _within(num, den, mid, rad):
 
 
 def _series(nums, dens, q, arg, n):
-    """sum_{k<n} t_k + t_n / (1 - arg) for the ratio series t_(k+1) = t_k
-    arg prod (1 - u q^k) / prod (1 - b q^k), t_0 = 1."""
+    """sum_{k<n} t_k + t_n (1 + d q^n arg / (1 - q arg)) / (1 - arg) for
+    the ratio series t_(k+1) = t_k arg prod (1 - u q^k) / prod (1 - b q^k),
+    t_0 = 1, and d = sum b - sum u."""
     a, d = _ratio(arg)
     t, s, den = 1, 0, 1
     for k in range(n):
@@ -57,7 +58,14 @@ def _series(nums, dens, q, arg, n):
             f, g = _one_minus(b, q, k)
             up, down = up * g, down * f
         s, t, den = (s + t) * down, t * up, den * down
-    return s * (d - a) + t * d, den * (d - a)
+    # kappa = d q^n arg / (1 - q arg) = kn / kd, d = dn / dd over a common
+    # power of 2
+    (c, e), dd = _ratio(q), max([_ratio(x)[1] for x in nums + dens])
+    dn = sum(_ratio(x)[0] * (dd // _ratio(x)[1]) * (1 if i >= len(nums)
+                                                     else -1)
+             for i, x in enumerate(nums + dens))
+    kn, kd = dn * c ** n * a * e, dd * e ** n * (e * d - c * a)
+    return (s * (d - a) * kd + t * d * (kd + kn), den * (d - a) * kd)
 
 
 def _euler(r, q, terms):

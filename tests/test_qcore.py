@@ -16,6 +16,7 @@ from qseries import (
     CapExceededError,
     DivergenceError,
     InsufficientTermsError,
+    NumericalBreakdownError,
     ParamExpr,
     PoleError,
     PrecisionCtx,
@@ -398,6 +399,16 @@ def test_q_near_one_fails_fast(call):
     assert time.process_time() - start < 0.1
 
 
+def test_q_within_a_fixed_point_unit_of_one_is_a_typed_error():
+    # q = 1 - 1e-150, an mpf finer than the 40-digit working precision,
+    # lies within 2^-wp of 1, where q^n's radius has no fixed point: a
+    # typed error (the factor 1 - q rounds to 0), never ZeroDivisionError
+    with mp.workdps(200):
+        q = 1 - mpf(10) ** -150
+    with pytest.raises(PoleError):
+        phi([0.5], [], q, mpf("1e-30"))
+
+
 def test_ratio_series_near_one_certifies_what_it_can():
     # under a cap at its stop index, g at the cap is about 12, far above
     # tol, yet the terms of (0.5;q)_n/(q;q)_n 0.5^n shrink after n = 25:
@@ -580,15 +591,13 @@ def test_geometric_closure_is_sound(digits):
 
 
 def _ratio_series_every_term(num_params, den_params, q, arg, ctx):
-    """Reference loop that builds the geometric closure bound at every
-    term."""
+    """Reference loop that builds the second-order closure at every term:
+    V = s + t / (1 - arg) (1 + d q^n arg / (1 - q arg)), d = sum den - sum
+    num, within E |t| / (1 - |arg|), E = expm1(L1 + L2) - L1 with L1 = |d|
+    q^n / (1 - q) and L2 = sum c^2 q^2n / (2 (1 - q^2) (1 - |c| q^n))."""
     tol = ctx.tail_tol()
     cs = [abs(c) for c in num_params + den_params]
-    omq = 1 - q
-    c_sum = mpf(0)
-    for c in cs:
-        c_sum += c
-    c_over_omq = c_sum / omq
+    d = sum(den_params) - sum(num_params)
     s_val = mpf(0)
     qn = mpf(1)
     n = 0
@@ -596,14 +605,18 @@ def _ratio_series_every_term(num_params, den_params, q, arg, ctx):
     while True:
         if t == 0:
             return SeriesValue(s_val, mpf(0), n, True)
-        value = s_val + t / (1 - arg)
+        value = s_val + t / (1 - arg) * (1 + d * qn * arg / (1 - q * arg))
         limit = tol * max(abs(value), tol)
         xs = [c * qn for c in cs]
         if all(x < 1 for x in xs):
-            rest = mpf(0)
+            l1 = abs(d) * qn / (1 - q)
+            l2 = mpf(0)
             for x in xs:
-                rest += x * x / (omq * (1 - x))
-            err = mp.expm1(c_over_omq * qn + rest) * (abs(t) / (1 - abs(arg)))
+                l2 += x * x / (2 * (1 - q * q) * (1 - x))
+            # expm1(y) - L1 is about y^2 / 2: as many more bits as y lacks
+            with mp.workprec(mp.prec + max(0, -mp.mag(l1 + l2)) + 10):
+                e = mp.expm1(l1 + l2) - l1
+            err = e * (abs(t) / (1 - abs(arg)))
             if err <= limit:
                 return SeriesValue(value, err, n + 1, True)
         s_val += t
@@ -656,11 +669,12 @@ def _ratio_series_cases():
                                  PrecisionCtx(digits=100)],
                          ids=["d20", "d40", "d100"])
 def test_ratio_series_matches_every_term_reference(monkeypatch, ctx):
-    # the integer stop test bounds expm1(L) from above within a relative
-    # 2^-32 and is screened only where it cannot pass, so it must stop at
-    # the same term as the mpf expm1 test at every term; the fixed-point sum
-    # must lie within its estimate, rounding included, of the reference
-    # summed with 64 more bits; and phi/psi call no expm1
+    # the integer stop test bounds E from above within a relative y^2 / 36
+    # below y = 2^-7 and (y + 1) 2^-32 from there on, and is screened only
+    # where it cannot pass, so it must stop at the same term as the mpf
+    # expm1 test at every term; the fixed-point sum must lie within its
+    # estimate, rounding included, of the reference summed with 64 more
+    # bits; and phi/psi call no expm1
     expm1 = mp.expm1
     calls = []
     monkeypatch.setattr(mp, "expm1", lambda x: calls.append(x) or expm1(x))
@@ -675,6 +689,34 @@ def test_ratio_series_matches_every_term_reference(monkeypatch, ctx):
             assert got.certified and got.terms_used == ref.terms_used, case
             with mp.workprec(mp.prec + 64):
                 assert abs(got.value - fine.value) <= got.err_estimate, case
+
+
+@pytest.mark.parametrize("upper, lower, q, z, digits", [
+    # d = sum den - sum num = 0 (q counts among phi's dens): the closure's
+    # first-order term vanishes, and E is expm1(L2)
+    (["0.6", "0.3"], ["0.4"], "0.5", "0.9", 40),
+    # d = q + 1.25 >= 2 as q -> 1, where L1 = |d| q^n / (1-q) dominates E
+    (["-1.5", "0.5"], ["0.25"], "0.9", "0.9", 40),
+    (["-1.5", "0.5"], ["0.25"], "0.99", "0.9", 40),
+    (["-1.5", "0.5"], ["0.25"], "0.999", "0.9", 20),
+], ids=["d0", "d2-q0.9", "d2-q0.99", "d2-q0.999"])
+def test_second_order_closure_within_its_bound(upper, lower, q, z, digits):
+    # the value s + t / (1 - z) (1 + d q^n z / (1 - q z)) lies within
+    # E |t| / (1 - |z|) plus its radius of qhyper, summed far past the stop
+    ctx = PrecisionCtx(digits=digits)
+    with ctx.working():
+        upper, lower = [mpf(x) for x in upper], [mpf(x) for x in lower]
+        q, z = mpf(q), mpf(z)
+    got = phi(upper, lower, q, z, ctx)
+    with mp.workdps(digits + 30):
+        oracle = mp.qhyper(upper, lower, q, z, maxterms=10 ** 6)
+        assert got.certified and abs(got.value - oracle) <= got.err_estimate
+
+
+def test_readme_examples_take_second_order_terms():
+    # the second-order closure takes 67 and 7,539 terms
+    assert phi([0.5], [], 0.5, 1 - 2 ** -10).terms_used <= 70
+    assert phi([0.5], [], 0.99985, 0.5).terms_used <= 7_700
 
 
 # --- psi_bilateral ------------------------------------------------------------------
@@ -707,19 +749,20 @@ def test_psi_matches_product_side(ctx40):
 
 
 def test_psi_estimate_carries_the_rounding_of_w():
-    # b/a just inside z = -0.7, so |w| = |b/(az)| = 1 - 2^-20: the rounding
-    # of w moves the negative half about 1/(1-|w|)^2 times as much, here
-    # 8e-19 on an error of 7.5824e-14 that the truncation bound alone
-    # (7.58232e-14) does not cover
+    # b/a just inside z = -0.7, so |w| = |b/(az)| = 1 - 2^-36: the rounding
+    # of w moves the negative half about 1/(1-|w|)^2 times as much, and the
+    # estimate carries it: an error of 5.396e-9 within 2.593e-8, where the
+    # estimate without w's radius would be 1.982e-9
     with mp.workdps(40):
         q, a, z = mpf("0.3"), mpf("0.5"), mpf("-0.7")
-        b = a * z * (1 - mpf(2) ** -20)
+        b = a * z * (1 - mpf(2) ** -36)
+    with mp.workdps(60):
         oracle = (_qp60(q, q) * _qp60(b / a, q) * _qp60(a * z, q)
                   * _qp60(q / (a * z), q)
                   / (_qp60(b, q) * _qp60(q / a, q) * _qp60(z, q)
                      * _qp60(b / (a * z), q)))
     got = psi_bilateral([a], [b], q, z, PrecisionCtx(digits=20))
-    with mp.workdps(40):
+    with mp.workdps(60):
         assert got.certified and abs(got.value - oracle) <= got.err_estimate
 
 
@@ -1120,6 +1163,24 @@ def test_series_value_error_propagation():
     d = x / y
     assert d.value == mpf("0.5")
     assert not (x + SeriesValue(mpf(1), mpf(0), 0, False)).certified
+
+
+def test_series_value_bounds_its_operands_and_its_rounding():
+    # A / B over A, B in [0.5, 1.5] spans [1/3, 3]: the estimate divides by
+    # |b| - e_b, not |b|
+    half = SeriesValue(mpf(1), mpf("0.5"), 0, True)
+    q = half / half
+    assert q.value == 1 and q.err_estimate >= 2
+    with pytest.raises(NumericalBreakdownError):
+        SeriesValue.of(1) / SeriesValue(mpf(1), mpf(1), 0, True)
+    # exact operands still leave each operation's rounding
+    third = SeriesValue.of(1) / SeriesValue.of(3)
+    tiny = SeriesValue.of(1) + SeriesValue.of(mpf(2) ** -60)
+    prod = SeriesValue.of(third.value) * SeriesValue.of(3)
+    with mp.workprec(200):
+        assert 0 < abs(third.value - mpf(1) / 3) <= third.err_estimate
+        assert 0 < abs(tiny.value - 1 - mpf(2) ** -60) <= tiny.err_estimate
+        assert 0 < abs(prod.value - third.value * 3) <= prod.err_estimate
 
 
 def test_series_value_division_by_zero():

@@ -2,6 +2,8 @@
 0.99 and |z| <= 0.999 of both signs, parameters near q^-n included, against
 mpmath's qhyper and Ramanujan's 1psi1 product at 70 digits."""
 
+import random
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
@@ -124,3 +126,41 @@ def test_campaign_series_run_their_kernel_once(monkeypatch):
     run(RunConfig(points_per_identity=5, seed=1))
     assert len(series) == 235
     assert len(kernels) == len(series)
+
+
+def test_campaign_series_take_second_order_terms(monkeypatch):
+    # the seed-1 campaign at 5 points sums 6,638 kernel terms under the
+    # second-order closure
+    used = []
+    ratio_series = qcore._ratio_series
+
+    def counting_series(*args, **kwargs):
+        got = ratio_series(*args, **kwargs)
+        used.append(got.terms_used)
+        return got
+
+    monkeypatch.setattr(qcore, "_ratio_series", counting_series)
+    run(RunConfig(points_per_identity=5, seed=1))
+    assert len(used) == 235 and sum(used) <= 7_000
+
+
+def test_screen_never_refuses_a_certified_series():
+    # series whose terms grow for a while as q -> 1: the screen refuses
+    # caps far below the kernel's stop, and none at or past it
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(30):
+        with mp.workdps(30):
+            q = mpf(1 - 10 ** rng.uniform(-3, -1))
+            k = rng.randint(1, 2)
+            nums = [mpf(rng.uniform(-3, 3))._mpf_ for _ in range(k)]
+            dens = [q._mpf_] + [mpf(rng.uniform(-3, 3))._mpf_
+                                for _ in range(k - 1)]
+            z = mpf(rng.choice([1, -1]) * rng.uniform(0.5, 0.99))._mpf_
+            wp = qcore._working_bits(mp.prec, nums + dens)
+            used = qcore._ratio_kernel(nums, dens, q._mpf_, z, 0, 20, 10 ** 6,
+                                       mp.prec, wp)[2]
+        for n in (used - 1, used, 2 * used, 500_000):
+            assert not qcore._never_stops(nums, dens, q._mpf_, z, 20, n)
+        refused += qcore._never_stops(nums, dens, q._mpf_, z, 20, used // 4)
+    assert refused >= 10
