@@ -36,17 +36,16 @@ from mpmath import mp, mpf
 
 from .eta import eta_quotient
 from .params import ParamExpr, Q
-from .precision import DEFAULT_CTX, PrecisionCtx, to_real
+from .precision import DEFAULT_CTX, PrecisionCtx
 from .qcore import (
     QPoint,
     SeriesValue,
-    _qpowers,
     phi,
     prodquot,
     psi_bilateral,
     qpow,
 )
-from .qgamma import _beta_series, _gamma_quot, _gamma_ratio, classical_gamma
+from .qgamma import _beta_series, _check_pole, _gamma_ratio, classical_gamma
 from .rng import SplitMix64
 
 __all__ = ["CATALOG", "IdentityEntry", "full_registry"]
@@ -298,59 +297,76 @@ def _eta(scales):
 
 # --- q-gamma theorems and classical limits ---------------------------------
 
-def _lhs_gamma_quotient(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return _gamma_quot([b, 1 - a, z, b - a - z], [b - a, a + z, 1 - a - z],
-                       q, ctx)
+# Section 5's q-gamma sides as data: each Gamma_q argument and 2phi1
+# parameter is an exponent n0 + na a + nb b + nz z of q, held as its integer
+# vector (n0, na, nb, nz). A term is a Gamma_q quotient, times (1-q)^(a+1-b)
+# where scaled, times 2phi1(q^alpha, q^beta; q^gamma; q, q^delta) where
+# given; each rhs is two terms minus (1-q)^(a+1-b). Theorem 5.3's two
+# q-integrals are A and D by the q-beta integral (Gasper & Rahman, 1.11).
+
+def _vector(x: str) -> tuple:
+    """The exponent b+1-a-z, a sum of +-1, a, b, z, as (1, -1, 1, -1)."""
+    return tuple(sum(int(t[:-1] + "1") for t in x.replace("-", "+-").split("+")
+                     if t[-1:] == v) for v in "1abz")
 
 
-# Section 5's right sides: thm-5.1 = A + B, eq-5.8 = C + D and thm-5.3 =
-# A + D, each minus (1-q)^(a+1-b); a term is a Gamma_q quotient times one
-# 2phi1(q^alpha, q^beta; q^gamma; q, q^delta). Theorem 5.3's q-integrals
-# give A and D, since int_0^1 t^(delta-1) (tq, tq^gamma; q)_inf / (tq^alpha,
-# tq^beta; q)_inf d_q t is that 2phi1 times Gamma_q(alpha) Gamma_q(beta) /
-# Gamma_q(gamma) (1-q)^(alpha+beta-gamma) (Gasper & Rahman, section 1.11).
-
-def _scale(p: QPoint) -> mpf:
-    return mp.power(1 - p.q, p["a"] + 1 - p["b"])
-
-
-def _q2phi1(alpha, beta, gamma, delta, q, ctx: PrecisionCtx) -> SeriesValue:
-    with ctx.working():
-        a, b, c, z = _qpowers(to_real(q), [alpha, beta, gamma, delta])
-    return phi([a, b], [c], q, z, ctx)
+def _term(scaled: bool, nums: str, dens: str, phi21: str = "") -> tuple:
+    """(e, nums, dens, 2phi1 parameters) as vectors: Gamma_q(x) = (q;q)_inf
+    / (q^x;q)_inf (1-q)^(1-x) makes the term's power of 1 - q the exponent
+    e = sum (1-x) over nums - sum (1-x) over dens, plus a+1-b if scaled."""
+    nums, dens, phi21 = ([_vector(x) for x in xs.split()]
+                         for xs in (nums, dens, phi21))
+    e = [scaled * s - sum(v[i] for v in nums) + sum(v[i] for v in dens)
+         for i, s in enumerate(_SCALE)]
+    e[0] += len(nums) - len(dens)
+    return tuple(e), nums, dens, phi21
 
 
-def _term_a(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return (_scale(p) * _gamma_quot([b, z], [b - a, a + z], q, ctx)
-            * _q2phi1(a + 1 + z - b, a, a + z, b - a, q, ctx))
+_SCALE = _vector("a+1-b")
+_LHS5 = _term(False, "b 1-a z b-a-z", "b-a a+z 1-a-z")
+_A = _term(True, "b z", "b-a a+z", "a+1+z-b a a+z b-a")
+_B = _term(False, "1-a b-a-z", "1-b b+1-a-z", "b-a b-z-a b+1-a-z 1-b")
+_C = _term(False, "b z", "a z+1", "b-a z 1+z a")
+_D = _term(True, "1-a b-a-z", "1-a-z b-a", "1-z 1-b 1-a-z b-a")
 
 
-def _term_b(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return (_gamma_quot([1 - a, b - a - z], [1 - b, b + 1 - a - z], q, ctx)
-            * _q2phi1(b - a, b - z - a, b + 1 - a - z, 1 - b, q, ctx))
+def _section5(*terms, minus_scale=False):
+    """The side sum(terms), minus (1-q)^(a+1-b) if minus_scale, from one log
+    q and three exps. A vector is the monomial q^(na a + nb b + nz z) q^n0,
+    each (na, nb, nz) formed once, so prodquot telescopes Gamma_q(x) /
+    Gamma_q(x+1) = (1-q) / (1-q^x) (Gasper & Rahman, 1.10) to one factor.
+    Poles are checked first: q^-n q^n rounds to no exact zero factor."""
+    gammas = [v for _, nums, dens, _ in terms for v in nums + dens]
+    keys = {v[1:] for _, *vectors in terms for vs in vectors for v in vs}
+    es = {e for e, *_ in terms if any(e)} | {_SCALE}
 
+    def side(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+        q, a, b, z, lq = p.q, p["a"], p["b"], p["z"], mp.log(p.q)
+        qa, qb, qz = mp.exp(a * lq), mp.exp(b * lq), mp.exp(z * lq)
+        coefficients = {k: qa ** k[0] * qb ** k[1] * qz ** k[2] for k in keys}
 
-def _term_c(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return (_gamma_quot([b, z], [a, z + 1], q, ctx)
-            * _q2phi1(b - a, z, 1 + z, a, q, ctx))
+        def exponent(v):
+            return v[0] + v[1] * a + v[2] * b + v[3] * z
 
+        def monomials(vs):
+            return [ParamExpr(coefficients[v[1:]], v[0]) for v in vs]
 
-def _term_d(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z, q = p["a"], p["b"], p["z"], p.q
-    return (_scale(p)
-            * _gamma_quot([1 - a, b - a - z], [1 - a - z, b - a], q, ctx)
-            * _q2phi1(1 - z, 1 - b, 1 - a - z, b - a, q, ctx))
+        for v in gammas:
+            _check_pole(exponent(v), "gamma_q")
+        powers = {e: mp.power(1 - q, exponent(e)) for e in es}
+        total = 0
+        for e, nums, dens, phi21 in terms:
+            k = len(nums) - len(dens)  # the (q;q)_inf left over or under
+            value = powers.get(e, 1) * prodquot([Q] * k + monomials(dens),
+                                                [Q] * -k + monomials(nums),
+                                                q, ctx)
+            if phi21:
+                alpha, beta, gamma, delta = monomials(phi21)
+                value = value * phi([alpha, beta], [gamma], q, delta, ctx)
+            total = total + value
+        return total - powers[_SCALE] if minus_scale else total
 
-
-def _section5_rhs(first, second):
-    def rhs(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-        return first(p, ctx) + second(p, ctx) - _scale(p)
-
-    return rhs
+    return side
 
 
 def _lhs_eq55(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
@@ -645,8 +661,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Theorem 5.1, Eq. (5.4)",
         param_names=("a", "b", "z"),
         constraints=_STRIP + (("b < 1", lambda p: p["b"] < 1),),
-        lhs=_lhs_gamma_quotient,
-        rhs=_section5_rhs(_term_a, _term_b),
+        lhs=_section5(_LHS5),
+        rhs=_section5(_A, _B, minus_scale=True),
         sampler=_strip_sampler(0.05, 0.7),
     ),
     IdentityEntry(
@@ -654,8 +670,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (5.8), q-analogue behind Theorem 5.2",
         param_names=("a", "b", "z"),
         constraints=_STRIP,
-        lhs=_lhs_gamma_quotient,
-        rhs=_section5_rhs(_term_c, _term_d),
+        lhs=_section5(_LHS5),
+        rhs=_section5(_C, _D, minus_scale=True),
         sampler=_strip_sampler(0.05, 0.7),
     ),
     IdentityEntry(
@@ -663,8 +679,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Theorem 5.3, Eq. (5.10)",
         param_names=("a", "b", "z"),
         constraints=_STRIP,
-        lhs=_lhs_gamma_quotient,
-        rhs=_section5_rhs(_term_a, _term_d),
+        lhs=_section5(_LHS5),
+        rhs=_section5(_A, _D, minus_scale=True),
         sampler=_strip_sampler(0.1, 0.55),
     ),
     IdentityEntry(

@@ -93,6 +93,7 @@ sums exactly in ints and rounds once per order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, islice
 from math import exp, expm1, inf, log, log1p, prod
 from operator import mul
@@ -229,12 +230,12 @@ class QPoint:
 def _check_q(q, /, **params):
     """Reject q outside (0,1) and non-finite parameters, by name, up front: a
     NaN or infinite parameter would otherwise run a product or series to its
-    cap."""
+    cap. An exact (int or Fraction) coefficient is finite by construction."""
     if not (0 < q < 1):
         raise QDomainError(f"q must lie strictly in (0,1), got {q}")
     for name, x in params.items():
-        if not mp.isfinite(x.coefficient if isinstance(x, ParamExpr)
-                           else to_real(x)):
+        c = x.coefficient if isinstance(x, ParamExpr) else x
+        if not isinstance(c, (int, Fraction)) and not mp.isfinite(to_real(c)):
             raise QDomainError(f"parameter {name} is not finite, got {x}")
 
 

@@ -1,6 +1,6 @@
 """q-gamma function, Jackson q-integrals, classical gamma, and the
-helpers the q-gamma and classical-limit identity sides are built from: a
-Gamma_q quotient, a Gamma ratio and a beta series."""
+helpers the classical-limit identity sides are built from: a Gamma ratio
+and a beta series."""
 
 from __future__ import annotations
 
@@ -28,28 +28,11 @@ def gamma_q(x, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
 
     Poles at x = 0, -1, -2, ... where (q^x;q)_inf vanishes.
     """
-    return _gamma_quot([x], [], q, ctx)
-
-
-def _gamma_quot(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
-    """prod Gamma_q(x) over nums / prod Gamma_q(x) over dens as one product
-    quotient: (q;q)_inf^k (1-q)^e prod (q^x;q)_inf over dens / prod
-    (q^x;q)_inf over nums, with k = #nums - #dens and e = sum (1-x) over
-    nums - sum (1-x) over dens, so that terms_used counts each product
-    computed once."""
     with ctx.working():
-        q = to_real(q)
-        nums = [to_real(x) for x in nums]
-        dens = [to_real(x) for x in dens]
-        _check_q(q, **{f"x{i}": x for i, x in enumerate(nums + dens, 1)})
-        for x in nums + dens:
-            _check_pole(x, "gamma_q")
-        k = len(nums) - len(dens)
-        powers = _qpowers(q, dens + nums)
-        tops = [q] * k + powers[:len(dens)]
-        bottoms = [q] * -k + powers[len(dens):]
-        e = sum(1 - x for x in nums) - sum(1 - x for x in dens)
-        return mp.power(1 - q, e) * prodquot(tops, bottoms, q, ctx)
+        q, x = to_real(q), to_real(x)
+        _check_q(q, x=x)
+        _check_pole(x, "gamma_q")
+        return mp.power(1 - q, 1 - x) * prodquot([q], _qpowers(q, [x]), q, ctx)
 
 
 def _check_pole(x, what: str):

@@ -61,7 +61,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "412d3c41065d93f3d49ce3401f67eb69cbb710bfdf1d2d92e57908b97590f070")
+        "a6a7bbb5ac68afdd60a1edea847a40d701fb36825ae87538f51c3dbcbe5706be")
 
 
 def test_seed_changes_sampled_points():

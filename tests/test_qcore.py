@@ -846,6 +846,21 @@ def test_non_finite_input_fails_fast(call, error):
     assert time.process_time() - start < 0.5
 
 
+@pytest.mark.parametrize("bad", [
+    mp.nan, -mp.inf, float("nan"), float("inf"), "nan", ParamExpr(mp.nan, 1),
+], ids=["mpf-nan", "mpf-inf", "float-nan", "float-inf", "str-nan",
+        "monomial-nan"])
+@pytest.mark.parametrize("call, name", [
+    (lambda x: phi([0.5, x], [0.2], 0.5, 0.3), "a2"),
+    (lambda x: psi_bilateral([0.5], [x], 0.5, 0.5), "b1"),
+    (lambda x: qcore.prodquot([0.5], [0.2, x], 0.5), "b2"),
+], ids=["phi", "psi_bilateral", "prodquot"])
+def test_non_finite_parameter_is_rejected_by_name(call, name, bad):
+    # only exact (int or Fraction) coefficients skip the finiteness check
+    with pytest.raises(QDomainError, match=f"parameter {name} is not finite"):
+        call(bad)
+
+
 # --- sum_with_ratio_bound -----------------------------------------------------------
 
 def test_sum_with_ratio_bound_geometric(ctx40):

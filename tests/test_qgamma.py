@@ -1,6 +1,7 @@
 """q-gamma, classical gamma, Jackson integrals, and the section-5 identities."""
 
 from dataclasses import replace
+from math import prod
 
 from mpmath import mp, mpf
 
@@ -21,7 +22,9 @@ from qseries import (
     full_registry,
     gamma_q,
     jackson_integral_finite,
+    phi,
     pochhammer_inf,
+    qpow,
     sample_domain,
 )
 
@@ -228,6 +231,90 @@ def test_thm53_lhs_work_budget(monkeypatch, registry, ctx40):
     lhs, products = _count_thm53_products(monkeypatch, registry, ctx40, "lhs")
     assert lhs.certified
     assert 0 < products <= 8
+
+
+def _printed_rhs(identity, p, ctx):
+    """(5.4) or (5.8) as printed, each Gamma_q from gamma_q and each 2phi1
+    parameter from qpow, at ctx's digits."""
+    a, b, z, q = p["a"], p["b"], p["z"], p.q
+
+    def g(*xs):
+        return prod(gamma_q(x, q, ctx).value for x in xs)
+
+    def phi21(alpha, beta, gamma, delta):
+        return phi([qpow(q, alpha, ctx), qpow(q, beta, ctx)],
+                   [qpow(q, gamma, ctx)], q, qpow(q, delta, ctx), ctx).value
+
+    scale = (1 - q) ** (a + 1 - b)
+    if identity == "thm-5.1":
+        return (scale * g(b, z) / g(b - a, a + z)
+                * phi21(a + 1 + z - b, a, a + z, b - a)
+                + g(1 - a, b - a - z) / g(1 - b, b + 1 - a - z)
+                * phi21(b - a, b - z - a, b + 1 - a - z, 1 - b) - scale)
+    return (g(b, z) / g(a, z + 1) * phi21(b - a, z, 1 + z, a)
+            + scale * g(1 - a, b - a - z) / g(1 - a - z, b - a)
+            * phi21(1 - z, 1 - b, 1 - a - z, b - a) - scale)
+
+
+@pytest.mark.parametrize("identity", ["thm-5.1", "eq-5.8"])
+def test_section5_rhs_matches_printed_form(registry, ctx40, identity):
+    # the rhs composed from its exponent table at 40 digits against the
+    # printed right side at 60 digits
+    ctx60 = PrecisionCtx(digits=60)
+    entry = next(e for e in registry if e.id == identity)
+    for p in sample_domain(identity, 4, seed=3, registry=registry):
+        got = entry.rhs(p, ctx40)
+        assert got.certified
+        with mp.workdps(70):
+            assert rel_diff(got.value, _printed_rhs(identity, p, ctx60)) \
+                < mpf("1e-38"), p
+
+
+@pytest.mark.parametrize("identity, x", [
+    ("thm-5.1", lambda a, b, z: b - a - z), ("eq-5.8", lambda a, b, z: z)],
+    ids=["thm-5.1", "eq-5.8"])
+def test_section5_rhs_telescopes_gamma_q_pair(monkeypatch, registry, ctx40,
+                                               identity, x):
+    # Gamma_q(x) / Gamma_q(x+1) = (1-q) / (1-q^x) (thm-5.1's second term,
+    # eq-5.8's first) reaches prodquot as the one finite factor (q^x;q)_1
+    # under the line: six (q^y;q)_inf in all, not eight
+    telescoped = []
+    telescope = qcore._telescope
+
+    def recording(xs, ys):
+        telescoped.append(telescope(xs, ys))
+        return telescoped[-1]
+
+    monkeypatch.setattr(qcore, "_telescope", recording)
+    entry = next(e for e in registry if e.id == identity)
+    point = QPoint(mpf("0.5"), {"a": mpf("0.1"), "b": mpf("0.7"),
+                                "z": mpf("0.25")})
+    rhs = entry.rhs(point, ctx40)
+    assert rhs.certified
+    assert sum(len(nums) + len(dens) for nums, dens, _ in telescoped) == 6
+    [(start, count, over)] = [f for _, _, finite in telescoped
+                              for f in finite]
+    assert (count, over) == (1, False)
+    with ctx40.working():
+        q = point.q
+        assert rel_diff(start.value(q),
+                        q ** x(point["a"], point["b"], point["z"])) \
+            < mpf("1e-45")
+
+
+@pytest.mark.parametrize("q", ["0.5", "0.3"])
+@pytest.mark.parametrize("identity", ["eq-5.8", "thm-5.3"])
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_gamma_q_pole_inside_the_strip(registry, ctx40, identity, side, q):
+    # a = 2 lies in the strip 0 < z < b - a < 1, and both sides hold
+    # Gamma_q(1 - a) = Gamma_q(-1). At q = 0.3 its monomial q^-a q rounds to
+    # no exact zero factor 1 - q^-a q q (without the explicit pole check the
+    # products raise NumericalBreakdownError); at q = 0.5 it rounds to one
+    entry = next(e for e in registry if e.id == identity)
+    point = QPoint(mpf(q), {"a": 2, "b": mpf("2.5"), "z": mpf("0.25")})
+    assert entry.domain(point, ctx40) == []
+    with pytest.raises(PoleError, match="pole"):
+        getattr(entry, side)(point, ctx40)
 
 
 @pytest.mark.parametrize("identity", [
