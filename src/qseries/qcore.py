@@ -17,18 +17,27 @@ and every series of the quotient is summed to N. As |(r;q)_inf| >= e^-6,
 the relative truncation error is below tol / 2. terms_used counts the head
 factors and N terms per series; a quotient whose heads alone need more
 than max_terms factors, at least log(theta/|x|) / log(q) each, is refused
-up front, and one whose N passes the cap before any series term. A phi/psi
-series closes its tail from the next term t at x = q^n with the next term
-of its expansion: the next m term ratios multiply to arg^m e^(lambda +
-rho), lambda = d x (1 - q^m) / (1-q), d = sum dens - sum nums (q is one of
-phi's dens), and once every |c| x < 1, |rho| <= L2 = sum c^2 x^2 / (2 (1 -
-q^2) (1 - |c| x)) over the parameters c (Gasper & Rahman, 1.2). So V = s +
-t / (1 - arg) (1 + d x arg / (1 - q arg)) lies within E |t| / (1 - |arg|),
-E = expm1(L1 + L2) - L1, L1 = |d| x / (1-q), and the sum stops once that
-meets tol * max(|V|, tol): never later than the first-order closure t / (1
-- arg), as E <= expm1(L), L = sum |c| x / ((1-q)(1 - |c| x)) >= L1 + L2,
-and after about log(tol) / log(q) terms near |arg| = 1, not log(tol) /
-log|arg|. Accelerated limits carry only a heuristic, non-certified estimate.
+up front, and one whose N passes the cap before any series term.
+
+A phi/psi series, t_(k+1) = arg r(q^k) t_k, r(x) = prod (1 - u x) / prod
+(1 - b x) over its nums u and dens b (q is one of phi's), closes its tail
+at x = q^n as t T(x), T(x) = 1 + arg r(x) T(q x) (Gasper & Rahman, 1.2),
+whose Taylor terms sigma_k = tau_k x^k obey sigma_k (1 - arg q^k) = b_k +
+sum_(j=1..p) (a_j arg q^(k-j) - b_j) sigma_(k-j), a_j and b_j the
+coefficients of w^j in prod (1 - u x w) and prod (1 - b x w); K = 1 is the
+second-order closure t / (1 - arg) (1 + d x arg / (1 - q arg)), d = sum b
+- sum u. As |T| <= e^(L1 + L2) / (1 - |arg|) on |w| = y, L1 = |d| y /
+(1-q), L2 = sum c^2 y^2 / (2 (1 - q^2) (1 - |c| y)), Cauchy's estimate
+puts V = s + t sum_(k<=K) sigma_k within B = |t| (x/y)^(K+1) e^(L1 + L2)
+/ ((1 - x/y) (1 - |arg|)) for x < y < 1 / max |c| (Mezzarobba & Salvy, J.
+Symbolic Comput. 45, 2010). need(n), the least real K + 1 with B <= tol
+max(|V1|, tol), V1 = s + t / (1 - arg), is minimised over y; the sum
+stops at the first n where need(n) <= n + 1 and need(n - 1) <= min(n + 1,
+need(n) + 2), once B <= tol max(|V|, tol) at K = ceil(need) - 1. That is
+terms_used = n + K + 1 <= max_terms + 1, about 2 sqrt(log(1/tol) /
+log(1/q)) where the terms do not shrink: 3,852 over the 235 series of the
+seed-1 campaign at 5 points, 1,185 for eq-4.2's phi at q = 0.999. The
+Levin limits carry only a heuristic, non-certified estimate.
 
 Every product and series loop runs in one fixed point, as mpmath's own
 hypergeometric summation does: q^n, the parameters, the factors and the
@@ -71,23 +80,21 @@ quotient of the two products' balls, plus its floor and its rounding.
 The phi/psi loop (_ratio_kernel) gives each term its own scale 2^-(wp +
 sh), sh of either sign, so that it keeps about wp bits however small or
 large it gets; a step is T A prod(1 - x q^n) // prod(1 - y q^n). Its stop
-test is one comparison, ERR TEN^2 <= max(|V| TEN, 2^wp) 2^(wp + sh) in
-units of 2^-(2wp + sh), TEN = 10^digits, ERR a ceiling bound on E |t| / (1
-- |arg|) within a relative y^2 / 36 or (y + 1) 2^-32, y = L1 + L2, so that
-but for such a tie terms_used is that of the test with E in mpf. A
-bit-length screen from E >= L2 + L1^2 / 2 skips the terms where it cannot
-pass, and _never_stops refuses, in doubles, a series that cannot stop
-within the cap. Each term carries a relative radius: a head step's from
-its factors' balls, a bulk step's one constant, as every |x q^n| <= 1/2
-there and q^n's radius below min(3n, 3 / (1 - q - 2^-wp)) 2^-wp; an argument
-known only to within a relative radius (psi's w) adds it at every step,
-to 1/(1 - arg) and to arg / (1 - q arg). The estimate is the closure's
-bound at the upper ends of t's and arg's balls plus the radius of V: the
-sum's, the closing term's and the correction's, and V's rounding to mpf.
-Where that radius passes 2^-4 of the limit, the series is rerun once with
-wp raised by the bits it says were lost. The Levin sweep (_levin_u)
-rounds each s_j/omega_j and 1/omega_j once in libmpf, forms every order's
-sums exactly in ints and rounds once per order.
+test runs in doubles from the ints' logs and bit lengths, within margins
+of 2^-28 of their sizes, screened from bit lengths, and _never_stops
+refuses a series that cannot stop within the cap. Each term carries a
+relative radius: a head step's from its factors' balls, a bulk step's one
+constant, as every |x q^n| <= 1/2 there and q^n's radius below min(3n, 3
+/ (1 - q - 2^-wp)) 2^-wp; an argument known only to within a relative
+radius (psi's w) adds it at every step and to 1/(1 - arg). The sum keeps
+the scale 2^-(wp + ss) of its largest term, its radius formed at the stop
+from sum (|t| + 1) and t's relative radius, which never falls. The
+estimate is B at the upper ends of t's, x's and arg's balls plus the
+radius of V (_tail_sum's in doubles) and its rounding to mpf. Where that
+radius passes 2^-4 of the limit, the series is rerun once with wp raised
+by the bits it says were lost. The Levin sweep (_levin_u) rounds each
+s_j/omega_j and 1/omega_j once in libmpf, forms every order's sums exactly
+in ints and rounds once per order.
 """
 
 from __future__ import annotations
@@ -95,15 +102,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from math import exp, expm1, inf, log, log1p, prod
+from math import ceil, exp, expm1, floor, inf, log, log1p, prod
 from operator import mul
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_rdiv_int, mpf_shift, mpf_sub,
-                          round_ceiling, to_float)
+                          mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_mul_int,
+                          mpf_rdiv_int, mpf_shift, mpf_sub, round_ceiling,
+                          to_float)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import (
@@ -596,20 +603,36 @@ def _log1m(z, pos) -> float:
 def _never_stops(nums, dens, q_, arg_, digits, n) -> bool:
     """True where _ratio_kernel cannot stop within n terms, from the raw
     mpfs in log-space doubles. If every term ratio |arg prod (1 - u q^k) /
-    prod (1 - b q^k)| is at least 1 for k <= n, |V_k| <= (k + (1 + L1) / (1
-    - |arg|)) |t_k| and |t_k| >= 1, so a stop at k needs E <= tol (k + 1 +
-    L1), while E - tol L1 >= L2 - tol^2 / 2 > tol (k + 1) where sum c^2
-    q^(2n) / (2 (1 - q^2)) > tol (n + 2). Each log|1 - u q^k| is monotone in
-    k unless a numerator's factor may vanish. Margins of 2^-20 and 2^-28 (1
-    + |log u| + n log(1/q)) cover the doubles' rounding."""
+    prod (1 - b q^k)| is at least 1 for k <= n, |t_k| >= 1 and |V| <= (k +
+    E) |t_k| + B at x = q^k, E = e^(L1(x) + L2(x)) / (1 - |arg|) and B the
+    bound, so a stop needs e^h <= tol (n + 1) / (1 - tol), h = log(B / (E
+    |t_k|)) >= (a + 2b - n - 1) v + (a/2 + 2b) v^2 - log v at y = x e^v, a
+    = |d| x / (1-q), b = sum c^2 x^2 / (2 (1 - q^2)), x = q^n. Each log|1 -
+    u q^k| is monotone in k unless a numerator's factor may vanish. Margins
+    of 2^-20, 2^-28 (1 + |log u| + n log(1/q)) and 2^-48 sum |c| (in d)
+    cover the doubles' rounding."""
     iq = _inv_one_minus(q_, 64)
     lq = _log_inv_q(q_, iq, 64)
     logs = [(_ln(c), not c[0], i < len(nums))
             for i, c in enumerate(nums + dens) if c[1]]
-    top = max(lc for lc, _, _ in logs)
-    l2 = (2 * top + log(sum(exp(2 * (lc - top)) for lc, _, _ in logs))
-          - 2 * n * lq + log(iq) - 65 * _LN2 - log1p(to_float(q_)))
-    if l2 <= log(n + 2) - digits * _LN10 + 2 ** -20 + 2 ** -28 * n * lq:
+    top, l1 = max(lc for lc, _, _ in logs), log(iq - 1) - 64 * _LN2 - n * lq
+    if top + l1 < -50:
+        return False  # a + 2b is far below n + 1
+    fs = [to_float(c) for c in nums + dens] if top < 690 else [0]
+    d = abs(sum(fs[len(nums):]) - sum(fs[:len(nums)])) - 2 ** -48 * sum(
+        map(abs, fs))
+    a = exp(min(300, log(d) + l1)) if d > 0 else 0
+    b = exp(min(300, 2 * top + log(sum(exp(2 * (lc - top)) for lc, _, _ in
+                                       logs)) + l1 - n * lq
+                - log1p(to_float(q_)) - _LN2))
+    al, be = a + 2 * b - n - 1, a / 2 + 2 * b
+    # least at v = (sqrt(al^2 + 8 be) - al) / (4 be), and at least 1/2 +
+    # log(2 be) / 2 where al >= 0
+    v = ((al * al + 8 * be) ** 0.5 - al) / (4 * be) if be and al < 0 else 1
+    h = (al * v + be * v * v - log(v) if al < 0 else 0.5 + log(2 * be) / 2
+         if be else -inf)
+    if h <= log(n + 1) - digits * _LN10 + 2 ** -20 + 2 ** -28 * (
+            abs(top) + n * lq + abs(h)):
         return False
     ratio = _ln(arg_)
     for lc, pos, num in logs:
@@ -650,36 +673,86 @@ def _head_step(T, sh, e, A, D0, xs, raws, m, QN, rQ, n, q_, prec, wp):
             sh + shift, e + (e >> wp) + 2)
 
 
-def _closure_bound(cs, qn, iq, iq2, du, bits, wp):
-    """E 2^wp rounded up, E = expm1(L1 + L2) - L1 (module docstring), from
-    upper bounds on every |c|, q^n, 1/(1-q), 1/(1-q^2) and |d|, times 2^wp,
-    or None where some |c| q^n may reach 1 or E 2^wp reaches the given bit
-    length. Below y = L1 + L2 = 2^-7, E = L2 + g(y), g(y) = expm1(y) - y <=
-    y^2 / (2 - 2y/3); above, E = expm1(y) - L1 >= y expm1(y) / 3, expm1 from
-    e^x <= (2 + x)/(2 - x) at x = y 2^-j < 2^-16 squared j times (Pade),
-    whose slack (y + 1) 2^-32 / 12 of e^y is then small in E."""
-    one = 1 << wp
-    L2 = 0
-    for c in cs:
-        x = -(-c * qn >> wp)
-        if x >= one:
-            return None
-        L2 -= -x * x * iq2 // ((one - x) << wp + 1)
-    L1 = -(-du * qn * iq >> 2 * wp)
-    Y = L1 + L2
-    if Y < one >> 7:
-        E = L2 - (-3 * Y * Y // (6 * one - 2 * Y))
-    else:
-        j = Y.bit_length() - wp + 16
-        two = 1 << wp + j + 1
-        E = -((-(two + Y) << wp) // (two - Y))
-        # expm1(y) at bits + 9 bits puts E at bits or more
-        while j and (E - one).bit_length() < bits + 9:
-            E, j = -(-E * E >> wp), j - 1
-        if j:
-            return None
-        E -= one + L1
-    return E if E.bit_length() < bits else None
+def _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K, sc, wp):
+    """sum_(k<=K) sigma_k (module docstring) as a ball at 2^-wp, its radius
+    None past the doubles' range: x = q^n the ball (QN, rQ), arg the ball
+    (Z, rZ) and the first m xs the nums. a_j and b_j are balls; the rest
+    runs on midpoints, arg q^i within dz = rZ + 2K units, with the radius in
+    doubles: e_k <= ((r(b_k) + sum_j ((|c_jk| + d_j) e_(k-j) + d_j
+    |sigma_(k-j)|) + |sigma_k| dz) g + 1) / (1 - dz g 2^-wp), c_jk = a_j arg
+    q^(k-j) - b_j within d_j units and g = 1 / (|1 - arg q^k| - dz units),
+    |x| 2^-wp rounded up as ((|x| >> s) + 1) 2^(s - wp), s = max(wp - 60,
+    0), all in units of 2^sc. The radii are sums and products of
+    nonnegative doubles, so 1 + 2^-20 covers their rounding."""
+    one, polys, p = 1 << wp, [], min(max(m, len(xs) - m), K)
+    for group in (xs[:m], xs[m:]):
+        P, R = [one] + [0] * p, [0] * (p + 1)
+        for i, X in enumerate(group, 1):
+            V, rV = X * QN >> wp, -(-(abs(X) * rQ + QN + rQ) >> wp) + 1
+            for j in range(min(i, p), 0, -1):
+                R[j] += (abs(V) * R[j - 1] + abs(P[j - 1]) * rV
+                         + rV * R[j - 1] >> wp) + 2
+                P[j] -= V * P[j - 1] >> wp
+        polys += P, R
+    (a, ra, b, rb), sft = polys, max(wp - 60, 0)
+    scl, unit = 2.0 ** (sft - wp), 2.0 ** -min(sc, 1000)
+    dz, eps = rZ + 2 * K, 2.0 ** -min(wp, 1000)
+    ds = [(abs(A) * dz + r * (abs(Z) + rZ + dz)) / one + 1 + rB
+          for A, r, rB in zip(a, ra, rb)]
+    ws, sig, sf, errs = [Z], [], [], []
+    for k in range(K + 1):
+        N, e = (b[k] << wp, rb[k] * unit) if k <= p else (0, 0)
+        for j in range(1, min(k, p) + 1):
+            c = (a[j] * ws[k - j] >> wp) - b[j]
+            N += c * sig[k - j]
+            e += ((((abs(c) >> sft) + 1) * scl + ds[j] * eps) * errs[k - j]
+                  + ds[j] * sf[k - j])
+        D = one - ws[k]
+        sig.append(N // D)
+        sf.append(((abs(sig[k]) >> sft + sc) + 1) * scl
+                  if sig[k].bit_length() < wp + sc + 960 else inf)
+        g = 1 / (((abs(D) - dz) >> sft) * scl)
+        errs.append(((e + sf[k] * dz) * g + unit) / (1 - dz * g * eps))
+        ws.append(ws[k] * Q >> wp)
+    r = sum(errs) * (1 + 2 ** -20)
+    return sum(sig), _ceil_shift(ceil(r * 2 ** 60), 60 - sc) + 1 if (
+        r < inf) else None
+
+
+def _need(C, lxi, A1, A2, h2, ws, u, n):
+    """The least real K + 1 >= 1 with (K + 1) v >= C + L(v) for a v =
+    log(y/x) in (0, -lxi), lxi = log(max |c| x): L(v) = A1 u + h2 sum s^2 /
+    (1 - s) - log(1 - e^-v) + mu, s = w u, u = e^(lxi + v), mu = 2^-28 (1 +
+    |C| + L / (1 - u) + (n + 1) (v - lxi)) for the doubles' rounding. min
+    (C + L) / v lies at the root of v L' - C - L, which grows with v: taken
+    after one Newton step, kept within [v/2, (v + hi) / 2], hi = min(-lxi,
+    700), from u, or from the u best for A1 u + A2 u^2 or for the pole's
+    share of L alone; or 1 at a v that reaches 1. Returns it with the v, L
+    and u it was taken at."""
+    r = ((n + 1) / A2) ** 0.5
+    u = u or min(2 * (n + 1) / (A1 + (A1 * A1 + 8 * A2 * (n + 1)) ** 0.5),
+                 r / (1 + r))
+    hi, v = min(-lxi, 700), log(u) - lxi
+    v = v if 0 < v < hi * (1 - 2 ** -20) else hi / 2
+    for last in (False, True):
+        u, e = exp(lxi + v), expm1(v)
+        f1 = f2 = A1 * u
+        L = f1 + log1p(1 / e)
+        for w in ws:
+            s = w * u
+            d = 1 / (1 - s)
+            t = h2 * s * s * d
+            L, f1, f2 = (L + t, f1 + t * (2 - s) * d,
+                         f2 + t * (4 - 3 * s + s * s) * d * d)
+        L += 2 ** -28 * (1 + abs(C) + L / (1 - u) + (n + 1) * (v - lxi))
+        if C + L <= v:
+            return 1, v, L, u
+        step = 0 if last else (v * (f1 - 1 / e) - C - L) / (
+            v * (f2 + (e + 1) / (e * e)))
+        if abs(step) < 2 ** -10 * v:
+            break
+        v = max(min(max(v - step, v / 2), (v + hi) / 2), 2 ** -40)
+    return (C + L) / v, v, L, u
 
 
 def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
@@ -694,22 +767,19 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
     Q = _fixed(q_, wp)
     # arg = A 2^-(wp + ea) with 2^(wp-1) <= |A| < 2^wp: a term carries its
     # own scale 2^-(wp + sh), and each step adds ea to sh; A is exact, and
-    # arg's relative radius is eA
+    # arg's relative radius is eA; Z is arg at 2^-wp, with its radius
     ea = -_mag(arg_)
     A = _fixed(arg_, wp + ea)
     eA = _ceil_shift(arg_ulps, prec - wp)
+    Z = _fixed(arg_, wp)
+    rZ = -(-(abs(Z) + 1) * eA >> wp) + 1
     # the next term is T A prod(num factors) // (D0 prod(den factors))
     shift = (m + 1 - len(dens)) * wp
     A, D0 = (A << -shift, 1) if shift < 0 else (A, 1 << shift)
-    # the stop test's upper bounds on |x|, |d|, 1/(1-q), 1/(1-q^2) and 1/(1
-    # - |arg|), times 2^wp, DD = d 2^wp within a unit a parameter; 1 - arg
-    # is exactly oma 2^aexp, and H = h 2^wp, h = arg / (1 - q arg), floored
-    cs, DD = [abs(X) + 1 for X in xs], sum(xs[m:]) - sum(xs[:m])
+    # 1 - arg is exactly oma 2^aexp
     neg, am, aexp, _ = arg_
-    iq, ia = _inv_one_minus(q_, wp), _inv_one_minus(arg_, wp)
-    du, iq2 = abs(DD) + len(xs), -(-iq << wp) // (one + Q)
-    oma, sa = (1 << -aexp) + (am if neg else -am), -am if neg else am
-    H = (sa << wp - q_[2]) // ((1 << -q_[2] - aexp) - q_[1] * sa)
+    oma = (1 << -aexp) + (am if neg else -am)
+    iq = _inv_one_minus(q_, wp)
     # q^n's radius stays below rQ: rQ_(n+1) <= rQ_n (Q + 1) 2^-wp + 3, so
     # rQ_n <= 3n, and below 3 2^wp / (2^wp - Q - 1) where that is positive
     rQ = min(3 * max_terms + 3, -(-3 << wp) // max(one - Q - 1, 1))
@@ -717,61 +787,98 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
     # least 1/2 and has a relative radius of at most 3 times its radius: at
     # most (|X| + 1) rQ 2^-wp + 2 rounded up (q^n <= 1), so that a bulk
     # step's factors and A have f <= eA + 9k + 3 XK rQ 2^-wp over the k
-    # parameters, XK = sum cs, and f + f^2 together
+    # parameters, XK = sum (|X| + 1), and f + f^2 together
     lq = _log_inv_q(q_, iq, wp)
     head = max([int(min(max_terms + 1, log(2 * c) / lq + 2)) for c in
                 map(abs, map(to_float, nums + dens)) if c > 0.5], default=0)
     low = wp + len(xs) + 3
+    cs = [abs(X) + 1 for X in xs]
     f = eA + 9 * len(xs) - 3 * (-sum(cs) * rQ >> wp)
     f -= -f * f >> wp
-    # the stop test (module docstring), M = max(|V| TEN, 2^wp), runs where
-    # bit lengths allow it: with 2^(e-1) <= |t| 2^wp < 2^e, 2^(bq-1) <= qn
-    # = (q^n + rQ 2^-wp) 2^wp < 2^bq and |S| < 2^sb, E 2^wp >= qn^2 K2
-    # 2^-5wp, K2 from L2 and y^2 / 2 >= L1^2 / 2, |kappa| < 2^(bq + lk)
-    # and |V| < 2^(max(sb, e + ab - wp + max(0, bq + lk)) + 2); E 2^wp fails
-    # it from M's bit length - e + lb bits on
-    TEN = 10 ** digits
-    TEN2, pb, ab = TEN * TEN, TEN.bit_length(), ia.bit_length()
-    K2 = (sum(c * c for c in cs) * iq << wp) + 2 * (du * iq) ** 2 >> 2
-    screen = 7 * wp + 7 - ab - 2 * pb - K2.bit_length()
-    ls, la, lb = pb + 1, ab - wp + pb + 1, 2 * wp + 5 - ab - 2 * pb
-    lk = du.bit_length() + iq.bit_length() + 1 - 3 * wp
-    # S with its radius, T with its relative radius, and q^n
-    S, rS, T, rel, QN, sh = 0, 0, one, 0, one, 0
+    # the stop test's doubles: logs of upper bounds on every |c|, 1/(1-q)
+    # and 1/(1 - |arg|) over arg's ball, w = |c| / max |c|, L1 = A1 u and
+    # L2 = h2 sum (w u)^2 / (1 - w u) >= A2 u^2 at u = max |c| y; no stop
+    # where 1/(1-q) passes the doubles' range
+    lcs, lqi = [log(c) - wp * _LN2 for c in cs], log(iq) - wp * _LN2
+    lcm, ltol = max(lcs) if lqi < 700 else inf, -digits * _LN10
+    ws, iqd = [exp(lc - lcm) for lc in lcs], exp(min(lqi, 700))
+    lz = log(_inv_one_minus(arg_, wp, eA)) - wp * _LN2
+    h2, bia = iqd / (2 + 2 * Q / one), wp + int(lz / _LN2) + 2
+    A1 = exp(log(abs(sum(xs[m:]) - sum(xs[:m])) + len(xs)) - wp * _LN2
+             - lcm) * iqd
+    A2 = h2 * sum(w * w for w in ws)
+    # S at 2^-(wp + ss), ss the least sh so far, with U and F below; T with
+    # its relative radius, q^n, the last step's need and u, the last K
+    # whose tail radius was too wide
+    S, U, F, ss, T, rel, QN, sh = 0, 0, 0, 0, one, 0, one, 0
+    last, uw, kf = inf, None, inf
     ups, downs = xs[:m], xs[m:]
     for n in range(max_terms + 1):
-        bt = T.bit_length()
-        e = bt - sh
-        bq = (QN + rQ).bit_length()
-        d = 2 * bq + e - screen
-        if (d <= wp or d <= S.bit_length() + ls or d <= e + la
-                or d <= e + la + bq + lk):
-            # V = s + t / (1 - arg) (1 + kappa), kappa 2^wp = DD QN H 2^-2wp
-            CL = _shift(T << -aexp, sh) // oma
-            V = S + CL + (CL * (DD * H * QN >> 2 * wp) >> wp)
-            M = max(abs(V) * TEN, one)
-            EL = _closure_bound(cs, QN + rQ, iq, iq2, du,
-                                M.bit_length() - e + lb, wp)
-            if EL is not None:
-                ERR = -(-EL * abs(T) * ia >> wp)
-                if -_shift(-ERR * TEN2, wp + sh) <= M:
-                    break
-        # the term is below (|t| + 1) 2^-wp, its radius below rel times
-        # that, and t's floor adds 1; for sh < 0, t = T 2^-sh exactly and
-        # the radius is formed from T's wp bits, then shifted once, as t
-        # has far more bits than T when the terms grow
-        t = _shift(T, sh)
-        S += t
-        rS += (-(-(abs(t) + 1) * rel >> wp) + 1 if sh >= 0
-               else _ceil_shift((abs(T) + 1) * rel, wp + sh))
+        bt, need, gs = T.bit_length(), inf, n * lq * (1 + 2 ** -28) - lcm
+        # need <= n + 2 needs (n + 2) gs >= C = log(|t| / ((1 - |arg|) tol
+        # M)), screened from bit lengths (|V1| < 2^bv); x <= q^n <= e^(-n lq
+        # (1 - 2^-28)), log(1 + r) <= r
+        if gs > 0 and (n + 2) * gs >= (bt - 1 - wp - sh) * _LN2 + lz - max(
+                (max(S.bit_length(), bt + ss - sh + bia - wp) + 1 - wp - ss)
+                * _LN2, ltol) - ltol and n * lq * (1 - 2 ** -28) > lcm:
+            lt = (log(abs(T)) + _ceil_shift(rel, wp - 60) * 2.0 ** -60
+                  - (wp + sh) * _LN2)
+            V = S + _shift(T << -aexp, sh - ss) // oma
+            need, v, L, uw = _need(
+                lt + lz - ltol - max(log(abs(V)) - (wp + ss) * _LN2 if V
+                                     else ltol, ltol),
+                lcm - n * lq * (1 - 2 ** -28), A1, A2, h2, ws, uw, n)
+        # stop where the last step lowered the need by at most 2, and the
+        # tail sum's radius, which grows with K as its terms' majorant does,
+        # does not pass the limit by more than a factor 2^wp (a rerun that
+        # more than doubles wp): where it does, the next try waits for half
+        # that K
+        K = max(0, ceil(min(need, n + 1)) - 1)
+        if (need <= n + 1 and last - need <= 2 and n + K <= max_terms
+                and 2 * K <= kf):
+            # |sigma_k| <= e^(L + lz) on the Cauchy circle
+            G, rG = _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K,
+                              max(0, int((L + lz) / _LN2) - 900), wp)
+            d, lb = wp + sh - ss, lt - (K + 1) * v + L + lz
+            V = S + _shift(T * G, d)
+            lv = log(abs(V)) - (wp + ss) * _LN2 if V else ltol
+            lim = ltol + max(lv, ltol) - 2 ** -28 * (1 + abs(lv) - ltol)
+            # the tail's radius, t's and G's balls and the product's floor
+            rt = _ceil_shift(-(-abs(T) * rel >> wp) * (abs(G) + rG)
+                             + abs(T) * rG, d) + 1 if rG is not None else 0
+            if not rt or log(rt) - (wp + ss) * _LN2 > lim + wp * _LN2:
+                kf = K
+            elif lb <= lim:
+                # with the sum's radius and V's rounding; e^lb rounded up
+                # from its double's 53 bits to S's units
+                rad = rt - (-U * rel >> wp) + F + _ceil_shift(abs(V), prec)
+                e = floor(lb / _LN2)
+                trunc = _ceil_shift(int(2 ** (lb / _LN2 - e + 53)) + 1,
+                                    53 - e - wp - ss)
+                return (from_man_exp(V, -wp - ss, prec, RN),
+                        from_man_exp(rad + trunc, -wp - ss, prec,
+                                     round_ceiling), n + K + 1,
+                        from_man_exp(rad, -wp - ss, prec, round_ceiling))
+        last = need if need <= n + 2 else inf
+        # the term at S's scale, rescaling S first where the term is larger:
+        # floored below (|t| + 1), its radius below rel times that, and t's
+        # floor adds 1, so that S and t keep about wp bits however large
+        # the terms get; as rel never falls, the sum's radius is at most
+        # U rel 2^-wp + F, U = sum (|t| + 1) and F the floors' units
+        if sh < ss:
+            U, F = _ceil_shift(U, ss - sh), _ceil_shift(F, ss - sh) + 1
+            S, ss = S >> ss - sh, sh
+        t = T >> sh - ss
+        S, U, F = S + t, U + abs(t) + 1, F + 2
         if n < head:
-            T, sh, rel = _head_step(T, sh, _rel(rel, eA, wp), A, D0, xs,
-                                    nums + dens, m, QN, rQ, n, q_, prec, wp)
+            T, sh, e = _head_step(T, sh, _rel(rel, eA, wp), A, D0, xs,
+                                  nums + dens, m, QN, rQ, n, q_, prec, wp)
             if not T and n < max_terms:
                 # a numerator factor vanished; every later term carries it
-                rad = from_man_exp(rS + _ceil_shift(abs(S), prec), -wp, prec,
-                                   round_ceiling)
-                return from_man_exp(S, -wp, prec, RN), rad, n + 1, rad
+                rad = from_man_exp(-(-U * rel >> wp) + F + _ceil_shift(
+                    abs(S), prec), -wp - ss, prec, round_ceiling)
+                return from_man_exp(S, -wp - ss, prec, RN), rad, n + 1, rad
+            rel = e
         else:
             if bt < low:
                 # keep T at 2^wp or more after the step
@@ -788,47 +895,19 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
             rel += (rel >> wp) + 2
         sh += ea
         QN = QN * Q >> wp
-    else:
-        raise CapExceededError(f"series not certified within {max_terms} "
-                               f"terms")
-    # in units of 2^-(2wp + sh), in which 2^-wp is 2^fine: the closure's
-    # bound at the upper ends of t's and arg's balls, and the radius of V:
-    # the sum's; CL's floor and ball (t's and 1/(1 - arg)'s relative
-    # radii); kappa's ball from d's, q^n's and h's (h's floor, and arg's
-    # radius through arg and 1/(1 - q arg)) and its floor, times CL's, and
-    # the product's floor; and the rounding to mpf
-    T, ia2, fine = abs(T), _inv_one_minus(arg_, wp, eA), wp + sh
-    ua, DH = -(-eA * ia2 >> wp), abs(DD * H)
-    rH = _ceil_shift((abs(H) + 1) * _rel(_rel(eA, ua, wp), ua, wp), wp) + 1
-    rK = -(-(du * (QN + rQ) * (abs(H) + rH) - DH * QN) >> 2 * wp) + 1
-    rCL = _ceil_shift(T * ia * _rel(rel, ua, wp), wp) + _ceil_shift(1, -fine)
-    trunc = -(-EL * (T + _ceil_shift(T * rel, wp)) * ia2 >> wp)
-    rad = (_ceil_shift(rS + 1, -fine) + rCL + _ceil_shift(abs(V), prec - fine)
-           + _ceil_shift(rCL * ((DH * QN >> 2 * wp) + 1 + rK)
-                         + _ceil_shift(abs(CL), -fine) * rK, wp))
-    scale = -2 * wp - sh
-    return (from_man_exp(V, -wp, prec, RN),
-            from_man_exp(trunc + rad, scale, prec, round_ceiling), n + 1,
-            from_man_exp(rad, scale, prec, round_ceiling))
+    raise CapExceededError(f"series not certified within {max_terms} terms")
 
 
 def _ratio_series(num_params, den_params, q, arg, ctx, arg_ulps=0):
     """Sum over n >= 0 of prod (num;q)_n / prod (den;q)_n * arg^n for |arg|
-    < 1; terms_used counts the terms summed plus the closing term. phi passes
-    q as its first den parameter, for the (q;q)_n.
-
-    Terms are generated by the one-step recurrence t_{k+1} = arg r_k t_k,
-    r_k = prod (1 - num q^k) / prod (1 - den q^k), in fixed point
-    (_ratio_kernel). The tail from t_n on is closed to second order in
-    q^n (module docstring): the sum stops at the first n where err = E
-    |t_n| / (1 - |arg|) <= tol * max(|V|, tol), tested in the kernel's ints
-    with err rounded up, and returns V with err plus the kernel's radius as
-    its certified estimate. An arg known only to within a relative arg_ulps
-    2^-prec carries that radius into every term and the closure.
+    < 1, phi passing q as its first den parameter, for the (q;q)_n: the
+    terms t_(k+1) = arg r(q^k) t_k in fixed point (_ratio_kernel) up to the
+    stop n, closed by K Taylor terms of the tail (module docstring), with
+    terms_used = n + K + 1 and the closure's bound plus the kernel's radius
+    as the certified estimate. An arg known only to within a relative
+    arg_ulps 2^-prec carries that radius into every term and the closure.
     """
-    prec = mp.prec
-    tol = ctx.tail_tol()
-    max_terms = ctx.max_terms
+    prec, max_terms = mp.prec, ctx.max_terms
     nums, dens = [u._mpf_ for u in num_params], [b._mpf_ for b in den_params]
     if _never_stops(nums, dens, q._mpf_, arg._mpf_, ctx.digits, max_terms):
         raise CapExceededError(f"series cannot be certified within "
@@ -837,10 +916,12 @@ def _ratio_series(num_params, den_params, q, arg, ctx, arg_ulps=0):
     kernel = (nums, dens, q._mpf_, arg._mpf_, arg_ulps, ctx.digits,
               max_terms, prec)
     value, err, used, rad = _ratio_kernel(*kernel, wp)
-    limit = (tol * max(abs(mp.make_mpf(value)), tol))._mpf_
-    if mpf_gt(rad, mpf_shift(limit, -4)):
+    # log(tol max(|V|, tol)) and log(rad) in doubles
+    ltol = -ctx.digits * _LN10
+    lim = ltol + max(_ln(value) if value[1] else ltol, ltol)
+    if rad[1] and _ln(rad) > lim - 4 * _LN2:
         # cancellation: rerun once with the bits the radius says were lost
-        wp += _mag(rad) - _mag(limit) + 6
+        wp += ceil((_ln(rad) - lim) / _LN2) + 7
         value, err, used, _ = _ratio_kernel(*kernel, wp)
     return SeriesValue(mp.make_mpf(value), mp.make_mpf(err), used, True)
 

@@ -3,6 +3,8 @@ custom bounded sums, and acceleration."""
 
 import functools
 import itertools
+import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -522,15 +524,25 @@ def test_phi_far_above_the_fixed_point_scale(ctx40):
 def test_psi_growing_head_terms_fail_fast():
     # the negative half has upper parameters near 1e270 and argument about
     # -6e-263: its terms grow by up to 1e270 a step until c q^n < 1 near n =
-    # 29,000, and each is kept at about wp bits, so the cap is reached in
-    # linear, not quadratic, time
-    start = time.process_time()
-    with pytest.raises(CapExceededError):
-        psi_bilateral([0.6588746115419815, 9.004478993653168e-09],
-                      [5.520942258610341e-271, 7.385324949087026e-271],
-                      0.9789538883489872, -1.0955444237645575e-270,
-                      PrecisionCtx(20, max_terms=1000))
-    assert time.process_time() - start < 1
+    # 29,000; the screen refuses it at once, and the kernel itself keeps
+    # each term and the sum at about wp bits, so that it reaches a cap of
+    # 1,000 or 4,000 in linear, not quadratic, time
+    a = [0.6588746115419815, 9.004478993653168e-09]
+    b = [5.520942258610341e-271, 7.385324949087026e-271]
+    q, z = 0.9789538883489872, -1.0955444237645575e-270
+    for cap in (1000, 4000):
+        ctx = PrecisionCtx(20, max_terms=cap)
+        start = time.process_time()
+        with pytest.raises(CapExceededError):
+            psi_bilateral(a, b, q, z, ctx)
+        with ctx.working(), pytest.raises(CapExceededError):
+            q_, w = mpf(q), mpf(b[0]) * mpf(b[1]) / (mpf(z) * a[0] * a[1])
+            nums = [(q_ * q_ / mpf(x))._mpf_ for x in b]
+            dens = [(q_ * q_ / mpf(x))._mpf_ for x in a]
+            qcore._ratio_kernel(nums, dens, q_._mpf_, w._mpf_, 6, 20, cap,
+                                mp.prec,
+                                qcore._working_bits(mp.prec, nums + dens))
+        assert time.process_time() - start < 1, cap
 
 
 @pytest.mark.parametrize("q", ["1e-17", "1e-80", "1e-400"])
@@ -590,36 +602,91 @@ def test_geometric_closure_is_sound(digits):
             assert v.terms_used < 1000, (label, v.terms_used)
 
 
+def _tail_terms(num_params, den_params, q, arg, x, K):
+    """sigma_0..sigma_K of the tail T(x) = 1 + arg r(x) T(q x) in mpf, by
+    sigma_k (1 - arg q^k) = b_k + sum_j (a_j arg q^(k-j) - b_j) sigma_(k-j),
+    a_j and b_j the coefficients of w^j in prod (1 - u x w) and prod (1 - b
+    x w)."""
+    polys = []
+    for group in (num_params, den_params):
+        coeffs = [mpf(1)]
+        for c in group:
+            coeffs = [p - c * x * r for p, r in
+                      zip(coeffs + [mpf(0)], [mpf(0)] + coeffs)]
+        polys.append(coeffs)
+    (a, b), sig, zq = polys, [], [arg]
+    p = max(len(a), len(b)) - 1
+    a, b = a + [0] * (p + 1 - len(a)), b + [0] * (p + 1 - len(b))
+    for k in range(K + 1):
+        total = b[k] if k <= p else mpf(0)
+        for j in range(1, min(k, p) + 1):
+            total += (a[j] * zq[k - j] - b[j]) * sig[k - j]
+        sig.append(total / (1 - zq[k]))
+        zq.append(zq[k] * q)
+    return sig
+
+
+def _least_need(C, cs, d, q, x, n):
+    """min over 0 < v < log(1 / (max|c| x)) of (C + L(v)) / v, at least 1,
+    by golden section in doubles: L(v) = |d| y / (1-q) + sum c^2 y^2 / (2
+    (1 - q^2) (1 - |c| y)) - log(1 - x/y) at y = x e^v, plus the kernel's
+    margin 2^-28 (1 + |C| + L / (1 - max|c| y) + (n + 1) log(y / (max|c|
+    x))) for its doubles' rounding. Returns it with its v and L."""
+    cm, q, x = max(cs), float(q), float(x)
+
+    def big_l(v):
+        y = x * math.exp(v)
+        L = (d * y / (1 - q) - math.log(-math.expm1(-v))
+             + sum(c * c * y * y / (2 * (1 - q * q) * (1 - c * y))
+                   for c in cs))
+        return L + 2 ** -28 * (1 + abs(C) + L / (1 - cm * y)
+                               + (n + 1) * (v - math.log(cm * x)))
+
+    lo, hi = 0.0, -math.log(cm * x)
+    g = (math.sqrt(5) - 1) / 2
+    for _ in range(100):
+        v1, v2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        if (C + big_l(v1)) / v1 <= (C + big_l(v2)) / v2:
+            hi = v2
+        else:
+            lo = v1
+    v = (lo + hi) / 2
+    return max(1.0, (C + big_l(v)) / v), v, big_l(v)
+
+
 def _ratio_series_every_term(num_params, den_params, q, arg, ctx):
-    """Reference loop that builds the second-order closure at every term:
-    V = s + t / (1 - arg) (1 + d q^n arg / (1 - q arg)), d = sum den - sum
-    num, within E |t| / (1 - |arg|), E = expm1(L1 + L2) - L1 with L1 = |d|
-    q^n / (1 - q) and L2 = sum c^2 q^2n / (2 (1 - q^2) (1 - |c| q^n))."""
-    tol = ctx.tail_tol()
-    cs = [abs(c) for c in num_params + den_params]
-    d = sum(den_params) - sum(num_params)
-    s_val = mpf(0)
-    qn = mpf(1)
-    n = 0
-    t = mpf(1)
-    while True:
+    """Reference loop of the Taylor closure's stop rule, the terms and sums
+    in mpf and the rule in doubles: need(n), the least real K + 1 with |t|
+    (x/y)^(K+1) e^L / (1 - |arg|) <= tol max(|V1|, tol) at x = q^n, V1 = s
+    + t / (1 - arg), minimised over y wherever every |c| x < 1; the sum
+    stops at the first n with need(n) <= n + 1 and need(n - 1) <= min(n +
+    1, need(n) + 2), once that bound at K = ceil(need) - 1 meets tol
+    max(|V|, tol), V = s + t sum_(k<=K) sigma_k."""
+    ltol = -ctx.digits * math.log(10)
+    cs = [abs(float(c)) for c in num_params + den_params]
+    d = abs(float(sum(den_params) - sum(num_params)))
+    lz = -math.log(1 - abs(float(arg)))
+    s, t, qn, last = mpf(0), mpf(1), mpf(1), math.inf
+    for n in itertools.count():
         if t == 0:
-            return SeriesValue(s_val, mpf(0), n, True)
-        value = s_val + t / (1 - arg) * (1 + d * qn * arg / (1 - q * arg))
-        limit = tol * max(abs(value), tol)
-        xs = [c * qn for c in cs]
-        if all(x < 1 for x in xs):
-            l1 = abs(d) * qn / (1 - q)
-            l2 = mpf(0)
-            for x in xs:
-                l2 += x * x / (2 * (1 - q * q) * (1 - x))
-            # expm1(y) - L1 is about y^2 / 2: as many more bits as y lacks
-            with mp.workprec(mp.prec + max(0, -mp.mag(l1 + l2)) + 10):
-                e = mp.expm1(l1 + l2) - l1
-            err = e * (abs(t) / (1 - abs(arg)))
-            if err <= limit:
-                return SeriesValue(value, err, n + 1, True)
-        s_val += t
+            return SeriesValue(s, mpf(0), n, True)
+        need = math.inf
+        if max(cs) * float(qn) < 1:
+            v1 = s + t / (1 - arg)
+            lt = float(mp.log(abs(t)))
+            C = lt + lz - ltol - max(
+                float(mp.log(abs(v1))) if v1 else ltol, ltol)
+            need, v, L = _least_need(C, cs, d, q, qn, n)
+        if need <= n + 1 and last - need <= 2:
+            K = max(0, math.ceil(need) - 1)
+            value = s + t * sum(_tail_terms(num_params, den_params, q, arg,
+                                            qn, K))
+            lb = lt - (K + 1) * v + L + lz
+            lv = float(mp.log(abs(value))) if value else ltol
+            if lb <= ltol + max(lv, ltol) - 2 ** -28 * (1 + abs(lv) - ltol):
+                return SeriesValue(value, mpf(math.exp(lb)), n + K + 1, True)
+        last = need if need <= n + 2 else math.inf
+        s += t
         num = mpf(1)
         for u in num_params:
             num *= 1 - u * qn
@@ -631,7 +698,6 @@ def _ratio_series_every_term(num_params, den_params, q, arg, ctx):
             den *= f
         t = t * num / den * arg
         qn *= q
-        n += 1
 
 
 def _ratio_series_cases():
@@ -669,12 +735,12 @@ def _ratio_series_cases():
                                  PrecisionCtx(digits=100)],
                          ids=["d20", "d40", "d100"])
 def test_ratio_series_matches_every_term_reference(monkeypatch, ctx):
-    # the integer stop test bounds E from above within a relative y^2 / 36
-    # below y = 2^-7 and (y + 1) 2^-32 from there on, and is screened only
-    # where it cannot pass, so it must stop at the same term as the mpf
-    # expm1 test at every term; the fixed-point sum must lie within its
-    # estimate, rounding included, of the reference summed with 64 more
-    # bits; and phi/psi call no expm1
+    # the kernel's stop rule, its need minimised by Newton's method in
+    # doubles from the fixed point and screened only where it cannot stop,
+    # must stop at the same term and K as the reference's golden section
+    # over terms in mpf; the fixed-point sum must lie within its estimate,
+    # rounding included, of the reference summed with 64 more bits; and
+    # phi/psi call no mpmath expm1
     expm1 = mp.expm1
     calls = []
     monkeypatch.setattr(mp, "expm1", lambda x: calls.append(x) or expm1(x))
@@ -691,32 +757,73 @@ def test_ratio_series_matches_every_term_reference(monkeypatch, ctx):
                 assert abs(got.value - fine.value) <= got.err_estimate, case
 
 
-@pytest.mark.parametrize("upper, lower, q, z, digits", [
-    # d = sum den - sum num = 0 (q counts among phi's dens): the closure's
-    # first-order term vanishes, and E is expm1(L2)
-    (["0.6", "0.3"], ["0.4"], "0.5", "0.9", 40),
-    # d = q + 1.25 >= 2 as q -> 1, where L1 = |d| q^n / (1-q) dominates E
-    (["-1.5", "0.5"], ["0.25"], "0.9", "0.9", 40),
-    (["-1.5", "0.5"], ["0.25"], "0.99", "0.9", 40),
-    (["-1.5", "0.5"], ["0.25"], "0.999", "0.9", 20),
-], ids=["d0", "d2-q0.9", "d2-q0.99", "d2-q0.999"])
-def test_second_order_closure_within_its_bound(upper, lower, q, z, digits):
-    # the value s + t / (1 - z) (1 + d q^n z / (1 - q z)) lies within
-    # E |t| / (1 - |z|) plus its radius of qhyper, summed far past the stop
+@pytest.mark.parametrize("kind, upper, lower, q, z, digits", [
+    # d = sum den - sum num = 0 (q counts among phi's dens): L1 = 0
+    ("phi", ["0.6", "0.3"], ["0.4"], "0.5", "0.9", 40),
+    # d = q + 1.25 >= 2 as q -> 1, where L1 = |d| y / (1-q) dominates L
+    ("phi", ["-1.5", "0.5"], ["0.25"], "0.9", "0.9", 40),
+    ("phi", ["-1.5", "0.5"], ["0.25"], "0.99", "0.9", 40),
+    ("phi", ["-1.5", "0.5"], ["0.25"], "0.999", "0.9", 20),
+    ("phi", ["-1.5", "0.5"], ["0.25"], "0.9999", "0.9", 20),
+    # a psi whose negative half has |w| = |b/(az)| = 0.999
+    ("psi", ["0.375"], ["0.280968750"], "0.5", "0.75", 40),
+], ids=["d0", "d2-q0.9", "d2-q0.99", "d2-q0.999", "d2-q0.9999", "psi-w0.999"])
+def test_taylor_closure_within_its_bound(kind, upper, lower, q, z, digits):
+    # the value s + t sum_(k<=K) sigma_k lies within the closure's bound
+    # plus its radius of qhyper, summed far past the stop, or of Ramanujan's
+    # 1psi1 product
     ctx = PrecisionCtx(digits=digits)
     with ctx.working():
         upper, lower = [mpf(x) for x in upper], [mpf(x) for x in lower]
         q, z = mpf(q), mpf(z)
-    got = phi(upper, lower, q, z, ctx)
+    got = (phi if kind == "phi" else psi_bilateral)(upper, lower, q, z, ctx)
     with mp.workdps(digits + 30):
-        oracle = mp.qhyper(upper, lower, q, z, maxterms=10 ** 6)
+        if kind == "phi":
+            oracle = mp.qhyper(upper, lower, q, z, maxterms=10 ** 6)
+        else:
+            (a,), (b,) = upper, lower
+            oracle = (_qp60(q, q) * _qp60(b / a, q) * _qp60(a * z, q)
+                      * _qp60(q / (a * z), q)
+                      / (_qp60(b, q) * _qp60(q / a, q) * _qp60(z, q)
+                         * _qp60(b / (a * z), q)))
         assert got.certified and abs(got.value - oracle) <= got.err_estimate
 
 
 def test_readme_examples_take_second_order_terms():
-    # the second-order closure takes 67 and 7,539 terms
-    assert phi([0.5], [], 0.5, 1 - 2 ** -10).terms_used <= 70
-    assert phi([0.5], [], 0.99985, 0.5).terms_used <= 7_700
+    # the Taylor closure takes 23 and 7,551 terms
+    assert phi([0.5], [], 0.5, 1 - 2 ** -10).terms_used <= 25
+    assert phi([0.5], [], 0.99985, 0.5).terms_used <= 7_600
+
+
+def test_tail_bound_holds_past_the_taylor_terms():
+    # for random series at 80 digits, the tail sum_(k>K) sigma_k, summed
+    # from the recurrence to order 400, lies within the Cauchy bound (x/y)^
+    # (K+1) e^(L1(y) + L2(y)) / ((1 - x/y) (1 - |z|)) the kernel uses and
+    # within the majorant's (x/y)^(K+1) e^L(y) / (1 - |z|), L(y) = sum |c| y
+    # / ((1-q) (1 - |c| y))
+    rng = random.Random(11)
+    with mp.workdps(80):
+        for _ in range(60):
+            q = mpf(rng.uniform(0.05, 0.95))
+            nums = [mpf(rng.uniform(-2, 2)) for _ in range(rng.randint(1, 3))]
+            dens = [q] + [mpf(rng.uniform(-2, 2))
+                          for _ in range(rng.randint(0, 2))]
+            z = mpf(rng.uniform(-0.99, 0.99))
+            cs = [abs(c) for c in nums + dens]
+            x = mpf(rng.uniform(0.05, 0.9)) / max(cs)
+            y = x + (1 / max(cs) - x) * mpf(rng.uniform(0.1, 0.9))
+            sig = _tail_terms(nums, dens, q, z, x, 400)
+            d = abs(sum(dens) - sum(nums))
+            l1 = d * y / (1 - q)
+            l2 = sum(c * c * y * y / (2 * (1 - q * q) * (1 - c * y))
+                     for c in cs)
+            big_l = sum(c * y / ((1 - q) * (1 - c * y)) for c in cs)
+            for K in (0, 1, 3, 8, 20):
+                tail = abs(sum(sig[K + 1:]))
+                assert tail <= ((x / y) ** (K + 1) * mp.exp(l1 + l2)
+                                / ((1 - x / y) * (1 - abs(z))))
+                assert tail <= (x / y) ** (K + 1) * mp.exp(big_l) / (
+                    1 - abs(z))
 
 
 # --- psi_bilateral ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Property test of phi and psi_bilateral: random series over 0.05 <= q <=
 0.99 and |z| <= 0.999 of both signs, parameters near q^-n included, against
-mpmath's qhyper and Ramanujan's 1psi1 product at 70 digits."""
+mpmath's qhyper and Ramanujan's 1psi1 product at 70 digits; the q = 0.999
+corners against the q-binomial theorem and that product, from qcore's
+certified prodquot at 70 digits."""
 
 import random
 
@@ -45,6 +47,9 @@ def _series(draw):
 
 def _oracle(kind, q, upper, lower, z):
     def qp(x, q):
+        if q > mpf("0.998"):
+            # mpmath's qp takes tens of seconds there: the certified product
+            return qcore.prodquot([x], [], q, PrecisionCtx(digits=70)).value
         return mp.qp(x, q, maxterms=10 ** 6)
 
     if kind == "phi":
@@ -52,6 +57,10 @@ def _oracle(kind, q, upper, lower, z):
             # every term past the first carries the factor 1 - 1 q^0 = 0,
             # which qhyper's summation never sees stop
             return mpf(1)
+        if q > mpf("0.998"):
+            # the q-binomial theorem for a 1phi0, as qhyper takes seconds
+            (a,) = upper
+            return qp(a * z, q) / qp(z, q)
         return mp.qhyper(upper, lower, q, z, maxterms=10 ** 6)
     (a,), (b,) = upper, lower
     return (qp(q, q) * qp(b / a, q) * qp(a * z, q) * qp(q / (a * z), q)
@@ -69,10 +78,14 @@ with mp.workprec(128):
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(_series())
 @example(_CANCELLING)
-# the corners: terms about 1e93 at q = 0.99, and |z| = 0.999 in psi
+# the corners: terms about 1e93 at q = 0.99, |z| = 0.999 in psi, and at q
+# = 0.999 a 1phi0 with |z| = 0.999 and a psi
 @example(("phi", mpf("0.99"), [mpf("0.3"), mpf("-0.7")], [mpf("0.4")],
           mpf("0.95"), 40))
 @example(("psi", mpf("0.99"), [mpf("1.5")], [mpf("-1.3486")], mpf("-0.999"),
+          20))
+@example(("phi", mpf("0.999"), [mpf("0.375")], [], mpf("0.999"), 40))
+@example(("psi", mpf("0.999"), [mpf("1.5")], [mpf("-0.75")], mpf("-0.7"),
           20))
 def test_series_within_its_bound_or_typed_error(case):
     kind, q, upper, lower, z, digits = case
@@ -129,8 +142,8 @@ def test_campaign_series_run_their_kernel_once(monkeypatch):
 
 
 def test_campaign_series_take_second_order_terms(monkeypatch):
-    # the seed-1 campaign at 5 points sums 6,638 kernel terms under the
-    # second-order closure
+    # the seed-1 campaign at 5 points sums 3,852 kernel terms and Taylor
+    # terms under the Taylor closure (6,638 under the second-order one)
     used = []
     ratio_series = qcore._ratio_series
 
@@ -141,7 +154,7 @@ def test_campaign_series_take_second_order_terms(monkeypatch):
 
     monkeypatch.setattr(qcore, "_ratio_series", counting_series)
     run(RunConfig(points_per_identity=5, seed=1))
-    assert len(used) == 235 and sum(used) <= 7_000
+    assert len(used) == 235 and sum(used) <= 4_000
 
 
 def test_screen_never_refuses_a_certified_series():
