@@ -682,8 +682,9 @@ def _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K, sc, wp):
     |sigma_(k-j)|) + |sigma_k| dz) g + 1) / (1 - dz g 2^-wp), c_jk = a_j arg
     q^(k-j) - b_j within d_j units and g = 1 / (|1 - arg q^k| - dz units),
     |x| 2^-wp rounded up as ((|x| >> s) + 1) 2^(s - wp), s = max(wp - 60,
-    0), all in units of 2^sc. The radii are sums and products of
-    nonnegative doubles, so 1 + 2^-20 covers their rounding."""
+    0); the radii in units of 2^(sc + t), t keeping dz and the d_j within
+    the doubles' range. The radii are sums and products of nonnegative
+    doubles, so 1 + 2^-20 covers their rounding."""
     one, polys, p = 1 << wp, [], min(max(m, len(xs) - m), K)
     for group in (xs[:m], xs[m:]):
         P, R = [one] + [0] * p, [0] * (p + 1)
@@ -694,14 +695,17 @@ def _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K, sc, wp):
                          + rV * R[j - 1] >> wp) + 2
                 P[j] -= V * P[j - 1] >> wp
         polys += P, R
-    (a, ra, b, rb), sft = polys, max(wp - 60, 0)
-    scl, unit = 2.0 ** (sft - wp), 2.0 ** -min(sc, 1000)
-    dz, eps = rZ + 2 * K, 2.0 ** -min(wp, 1000)
-    ds = [(abs(A) * dz + r * (abs(Z) + rZ + dz)) / one + 1 + rB
+    # dz and the d_j in units of 2^t, and the radii in units of 2^(sc + t)
+    (a, ra, b, rb), sft, dz = polys, max(wp - 60, 0), rZ + 2 * K
+    ds = [(abs(A) * dz + r * (abs(Z) + rZ + dz)) // one + 2 + rB
           for A, r, rB in zip(a, ra, rb)]
+    t = max(0, max([dz] + ds).bit_length() - 900)
+    s, dz, ds = sc + t, (dz >> t) + 1, [(x >> t) + 1 for x in ds]
+    scl, unit, eps = 2.0 ** (sft - wp), 2.0 ** -min(s, 1000), 2.0 ** max(
+        t - wp, -1000)
     ws, sig, sf, errs = [Z], [], [], []
     for k in range(K + 1):
-        N, e = (b[k] << wp, rb[k] * unit) if k <= p else (0, 0)
+        N, e = (b[k] << wp, float(-(-rb[k] >> s))) if k <= p else (0, 0)
         for j in range(1, min(k, p) + 1):
             c = (a[j] * ws[k - j] >> wp) - b[j]
             N += c * sig[k - j]
@@ -711,12 +715,12 @@ def _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K, sc, wp):
         sig.append(N // D)
         sf.append(((abs(sig[k]) >> sft + sc) + 1) * scl
                   if sig[k].bit_length() < wp + sc + 960 else inf)
-        g = 1 / (((abs(D) - dz) >> sft) * scl)
+        g = 1 / (((abs(D) - (dz << t)) >> sft) * scl)
         errs.append(((e + sf[k] * dz) * g + unit) / (1 - dz * g * eps))
         ws.append(ws[k] * Q >> wp)
     r = sum(errs) * (1 + 2 ** -20)
-    return sum(sig), _ceil_shift(ceil(r * 2 ** 60), 60 - sc) + 1 if (
-        r < inf) else None
+    return sum(sig), _ceil_shift(ceil(r * 2 ** 60), 60 - s) + 1 if (
+        0 <= r < 2.0 ** 960) else None
 
 
 def _need(C, lxi, A1, A2, h2, ws, u, n):

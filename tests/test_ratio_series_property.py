@@ -87,6 +87,10 @@ with mp.workprec(128):
 @example(("phi", mpf("0.999"), [mpf("0.375")], [], mpf("0.999"), 40))
 @example(("psi", mpf("0.999"), [mpf("1.5")], [mpf("-0.75")], mpf("-0.7"),
           20))
+# a and b near 1e-293 put the negative half's parameters near 1e293, so its
+# wp is about 1,100 bits, far above prec, and w's radius about 2^975 units
+@example(("psi", mpf("0.5"), [mpf("1.367041972620658e-293")],
+          [mpf("3.4176049315516451e-294")], mpf("0.5"), 20))
 def test_series_within_its_bound_or_typed_error(case):
     kind, q, upper, lower, z, digits = case
     evaluate = phi if kind == "phi" else psi_bilateral
