@@ -31,13 +31,14 @@ second-order closure t / (1 - arg) (1 + d x arg / (1 - q arg)), d = sum b
 puts V = s + t sum_(k<=K) sigma_k within B = |t| (x/y)^(K+1) e^(L1 + L2)
 / ((1 - x/y) (1 - |arg|)) for x < y < 1 / max |c| (Mezzarobba & Salvy, J.
 Symbolic Comput. 45, 2010). need(n), the least real K + 1 with B <= tol
-max(|V1|, tol), V1 = s + t / (1 - arg), is minimised over y; the sum
-stops at the first n where need(n) <= n + 1 and need(n - 1) <= min(n + 1,
-need(n) + 2), once B <= tol max(|V|, tol) at K = ceil(need) - 1. That is
-terms_used = n + K + 1 <= max_terms + 1, about 2 sqrt(log(1/tol) /
-log(1/q)) where the terms do not shrink: 3,852 over the 235 series of the
-seed-1 campaign at 5 points, 1,185 for eq-4.2's phi at q = 0.999. The
-Levin limits carry only a heuristic, non-certified estimate.
+max(|V1|, tol), V1 = s + t / (1 - arg) (or V of a close that fell short,
+where less), is minimised over y; the sum stops at the first n where
+need(n) <= n + 1 and need(n - 1) <= min(n + 1, need(n) + 2), once B <= tol
+max(|V|, tol) at K = ceil(need) - 1. That is terms_used = n + K + 1 <=
+max_terms + 1, about 2 sqrt(log(1/tol) / log(1/q)) where the terms do not
+shrink: 3,852 over the 235 series of the seed-1 campaign at 5 points,
+1,186 for eq-4.2's phi at q = 0.999. The Levin limits carry only a
+heuristic, non-certified estimate.
 
 Every product and series loop runs in one fixed point, as mpmath's own
 hypergeometric summation does: q^n, the parameters, the factors and the
@@ -813,9 +814,10 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
     A2 = h2 * sum(w * w for w in ws)
     # S at 2^-(wp + ss), ss the least sh so far, with U and F below; T with
     # its relative radius, q^n, the last step's need and u, the last K
-    # whose tail radius was too wide
+    # whose tail radius was too wide and log|V| of the last close that fell
+    # short
     S, U, F, ss, T, rel, QN, sh = 0, 0, 0, 0, one, 0, one, 0
-    last, uw, kf = inf, None, inf
+    last, uw, kf, lvf = inf, None, inf, inf
     ups, downs = xs[:m], xs[m:]
     for n in range(max_terms + 1):
         bt, need, gs = T.bit_length(), inf, n * lq * (1 + 2 ** -28) - lcm
@@ -827,10 +829,11 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
                 * _LN2, ltol) - ltol and n * lq * (1 - 2 ** -28) > lcm:
             lt = (log(abs(T)) + _ceil_shift(rel, wp - 60) * 2.0 ** -60
                   - (wp + sh) * _LN2)
+            # M from V1, or from a smaller V of a close that fell short
             V = S + _shift(T << -aexp, sh - ss) // oma
             need, v, L, uw = _need(
-                lt + lz - ltol - max(log(abs(V)) - (wp + ss) * _LN2 if V
-                                     else ltol, ltol),
+                lt + lz - ltol - max(min(log(abs(V)) - (wp + ss) * _LN2 if V
+                                         else ltol, lvf), ltol),
                 lcm - n * lq * (1 - 2 ** -28), A1, A2, h2, ws, uw, n)
         # stop where the last step lowered the need by at most 2, and the
         # tail sum's radius, which grows with K as its terms' majorant does,
@@ -852,7 +855,9 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
                              + abs(T) * rG, d) + 1 if rG is not None else 0
             if not rt or log(rt) - (wp + ss) * _LN2 > lim + wp * _LN2:
                 kf = K
-            elif lb <= lim:
+            elif lb > lim:
+                lvf = lv
+            else:
                 # with the sum's radius and V's rounding; e^lb rounded up
                 # from its double's 53 bits to S's units
                 rad = rt - (-U * rel >> wp) + F + _ceil_shift(abs(V), prec)

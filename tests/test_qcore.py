@@ -658,15 +658,16 @@ def _ratio_series_every_term(num_params, den_params, q, arg, ctx):
     """Reference loop of the Taylor closure's stop rule, the terms and sums
     in mpf and the rule in doubles: need(n), the least real K + 1 with |t|
     (x/y)^(K+1) e^L / (1 - |arg|) <= tol max(|V1|, tol) at x = q^n, V1 = s
-    + t / (1 - arg), minimised over y wherever every |c| x < 1; the sum
-    stops at the first n with need(n) <= n + 1 and need(n - 1) <= min(n +
-    1, need(n) + 2), once that bound at K = ceil(need) - 1 meets tol
-    max(|V|, tol), V = s + t sum_(k<=K) sigma_k."""
+    + t / (1 - arg), or V of the last close that fell short where that is
+    less, minimised over y wherever every |c| x < 1; the sum stops at the
+    first n with need(n) <= n + 1 and need(n - 1) <= min(n + 1, need(n) +
+    2), once that bound at K = ceil(need) - 1 meets tol max(|V|, tol), V =
+    s + t sum_(k<=K) sigma_k."""
     ltol = -ctx.digits * math.log(10)
     cs = [abs(float(c)) for c in num_params + den_params]
     d = abs(float(sum(den_params) - sum(num_params)))
     lz = -math.log(1 - abs(float(arg)))
-    s, t, qn, last = mpf(0), mpf(1), mpf(1), math.inf
+    s, t, qn, last, lvf = mpf(0), mpf(1), mpf(1), math.inf, math.inf
     for n in itertools.count():
         if t == 0:
             return SeriesValue(s, mpf(0), n, True)
@@ -675,7 +676,7 @@ def _ratio_series_every_term(num_params, den_params, q, arg, ctx):
             v1 = s + t / (1 - arg)
             lt = float(mp.log(abs(t)))
             C = lt + lz - ltol - max(
-                float(mp.log(abs(v1))) if v1 else ltol, ltol)
+                min(float(mp.log(abs(v1))) if v1 else ltol, lvf), ltol)
             need, v, L = _least_need(C, cs, d, q, qn, n)
         if need <= n + 1 and last - need <= 2:
             K = max(0, math.ceil(need) - 1)
@@ -685,6 +686,7 @@ def _ratio_series_every_term(num_params, den_params, q, arg, ctx):
             lv = float(mp.log(abs(value))) if value else ltol
             if lb <= ltol + max(lv, ltol) - 2 ** -28 * (1 + abs(lv) - ltol):
                 return SeriesValue(value, mpf(math.exp(lb)), n + K + 1, True)
+            lvf = lv
         last = need if need <= n + 2 else math.inf
         s += t
         num = mpf(1)
