@@ -96,10 +96,11 @@ def _euler(r, q, terms):
 def test_ratio_kernel_radius_holds_at_small_wp(monkeypatch, wp):
     # parameters shrink as q -> 1, so that the closure's L falls below the
     # stop within a few hundred terms however close q is to 1; the kernel
-    # closes its sum with the K Taylor terms of its last tail sum
-    tail, ks = qcore._tail_sum, []
-    monkeypatch.setattr(qcore, "_tail_sum",
-                        lambda *args: ks.append(args[7]) or tail(*args))
+    # closes its sum at n = used - K - 1 with the K Taylor terms of its last
+    # tail sum, which must be the one taken at that n's q^n
+    tail, calls = qcore._tail_sum, []
+    monkeypatch.setattr(qcore, "_tail_sum", lambda *args: calls.append(
+        (args[2], args[7])) or tail(*args))
     rng = random.Random(wp)
     prec = wp - 4
     for _ in range(20):
@@ -108,11 +109,17 @@ def test_ratio_kernel_radius_holds_at_small_wp(monkeypatch, wp):
         nums = [_dyadic(rng, -big, big) for _ in range(rng.randint(1, 2))]
         dens = [_dyadic(rng, -big, big) for _ in range(rng.randint(0, 2))]
         arg = _dyadic(rng, 0.05, 0.9) * rng.choice([1, -1])
-        ks.clear()
+        calls.clear()
         value, _, used, rad = qcore._ratio_kernel(
             [x._mpf_ for x in nums], [x._mpf_ for x in dens], q._mpf_,
             arg._mpf_, 0, 6, 2000, prec, wp)
-        num, den = _series(nums, dens, q, arg, used - ks[-1] - 1, ks[-1])
+        assert calls, ("no tail sum taken", wp, q, nums, dens, arg)
+        QN, K = calls[-1]
+        n, Q, qn = used - K - 1, qcore._fixed(q._mpf_, wp), 1 << wp
+        for _ in range(n):
+            qn = qn * Q >> wp
+        assert n >= 0 and qn == QN, ("stop not at the last tail sum", wp, q)
+        num, den = _series(nums, dens, q, arg, n, K)
         assert _within(num, den, mp.make_mpf(value), mp.make_mpf(rad)), (
             wp, q, nums, dens, arg)
 

@@ -562,12 +562,13 @@ def _closure_oracle_cases():
     """(label, series, oracle) with the series a thunk evaluated at ctx and
     the oracle a closed form built from mpmath's qp: the q-binomial theorem
     for 1phi0, q-Gauss for 2phi1 at z = c/(ab) and Ramanujan's 1psi1 sum,
-    at |z| and |b/(az)| from 0.75 up to 1 - 2^-20. Every parameter but q is
-    a short binary fraction, so the arguments z and b/(az), to which the
-    sums near 1 are ill-conditioned, are exact at every precision."""
+    at |z| and |b/(az)| from 0.75 up to 1 - 2^-64, where 1 - z is below 2^-60
+    of the working scale. Every parameter but q is a short binary fraction,
+    so the arguments z and b/(az), to which the sums near 1 are
+    ill-conditioned, are exact at every precision."""
     qp = mp.qp
     for z in (mpf("0.75"), mpf("-0.75"), 1 - mpf(2) ** -10,
-              -1 + mpf(2) ** -10, 1 - mpf(2) ** -17):
+              -1 + mpf(2) ** -10, 1 - mpf(2) ** -17, 1 - mpf(2) ** -64):
         q, a = mpf("0.5"), mpf("0.375")
         yield (f"1phi0 z={z}",
                lambda ctx, q=q, a=a, z=z: phi([a], [], q, z, ctx),
@@ -585,6 +586,13 @@ def _closure_oracle_cases():
                                                              ctx),
                qp(q, q) * qp(b / a, q) * qp(a * z, q) * qp(q / (a * z), q)
                / (qp(b, q) * qp(q / a, q) * qp(z, q) * qp(b / (a * z), q)))
+    # the negative half's w = b/(az) at 1 - 2^-64, z = 0.75
+    q, a, z = mpf("0.3"), mpf("0.5"), mpf("0.75")
+    b = a * z * (1 - mpf(2) ** -64)
+    yield ("1psi1 w=1-2^-64",
+           lambda ctx: psi_bilateral([a], [b], q, z, ctx),
+           qp(q, q) * qp(b / a, q) * qp(a * z, q) * qp(q / (a * z), q)
+           / (qp(b, q) * qp(q / a, q) * qp(z, q) * qp(b / (a * z), q)))
 
 
 @pytest.mark.parametrize("digits", [20, 40, 100])
@@ -872,6 +880,25 @@ def test_psi_estimate_carries_the_rounding_of_w():
                      * _qp60(b / (a * z), q)))
     got = psi_bilateral([a], [b], q, z, PrecisionCtx(digits=20))
     with mp.workdps(60):
+        assert got.certified and abs(got.value - oracle) <= got.err_estimate
+
+
+def test_psi_certified_just_inside_the_rounding_margin_of_w():
+    # psi refuses |w| within twice w's rounding, 2 (2r + 1) 2^-prec, of 1;
+    # at 13 2^-prec from 1 the ball of 1 - w is still clear of 0, and the
+    # Taylor closure must certify its sum there
+    ctx = PrecisionCtx(digits=20)
+    with ctx.working():
+        prec = mp.prec
+    with mp.workprec(prec + 40):
+        q, a, z = mpf("0.3"), mpf("0.5"), mpf("0.75")
+        b = a * z * (1 - 13 * mpf(2) ** -prec)
+    got = psi_bilateral([a], [b], q, z, ctx)
+    with mp.workdps(60):
+        oracle = (_qp60(q, q) * _qp60(b / a, q) * _qp60(a * z, q)
+                  * _qp60(q / (a * z), q)
+                  / (_qp60(b, q) * _qp60(q / a, q) * _qp60(z, q)
+                     * _qp60(b / (a * z), q)))
         assert got.certified and abs(got.value - oracle) <= got.err_estimate
 
 
