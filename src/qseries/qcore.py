@@ -103,7 +103,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from math import ceil, exp, expm1, floor, inf, ldexp, log, log1p, prod
+from math import ceil, exp, expm1, floor, inf, log, log1p, prod
 from operator import mul
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
@@ -682,11 +682,12 @@ def _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K, sc, wp):
     within dz = rZ + 2K units, with the radius in doubles, by the ball
     quotient: e_k <= (r(b_k) + sum_j ((|c_jk| + d_j) e_(k-j) + d_j
     |sigma_(k-j)|) + (|sigma_k| + 1) dz) g + 1, c_jk = a_j arg q^(k-j) - b_j
-    within d_j units and g = 1 / (|1 - arg q^k| - dz units) from that int's
-    top 60 bits, |x| 2^-wp rounded up as ((|x| >> s) + 1) 2^(s - wp), s =
-    max(wp - 60, 0); the radii in units of 2^(sc + t), t keeping dz and the
-    d_j within the doubles' range. The radii are sums and products of
-    nonnegative doubles, so 1 + 2^-20 covers their rounding."""
+    within d_j units and g = 1 / (|1 - arg q^k| - dz units) the int
+    quotient rounded to a double, |x| 2^-wp rounded up as ((|x| >> s) + 1)
+    2^(s - wp), s = max(wp - 60, 0); the radii in units of 2^(sc + t), t
+    keeping dz and the d_j within the doubles' range. The radii are sums,
+    products and quotients of nonnegative doubles, so 1 + 2^-20 covers their
+    rounding."""
     one, polys, p = 1 << wp, [], min(max(m, len(xs) - m), K)
     for group in (xs[:m], xs[m:]):
         P, R = [one] + [0] * p, [0] * (p + 1)
@@ -717,18 +718,15 @@ def _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K, sc, wp):
         sig.append(N // D)
         sf.append(((abs(sig[k]) >> sft + sc) + 1) * scl
                   if sig[k].bit_length() < wp + sc + 960 else inf)
-        # g from the top 60 bits of |D| - dz 2^t, however close arg q^k is
-        # to 1; no radius where D's ball reaches 0
+        # no radius where D's ball reaches 0, however close arg q^k is to 1
         gd = abs(D) - (dz << t)
         if gd <= 0 or gd.bit_length() <= wp - 960:
             return sum(sig), None
-        g = ldexp(1 / _shift(gd, gd.bit_length() - 60),
-                  wp + 60 - gd.bit_length())
-        errs.append((e + sf[k] * dz) * g + unit)
+        errs.append((e + sf[k] * dz) * (one / gd) + unit)
         ws.append(ws[k] * Q >> wp)
     r = sum(errs) * (1 + 2 ** -20)
     return sum(sig), _ceil_shift(ceil(r * 2 ** 60), 60 - s) + 1 if (
-        0 <= r < 2.0 ** 960) else None
+        r < 2.0 ** 960) else None
 
 
 def _need(C, lxi, A1, A2, h2, ws, u, n):
