@@ -2,14 +2,25 @@
 constraint table, sampler and two independently built sides.
 
 Left sides use direct (split) bilateral summation, eta quotients or Gamma
-quotients; right sides only infinite products and unilateral series, so
-pointwise agreement is evidence rather than circularity. Section 2 is
-Heine's (2.1) and (2.2) applied to the two halves of (1.1), as in the
-paper's proofs; each classical limit is one Gamma ratio against one beta
-series. Sides of Sections 1-4 take a point's parameters as ParamExprs, so
-exact monomials reach the primitives unrounded. Sections 3 and 4 are
-Section 1-2 sides at the paper's parameter maps (q^k; a, b, z), monomials
-written as data, times a printed scale and plus a printed shift:
+quotients; right sides infinite products, unilateral series or other Gamma
+quotients, so pointwise agreement is evidence rather than circularity.
+Section 2 is Heine's (2.1) and (2.2) applied to the two halves of (1.1), as
+in the paper's proofs. Section 5 is tables of sums of +-1, a, b, z (x, y in
+eq-5.6): Gamma_q and 2phi1 terms for the q-gamma theorems, and for their
+classical limits Gamma quotients "nums / dens" and beta series (c, alpha,
+beta) of sum (alpha)_n/n! beta/(n+beta)/c:
+
+    eq-5.5   "1-b b+1-z / 1-z"                 (1, b, b-z)
+    eq-5.6   "x y / x+y"                       (y, 1-x, y)
+    eq-5.7   "a z 1-a b-a-z / a+z b-a 1-a-z"   (z, b-a, z)
+    eq-5.12  "b 1-a z b-a-z / a+z 1-a-z"       "b-a a-b+1 / 1" times
+             ("1-a b-a-z / 1-z 1-b" + "b z / a a+1+z-b")
+
+eq-5.9 is pi^(3/2)/(2 sqrt(2) Gamma(3/4)^2) against (1, 1/2, 1/4). Sides
+of Sections 1-4 take a point's parameters as ParamExprs, so exact monomials
+reach the primitives unrounded. Sections 3 and 4 are Section 1-2 sides at
+the paper's parameter maps (q^k; a, b, z), monomials written as data, times
+a printed scale and plus a printed shift:
 
     eq-3.1  q/(1+q) times (1.1)'s lhs and thm-2.1's rhs at (q; -1/q, -1, z)
     eq-3.2  lhs: (1.1)'s lhs at (q; -q, -q^3, q)
@@ -30,6 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
+from math import prod
+from operator import add, mul
 from typing import Callable
 
 from mpmath import mp, mpf
@@ -45,7 +59,7 @@ from .qcore import (
     psi_bilateral,
     qpow,
 )
-from .qgamma import _beta_series, _check_pole, _gamma_ratio, classical_gamma
+from .qgamma import _beta_series, _check_pole, _rounded, classical_gamma
 from .rng import SplitMix64
 
 __all__ = ["CATALOG", "IdentityEntry", "full_registry"]
@@ -304,10 +318,16 @@ def _eta(scales):
 # given; each rhs is two terms minus (1-q)^(a+1-b). Theorem 5.3's two
 # q-integrals are A and D by the q-beta integral (Gasper & Rahman, 1.11).
 
-def _vector(x: str) -> tuple:
-    """The exponent b+1-a-z, a sum of +-1, a, b, z, as (1, -1, 1, -1)."""
+def _vector(x: str, letters="abz") -> tuple:
+    """The sum b+1-a-z of +-1 and +-letters as its coefficients of 1 and
+    of each letter, (1, -1, 1, -1)."""
     return tuple(sum(int(t[:-1] + "1") for t in x.replace("-", "+-").split("+")
-                     if t[-1:] == v) for v in "1abz")
+                     if t[-1:] == v) for v in "1" + letters)
+
+
+def _value(v: tuple, p: QPoint, letters="abz"):
+    """The vector v's sum at the point p, added left to right."""
+    return sum((n * p[name] for n, name in zip(v[1:], letters) if n), v[0])
 
 
 def _term(scaled: bool, nums: str, dens: str, phi21: str = "") -> tuple:
@@ -345,15 +365,12 @@ def _section5(*terms, minus_scale=False):
         qa, qb, qz = mp.exp(a * lq), mp.exp(b * lq), mp.exp(z * lq)
         coefficients = {k: qa ** k[0] * qb ** k[1] * qz ** k[2] for k in keys}
 
-        def exponent(v):
-            return v[0] + v[1] * a + v[2] * b + v[3] * z
-
         def monomials(vs):
             return [ParamExpr(coefficients[v[1:]], v[0]) for v in vs]
 
         for v in gammas:
-            _check_pole(exponent(v), "gamma_q")
-        powers = {e: mp.power(1 - q, exponent(e)) for e in es}
+            _check_pole(_value(v, p), "gamma_q")
+        powers = {e: mp.power(1 - q, _value(e, p)) for e in es}
         total = 0
         for e, nums, dens, phi21 in terms:
             k = len(nums) - len(dens)  # the (q;q)_inf left over or under
@@ -369,57 +386,38 @@ def _section5(*terms, minus_scale=False):
     return side
 
 
-def _lhs_eq55(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    b, z = p["b"], p["z"]
-    return _gamma_ratio([1 - b, b + 1 - z], [1 - z], ctx)
+def _gamma(*factors, letters="abz"):
+    """The classical side prod over factors of (sum over the factor's " + "
+    joined quotients "nums / dens" of prod Gamma(x) over nums / prod
+    Gamma(x) over dens), each product and sum taken left to right. At a
+    sampled point each Gamma argument, doubles and small integers, is exact."""
+    factors = [[[[_vector(x, letters) for x in xs.split()]
+                 for xs in quotient.split("/")]
+                for quotient in factor.split(" + ")] for factor in factors]
+
+    def side(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+        def quotient(nums, dens):
+            g = [classical_gamma(_value(v, p, letters), ctx)
+                 for v in nums + dens]
+            return _rounded(prod(g[:len(nums)]) / prod(g[len(nums):]), len(g))
+
+        return reduce(mul, [reduce(add, [quotient(*q) for q in factor])
+                            for factor in factors])
+
+    return side
 
 
-def _rhs_eq55(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    b, z = p["b"], p["z"]
-    return _beta_series(1, b, b - z, ctx)
-
-
-def _lhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    x, y = p["x"], p["y"]
-    return _gamma_ratio([x, y], [x + y], ctx)
-
-
-def _rhs_eq56(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    x, y = p["x"], p["y"]
-    return _beta_series(y, 1 - x, y, ctx)
-
-
-def _lhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z = p["a"], p["b"], p["z"]
-    return _gamma_ratio([a, z, 1 - a, b - a - z], [a + z, b - a, 1 - a - z],
-                        ctx)
-
-
-def _rhs_eq57(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z = p["a"], p["b"], p["z"]
-    return _beta_series(z, b - a, z, ctx)
+def _beta(cab: str, letters="abz"):
+    """The series side (c, alpha, beta) of `_beta_series`, as vector text."""
+    vectors = [_vector(x, letters) for x in cab.split()]
+    return lambda p, ctx: _beta_series(
+        *[_value(v, p, letters) for v in vectors], ctx)
 
 
 def _lhs_eq59(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    g34 = classical_gamma(mpf(3) / 4, ctx)
-    return SeriesValue.of(mp.power(mp.pi, mpf(3) / 2)
-                          / (2 * mp.sqrt(2) * g34 ** 2))
-
-
-def _rhs_eq59(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    return _beta_series(1, mpf(1) / 2, mpf(1) / 4, ctx)
-
-
-def _lhs_eq512(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z = p["a"], p["b"], p["z"]
-    return _gamma_ratio([b, 1 - a, z, b - a - z], [a + z, 1 - a - z], ctx)
-
-
-def _rhs_eq512(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    a, b, z = p["a"], p["b"], p["z"]
-    return (_gamma_ratio([b - a, a - b + 1], [1], ctx)
-            * (_gamma_ratio([1 - a, b - a - z], [1 - z, 1 - b], ctx)
-               + _gamma_ratio([b, z], [a, a + 1 + z - b], ctx)))
+    g34 = classical_gamma(mpf(3) / 4, ctx)  # twice among its 4 mpmath values
+    return _rounded(mp.power(mp.pi, mpf(3) / 2)
+                    / (2 * mp.sqrt(2) * g34 ** 2), 4)
 
 
 # --- q-gamma and classical samplers ----------------------------------------
@@ -688,8 +686,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (5.5), q -> 1 corollary of Theorem 5.1 at a = 0",
         param_names=("b", "z"),
         constraints=(("0 < z < b < 1", lambda p: 0 < p["z"] < p["b"] < 1),),
-        lhs=_lhs_eq55,
-        rhs=_rhs_eq55,
+        lhs=_gamma("1-b b+1-z / 1-z"),
+        rhs=_beta("1 b b-z"),
         sampler=_sample_eq55,
     ),
     IdentityEntry(
@@ -698,8 +696,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=("x", "y"),
         constraints=(("0 < x < 1", lambda p: 0 < p["x"] < 1),
                      ("y > 0", lambda p: p["y"] > 0)),
-        lhs=_lhs_eq56,
-        rhs=_rhs_eq56,
+        lhs=_gamma("x y / x+y", letters="xy"),
+        rhs=_beta("y 1-x y", letters="xy"),
         sampler=_sample_eq56,
     ),
     IdentityEntry(
@@ -707,8 +705,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Theorem 5.2, Eq. (5.7)",
         param_names=("a", "b", "z"),
         constraints=_STRIP,
-        lhs=_lhs_eq57,
-        rhs=_rhs_eq57,
+        lhs=_gamma("a z 1-a b-a-z / a+z b-a 1-a-z"),
+        rhs=_beta("z b-a z"),
         sampler=_sample_strip_classical,
     ),
     IdentityEntry(
@@ -717,7 +715,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=(),
         constraints=(),
         lhs=_lhs_eq59,
-        rhs=_rhs_eq59,
+        rhs=lambda p, ctx: _beta_series(1, mpf(1) / 2, mpf(1) / 4, ctx),
         sampler=_sample_fixed,
     ),
     IdentityEntry(
@@ -725,8 +723,9 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (5.12), q -> 1 corollary of Theorem 5.3",
         param_names=("a", "b", "z"),
         constraints=_STRIP,
-        lhs=_lhs_eq512,
-        rhs=_rhs_eq512,
+        lhs=_gamma("b 1-a z b-a-z / a+z 1-a-z"),
+        rhs=_gamma("b-a a-b+1 / 1",
+                   "1-a b-a-z / 1-z 1-b + b z / a a+1+z-b"),
         sampler=_sample_strip_classical,
     ),
 ))

@@ -1,12 +1,14 @@
 """q-gamma function, Jackson q-integrals, classical gamma, and the
-helpers the classical-limit identity sides are built from: a Gamma ratio
-and a beta series."""
+classical sides' helpers: a beta series, and a ball around a value computed
+from k mpmath values by k - 1 rounded steps. Its radius k 2^(2-prec)|v|
+assumes mpmath's gamma, power and sqrt within one ulp, 2^(1-prec)|v| at
+most, of exact and pi within half of one: the values and steps need
+(3k - 1) 2^-prec, and pi^(3/2) from the rounded pi 3/2 of that unit more."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 from itertools import count
-from math import prod
 
 from mpmath import mp, mpf
 
@@ -91,11 +93,9 @@ def jackson_integral_finite(f, c, q,
 
 # --- helpers of the identity sides ------------------------------------------
 
-def _gamma_ratio(nums, dens, ctx: PrecisionCtx) -> SeriesValue:
-    """prod Gamma(x) over nums / prod Gamma(x) over dens, each product
-    multiplied left to right."""
-    return SeriesValue.of(prod(classical_gamma(x, ctx) for x in nums)
-                          / prod(classical_gamma(x, ctx) for x in dens))
+def _rounded(x, k: int) -> SeriesValue:
+    """x, from k mpmath values, as a ball (see the module docstring)."""
+    return SeriesValue(x, k * mp.ldexp(abs(x), 2 - mp.prec), 0, True)
 
 
 def _beta_series(c, alpha, beta, ctx: PrecisionCtx) -> SeriesValue:

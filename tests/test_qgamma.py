@@ -482,3 +482,57 @@ def test_eq512_sample_points(registry, ctx40):
         point = QPoint(mpf("0.5"), {"a": a, "b": b, "z": z})
         res = eval_identity("eq-5.12", point, ctx=ctx40, registry=registry)
         assert res.passed, f"eq-5.12 at ({a},{b},{z}): relErr={res.rel_err}"
+
+
+# The Gamma sides of the classical limits as the paper prints them
+_G = mp.gamma
+_PRINTED_GAMMA_SIDES = {
+    "eq-5.5": {"lhs": lambda b, z: _G(1 - b) * _G(b + 1 - z) / _G(1 - z)},
+    "eq-5.6": {"lhs": lambda x, y: _G(x) * _G(y) / _G(x + y)},
+    "eq-5.7": {"lhs": lambda a, b, z: (_G(a) * _G(z) * _G(1 - a)
+                                       * _G(b - a - z)
+                                       / (_G(a + z) * _G(b - a)
+                                          * _G(1 - a - z)))},
+    "eq-5.12": {
+        "lhs": lambda a, b, z: (_G(b) * _G(1 - a) * _G(z) * _G(b - a - z)
+                                / (_G(a + z) * _G(1 - a - z))),
+        "rhs": lambda a, b, z: (_G(b - a) * _G(a - b + 1)
+                                * (_G(1 - a) * _G(b - a - z)
+                                   / (_G(1 - z) * _G(1 - b))
+                                   + _G(b) * _G(z)
+                                   / (_G(a) * _G(a + 1 + z - b)))),
+    },
+}
+
+
+@pytest.mark.parametrize("identity", list(_PRINTED_GAMMA_SIDES))
+def test_classical_sides_match_printed_form(registry, ctx40, identity):
+    # each Gamma table side against its printed formula in mp.gamma at 60
+    # digits, where the sampled doubles and their sums are exact
+    entry = next(e for e in registry if e.id == identity)
+    for point in sample_domain(identity, 3, 7, registry=registry):
+        for side, printed in _PRINTED_GAMMA_SIDES[identity].items():
+            got = getattr(entry, side)(point, ctx40)
+            with mp.workdps(60):
+                want = printed(**point.params)
+                assert (abs(got.value - want)
+                        <= got.err_estimate + abs(want) * mpf("1e-45")), \
+                    (side, point.params)
+
+
+@pytest.mark.parametrize("identity",
+                         ["eq-5.5", "eq-5.6", "eq-5.7", "eq-5.9", "eq-5.12"])
+def test_classical_balls_overlap_where_both_are_certified(registry, ctx40,
+                                                          identity):
+    # no classical side claims an error of 0: a quotient of k mpmath
+    # values is a ball of radius k 2^(2-prec)|v|. Where both sides are
+    # certified the balls of an identity that holds overlap (seed-1 point
+    # #2 of eq-5.12 was 4.3e-50 apart with errors 0 and 3.0e-50 when Gamma
+    # was taken as exact)
+    entry = next(e for e in registry if e.id == identity)
+    for point in sample_domain(identity, 5, 1, registry=registry):
+        lhs, rhs = entry.lhs(point, ctx40), entry.rhs(point, ctx40)
+        assert lhs.err_estimate > 0 and rhs.err_estimate > 0, point.params
+        if lhs.certified and rhs.certified:
+            assert (abs(lhs.value - rhs.value)
+                    <= lhs.err_estimate + rhs.err_estimate), point.params
