@@ -17,7 +17,7 @@ def eta_nome(q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     with ctx.working():
         q = to_real(q)
         _check_q(q)
-        return qpow(q, mpf(1) / 24, ctx) * pochhammer_inf(q, q, ctx)
+        return pochhammer_inf(q, q, ctx) * qpow(q, mpf(1) / 24, ctx)
 
 
 def eta_quotient(scales, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:

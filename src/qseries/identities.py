@@ -39,6 +39,7 @@ equals the full bilateral value, which is what the LHS evaluator computes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -289,9 +290,9 @@ def _special(side, at, scale=None, shift=None):
             name: ParamExpr(x.coefficient, Fraction(x.exponent, k))
             for name, x in monomials.items()}), ctx)
         if scale is not None:
-            value = scale(p.q, ctx) * value
+            value = value * scale(p.q, ctx)
         if shift is not None:
-            value = shift(p.q, ctx) + value
+            value = value + shift(p.q, ctx)
         return value
 
     return special
@@ -320,14 +321,29 @@ def _eta(scales):
 
 def _vector(x: str, letters="abz") -> tuple:
     """The sum b+1-a-z of +-1 and +-letters as its coefficients of 1 and
-    of each letter, (1, -1, 1, -1)."""
-    return tuple(sum(int(t[:-1] + "1") for t in x.replace("-", "+-").split("+")
-                     if t[-1:] == v) for v in "1" + letters)
+    of each letter, (1, -1, 1, -1); any other term is a ValueError, so a
+    table's typo fails at import instead of changing a side."""
+    units = "1" + letters
+    if not re.fullmatch(f"[+-]?[{units}]([+-][{units}])*", x):
+        raise ValueError(f"{x!r} is not a sum of +-1 and +-"
+                         + ", +-".join(letters))
+    terms = re.findall(f"([+-]?)([{units}])", x)
+    return tuple(sum(-1 if sign == "-" else 1 for sign, t in terms if t == u)
+                 for u in units)
 
 
 def _value(v: tuple, p: QPoint, letters="abz"):
-    """The vector v's sum at the point p, added left to right."""
-    return sum((n * p[name] for n, name in zip(v[1:], letters) if n), v[0])
+    """The vector v's sum at the point p, added left to right, a +-1
+    letter added or subtracted rather than multiplied by its coefficient."""
+    total = v[0]
+    for n, name in zip(v[1:], letters):
+        if n == 1:
+            total = total + p[name]
+        elif n == -1:
+            total = total - p[name]
+        elif n:
+            total = total + n * p[name]
+    return total
 
 
 def _term(scaled: bool, nums: str, dens: str, phi21: str = "") -> tuple:
@@ -353,17 +369,23 @@ _D = _term(True, "1-a b-a-z", "1-a-z b-a", "1-z 1-b 1-a-z b-a")
 def _section5(*terms, minus_scale=False):
     """The side sum(terms), minus (1-q)^(a+1-b) if minus_scale, from one log
     q and three exps. A vector is the monomial q^(na a + nb b + nz z) q^n0,
-    each (na, nb, nz) formed once, so prodquot telescopes Gamma_q(x) /
-    Gamma_q(x+1) = (1-q) / (1-q^x) (Gasper & Rahman, 1.10) to one factor.
-    Poles are checked first: q^-n q^n rounds to no exact zero factor."""
+    its coefficient formed once per (na, nb, nz) from the powers q^(n a),
+    q^(n b) and q^(n z), each formed once per call, so prodquot telescopes
+    Gamma_q(x) / Gamma_q(x+1) = (1-q) / (1-q^x) (Gasper & Rahman, 1.10) to
+    one factor. Poles are checked first: q^-n q^n rounds to no exact zero
+    factor."""
     gammas = [v for _, nums, dens, _ in terms for v in nums + dens]
     keys = {v[1:] for _, *vectors in terms for vs in vectors for v in vs}
+    used = [{k[i] for k in keys} - {0} for i in range(3)]  # each letter's n
     es = {e for e, *_ in terms if any(e)} | {_SCALE}
 
     def side(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-        q, a, b, z, lq = p.q, p["a"], p["b"], p["z"], mp.log(p.q)
-        qa, qb, qz = mp.exp(a * lq), mp.exp(b * lq), mp.exp(z * lq)
-        coefficients = {k: qa ** k[0] * qb ** k[1] * qz ** k[2] for k in keys}
+        q, lq = p.q, mp.log(p.q)
+        qnx = [{n: qx ** n for n in ns} for qx, ns in
+               zip([mp.exp(p[x] * lq) for x in "abz"], used)]
+        # in a, b, z order, each q^0 = 1 left out; no letter: exactly q^n0
+        coefficients = {k: reduce(mul, [qn[n] for qn, n in zip(qnx, k) if n]
+                                  or [1]) for k in keys}
 
         def monomials(vs):
             return [ParamExpr(coefficients[v[1:]], v[0]) for v in vs]
@@ -371,16 +393,19 @@ def _section5(*terms, minus_scale=False):
         for v in gammas:
             _check_pole(_value(v, p), "gamma_q")
         powers = {e: mp.power(1 - q, _value(e, p)) for e in es}
-        total = 0
-        for e, nums, dens, phi21 in terms:
+
+        def term(e, nums, dens, phi21):
             k = len(nums) - len(dens)  # the (q;q)_inf left over or under
-            value = powers.get(e, 1) * prodquot([Q] * k + monomials(dens),
-                                                [Q] * -k + monomials(nums),
-                                                q, ctx)
+            value = prodquot([Q] * k + monomials(dens),
+                             [Q] * -k + monomials(nums), q, ctx)
+            if any(e):
+                value = value * powers[e]
             if phi21:
                 alpha, beta, gamma, delta = monomials(phi21)
                 value = value * phi([alpha, beta], [gamma], q, delta, ctx)
-            total = total + value
+            return value
+
+        total = reduce(add, [term(*t) for t in terms])
         return total - powers[_SCALE] if minus_scale else total
 
     return side

@@ -155,7 +155,11 @@ class SeriesValue:
     # Error propagation so identity evaluators can assemble values from
     # certified pieces without losing the error bookkeeping: each operation
     # bounds what its operands' errors can do to the exact result, and adds
-    # its own rounding, 2^-prec of the result.
+    # its own rounding, 2^-prec of the result. Keep a SeriesValue on the
+    # left of a plain mpf: mpf * sv first has mpmath try to convert sv,
+    # which fails only after formatting repr(sv) into a TypeError message,
+    # before Python falls back to the same __rmul__ or __radd__: at 50
+    # digits mpf * sv takes about three times as long as sv * mpf.
 
     @staticmethod
     def of(x) -> "SeriesValue":

@@ -34,7 +34,8 @@ def gamma_q(x, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         q, x = to_real(q), to_real(x)
         _check_q(q, x=x)
         _check_pole(x, "gamma_q")
-        return mp.power(1 - q, 1 - x) * prodquot([q], _qpowers(q, [x]), q, ctx)
+        return (prodquot([q], _qpowers(q, [x]), q, ctx)
+                * mp.power(1 - q, 1 - x))
 
 
 def _check_pole(x, what: str):
@@ -84,8 +85,8 @@ def jackson_integral_finite(f, c, q,
             if (len(ratios) == _DECAY_WINDOW and max(ratios) < 1
                     and abs(t) <= tol * max(abs(s), mpf(1))):
                 r = max(ratios)
-                return (c * (1 - q)) * SeriesValue(s, abs(t) * r / (1 - r),
-                                                   n + 1, False)
+                return (SeriesValue(s, abs(t) * r / (1 - r), n + 1, False)
+                        * (c * (1 - q)))
             prev = t
         raise NonConvergenceError(f"jackson_integral_finite: no geometric "
                                   f"decay within {ctx.max_terms} terms")

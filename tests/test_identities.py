@@ -20,7 +20,10 @@ from qseries import (
     QSeriesError,
     SeriesValue,
     UnknownIdentityError,
+    eta_nome,
     eval_identity,
+    gamma_q,
+    jackson_integral_finite,
     parse_param,
     phi,
     pochhammer_inf,
@@ -311,6 +314,33 @@ def test_printed_rhs_matches_qhyper_oracle(ctx40, ident, z, q):
     with mp.workdps(60):
         want = _printed_rhs(ident, q, params.get("z"))
         assert abs(got - want) <= mpf("1e-35") * abs(want)
+
+
+def test_no_series_value_meets_mpmath_conversion(monkeypatch, registry,
+                                                 ctx40):
+    # an mpf on the left of a SeriesValue has mpmath format repr(sv) into a
+    # TypeError it discards before Python falls back to the SeriesValue's
+    # own method; with repr raising, every side and primitive still runs
+    def refuse(self):
+        raise AssertionError("a SeriesValue met mpmath's conversion")
+
+    monkeypatch.setattr(SeriesValue, "__repr__", refuse)
+    calls = {f"{e.id} {side}": (getattr(e, side), point)
+             for e in registry
+             for point in sample_domain(e.id, 1, 7, registry=registry)
+             for side in ("lhs", "rhs")}
+    q, x = mpf("0.5"), mpf("0.3")
+    calls["gamma_q"] = (lambda q, ctx: gamma_q(x, q, ctx), q)
+    calls["eta_nome"] = (eta_nome, q)
+    calls["jackson_integral_finite"] = (
+        lambda q, ctx: jackson_integral_finite(lambda t: t, 1, q, ctx), q)
+    failed = []
+    for name, (f, arg) in calls.items():
+        try:
+            f(arg, ctx40)
+        except AssertionError:
+            failed.append(name)
+    assert not failed, failed
 
 
 @pytest.mark.parametrize("q", ["0.3", "0.5", "0.7"])

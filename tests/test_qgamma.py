@@ -1,5 +1,6 @@
 """q-gamma, classical gamma, Jackson integrals, and the section-5 identities."""
 
+import re
 from dataclasses import replace
 from math import prod
 
@@ -256,18 +257,43 @@ def _printed_rhs(identity, p, ctx):
             * phi21(1 - z, 1 - b, 1 - a - z, b - a) - scale)
 
 
+def _printed_lhs(p, ctx):
+    """The left side of (5.4), (5.8) and (5.10), Gamma_q(b) Gamma_q(1-a)
+    Gamma_q(z) Gamma_q(b-a-z) / (Gamma_q(b-a) Gamma_q(a+z) Gamma_q(1-a-z)),
+    each Gamma_q from gamma_q at ctx's digits."""
+    a, b, z, q = p["a"], p["b"], p["z"], p.q
+
+    def g(*xs):
+        return prod(gamma_q(x, q, ctx).value for x in xs)
+
+    return g(b, 1 - a, z, b - a - z) / g(b - a, a + z, 1 - a - z)
+
+
 @pytest.mark.parametrize("identity", ["thm-5.1", "eq-5.8"])
 def test_section5_rhs_matches_printed_form(registry, ctx40, identity):
-    # the rhs composed from its exponent table at 40 digits against the
-    # printed right side at 60 digits
+    # both sides composed from their exponent tables at 40 digits against
+    # the printed sides at 60 digits; the lhs table is the one thm-5.1,
+    # eq-5.8 and thm-5.3 share
     ctx60 = PrecisionCtx(digits=60)
     entry = next(e for e in registry if e.id == identity)
     for p in sample_domain(identity, 4, seed=3, registry=registry):
-        got = entry.rhs(p, ctx40)
-        assert got.certified
+        lhs, rhs = entry.lhs(p, ctx40), entry.rhs(p, ctx40)
+        assert lhs.certified and rhs.certified
         with mp.workdps(70):
-            assert rel_diff(got.value, _printed_rhs(identity, p, ctx60)) \
+            assert rel_diff(lhs.value, _printed_lhs(p, ctx60)) \
                 < mpf("1e-38"), p
+            assert rel_diff(rhs.value, _printed_rhs(identity, p, ctx60)) \
+                < mpf("1e-38"), p
+
+
+@pytest.mark.parametrize("text", ["2-b", "a+1/2", "x+y"])
+def test_vector_rejects_a_term_that_is_no_unit_or_letter(text):
+    # a term other than +-1 and +-a, +-b, +-z was dropped: "2-b" read as
+    # -b, "a+1/2" as a and "x+y" as 0, so a typo silently changed a side
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        identities._vector(text)
+    assert identities._vector("b+1-a-z") == (1, -1, 1, -1)
+    assert identities._vector("x+y", letters="xy") == (0, 1, 1)
 
 
 @pytest.mark.parametrize("identity, x", [
