@@ -36,6 +36,7 @@ class PrecisionCtx:
 
     def __post_init__(self):
         _check_digits(self.digits)
+        _check_int("max_terms", self.max_terms, QDomainError)
         if self.max_terms < 1:
             raise QDomainError("max_terms must be >= 1")
 
@@ -52,8 +53,15 @@ class PrecisionCtx:
         return mp.workdps(self.working_dps)
 
 
+def _check_int(name, x, error):
+    """Raise ``error`` for an x that is not an int."""
+    if not isinstance(x, int):
+        raise error(f"{name} must be an integer, got {x!r}")
+
+
 def _check_digits(digits, error=QDomainError):
-    """Raise ``error`` for fewer than 10 requested digits."""
+    """Raise ``error`` for a non-int or fewer than 10 requested digits."""
+    _check_int("digits", digits, error)
     if digits < 10:
         raise error("digits must be >= 10")
 

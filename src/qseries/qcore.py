@@ -91,11 +91,11 @@ radius (psi's w) adds it at every step and to 1/(1 - arg). The sum keeps
 the scale 2^-(wp + ss) of its largest term, its radius formed at the stop
 from sum (|t| + 1) and t's relative radius, which never falls. The
 estimate is B at the upper ends of t's, x's and arg's balls plus the
-radius of V (_tail_sum's in doubles) and its rounding to mpf. Where that
-radius passes 2^-4 of the limit, the series is rerun once with wp raised
-by the bits it says were lost. The Levin sweep (_levin_u) rounds each
-s_j/omega_j and 1/omega_j once in libmpf, forms every order's sums exactly
-in ints and rounds once per order.
+radius of V (_tail_sum's, in ints by the rules above) and its rounding to
+mpf. Where that radius passes 2^-4 of the limit, the series is rerun once
+with wp raised by the bits it says were lost. The Levin sweep (_levin_u)
+rounds each s_j/omega_j and 1/omega_j once in libmpf, forms every order's
+sums exactly in ints and rounds once per order.
 """
 
 from __future__ import annotations
@@ -678,20 +678,16 @@ def _head_step(T, sh, e, A, D0, xs, raws, m, QN, rQ, n, q_, prec, wp):
             sh + shift, e + (e >> wp) + 2)
 
 
-def _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K, sc, wp):
+def _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K, wp):
     """sum_(k<=K) sigma_k (module docstring) as a ball at 2^-wp, its radius
-    None past the doubles' range or where the ball of a 1 - arg q^k reaches
-    0: x = q^n the ball (QN, rQ), arg the ball (Z, rZ) and the first m xs
-    the nums. a_j and b_j are balls; the rest runs on midpoints, arg q^i
-    within dz = rZ + 2K units, with the radius in doubles, by the ball
-    quotient: e_k <= (r(b_k) + sum_j ((|c_jk| + d_j) e_(k-j) + d_j
-    |sigma_(k-j)|) + (|sigma_k| + 1) dz) g + 1, c_jk = a_j arg q^(k-j) - b_j
-    within d_j units and g = 1 / (|1 - arg q^k| - dz units) the int
-    quotient rounded to a double, |x| 2^-wp rounded up as ((|x| >> s) + 1)
-    2^(s - wp), s = max(wp - 60, 0); the radii in units of 2^(sc + t), t
-    keeping dz and the d_j within the doubles' range. The radii are sums,
-    products and quotients of nonnegative doubles, so 1 + 2^-20 covers their
-    rounding."""
+    None where the ball of a 1 - arg q^k reaches 0: x = q^n the ball (QN,
+    rQ), arg the ball (Z, rZ) and the first m xs the nums. a_j and b_j are
+    balls; the rest runs on midpoints, arg q^i within dz = rZ + 2K units and
+    c_jk = a_j arg q^(k-j) - b_j within d_j units. By the ball rules, N_k =
+    b_k 2^wp + sum_j c_jk sigma_(k-j) at 2^-2wp has the radius R_k = r(b_k)
+    2^wp + sum_j ((|c_jk| + d_j) e_(k-j) + d_j |sigma_(k-j)|), and sigma_k =
+    N_k // (1 - arg q^k) the radius e_k = ceil((R_k + (|sigma_k| + 1) dz) /
+    (|1 - arg q^k| - dz)) + 1; the sum's radius is the sum of the e_k."""
     one, polys, p = 1 << wp, [], min(max(m, len(xs) - m), K)
     for group in (xs[:m], xs[m:]):
         P, R = [one] + [0] * p, [0] * (p + 1)
@@ -702,35 +698,24 @@ def _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K, sc, wp):
                          + rV * R[j - 1] >> wp) + 2
                 P[j] -= V * P[j - 1] >> wp
         polys += P, R
-    # dz and the d_j in units of 2^t, and the radii in units of 2^(sc + t)
-    (a, ra, b, rb), sft, dz = polys, max(wp - 60, 0), rZ + 2 * K
+    (a, ra, b, rb), dz = polys, rZ + 2 * K
     ds = [(abs(A) * dz + r * (abs(Z) + rZ + dz)) // one + 2 + rB
           for A, r, rB in zip(a, ra, rb)]
-    t = max(0, max([dz] + ds).bit_length() - 900)
-    s, dz, ds = sc + t, (dz >> t) + 1, [(x >> t) + 1 for x in ds]
-    scl, unit, eps = 2.0 ** (sft - wp), 2.0 ** -min(s, 1000), 2.0 ** max(
-        t - wp, -1000)
-    ws, sig, sf, errs = [Z], [], [], []
+    ws, sig, errs = [Z], [], []
     for k in range(K + 1):
-        N, e = (b[k] << wp, float(-(-rb[k] >> s))) if k <= p else (0, 0)
+        N, R = (b[k] << wp, rb[k] << wp) if k <= p else (0, 0)
         for j in range(1, min(k, p) + 1):
             c = (a[j] * ws[k - j] >> wp) - b[j]
             N += c * sig[k - j]
-            e += ((((abs(c) >> sft) + 1) * scl + ds[j] * eps) * errs[k - j]
-                  + ds[j] * sf[k - j])
+            R += (abs(c) + ds[j]) * errs[k - j] + ds[j] * abs(sig[k - j])
         D = one - ws[k]
-        sig.append(N // D)
-        sf.append(((abs(sig[k]) >> sft + sc) + 1) * scl
-                  if sig[k].bit_length() < wp + sc + 960 else inf)
-        # no radius where D's ball reaches 0, however close arg q^k is to 1
-        gd = abs(D) - (dz << t)
-        if gd <= 0 or gd.bit_length() <= wp - 960:
+        gd = abs(D) - dz
+        if gd <= 0:
             return sum(sig), None
-        errs.append((e + sf[k] * dz) * (one / gd) + unit)
+        sig.append(N // D)
+        errs.append(-(-(R + (abs(sig[k]) + 1) * dz) // gd) + 1)
         ws.append(ws[k] * Q >> wp)
-    r = sum(errs) * (1 + 2 ** -20)
-    return sum(sig), _ceil_shift(ceil(r * 2 ** 60), 60 - s) + 1 if (
-        r < 2.0 ** 960) else None
+    return sum(sig), sum(errs)
 
 
 def _need(C, lxi, A1, A2, h2, ws, u, n):
@@ -845,16 +830,13 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
                                          else ltol, lvf), ltol),
                 lcm - n * lq * (1 - 2 ** -28), A1, A2, h2, ws, uw, n)
         # stop where the last step lowered the need by at most 2, and the
-        # tail sum's radius, which grows with K as its terms' majorant does,
-        # does not pass the limit by more than a factor 2^wp (a rerun that
-        # more than doubles wp): where it does, the next try waits for half
-        # that K
+        # tail sum's radius, which follows the majorant of its terms, does
+        # not pass the limit by more than a factor 2^wp (a rerun that more
+        # than doubles wp): where it does, the next try waits for half that K
         K = max(0, ceil(min(need, n + 1)) - 1)
         if (need <= n + 1 and last - need <= 2 and n + K <= max_terms
                 and 2 * K <= kf):
-            # |sigma_k| <= e^(L + lz) on the Cauchy circle
-            G, rG = _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K,
-                              max(0, int((L + lz) / _LN2) - 900), wp)
+            G, rG = _tail_sum(xs, m, QN, rQ, Q, Z, rZ, K, wp)
             d, lb = wp + sh - ss, lt - (K + 1) * v + L + lz
             V = S + _shift(T * G, d)
             lv = log(abs(V)) - (wp + ss) * _LN2 if V else ltol

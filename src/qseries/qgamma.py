@@ -47,10 +47,13 @@ def _check_pole(x, what: str):
 # --- classical gamma --------------------------------------------------------
 
 def classical_gamma(x, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
-    """Gamma(x) for real x at the working precision (mpmath's gamma); poles
-    at nonpositive integers raise PoleError."""
+    """Gamma(x) for real x at the working precision (mpmath's gamma); a
+    non-finite x raises QDomainError, and poles at nonpositive integers
+    PoleError."""
     with ctx.working():
         x = to_real(x)
+        if not mp.isfinite(x):
+            raise QDomainError(f"parameter x is not finite, got {x}")
         _check_pole(x, "gamma")
         return mp.gamma(x)
 

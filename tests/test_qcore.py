@@ -24,19 +24,22 @@ from qseries import (
     PrecisionCtx,
     QDomainError,
     QPoint,
+    RunConfig,
     SeriesValue,
     SplitMix64,
     accelerate,
+    classical_gamma,
     eta_quotient,
     phi,
     pochhammer_inf,
     pochhammer_n,
     psi_bilateral,
     qpow,
+    run,
 )
 from qseries import qcore, qgamma
 from qseries.qcore import sum_with_ratio_bound
-from qseries.registry import sample_domain
+from qseries.registry import CATALOG, sample_domain
 
 
 def rel_diff(x, y):
@@ -805,6 +808,22 @@ def test_readme_examples_take_second_order_terms():
     assert phi([0.5], [], 0.99985, 0.5).terms_used <= 7_600
 
 
+def test_near_one_phi_closes_in_one_kernel_run(monkeypatch):
+    # eq-4.2's phi at q = 0.9999 closes with K = 3,930 Taylor terms, whose
+    # radius, carried in the fixed point's ints, is 2^43 units of 2^-wp
+    # (the sum's true error about 2^25): no rerun at a raised wp is needed
+    kernel, tail, runs, sums = qcore._ratio_kernel, qcore._tail_sum, [], []
+    monkeypatch.setattr(qcore, "_ratio_kernel", lambda *args: runs.append(
+        args[-1]) or kernel(*args))
+    monkeypatch.setattr(qcore, "_tail_sum", lambda *args: sums.append(
+        tail(*args)) or sums[-1])
+    side = next(e for e in CATALOG if e.id == "eq-4.2").rhs
+    assert side(QPoint(mpf("0.9999"), {}), PrecisionCtx()).certified
+    assert len(runs) == 1
+    radius = sums[-1][1]
+    assert radius is not None and radius < 2 ** 64
+
+
 def test_tail_bound_holds_past_the_taylor_terms():
     # for random series at 80 digits, the tail sum_(k>K) sigma_k, summed
     # from the recurrence to order 400, lies within the Cauchy bound (x/y)^
@@ -967,15 +986,28 @@ def test_psi_rejects_zero_argument():
     (lambda: eta_quotient({1: 1.5}, 0.5), QDomainError),
     (lambda: eta_quotient({1: mp.nan}, 0.5), QDomainError),
     (lambda: eta_quotient({1: 10 ** 6}, 0.5), CapExceededError),
+    (lambda: pochhammer_inf(0.5, 0.5, PrecisionCtx(digits=40.5)),
+     QDomainError),
+    (lambda: phi([0.5], [], 0.5, 0.5, PrecisionCtx(max_terms=1.5)),
+     QDomainError),
+    (lambda: PrecisionCtx(digits="40"), QDomainError),
+    (lambda: run(RunConfig(identities=("eq-3.2",), points_per_identity=1,
+                           digits=40.5)), ValueError),
+    (lambda: classical_gamma(mp.nan), QDomainError),
+    (lambda: classical_gamma(mp.inf), QDomainError),
+    (lambda: classical_gamma(-mp.inf), QDomainError),
 ], ids=["pochhammer_inf-nan-a", "phi-nan-z", "psi-inf-upper",
         "prodquot-nan-b2", "pochhammer_n-half-n", "pochhammer_n-huge-n",
         "pochhammer_n-huge-negative-n", "eta_quotient-half-e",
         "eta_quotient-one-and-a-half-e", "eta_quotient-nan-e",
-        "eta_quotient-huge-e"])
+        "eta_quotient-huge-e", "ctx-half-digits", "ctx-half-max_terms",
+        "ctx-str-digits", "run-half-digits", "classical_gamma-nan",
+        "classical_gamma-inf", "classical_gamma-negative-inf"])
 def test_non_finite_input_fails_fast(call, error):
     # a non-finite parameter must not run a product or series to its cap,
-    # nor must a count (an index or an exponent) that is not an integer or
-    # exceeds the term cap
+    # nor must a count (an index, an exponent, digits or max_terms) that is
+    # not an integer or exceeds the term cap; classical_gamma must not
+    # return a nan or an inf for one
     start = time.process_time()
     with pytest.raises(error):
         call()
