@@ -95,7 +95,7 @@ radius of V (_tail_sum's, in ints by the rules above) and its rounding to
 mpf. Where that radius passes 2^-4 of the limit, the series is rerun once
 with wp raised by the bits it says were lost. The Levin sweep (_levin_u)
 rounds each s_j/omega_j and 1/omega_j once in libmpf, forms every order's
-sums exactly in ints and rounds once per order.
+sums exactly in ints, rounds once per order and returns accelerate's pick.
 """
 
 from __future__ import annotations
@@ -104,14 +104,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from math import ceil, exp, expm1, floor, inf, log, log1p, prod
-from operator import mul
+from operator import mul, sub
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_abs,
                           mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_mul_int,
-                          mpf_rdiv_int, mpf_shift, mpf_sub, round_ceiling,
-                          to_float)
+                          mpf_pos, mpf_rdiv_int, mpf_shift, mpf_sub,
+                          round_ceiling, to_float)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import (
@@ -1046,7 +1046,12 @@ def sum_with_ratio_bound(term_fn, rho_fn, ctx: PrecisionCtx,
 
 # --- convergence acceleration -------------------------------------------
 
-_LEVIN_MAX_ORDER = 120
+def _levin_max_order():
+    """The sweep's order cap: 120 up to 160 working digits (a 100-digit
+    classical side's sweep), then one more a digit."""
+    return max(120, mp.dps - 40)
+
+
 # a sweep stops once an order's rounding floor exceeds the smallest
 # successive difference by this factor; on 100 classical-limit series at 40
 # digits (summed at 60) every factor from 10**2 to 10**6 selects the
@@ -1067,10 +1072,11 @@ def _scaled(xs, e, x, w):
 
 
 def _levin_u(terms):
-    """Levin u-transform estimates L_1, L_2, ... (beta = 1, remainder
-    model omega_j = (j+1) a_j) of the raw mpf terms, read from the iterator
-    only as far as the sweep goes, and the number of terms they read, one
-    more than the last order evaluated.
+    """accelerate's pick among the Levin u-transform estimates L_1, L_2, ...
+    (beta = 1, remainder model omega_j = (j+1) a_j) of the raw mpf terms,
+    read only as far as the sweep goes: (L, d, read), d the least |L_k -
+    L_(k-1)| rounded to the working precision, L the first estimate with it
+    (the last where its own ties it) and read one more than the last order.
 
     L_k = sum_j c_kj s_j/omega_j / sum_j c_kj/omega_j with the exact integer
     weights c_kj = (-1)^j C(k,j) (j+1)^(k-1): the factor (k+1)^-(k-1) of
@@ -1078,7 +1084,7 @@ def _levin_u(terms):
     1/omega_j is rounded once to the working precision and held as an int
     at a common binary exponent, times (j+1)^(k-1) at order k, so both sums
     are exact and an order rounds once, at their quotient. The sweep ends
-    before order j when omega_j = 0, at order _LEVIN_MAX_ORDER, and once
+    before order j when omega_j = 0, at order _levin_max_order(), and once
     kappa_k * 2^-prec * |L_k| exceeds _LEVIN_STOP_FACTOR times the smallest
     successive difference so far, where kappa_k = sum |c_kj/omega_j| / |sum
     c_kj/omega_j| is the condition number of the order's denominator: past
@@ -1092,10 +1098,9 @@ def _levin_u(terms):
     es = ei = None
     binom = [1]  # (-1)^j C(k, j)
     psum = fzero
-    estimates = []
-    best_diff = None
+    est = best_diff = pick = None
     read = 0
-    for k, t in enumerate(islice(terms, _LEVIN_MAX_ORDER + 1)):
+    for k, t in enumerate(islice(terms, _levin_max_order() + 1)):
         psum = mpf_add(psum, t, prec, RN)
         om = mpf_mul_int(t, k + 1, prec, RN)
         if om == fzero:
@@ -1107,31 +1112,32 @@ def _levin_u(terms):
         ei = _scaled(inv_om, ei, mpf_rdiv_int(1, om, prec, RN), w)
         if k == 0:
             continue
-        binom = [a - b for a, b in zip(binom + [0], [0] + binom)]
+        binom = list(map(sub, binom + [0], [0] + binom))
         ws = list(map(mul, binom, inv_om))
         den = sum(ws)
         read = k + 1
         if not den:
             continue
         num = sum(map(mul, binom, s_om))
-        est = mpf_shift(mpf_div(from_int(num), from_int(den), prec, RN),
-                        es - ei)
-        if estimates:
-            d = mpf_abs(mpf_sub(est, estimates[-1]))
-            if best_diff is None or mpf_lt(d, best_diff):
-                best_diff = d
-        estimates.append(est)
-        if best_diff is None:
+        prev, est = est, mpf_shift(
+            mpf_div(from_int(num), from_int(den), prec, RN), es - ei)
+        if prev is None:
             continue
+        d = mpf_abs(mpf_sub(est, prev))
+        if best_diff is None or mpf_lt(d, best_diff):
+            best_diff = d
+        d = mpf_pos(d, prec, RN)  # the pick compares rounded differences
+        if pick is None or mpf_lt(d, least):
+            pick, least = est, d
         # the stop test times |den| 2^prec, in ints at a common exponent
         floor = sum(map(abs, ws)) * est[1]
         limit = _LEVIN_STOP_FACTOR * abs(den) * best_diff[1]
         sh = est[2] - best_diff[2] - prec
         if floor << max(sh, 0) > limit << max(-sh, 0):
             break
-    if len(estimates) < 2:
+    if pick is None:
         raise NumericalBreakdownError("levin-u transform produced no estimates")
-    return [mp.make_mpf(e) for e in estimates], read
+    return (est if d == least else pick), least, read
 
 
 def _finite(partial_terms):
@@ -1159,13 +1165,7 @@ def accelerate(partial_terms, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         head = list(islice(terms, 8))
         if len(head) < 8:
             raise InsufficientTermsError(f"need >= 8 terms, got {len(head)}")
-        ests, used = _levin_u(chain(head, terms))
-        best_val = ests[-1]
-        best_err = abs(ests[-1] - ests[-2])
-        for i in range(1, len(ests)):
-            d = abs(ests[i] - ests[i - 1])
-            if d < best_err:
-                best_err = d
-                best_val = ests[i]
+        value, diff, used = _levin_u(chain(head, terms))
         # successive-order agreement is a heuristic; pad it a little
-        return SeriesValue(best_val, 4 * best_err, used, False)
+        return SeriesValue(mp.make_mpf(value), mp.make_mpf(mpf_shift(diff, 2)),
+                           used, False)

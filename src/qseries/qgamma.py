@@ -11,6 +11,9 @@ from dataclasses import replace
 from itertools import count
 
 from mpmath import mp, mpf
+from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_mul,
+                          mpf_rdiv_int)
+from mpmath.libmp import round_nearest as RN
 
 from .errors import NonConvergenceError, PoleError, QDomainError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
@@ -105,17 +108,26 @@ def _rounded(x, k: int) -> SeriesValue:
 def _beta_series(c, alpha, beta, ctx: PrecisionCtx) -> SeriesValue:
     """Levin-accelerated sum of t_n = (alpha)_n/n! * beta/(n+beta) / c,
     which is beta/c * B(beta, 1 - alpha), fed to the transform as a
-    generator of t_0 = 1/c, t_(n+1) = t_n * (alpha+n)/(n+1) * (n+beta)/(n+1+
-    beta). The terms and the transform run at 3/2 of ctx's digits and the
-    result is rounded back to ctx's working precision: the sweep's rounding
-    floor grows with its order, so the estimate it selects is right to only
-    about 0.6 of the working digits (at digits=40: 31 right digits at
-    ctx's own precision, 42 at 3/2 of it)."""
+    generator of t_0 = 1/c, t_(n+1) = t_n * ((alpha+n)/(n+1) * (n+beta) /
+    (n+1+beta)), each operation rounded to nearest in libmpf in that order,
+    and n+1+beta kept as the next step's n+beta. The terms and the
+    transform run at 3/2 of ctx's digits and the result is rounded back to
+    ctx's working precision: the sweep's rounding floor grows with its
+    order, so the estimate it selects is right to only about 0.6 of the
+    working digits (at digits=40: 31 right digits at ctx's own precision,
+    42 at 3/2 of it)."""
     def terms():
-        t = 1 / to_real(c)
-        for n in count():
-            yield t
-            t = t * ((alpha + n) / (n + 1) * (n + beta) / (n + 1 + beta))
+        prec = mp.prec  # the sweep's: the body first runs inside accelerate
+        a, b = to_real(alpha)._mpf_, to_real(beta)._mpf_
+        t = mpf_rdiv_int(1, to_real(c)._mpf_, prec, RN)
+        n, nb = fzero, mpf_add(b, fzero, prec, RN)  # n and n + beta
+        for m in map(from_int, count(1)):  # n + 1
+            yield mp.make_mpf(t)
+            mb = mpf_add(b, m, prec, RN)
+            r = mpf_div(mpf_add(a, n, prec, RN), m, prec, RN)
+            r = mpf_div(mpf_mul(r, nb, prec, RN), mb, prec, RN)
+            t = mpf_mul(t, r, prec, RN)
+            n, nb = m, mb
 
     v = accelerate(terms(), replace(ctx, digits=ctx.digits * 3 // 2))
     with ctx.working():

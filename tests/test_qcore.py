@@ -37,7 +37,8 @@ from qseries import (
     qpow,
     run,
 )
-from qseries import qcore, qgamma
+from qseries import identities, qcore, qgamma
+from qseries.precision import to_real
 from qseries.qcore import sum_with_ratio_bound
 from qseries.registry import CATALOG, sample_domain
 
@@ -1196,7 +1197,7 @@ def _levin_series(monkeypatch, registry, ctx, idents=tuple(_LEVIN_CLOSED_FORMS))
             given.clear()
             with wide.working():
                 more = list(itertools.islice(
-                    rest, qcore._LEVIN_MAX_ORDER + 1 - len(read)))
+                    rest, qcore._levin_max_order() + 1 - len(read)))
             out.append((ident, p, wide, read, read + more, rhs))
     return out
 
@@ -1222,7 +1223,7 @@ def _levin_orders(terms, prec):
     out = []
     inv_om, s_om, psum = [], [], mpf(0)
     with mp.workprec(prec):
-        for k, t in enumerate(terms[:qcore._LEVIN_MAX_ORDER + 1]):
+        for k, t in enumerate(terms[:qcore._levin_max_order() + 1]):
             psum += t
             om = (k + 1) * t
             if om == 0:
@@ -1242,17 +1243,39 @@ def _levin_orders(terms, prec):
     return out
 
 
+def _pick(ests):
+    """accelerate's choice among the estimates: the first with the least
+    successive difference at the working precision, the last where its own
+    difference ties it, and that difference."""
+    best_val, best_err = ests[-1], abs(ests[-1] - ests[-2])
+    for prev, cur in zip(ests, ests[1:]):
+        if abs(cur - prev) < best_err:
+            best_val, best_err = cur, abs(cur - prev)
+    return best_val, best_err
+
+
 def _levin_full_sweep(terms, ctx):
     """accelerate's levin-u value from every order up to the cap: the same
     sums as qcore._levin_u, without its stop."""
     with ctx.working():
-        ests = [est for _, est, _, _ in _levin_orders(tuple(terms), mp.prec)
-                if est is not None]
-        best_val, best_err = ests[-1], abs(ests[-1] - ests[-2])
-        for prev, cur in zip(ests, ests[1:]):
-            if abs(cur - prev) < best_err:
-                best_val, best_err = cur, abs(cur - prev)
-        return best_val
+        return _pick([est for _, est, _, _
+                      in _levin_orders(tuple(terms), mp.prec)
+                      if est is not None])[0]
+
+
+def _levin_u_recorded(terms):
+    """qcore._levin_u's result on the mpf terms, and every estimate of its
+    sweep: the values it rounds into place with mpf_shift, once an order."""
+    estimates, mpf_shift = [], qcore.mpf_shift
+
+    def shift(x, n):
+        estimates.append(mp.make_mpf(mpf_shift(x, n)))
+        return estimates[-1]._mpf_
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(qcore, "mpf_shift", shift)
+        result = qcore._levin_u(t._mpf_ for t in terms)
+    return result, estimates
 
 
 def test_levin_stops_at_rounding_floor(monkeypatch, registry, ctx40):
@@ -1264,7 +1287,7 @@ def test_levin_stops_at_rounding_floor(monkeypatch, registry, ctx40):
                                                   idents=("eq-5.7",)):
         assert rhs.terms_used <= 58
         with wide.working():
-            estimates, used = qcore._levin_u(t._mpf_ for t in read)
+            (_, _, used), estimates = _levin_u_recorded(read)
         assert rhs.terms_used == used == len(read) == len(estimates) + 1
 
 
@@ -1280,7 +1303,8 @@ def test_levin_stop_keeps_full_sweep_selection(monkeypatch, registry, digits):
 
 
 def _levin_u_exact(terms):
-    """qcore._levin_u's sweep and stop rule on _levin_orders' sums."""
+    """qcore._levin_u's result, and the estimates of its sweep, from its
+    stop rule and accelerate's pick on _levin_orders' sums."""
     estimates, best_diff, read = [], None, 0
     for k, est, den_abs, den in _levin_orders(tuple(terms), mp.prec):
         read = k + 1
@@ -1294,18 +1318,62 @@ def _levin_u_exact(terms):
                                       / 2 ** mp.prec
                                       > qcore._LEVIN_STOP_FACTOR * best_diff):
             break
-    return estimates, read
+    value, err = _pick(estimates)
+    return (value._mpf_, err._mpf_, read), estimates
 
 
 @pytest.mark.parametrize("digits", [20, 40, 100])
 def test_levin_u_bit_identical(monkeypatch, registry, digits):
-    # every estimate of the sweep, and where it stops, match exact sums
-    # rounded once per order
+    # every estimate of the sweep, where it stops, and the estimate and
+    # difference it picks match exact sums rounded once per order
     ctx = PrecisionCtx(digits=digits)
     for ident, p, wide, _, full, _ in _levin_series(monkeypatch, registry, ctx):
         with wide.working():
-            assert (qcore._levin_u(t._mpf_ for t in full)
-                    == _levin_u_exact(full)), (ident, p)
+            got = _levin_u_recorded(full)
+            assert got == _levin_u_exact(full), (ident, p)
+
+
+@pytest.mark.parametrize("ests", [
+    ("0.5", "1", "1.5", "2", "2.5"),  # every difference ties: the last wins
+    ("0.5", "1", "1.5", "2", "3"),  # else the first least difference wins
+    (2 ** -60, 1, 2),  # differences that tie only once rounded to 53 bits
+])
+def test_levin_u_picks_as_accelerate_did(ests):
+    # the sweep's estimates replaced by ests: _levin_u picks the value and
+    # difference that accelerate's loop over every estimate picked
+    with mp.workprec(53):
+        ests = [mpf(e) for e in ests]
+        script = iter(ests)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(qcore, "mpf_shift", lambda x, n: next(script)._mpf_)
+            got = qcore._levin_u((mpf(3) ** -k)._mpf_
+                                 for k in range(len(ests) + 1))
+        value, err = _pick(ests)
+        assert got == (value._mpf_, err._mpf_, len(ests) + 1)
+        assert next(script, None) is None
+
+
+@pytest.mark.parametrize("digits", [20, 40, 100])
+def test_beta_terms_match_mpf_recurrence(monkeypatch, registry, digits):
+    # the libmpf term stream of _beta_series is the mpf recurrence, every
+    # term bit for bit up to the order cap
+    args = []
+    beta_series = identities._beta_series
+
+    def recording(c, alpha, beta, ctx):
+        args.append((c, alpha, beta))
+        return beta_series(c, alpha, beta, ctx)
+
+    monkeypatch.setattr(identities, "_beta_series", recording)
+    series = _levin_series(monkeypatch, registry, PrecisionCtx(digits=digits))
+    assert len(args) == len(series) == 12
+    for (c, alpha, beta), (ident, p, wide, _, full, _) in zip(args, series):
+        with wide.working():
+            t, want = 1 / to_real(c), []
+            for n in range(len(full)):
+                want.append(t._mpf_)
+                t = t * ((alpha + n) / (n + 1) * (n + beta) / (n + 1 + beta))
+        assert [t._mpf_ for t in full] == want, (ident, p)
 
 
 @pytest.mark.parametrize("digits, tol", [(20, "1e-20"), (40, "1e-40"),
@@ -1316,6 +1384,20 @@ def test_levin_series_match_closed_forms(monkeypatch, registry, digits, tol):
         with mp.workdps(digits + 40):
             closed = _LEVIN_CLOSED_FORMS[ident](p)
             assert abs(rhs.value / closed - 1) <= mpf(tol), (ident, p)
+
+
+@pytest.mark.parametrize("digits", [120, 150])
+def test_levin_series_match_closed_forms_above_100_digits(monkeypatch,
+                                                          registry, digits):
+    # the order cap grows with the digits, so it does not bind here (it
+    # did at 120 from about 113 digits on); eq-5.7's series is right too,
+    # though its verdict FAILs against the printed Gamma side
+    ctx = PrecisionCtx(digits=digits)
+    for ident, p, _, _, _, rhs in _levin_series(monkeypatch, registry, ctx):
+        with mp.workdps(digits + 40):
+            closed = _LEVIN_CLOSED_FORMS[ident](p)
+            assert (abs(rhs.value / closed - 1)
+                    <= mpf(10) ** (5 - digits)), (ident, p)
 
 
 def test_accelerate_needs_terms():
