@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from mpmath import mpf, sqrt as mp_sqrt
+from mpmath import mp, mpf, sqrt as mp_sqrt
 
 from .errors import QSeriesError
 from .identities import full_registry
@@ -157,6 +157,11 @@ def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def _short(rel_err):
+    """A relErr string to 3 significant digits, or None, for the text."""
+    return rel_err if rel_err is None else mp.nstr(mpf(rel_err), 3)
+
+
 def render_text(report: dict) -> str:
     lines = [f"qseries verification report (v{report['version']})"]
     cfg = report["config"]
@@ -168,7 +173,7 @@ def render_text(report: dict) -> str:
         status = "PASS" if agg["pass"] else "FAIL"
         lines.append(f"{status}  {res['id']:10s} {agg['passCount']}/"
                      f"{agg['numPoints']} points  worst relErr "
-                     f"{agg['worstRelErr']}  [{res['paperRef']}]")
+                     f"{_short(agg['worstRelErr'])}  [{res['paperRef']}]")
         if "suspectedConstantOffset" in agg:
             lines.append(f"      suspected constant offset lhs/rhs = "
                          f"{agg['suspectedConstantOffset']}")
@@ -176,8 +181,8 @@ def render_text(report: dict) -> str:
             if "error" in pt:
                 lines.append(f"      point {i}: ERROR {pt['error']}")
             elif not pt["pass"]:
-                lines.append(f"      point {i}: relErr {pt['relErr']} "
-                             f"params {pt['params']}")
+                lines.append(f"      point {i}: relErr "
+                             f"{_short(pt['relErr'])} params {pt['params']}")
     overall = "PASS" if report_passed(report) else "FAIL"
     lines.append(f"overall: {overall}")
     return "\n".join(lines) + "\n"

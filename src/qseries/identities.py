@@ -372,9 +372,9 @@ def _section5(*terms, minus_scale=False):
     its coefficient formed once per (na, nb, nz) from the powers q^(n a),
     q^(n b) and q^(n z), each formed once per call, so prodquot telescopes
     Gamma_q(x) / Gamma_q(x+1) = (1-q) / (1-q^x) (Gasper & Rahman, 1.10) to
-    one factor. Poles are checked first: q^-n q^n rounds to no exact zero
-    factor."""
-    gammas = [v for _, nums, dens, _ in terms for v in nums + dens]
+    one factor. Poles are checked first (q^-n q^n rounds to no exact zero
+    factor), in mpf where doubles do not rule out x <= 0 by far."""
+    gammas = dict.fromkeys(v for _, ns, ds, _ in terms for v in ns + ds)
     keys = {v[1:] for _, *vectors in terms for vs in vectors for v in vs}
     used = [{k[i] for k in keys} - {0} for i in range(3)]  # each letter's n
     es = {e for e, *_ in terms if any(e)} | {_SCALE}
@@ -390,8 +390,11 @@ def _section5(*terms, minus_scale=False):
         def monomials(vs):
             return [ParamExpr(coefficients[v[1:]], v[0]) for v in vs]
 
+        fs = [1.0, *(float(p[x]) for x in "abz")]
         for v in gammas:
-            _check_pole(_value(v, p), "gamma_q")
+            xs = [n * f for n, f in zip(v, fs)]
+            if not sum(xs) > 2 ** -40 * sum(map(abs, xs)) + 2 ** -1000:
+                _check_pole(_value(v, p), "gamma_q")
         powers = {e: mp.power(1 - q, _value(e, p)) for e in es}
 
         def term(e, nums, dens, phi21):

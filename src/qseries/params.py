@@ -22,6 +22,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import (fone, from_int, mpf_div, mpf_exp, mpf_mul,
+                          mpf_pow_int, round_nearest as RN)
 
 from .errors import ParseError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
@@ -37,15 +39,17 @@ _QFORM_RE = re.compile(
     rf"(?:\^(?P<exp>-?\d+(?:\.\d+|/0*[1-9]\d*)?))?$")
 
 
-def _real(c) -> mpf:
-    """An exact coefficient rounded once to the precision in force."""
-    return c if isinstance(c, mpf) else mpf(c.numerator) / c.denominator
+def _raw(c) -> tuple:
+    """A coefficient's raw mpf, an exact one as mpf(num) / den rounds it."""
+    prec = mp.prec
+    return c._mpf_ if isinstance(c, mpf) else mpf_div(
+        from_int(c.numerator, prec, RN), from_int(c.denominator), prec, RN)
 
 
 def _combine(op, x, y):
     """op on two coefficients: exact unless one of them is an mpf."""
     if isinstance(x, mpf) or isinstance(y, mpf):
-        return op(_real(x), _real(y))
+        return op(mp.make_mpf(_raw(x)), mp.make_mpf(_raw(y)))
     return op(Fraction(x), y)
 
 
@@ -71,15 +75,19 @@ class ParamExpr:
         exact = not isinstance(c, mpf) and c == 1 and r.denominator == 1
         return -int(r) if exact and r <= 0 else None
 
-    def value(self, q) -> mpf:
-        """c q^r at the precision in force, q^r by mpf powering for an
-        integer r and as qcore.qpow computes it otherwise."""
-        c, r = _real(self.coefficient), self.exponent
+    def value(self, q, lq=None) -> mpf:
+        """c q^r at the precision in force, in libmpf rounded as c * q**r
+        for an integer r and c * exp(r * log q) otherwise, lq the raw log q
+        where a caller shares one."""
+        prec, r, c = mp.prec, self.exponent, _raw(self.coefficient)
         if r == 0:
-            return c
+            return mp.make_mpf(c)
         if r.denominator == 1:
-            return c * q ** int(r)
-        return c * mp.exp(mpf(r.numerator) / r.denominator * mp.log(q))
+            x = mpf_pow_int(to_real(q)._mpf_, int(r), prec, RN)
+        else:
+            x = mpf_exp(mpf_mul(_raw(r), lq or mp.log(q)._mpf_, prec, RN),
+                        prec, RN)
+        return mp.make_mpf(x if c == fone else mpf_mul(c, x, prec, RN))
 
     def eval(self, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         """The value at q, at the ctx's working precision."""

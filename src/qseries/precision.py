@@ -8,9 +8,11 @@ ten guard digits to absorb cancellation), the truncation-error target
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from .errors import QDomainError
 
@@ -49,7 +51,9 @@ class PrecisionCtx:
         return mpf(10) ** (-self.digits)
 
     def working(self):
-        """Context manager switching mpmath to the working precision."""
+        """Switch mpmath to the working precision where it is not in force."""
+        if mp.prec == dps_to_prec(self.working_dps):  # mp.dps is then equal
+            return nullcontext()
         return mp.workdps(self.working_dps)
 
 

@@ -108,10 +108,10 @@ from operator import mul, sub
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_mul_int,
-                          mpf_pos, mpf_rdiv_int, mpf_shift, mpf_sub,
-                          round_ceiling, to_float)
+from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
+                          fzero, mpf_abs, mpf_add, mpf_div, mpf_ge, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_rdiv_int,
+                          mpf_shift, mpf_sub, round_ceiling, to_float)
 from mpmath.libmp import round_nearest as RN
 
 from .errors import (
@@ -155,7 +155,8 @@ class SeriesValue:
     # Error propagation so identity evaluators can assemble values from
     # certified pieces without losing the error bookkeeping: each operation
     # bounds what its operands' errors can do to the exact result, and adds
-    # its own rounding, 2^-prec of the result. Keep a SeriesValue on the
+    # its own rounding, ldexp(abs(value), -prec), to err, in libmpf on raw
+    # mpfs rounded as the mpf expression in its comment. Keep a SeriesValue
     # left of a plain mpf: mpf * sv first has mpmath try to convert sv,
     # which fails only after formatting repr(sv) into a TypeError message,
     # before Python falls back to the same __rmul__ or __radd__: at 50
@@ -168,21 +169,25 @@ class SeriesValue:
             return x
         return SeriesValue(to_real(x), mpf(0), 0, True)
 
-    def _result(self, o, value, err) -> "SeriesValue":
-        return SeriesValue(value, err + mp.ldexp(abs(value), -mp.prec),
-                           self.terms_used + o.terms_used,
-                           self.certified and o.certified)
+    def _balls(self, other):  # o = of(other); a, ea, b, eb raw; mp.prec
+        o = self.of(other)
+        return (o, self.value._mpf_, self.err_estimate._mpf_, o.value._mpf_,
+                o.err_estimate._mpf_, mp.prec)
+
+    def _result(self, o, value, err, p) -> "SeriesValue":
+        return SeriesValue(mp.make_mpf(value), mp.make_mpf(mpf_add(
+            err, mpf_shift(mpf_abs(value), -p), p, RN)),
+            self.terms_used + o.terms_used, self.certified and o.certified)
 
     def __add__(self, other):
-        o = self.of(other)
-        return self._result(o, self.value + o.value,
-                            self.err_estimate + o.err_estimate)
+        o, a, ea, b, eb, p = self._balls(other)  # a + b, ea + eb
+        return self._result(o, mpf_add(a, b, p, RN), mpf_add(ea, eb, p, RN), p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SeriesValue(-self.value, self.err_estimate,
-                           self.terms_used, self.certified)
+        return SeriesValue(mp.make_mpf(mpf_neg(self.value._mpf_, mp.prec, RN)),
+                           self.err_estimate, self.terms_used, self.certified)
 
     def __sub__(self, other):
         return self + (-self.of(other))
@@ -191,26 +196,26 @@ class SeriesValue:
         return self.of(other) + (-self)
 
     def __mul__(self, other):
-        o = self.of(other)
-        return self._result(o, self.value * o.value,
-                            abs(self.value) * o.err_estimate
-                            + abs(o.value) * self.err_estimate
-                            + self.err_estimate * o.err_estimate)
+        o, a, ea, b, eb, p = self._balls(other)  # |a| eb + |b| ea + ea eb
+        err = mpf_add(mpf_mul(mpf_abs(a, p, RN), eb, p, RN),
+                      mpf_mul(mpf_abs(b, p, RN), ea, p, RN), p, RN)
+        return self._result(o, mpf_mul(a, b, p, RN),
+                            mpf_add(err, mpf_mul(ea, eb, p, RN), p, RN), p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         """Within (e_a + |a/b| e_b) / (|b| - e_b) over the balls a +- e_a."""
-        o = self.of(other)
-        if o.value == 0:
+        o, a, ea, b, eb, p = self._balls(other)
+        if b == fzero:
             raise PoleError("division by an exactly-zero series value")
-        if o.err_estimate >= abs(o.value):
+        if mpf_ge(eb, mpf_abs(b, p, RN)):  # eb >= abs(b)
             raise NumericalBreakdownError(
                 "a divisor cannot be told from 0 within its error estimate")
-        val = self.value / o.value
-        return self._result(o, val,
-                            (self.err_estimate + abs(val) * o.err_estimate)
-                            / (abs(o.value) - o.err_estimate))
+        val = mpf_div(a, b, p, RN)  # (ea + abs(val)*eb) / (abs(b) - eb)
+        return self._result(o, val, mpf_div(
+            mpf_add(ea, mpf_mul(mpf_abs(val), eb, p, RN), p, RN),
+            mpf_sub(mpf_abs(b, p, RN), eb, p, RN), p, RN), p)
 
     def __rtruediv__(self, other):
         return self.of(other) / self
@@ -229,39 +234,39 @@ class QPoint:
     def __post_init__(self):
         q = to_real(self.q)
         exprs = {k: ParamExpr.of(v) for k, v in self.params.items()}
-        _check_q(q, **exprs)
+        _check_q(q, exprs.values(), exprs)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "exprs", exprs)
         object.__setattr__(self, "params",
-                           {k: e.value(q) for k, e in exprs.items()})
+                           dict(zip(exprs, _values(exprs.values(), q))))
 
     def __getitem__(self, name):
         return self.params[name]
 
 
-def _check_q(q, /, **params):
-    """Reject q outside (0,1) and non-finite parameters, by name, up front: a
-    NaN or infinite parameter would otherwise run a product or series to its
-    cap. An exact (int or Fraction) coefficient is finite by construction."""
-    if not (0 < q < 1):
+def _check_q(q, params=(), names=()):
+    """Reject q outside (0,1) and NaN or infinite parameters up front, by
+    names read only to raise: they would run a product or series to its cap."""
+    if not (mpf_lt(fzero, q._mpf_) and mpf_lt(q._mpf_, fone)):
         raise QDomainError(f"q must lie strictly in (0,1), got {q}")
-    for name, x in params.items():
+    for i, x in enumerate(params):
         c = x.coefficient if isinstance(x, ParamExpr) else x
-        if not isinstance(c, (int, Fraction)) and not mp.isfinite(to_real(c)):
-            raise QDomainError(f"parameter {name} is not finite, got {x}")
+        if (not isinstance(c, (int, Fraction))
+                and to_real(c)._mpf_ in (finf, fninf, fnan)):
+            raise QDomainError(f"parameter {[*names][i]} is not finite, got {x}")
 
 
-def _series_params(upper, lower) -> dict:
-    """The upper and lower parameters by their r_phi_s names a1.., b1.."""
-    return {**{f"a{i}": u for i, u in enumerate(upper, 1)},
-            **{f"b{j}": b for j, b in enumerate(lower, 1)}}
+def _series_names(upper, lower, *rest):
+    """The upper and lower parameters' r_phi_s names a1.., b1.., then rest."""
+    return chain((f"a{i}" for i in range(1, len(upper) + 1)),
+                 (f"b{j}" for j in range(1, len(lower) + 1)), rest)
 
 
 def qpow(q, e, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """q**e = exp(e*ln q) for q in (0,1) and finite real e."""
     with ctx.working():
         q, e = to_real(q), to_real(e)
-        _check_q(q, e=e)
+        _check_q(q, [e], ["e"])
         return _qpowers(q, [e])[0]
 
 
@@ -314,8 +319,10 @@ class _DenominatorPole(PoleError):
 
 
 def _values(xs, q) -> list:
-    """Reals or monomials in q as their values at q."""
-    return [x.value(q) if isinstance(x, ParamExpr) else to_real(x)
+    """Reals or monomials in q as their values at q, with one log q."""
+    lq = any(isinstance(x, ParamExpr) and x.exponent.denominator != 1
+             for x in xs) and mp.log(q)._mpf_
+    return [x.value(q, lq) if isinstance(x, ParamExpr) else to_real(x)
             for x in xs]
 
 
@@ -353,7 +360,7 @@ def prodquot(nums, dens, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     finite factors, the head factors and N terms for each series."""
     with ctx.working():
         q = to_real(q)
-        _check_q(q, **_series_params(nums, dens))
+        _check_q(q, [*nums, *dens], _series_names(nums, dens))
         return _quotient([*map(ParamExpr.of, nums)],
                          [*map(ParamExpr.of, dens)], q, ctx)
 
@@ -531,9 +538,10 @@ def _quotient(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
     # q and the values rounded to the working precision first
     prec, q = mp.prec, +q
     theta = min(mpf(0.5), 3 * (1 - q))
-    runs = [(x, (+x.value(q))._mpf_, count, over)
-            for x, count, over in finite + [(x, None, True) for x in nums]
-            + [(y, None, False) for y in dens]]
+    runs = (finite + [(x, None, True) for x in nums]
+            + [(y, None, False) for y in dens])
+    runs = [(x, mpf_pos(v._mpf_, prec, RN), n, over) for (x, n, over), v
+            in zip(runs, _values([x for x, _, _ in runs], q))]
     q_, theta_ = q._mpf_, theta._mpf_
     wp = _working_bits(prec, [v for _, v, _, _ in runs])
     one, Q, iq = 1 << wp, _fixed(q_, wp), _inv_one_minus(q_, wp)
@@ -926,16 +934,21 @@ def _ratio_series(num_params, den_params, q, arg, ctx, arg_ulps=0):
     return SeriesValue(mp.make_mpf(value), mp.make_mpf(err), used, True)
 
 
+def _series_values(upper, lower, q, z) -> tuple:
+    """q, the parameters and z, checked and valued with one log q."""
+    q, xs = to_real(q), [*upper, *lower, z]
+    _check_q(q, xs, _series_names(upper, lower, "z"))
+    *xs, z = _values(xs, q)
+    return q, xs[:len(upper)], xs[len(upper):], z
+
+
 def phi(upper, lower, q, z, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """Generalized basic hypergeometric series r_phi_s.
 
     sum_{n>=0} [prod (a_i;q)_n / ((q;q)_n prod (b_j;q)_n)] z^n for |z| < 1.
     """
     with ctx.working():
-        q = to_real(q)
-        _check_q(q, **_series_params(upper, lower), z=z)
-        upper, lower = _values(upper, q), _values(lower, q)
-        z = ParamExpr.of(z).value(q)
+        q, upper, lower, z = _series_values(upper, lower, q, z)
         if abs(z) >= 1:
             raise DivergenceError(f"phi requires |z| < 1, got |z| = {abs(z)}")
         if z == 0:
@@ -962,11 +975,8 @@ def psi_bilateral(upper, lower, q, z,
     argument.
     """
     with ctx.working():
-        q = to_real(q)
-        _check_q(q, **_series_params(upper, lower), z=z)
         ups, lows = [*map(ParamExpr.of, upper)], [*map(ParamExpr.of, lower)]
-        upper, lower = _values(ups, q), _values(lows, q)
-        z = ParamExpr.of(z).value(q)
+        q, upper, lower, z = _series_values(upper, lower, q, z)
         if len(upper) != len(lower) or not upper:
             raise QDomainError(
                 "bilateral series needs equally many upper and lower parameters")

@@ -35,7 +35,7 @@ def gamma_q(x, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """
     with ctx.working():
         q, x = to_real(q), to_real(x)
-        _check_q(q, x=x)
+        _check_q(q, [x], ["x"])
         _check_pole(x, "gamma_q")
         return (prodquot([q], _qpowers(q, [x]), q, ctx)
                 * mp.power(1 - q, 1 - x))
@@ -73,7 +73,7 @@ def jackson_integral_finite(f, c, q,
     tail estimate (heuristic, so certified=False)."""
     with ctx.working():
         q, c = to_real(q), to_real(c)
-        _check_q(q, c=c)
+        _check_q(q, [c], ["c"])
         if c <= 0:
             raise QDomainError(
                 f"jackson_integral_finite requires c > 0, got {c}")

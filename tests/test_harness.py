@@ -64,6 +64,36 @@ def test_gate_report_hash():
         "e009c15d8c32ca3e90b24bf00bebd37a47a163b9c41f471e1db67a9ac0ef9335")
 
 
+def test_report_hash_at_100_digits():
+    # every entry at one seed-1 point and 100 digits, pinned like the gate:
+    # a libmpf path that rounds at the wrong precision moves this hash
+    report = render_json(run(RunConfig(points_per_identity=1, seed=1,
+                                       digits=100)))
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "5af9fee3992435a0a5c230489dd99bbb0e30880acb9674bf718130db311efaaa")
+
+
+def test_text_report_prints_rel_errors_to_three_digits(capsys):
+    # at 300 digits the JSON report keeps every digit of each relErr, and
+    # its bytes do not move; the text report prints 3 significant digits
+    config = RunConfig(identities=("eq-5.12",), points_per_identity=2,
+                       digits=300)
+    report = render_json(run(config))
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "03c17685e5b73fab05fc49baa404a2f91dbc0f88999e3d6837ebc3bb88d09ee4")
+    assert cli.main(["verify", "--identity", "eq-5.12", "--points", "2",
+                     "--digits", "300"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert max(map(len, lines)) < 120, lines
+    assert "worst relErr 2.63e-311 " in lines[2]
+    failing = render_text(run(RunConfig(identities=("synthetic-offset",),
+                                        points_per_identity=2, digits=300),
+                              registry=[_synthetic_offset_entry()]))
+    rel_errs = [line.split("relErr ")[1].split()[0]
+                for line in failing.splitlines() if "relErr" in line]
+    assert rel_errs == ["0.5"] * 3
+
+
 def test_seed_changes_sampled_points():
     base = RunConfig(identities=("eq-1.1",), points_per_identity=3, digits=30)
     r1 = run(RunConfig(identities=("eq-1.1",), points_per_identity=3,
