@@ -157,9 +157,12 @@ def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _short(rel_err):
-    """A relErr string to 3 significant digits, or None, for the text."""
-    return rel_err if rel_err is None else mp.nstr(mpf(rel_err), 3)
+def _short(x, digits=3):
+    """A report's decimal string to ``digits`` significant digits, or None,
+    for the text; read with 15 digits to spare, so the rounding is the
+    string's own."""
+    with mp.workdps(digits + 15):
+        return x if x is None else mp.nstr(mpf(x), digits)
 
 
 def render_text(report: dict) -> str:
@@ -176,13 +179,14 @@ def render_text(report: dict) -> str:
                      f"{_short(agg['worstRelErr'])}  [{res['paperRef']}]")
         if "suspectedConstantOffset" in agg:
             lines.append(f"      suspected constant offset lhs/rhs = "
-                         f"{agg['suspectedConstantOffset']}")
+                         f"{_short(agg['suspectedConstantOffset'], 17)}")
         for i, pt in enumerate(res["points"]):
             if "error" in pt:
                 lines.append(f"      point {i}: ERROR {pt['error']}")
             elif not pt["pass"]:
+                params = {k: _short(v, 17) for k, v in pt["params"].items()}
                 lines.append(f"      point {i}: relErr "
-                             f"{_short(pt['relErr'])} params {pt['params']}")
+                             f"{_short(pt['relErr'])} params {params}")
     overall = "PASS" if report_passed(report) else "FAIL"
     lines.append(f"overall: {overall}")
     return "\n".join(lines) + "\n"

@@ -961,21 +961,17 @@ def psi_bilateral(upper, lower, q, z,
     """Bilateral basic hypergeometric series r_psi_r.
 
     sum_{n in Z} prod (a_i;q)_n / prod (b_j;q)_n * z^n, convergent in the
-    annulus |b_1...b_r/(a_1...a_r)| < |z| < 1. The negative-index half is
-    rewritten by the Pochhammer inversion, then shifted to start at m = 0 by
-    (x;q)_{m+1} = (1 - x)(xq;q)_m:
-    sum_{n<0} = sum_{m>=1} prod (q/b;q)_m / prod (q/a;q)_m * w^m
-      = w prod (q/b, q^2/a;q)_inf / prod (q^2/b, q/a;q)_inf
-        * sum_{m>=0} prod (q^2/b;q)_m / prod (q^2/a;q)_m * w^m,
-    w = prod b/(prod a * z), so both halves carry certified geometric tail
-    bounds; prodquot telescopes the head to its 2r finite factors, and an
+    annulus |b_1...b_r/(a_1...a_r)| < |z| < 1: its two ratio-series halves
+    minus the 1 they share. By the Pochhammer inversion the negative-index
+    half is
+    sum_{n<0} = sum_{m>=0} prod (q/b;q)_m / prod (q/a;q)_m * w^m - 1,
+    w = prod b/(prod a * z), whose terms include the exact 1 at m = 0; an
     upper a = q^k, k >= 1, is decided to be a pole at m = k before any sum.
-    w's 2r + 2 roundings, at most (2r + 1) 2^(1-prec) relative, enter the
-    estimate through the head and as the radius of the negative half's
-    argument.
+    w's 2r + 2 roundings, at most (2r + 1) 2^(1-prec) relative, are the
+    radius of that series' argument.
     """
     with ctx.working():
-        ups, lows = [*map(ParamExpr.of, upper)], [*map(ParamExpr.of, lower)]
+        ups = [*map(ParamExpr.of, upper)]
         q, upper, lower, z = _series_values(upper, lower, q, z)
         if len(upper) != len(lower) or not upper:
             raise QDomainError(
@@ -1003,23 +999,15 @@ def psi_bilateral(upper, lower, q, z,
             if n is not None:
                 raise _neg_half_pole(upper, i, n + 1)
         pos = _ratio_series(upper, lower, q, z, ctx)
-        quot = _quotient([Q / b for b in lows] + [Q * Q / a for a in ups],
-                         [Q * Q / b for b in lows] + [Q / a for a in ups],
-                         q, ctx)
-        # a prefactor, so no terms of its own
-        head = SeriesValue(w * quot.value, abs(w) * (
-            quot.err_estimate + mp.ldexp(w_ulps, -mp.prec) * abs(quot.value)),
-            0, True)
-        dens = [q * q / a for a in upper]
+        dens = [q / a for a in upper]
         try:
-            neg = _ratio_series([q * q / b for b in lower], dens, q, w, ctx,
+            neg = _ratio_series([q / b for b in lower], dens, q, w, ctx,
                                 w_ulps)
         except _DenominatorPole as exc:
-            # the factor 1 - (q^2/a_i) q^n of term n is (q/a_i;q)_m's
-            # factor at m = n + 2
+            # the factor 1 - (q/a_i) q^n of term n is (q/a_i;q)_m's at m = n + 1
             raise _neg_half_pole(upper, dens.index(exc.b) + 1,
-                                 exc.n + 2) from None
-        return pos + head * neg
+                                 exc.n + 1) from None
+        return pos + (neg - 1)
 
 
 # no identity side calls this any more; perfbench's tracer looks it up by name

@@ -61,7 +61,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "e009c15d8c32ca3e90b24bf00bebd37a47a163b9c41f471e1db67a9ac0ef9335")
+        "6917b653692a2014a5527a06007760ceffacd1ef420faa80163e45e451ab2626")
 
 
 def test_report_hash_at_100_digits():
@@ -70,7 +70,7 @@ def test_report_hash_at_100_digits():
     report = render_json(run(RunConfig(points_per_identity=1, seed=1,
                                        digits=100)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "5af9fee3992435a0a5c230489dd99bbb0e30880acb9674bf718130db311efaaa")
+        "ee89ebdc72c408914ee402f6f932a6a1d635a50d590c7f700a1bfea93b256d71")
 
 
 def test_text_report_prints_rel_errors_to_three_digits(capsys):
@@ -92,6 +92,13 @@ def test_text_report_prints_rel_errors_to_three_digits(capsys):
     rel_errs = [line.split("relErr ")[1].split()[0]
                 for line in failing.splitlines() if "relErr" in line]
     assert rel_errs == ["0.5"] * 3
+    # a failing point's params and a suspected offset print to 17 digits
+    thirds = render_text(run(RunConfig(identities=("synthetic-offset",),
+                                       points_per_identity=2, digits=300),
+                             registry=[_synthetic_offset_entry(2, 3)]))
+    assert "offset lhs/rhs = 0.66666666666666667\n" in thirds
+    for text in (failing, thirds):
+        assert max(map(len, text.splitlines())) < 120, text
 
 
 def test_seed_changes_sampled_points():

@@ -738,10 +738,11 @@ def _ratio_series_cases():
     yield [mpf(4)], [mpf("0.5"), mpf("0.3")], mpf("0.5"), mpf("0.7")
     # psi_bilateral with b = q sums the positive half alone
     yield [mpf("0.4")], [q], q, mpf("0.5")
-    # the negative half of psi_bilateral([a], [b], q, z), shifted to m = 0
+    # the negative half of psi_bilateral([a], [b], q, z), its exact 1 at
+    # m = 0 included
     a, b = mpf("0.5"), mpf("0.3")
     for z in (mpf("0.7"), mpf("-0.9")):
-        yield [q * q / b], [q * q / a], q, b / (a * z)
+        yield [q / b], [q / a], q, b / (a * z)
 
 
 @pytest.mark.parametrize("ctx", [PrecisionCtx(digits=20),
@@ -781,7 +782,15 @@ def test_ratio_series_matches_every_term_reference(monkeypatch, ctx):
     ("phi", ["-1.5", "0.5"], ["0.25"], "0.9999", "0.9", 20),
     # a psi whose negative half has |w| = |b/(az)| = 0.999
     ("psi", ["0.375"], ["0.280968750"], "0.5", "0.75", 40),
-], ids=["d0", "d2-q0.9", "d2-q0.99", "d2-q0.999", "d2-q0.9999", "psi-w0.999"])
+    # psi([2], [b], 0.3, 0.45): at small |w| the negative half's series is
+    # its exact 1 plus little, so that half, the series less the 1, is
+    # small; at b = 0.8991, |w| = 0.999 at the annulus edge
+    ("psi", ["2"], ["1e-12"], "0.3", "0.45", 40),
+    ("psi", ["2"], ["1e-30"], "0.3", "0.45", 40),
+    ("psi", ["2"], ["0.2"], "0.3", "0.45", 40),
+    ("psi", ["2"], ["0.8991"], "0.3", "0.45", 40),
+], ids=["d0", "d2-q0.9", "d2-q0.99", "d2-q0.999", "d2-q0.9999", "psi-w0.999",
+        "psi-b1e-12", "psi-b1e-30", "psi-b0.2", "psi-b0.8991-w0.999"])
 def test_taylor_closure_within_its_bound(kind, upper, lower, q, z, digits):
     # the value s + t sum_(k<=K) sigma_k lies within the closure's bound
     # plus its radius of qhyper, summed far past the stop, or of Ramanujan's
@@ -923,17 +932,16 @@ def test_psi_certified_just_inside_the_rounding_margin_of_w():
 
 
 def test_psi_negative_half_counts_terms_summed(ctx40):
-    # lower b = q^3 at q = 1/2 makes the shifted negative half's upper
-    # parameter q^2/b = q^-1, so that half ends after its terms m = 0 and
-    # m = 1 (the terms m = 1 and m = 2 of sum_{n<0})
+    # lower b = q^3 at q = 1/2 makes the negative half's upper parameter
+    # q/b = q^-2, so that half ends after its terms m = 0, 1 and 2 (the
+    # exact 1 at m = 0, then the terms n = -1 and n = -2 of sum_{n<0})
     q, a, b, z = mpf("0.5"), mpf("0.9"), mpf("0.125"), mpf("0.6")
     with ctx40.working():
-        neg = qcore._ratio_series([q * q / b], [q * q / a], q, b / (a * z),
-                                  ctx40)
+        neg = qcore._ratio_series([q / b], [q / a], q, b / (a * z), ctx40)
         pos = qcore._ratio_series([a], [b], q, z, ctx40)
-    assert neg.terms_used == 2
+    assert neg.terms_used == 3
     assert psi_bilateral([a], [b], q, z, ctx40).terms_used == (
-        pos.terms_used + 2)
+        pos.terms_used + 3)
 
 
 @pytest.mark.parametrize("q", ["0.5", "0.3"])
