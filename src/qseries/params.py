@@ -4,7 +4,8 @@ The exponent r is an exact rational; the coefficient c is exact (int or
 Fraction) where it was typed or written in the catalog, while a sampled real
 is its own mpf coefficient with r = 0. Exact monomials multiply and divide
 exactly, so the primitives decide cancellations, telescoping pairs and
-vanishing factors 1 - q^-n q^n from exponents. Command-line grammar:
+vanishing factors 1 - q^-n q^n from exponents, in products and phi/psi
+series alike. Command-line grammar:
 
     expr     := number | ["-"] [number "*"] "q" ["^" rational]
     rational := integer | integer "/" positive-integer | decimal

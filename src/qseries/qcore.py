@@ -61,13 +61,14 @@ exact value of the same expression in the rounded inputs lying within M
   relative radii sum to f < 2^wp have f + f^2 2^-wp together, and a floor
   to a term of at least 2^wp adds 2 + e 2^-wp;
 - a rounding to mpf at prec adds 2^-prec of its result.
-A factor 1 - x q^n whose ball, widened by the rounding (n + 2) |x q^n|
-2^-prec of the same expression in libmpf, reaches 0 is recomputed in
-libmpf at prec, q^n by n roundings: exactly 0 there, it is an exact zero
-over the line (of a product, of a series' later terms) and a PoleError
-under it; otherwise it has the radius of those roundings. A series factor
-or a product's denominator whose ball still reaches 0 raises
-NumericalBreakdownError.
+In products and series alike, 1 - x q^n is exactly 0 at x's zero index n
+(x exactly q^-n). A den's is a PoleError before any cap screen or factor,
+unless a series ends first at a num's. A factor whose ball, widened by
+the rounding (n + 2) |x q^n| 2^-prec of the same expression in libmpf,
+reaches 0 is recomputed in libmpf at prec, q^n by n roundings: exactly 0
+there, it is a zero too, else it has their radius. A zero is 0 over the
+line (of a product, of a series' later terms) and a PoleError under it; a
+series factor's or product den's ball still at 0 is NumericalBreakdownError.
 
 A product holds its heads as balls P 2^E, P renormalised to wp + 2 bits
 after each factor, and Euler's terms in absolute units, T_(k+1) = T_k S
@@ -309,13 +310,21 @@ def pochhammer_n(a, q, n: int, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
 
 
 class _DenominatorPole(PoleError):
-    """The factor 1 - b q^n of a den parameter b of prodquot or
-    _ratio_series vanished."""
+    """The factor 1 - b q^n of a den b of prodquot or _ratio_series is 0."""
 
     def __init__(self, b, n):
         super().__init__(f"pole: vanishing denominator factor "
                          f"1 - ({b})*q^{n}")
         self.b, self.n = b, n
+
+
+def _exact_pole(dens, zeros, m):
+    """Raise _DenominatorPole at the first den exactly q^-n, n its zero index
+    in zeros[m:], unless a num's j < n in zeros[:m] ends the sum at term j."""
+    end = min([j for j in zeros[:m] if j is not None], default=inf)
+    for y, n in zip(dens, zeros[m:]):
+        if n is not None and n <= end:
+            raise _DenominatorPole(y, n)
 
 
 def _values(xs, q) -> list:
@@ -444,11 +453,13 @@ def _inv_one_minus(x, wp, e=0) -> int:
     return -((-1 << 2 * wp - xe) // ((1 << wp - xe) - xm * ((1 << wp) + e)))
 
 
-def _factor(XQ, r, x, n, q_, prec, wp):
+def _factor(XQ, r, x, n, zero, q_, prec, wp):
     """The ball of 1 - x q^n at 2^-wp from the ball (XQ, r) of x q^n, x the
-    raw mpf. Where it may reach 0, within r and the rounding (n + 2) |x q^n|
-    2^-prec of the same expression in libmpf, it is recomputed in libmpf at
-    prec, q^n by n roundings: (0, 0) where that is exactly 0."""
+    raw mpf: (0, 0) at n = zero, x's zero index. Where it may reach 0, within
+    r and the rounding (n + 2) |x q^n| 2^-prec of the same expression in
+    libmpf, it is recomputed at prec, q^n by n roundings: (0, 0) where 0."""
+    if n == zero:
+        return 0, 0
     F = (1 << wp) - XQ
     if abs(F) > r + (abs(XQ) * (n + 2) >> prec):
         return F, r
@@ -476,19 +487,18 @@ def _times(P, E, R, F, rF, wp):
 
 
 def _head(P, E, R, x, zero, count, Q, theta, q_, prec, wp):
-    """The ball P 2^E, radius R, times the factors 1 - x q^n, x the raw
-    mpf, from n = 0, count of them, or while |x q^n| > theta 2^-wp where
-    count is None, leaving out each factor that is 0, as the one at n = zero
-    (an exact zero index, or None) is. Returns the product as a ball P 2^E,
-    the number of factors, the ball of x q^n past the last one at 2^-wp, and
-    the first n whose factor is 0 (or None)."""
+    """The ball P 2^E, radius R, times the factors 1 - x q^n, x the raw mpf
+    of zero index zero, from n = 0, count of them, or while |x q^n| > theta
+    2^-wp where count is None, leaving out each that is 0. Returns the
+    product as a ball P 2^E, the number of factors, the ball of x q^n past
+    the last one at 2^-wp, and the first n whose factor is 0 (or None)."""
     X, QN, rQ, n, first_zero = _fixed(x, wp), 1 << wp, 0, 0, None
     while True:
         XQ = X * QN >> wp
         r = -(-(abs(X) * rQ + QN + rQ) >> wp) + 1
         if n == count or (count is None and abs(XQ) <= theta):
             return P, E, R, n, XQ, r, first_zero
-        F, rF = (0, 0) if n == zero else _factor(XQ, r, x, n, q_, prec, wp)
+        F, rF = _factor(XQ, r, x, n, zero, q_, prec, wp)
         if F:
             P, E, R = _times(P, E, R, F, rF, wp)
         elif first_zero is None:
@@ -532,9 +542,7 @@ def _euler_terms(big, rs, Q, K, room, wp):
 def _quotient(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
     """prodquot of checked monomials, at the precision in force."""
     nums, dens, finite = _telescope(nums, dens)
-    for y in dens:
-        if y.zero_index is not None:
-            raise _DenominatorPole(y, y.zero_index)
+    _exact_pole(dens, [y.zero_index for y in dens], 0)
     # q and the values rounded to the working precision first
     prec, q = mp.prec, +q
     theta = min(mpf(0.5), 3 * (1 - q))
@@ -598,14 +606,6 @@ def _quotient(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
                                                 round_ceiling)), used, True)
 
 
-def _neg_half_pole(upper, i, m) -> PoleError:
-    """psi's negative half has a pole: (q/a_i;q)_m gains the vanishing
-    factor 1 - q^m/a_i at m."""
-    qm = "q" if m == 1 else f"q^{m}"
-    return PoleError(f"bilateral pole: 1 - {qm}/a{i} vanishes at m = {m} "
-                     f"(a{i}={upper[i - 1]})")
-
-
 def _log1m(z, pos) -> float:
     """log|1 - s e^z| for s = 1 (pos) or -1, as a double: -inf at s e^z = 1."""
     if z > 0:
@@ -658,26 +658,23 @@ def _never_stops(nums, dens, q_, arg_, digits, n) -> bool:
     return ratio > 2 ** -20
 
 
-def _head_step(T, sh, e, A, D0, xs, raws, m, QN, rQ, n, q_, prec, wp):
+def _head_step(T, sh, e, A, D0, params, m, QN, rQ, n, q_, prec, wp):
     """T's next value in _ratio_kernel at a term n where some |x q^n| may
     exceed 1/2, T of relative radius e (A's included), each factor a ball
-    from _factor: an exact 0 there makes the next term 0 (the first m raws
-    are numerators) or raises _DenominatorPole, and a ball that still
+    from _factor of the params (X, x, zero), the first m nums: an exact 0
+    makes the next term 0 or raises _DenominatorPole, and a ball that still
     reaches 0 raises NumericalBreakdownError. Returns the next term near
     2^(wp+2), its scale sh, of either sign, and its relative radius."""
     P, D = T * A, D0
-    for i, (X, x) in enumerate(zip(xs, raws)):
+    for i, (X, x, zero) in enumerate(params):
         F, r = _factor(X * QN >> wp, -(-(abs(X) * rQ + QN + rQ) >> wp) + 1, x,
-                       n, q_, prec, wp)
+                       n, zero, q_, prec, wp)
         if not F and i >= m:
             raise _DenominatorPole(mp.make_mpf(x), n)
         if F and abs(F) <= r:
             raise NumericalBreakdownError(f"1 - ({mp.make_mpf(x)})*q^{n} "
                                           f"cannot be told from 0")
-        if i < m:
-            P *= F
-        else:
-            D *= F
+        P, D = (P * F, D) if i < m else (P, D * F)
         e = _rel(e, -(-r << wp) // (abs(F) - r), wp) if F else e
     if not P:
         return 0, 0, 0
@@ -762,15 +759,16 @@ def _need(C, lxi, A1, A2, h2, ws, u, n):
     return (C + L) / v, v, L, u
 
 
-def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
-                  wp):
-    """One run of _ratio_series over the raw mpfs nums, dens, q_ and arg_,
-    arg_ known to within a relative arg_ulps 2^-prec, in wp-bit fixed point
-    (module docstring), stopping at tol = 10^-digits. Returns the value, its
-    estimate (the closure's bound plus the value's radius), terms_used and
-    the radius alone, raw mpfs at prec."""
+def _ratio_kernel(nums, dens, zeros, q_, arg_, arg_ulps, digits, max_terms,
+                  prec, wp):
+    """One run of _ratio_series over the raw mpfs nums, dens (zeros their
+    zero indices), q_ and arg_, arg_ known to within a relative arg_ulps
+    2^-prec, in wp-bit fixed point (module docstring), stopping at tol =
+    10^-digits. Returns the value, its estimate (the closure's bound plus
+    the value's radius), terms_used and the radius alone, raw mpfs at prec."""
     one, m = 1 << wp, len(nums)
     xs = [_fixed(x, wp) for x in nums + dens]
+    params = [*zip(xs, nums + dens, zeros)]
     Q = _fixed(q_, wp)
     # arg = A 2^-(wp + ea) with 2^(wp-1) <= |A| < 2^wp: a term carries its
     # own scale 2^-(wp + sh), and each step adds ea to sh; A is exact, and
@@ -879,8 +877,8 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
         t = T >> sh - ss
         S, U, F = S + t, U + abs(t) + 1, F + 2
         if n < head:
-            T, sh, e = _head_step(T, sh, _rel(rel, eA, wp), A, D0, xs,
-                                  nums + dens, m, QN, rQ, n, q_, prec, wp)
+            T, sh, e = _head_step(T, sh, _rel(rel, eA, wp), A, D0, params,
+                                  m, QN, rQ, n, q_, prec, wp)
             if not T and n < max_terms:
                 # a numerator factor vanished; every later term carries it
                 rad = from_man_exp(-(-U * rel >> wp) + F + _ceil_shift(
@@ -906,22 +904,23 @@ def _ratio_kernel(nums, dens, q_, arg_, arg_ulps, digits, max_terms, prec,
     raise CapExceededError(f"series not certified within {max_terms} terms")
 
 
-def _ratio_series(num_params, den_params, q, arg, ctx, arg_ulps=0):
+def _ratio_series(num_params, den_params, zeros, q, arg, ctx, arg_ulps=0):
     """Sum over n >= 0 of prod (num;q)_n / prod (den;q)_n * arg^n for |arg|
     < 1, phi passing q as its first den parameter, for the (q;q)_n: the
     terms t_(k+1) = arg r(q^k) t_k in fixed point (_ratio_kernel) up to the
     stop n, closed by K Taylor terms of the tail (module docstring), with
     terms_used = n + K + 1 and the closure's bound plus the kernel's radius
-    as the certified estimate. An arg known only to within a relative
-    arg_ulps 2^-prec carries that radius into every term and the closure.
-    """
+    as the certified estimate, zeros the nums' and dens' zero indices. An
+    arg known to within a relative arg_ulps 2^-prec carries that radius into
+    every term and the closure."""
+    _exact_pole(den_params, zeros, len(num_params))
     prec, max_terms = mp.prec, ctx.max_terms
     nums, dens = [u._mpf_ for u in num_params], [b._mpf_ for b in den_params]
     if _never_stops(nums, dens, q._mpf_, arg._mpf_, ctx.digits, max_terms):
         raise CapExceededError(f"series cannot be certified within "
                                f"{max_terms} terms")
     wp = _working_bits(prec, nums + dens)
-    kernel = (nums, dens, q._mpf_, arg._mpf_, arg_ulps, ctx.digits,
+    kernel = (nums, dens, zeros, q._mpf_, arg._mpf_, arg_ulps, ctx.digits,
               max_terms, prec)
     value, err, used, rad = _ratio_kernel(*kernel, wp)
     # log(tol max(|V|, tol)) and log(rad) in doubles
@@ -948,12 +947,13 @@ def phi(upper, lower, q, z, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     sum_{n>=0} [prod (a_i;q)_n / ((q;q)_n prod (b_j;q)_n)] z^n for |z| < 1.
     """
     with ctx.working():
+        zeros = [ParamExpr.of(x).zero_index for x in (*upper, Q, *lower)]
         q, upper, lower, z = _series_values(upper, lower, q, z)
         if abs(z) >= 1:
             raise DivergenceError(f"phi requires |z| < 1, got |z| = {abs(z)}")
         if z == 0:
             return SeriesValue(mpf(1), mpf(0), 1, True)
-        return _ratio_series(upper, [q] + lower, q, z, ctx)
+        return _ratio_series(upper, [q] + lower, zeros, q, z, ctx)
 
 
 def psi_bilateral(upper, lower, q, z,
@@ -962,16 +962,14 @@ def psi_bilateral(upper, lower, q, z,
 
     sum_{n in Z} prod (a_i;q)_n / prod (b_j;q)_n * z^n, convergent in the
     annulus |b_1...b_r/(a_1...a_r)| < |z| < 1: its two ratio-series halves
-    minus the 1 they share. By the Pochhammer inversion the negative-index
-    half is
+    minus the 1 they share, the negative-index one by Pochhammer inversion
     sum_{n<0} = sum_{m>=0} prod (q/b;q)_m / prod (q/a;q)_m * w^m - 1,
     w = prod b/(prod a * z), whose terms include the exact 1 at m = 0; an
-    upper a = q^k, k >= 1, is decided to be a pole at m = k before any sum.
+    a_i = q^k, k >= 1 (or the value q), is a pole at m = k, before either sum.
     w's 2r + 2 roundings, at most (2r + 1) 2^(1-prec) relative, are the
-    radius of that series' argument.
-    """
+    radius of that series' argument."""
     with ctx.working():
-        ups = [*map(ParamExpr.of, upper)]
+        ups, lows = [*map(ParamExpr.of, upper)], [*map(ParamExpr.of, lower)]
         q, upper, lower, z = _series_values(upper, lower, q, z)
         if len(upper) != len(lower) or not upper:
             raise QDomainError(
@@ -984,29 +982,30 @@ def psi_bilateral(upper, lower, q, z,
                 f"bilateral series requires 0 < |z| < 1, got |z| = {abs(z)}")
         w = prod(lower) / prod([z] + upper)
         w_ulps = 2 * (2 * len(upper) + 1)
+        zeros = [x.zero_index for x in ups + lows]
         if any(b_j == q for b_j in lower):
             # some (b;q)_{-m} is infinite for every m >= 1: the negative
             # half vanishes identically and only |z| < 1 is needed
-            return _ratio_series(upper, lower, q, z, ctx)
+            return _ratio_series(upper, lower, zeros, q, z, ctx)
         if abs(w) * (1 + mp.ldexp(2 * w_ulps, -mp.prec)) >= 1:
             # beyond |w| < 1, or within twice w's rounding of it
             raise DivergenceError(
                 f"bilateral domain |b../a..| < |z| < 1 violated: "
                 f"|b../(a..z)| = {abs(w)}, |z| = {abs(z)}")
-        for i, a in enumerate(ups, 1):
-            # q/a = q^-n, exactly or as the value a = q, is a pole at m = n + 1
-            n = 0 if upper[i - 1] == q else (Q / a).zero_index
-            if n is not None:
-                raise _neg_half_pole(upper, i, n + 1)
-        pos = _ratio_series(upper, lower, q, z, ctx)
-        dens = [q / a for a in upper]
+        nums, dens = [q / b for b in lower], [q / a for a in upper]
+        neg_zeros = [(Q / B).zero_index for B in lows] + [
+            0 if a == q else (Q / A).zero_index for A, a in zip(ups, upper)]
         try:
-            neg = _ratio_series([q / b for b in lower], dens, q, w, ctx,
-                                w_ulps)
+            _exact_pole(dens, neg_zeros, len(nums))  # before either sum
+            pos = _ratio_series(upper, lower, zeros, q, z, ctx)
+            neg = _ratio_series(nums, dens, neg_zeros, q, w, ctx, w_ulps)
         except _DenominatorPole as exc:
+            if exc.b not in dens:
+                raise  # a pole of the positive half
             # the factor 1 - (q/a_i) q^n of term n is (q/a_i;q)_m's at m = n + 1
-            raise _neg_half_pole(upper, dens.index(exc.b) + 1,
-                                 exc.n + 1) from None
+            i, qm = dens.index(exc.b) + 1, ParamExpr(1, exc.n + 1)
+            raise PoleError(f"bilateral pole: 1 - {qm}/a{i} vanishes at m = "
+                            f"{qm.exponent} (a{i}={upper[i - 1]})") from None
         return pos + (neg - 1)
 
 

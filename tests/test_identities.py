@@ -343,6 +343,22 @@ def test_no_series_value_meets_mpmath_conversion(monkeypatch, registry,
     assert not failed, failed
 
 
+@pytest.mark.parametrize("identity", ["eq-1.1", "thm-2.3"])
+def test_bilateral_sides_pass_at_exact_lower_q_power(identity):
+    # b = q^3, typed exactly, ends psi's negative half at m = 2 from the
+    # exponent; its rounded value left the factor 1 - (q/b) q^2 too close
+    # to 0 to tell, and the point was an error
+    ctx = PrecisionCtx(digits=40)
+    with ctx.working():
+        point = QPoint(mpf("0.45"), {"a": parse_param("0.95"),
+                                     "b": parse_param("q^3"),
+                                     "z": parse_param("0.9")})
+    report = qseries.run(qseries.RunConfig(identities=(identity,),
+                                           explicit_points=(point,)))
+    rec = report["results"][0]["points"][0]
+    assert "error" not in rec and rec["pass"] is True, rec
+
+
 @pytest.mark.parametrize("q", ["0.3", "0.5", "0.7"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_eq11_pole_at_exact_q_power(registry, ctx40, q, k):

@@ -111,8 +111,9 @@ def test_ratio_kernel_radius_holds_at_small_wp(monkeypatch, wp):
         arg = _dyadic(rng, 0.05, 0.9) * rng.choice([1, -1])
         calls.clear()
         value, _, used, rad = qcore._ratio_kernel(
-            [x._mpf_ for x in nums], [x._mpf_ for x in dens], q._mpf_,
-            arg._mpf_, 0, 6, 2000, prec, wp)
+            [x._mpf_ for x in nums], [x._mpf_ for x in dens],
+            [None] * len(nums + dens), q._mpf_, arg._mpf_, 0, 6, 2000, prec,
+            wp)
         assert calls, ("no tail sum taken", wp, q, nums, dens, arg)
         QN, K = calls[-1]
         n, Q, qn = used - K - 1, qcore._fixed(q._mpf_, wp), 1 << wp

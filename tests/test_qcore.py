@@ -390,17 +390,27 @@ def test_prodquot_cap_never_refuses_a_certified_product():
         assert qcore.prodquot(nums, dens, q, capped) == free
 
 
-@pytest.mark.parametrize("call", [
-    lambda: pochhammer_inf(0.5, 0.9999999),
-    lambda: qgamma.gamma_q(0.5, 0.9999999),
-    lambda: phi([0.5], [], 0.9999999, 0.5),
-    lambda: psi_bilateral([2.5], [0.999], 0.9999999, 0.9),
-], ids=["pochhammer_inf", "gamma_q", "phi", "psi_bilateral"])
-def test_q_near_one_fails_fast(call):
+@pytest.mark.parametrize("call, error", [
+    (lambda: pochhammer_inf(0.5, 0.9999999), CapExceededError),
+    (lambda: qgamma.gamma_q(0.5, 0.9999999), CapExceededError),
+    (lambda: phi([0.5], [], 0.9999999, 0.5), CapExceededError),
+    (lambda: psi_bilateral([2.5], [0.999], 0.9999999, 0.9), CapExceededError),
+    # a den exactly q^-n is a pole decided from exponents before any cap
+    # screen or factor, in products and series alike; psi decides its
+    # negative half's before it sums its positive half, which would run to
+    # the cap
+    (lambda: qcore.prodquot([0.4], [ParamExpr(1, -3)], 0.9999999),
+     PoleError),
+    (lambda: psi_bilateral([ParamExpr(1, 3)], [1e-9], 0.9999999, 0.999),
+     PoleError),
+    (lambda: phi([0.5], [ParamExpr(1, -2)], 0.9999999, 0.5), PoleError),
+], ids=["pochhammer_inf", "gamma_q", "phi", "psi_bilateral",
+        "prodquot-exact-pole", "psi-exact-pole", "phi-exact-pole"])
+def test_q_near_one_fails_fast(call, error):
     # about 10^8 head factors, or series terms that keep growing past the
     # cap: refused at once, not after seconds
     start = time.process_time()
-    with pytest.raises(CapExceededError):
+    with pytest.raises(error):
         call()
     assert time.process_time() - start < 0.1
 
@@ -497,6 +507,68 @@ def test_phi_lower_pole():
         phi([0.3], [2.0], 0.5, 0.4)
 
 
+_EXACT_GRID_QS = ["0.3", "0.37", "0.61", "0.9", "0.99", "0.123"]
+
+
+@pytest.mark.parametrize("q", _EXACT_GRID_QS)
+def test_phi_exact_upper_q_power_terminates(q):
+    # an upper q^-k, typed exactly, ends the series at its term k, decided
+    # from the exponent as prodquot decides 1 - q^-k q^k = 0; from its
+    # rounded value the factor was 0 or a NumericalBreakdownError by the
+    # luck of libmpf's rounding. The sum is certified for the rounded
+    # inputs, so the oracle at the exact monomial gets 10^-40 of slack
+    ctx = PrecisionCtx(digits=40)
+    with ctx.working():
+        q = mpf(q)
+    c, h = ParamExpr(Fraction(3, 10)), ParamExpr(Fraction(1, 2))
+    for k in range(1, 16):
+        got = phi([ParamExpr(1, -k), c], [h], q, mpf(1) / 2, ctx)
+        assert got.certified and got.terms_used == k + 1, k
+        with mp.workdps(80):
+            oracle = mp.qhyper([q ** -k, mpf(3) / 10], [mpf(1) / 2], q,
+                               mpf(1) / 2)
+            assert abs(got.value - oracle) <= (
+                got.err_estimate + mpf(10) ** -40 * abs(oracle)), k
+
+
+@pytest.mark.parametrize("q", _EXACT_GRID_QS)
+def test_phi_exact_lower_q_power_is_a_pole(q):
+    # a lower q^-k, typed exactly, makes (b;q)_n vanish from n = k + 1 on:
+    # a PoleError naming the factor 1 - b q^k, raised before any term
+    ctx = PrecisionCtx(digits=40)
+    with ctx.working():
+        q = mpf(q)
+    c, h = ParamExpr(Fraction(3, 10)), mpf(1) / 2
+    for k in range(1, 16):
+        with pytest.raises(PoleError, match=rf"1 - \(.*\)\*q\^{k}$"):
+            phi([c], [ParamExpr(1, -k)], q, h, ctx)
+
+
+@pytest.mark.parametrize("q", _EXACT_GRID_QS)
+def test_phi_ends_before_its_exact_lower_pole(q):
+    # an upper q^-j ends the series at its term j, before a lower q^-k, j <
+    # k, makes (b;q)_n vanish: the finite sum of Gasper & Rahman's
+    # convention, not a pole; at j = k the term after the last is 0/0, a
+    # pole. The oracle sums the same j + 1 terms at the exact monomials
+    ctx = PrecisionCtx(digits=40)
+    with ctx.working():
+        q = mpf(q)
+    c, h = ParamExpr(Fraction(3, 10)), mpf(1) / 2
+    for k in range(2, 16):
+        for j in (1, k - 1):
+            got = phi([ParamExpr(1, -j), c], [ParamExpr(1, -k)], q, h, ctx)
+            assert got.certified and got.terms_used == j + 1, (j, k)
+            with mp.workdps(80):
+                a, b, c3 = q ** -j, q ** -k, mpf(3) / 10
+                oracle = mp.fsum(mp.qp(a, q, n) * mp.qp(c3, q, n) * h ** n
+                                 / (mp.qp(q, q, n) * mp.qp(b, q, n))
+                                 for n in range(j + 1))
+                assert abs(got.value - oracle) <= (
+                    got.err_estimate + mpf(10) ** -40 * abs(oracle)), (j, k)
+        with pytest.raises(PoleError, match=rf"1 - \(.*\)\*q\^{k}$"):
+            phi([ParamExpr(1, -k), c], [ParamExpr(1, -k)], q, h, ctx)
+
+
 def test_phi_q_binomial_theorem(ctx40):
     # sum (a)_n/(q)_n z^n = (az)_inf/(z)_inf
     rng = SplitMix64(7)
@@ -543,8 +615,8 @@ def test_psi_growing_head_terms_fail_fast():
             q_, w = mpf(q), mpf(b[0]) * mpf(b[1]) / (mpf(z) * a[0] * a[1])
             nums = [(q_ * q_ / mpf(x))._mpf_ for x in b]
             dens = [(q_ * q_ / mpf(x))._mpf_ for x in a]
-            qcore._ratio_kernel(nums, dens, q_._mpf_, w._mpf_, 6, 20, cap,
-                                mp.prec,
+            qcore._ratio_kernel(nums, dens, [None] * 4, q_._mpf_, w._mpf_, 6,
+                                20, cap, mp.prec,
                                 qcore._working_bits(mp.prec, nums + dens))
         assert time.process_time() - start < 1, cap
 
@@ -765,7 +837,9 @@ def test_ratio_series_matches_every_term_reference(monkeypatch, ctx):
             with mp.workprec(mp.prec + 64):
                 fine = _ratio_series_every_term(*case, ctx)
             calls.clear()
-            got = qcore._ratio_series(*case, ctx)
+            nums, dens, q, arg = case
+            got = qcore._ratio_series(nums, dens, [None] * len(nums + dens),
+                                      q, arg, ctx)
             assert not calls, case
             assert got.certified and got.terms_used == ref.terms_used, case
             with mp.workprec(mp.prec + 64):
@@ -937,11 +1011,33 @@ def test_psi_negative_half_counts_terms_summed(ctx40):
     # exact 1 at m = 0, then the terms n = -1 and n = -2 of sum_{n<0})
     q, a, b, z = mpf("0.5"), mpf("0.9"), mpf("0.125"), mpf("0.6")
     with ctx40.working():
-        neg = qcore._ratio_series([q / b], [q / a], q, b / (a * z), ctx40)
-        pos = qcore._ratio_series([a], [b], q, z, ctx40)
+        neg = qcore._ratio_series([q / b], [q / a], [None, None], q,
+                                  b / (a * z), ctx40)
+        pos = qcore._ratio_series([a], [b], [None, None], q, z, ctx40)
     assert neg.terms_used == 3
     assert psi_bilateral([a], [b], q, z, ctx40).terms_used == (
         pos.terms_used + 3)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_psi_exact_lower_q_power_ends_the_negative_half(ctx40, k):
+    # b = q^k, typed exactly, makes the negative half's upper parameter q/b
+    # exactly q^(1-k), so that half ends at its term k - 1, decided from the
+    # exponent: from the rounded q/b the factor 1 - (q/b) q^(k-1) was 0 or,
+    # at k = 3, could not be told from 0. The oracle is (1.1)'s product at
+    # the exact b, with 10^-40 of slack for the rounded inputs the sum is
+    # certified for
+    with ctx40.working():
+        q, a, z = mpf("0.45"), mpf("0.95"), mpf("0.9")
+    got = psi_bilateral([a], [ParamExpr(1, k)], q, z, ctx40)
+    with mp.workdps(60):
+        b = q ** k
+        oracle = (_qp60(q, q) * _qp60(b / a, q) * _qp60(a * z, q)
+                  * _qp60(q / (a * z), q)
+                  / (_qp60(b, q) * _qp60(q / a, q) * _qp60(z, q)
+                     * _qp60(b / (a * z), q)))
+        assert got.certified and abs(got.value - oracle) <= (
+            got.err_estimate + mpf(10) ** -40 * abs(oracle))
 
 
 @pytest.mark.parametrize("q", ["0.5", "0.3"])

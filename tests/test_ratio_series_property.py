@@ -175,8 +175,9 @@ def test_screen_never_refuses_a_certified_series():
                                 for _ in range(k - 1)]
             z = mpf(rng.choice([1, -1]) * rng.uniform(0.5, 0.99))._mpf_
             wp = qcore._working_bits(mp.prec, nums + dens)
-            used = qcore._ratio_kernel(nums, dens, q._mpf_, z, 0, 20, 10 ** 6,
-                                       mp.prec, wp)[2]
+            used = qcore._ratio_kernel(nums, dens, [None] * len(nums + dens),
+                                       q._mpf_, z, 0, 20, 10 ** 6, mp.prec,
+                                       wp)[2]
         for n in (used - 1, used, 2 * used, 500_000):
             assert not qcore._never_stops(nums, dens, q._mpf_, z, 20, n)
         refused += qcore._never_stops(nums, dens, q._mpf_, z, 20, used // 4)
