@@ -95,7 +95,7 @@ def _explicit_point(args, ctx: PrecisionCtx) -> QPoint | None:
     try:
         with ctx.working():
             q = to_real(args.q)
-    except ValueError:
+    except QDomainError:
         raise _Failure(f"invalid --q value {args.q!r}")
     params = {}
     for item in args.set:

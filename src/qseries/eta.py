@@ -31,7 +31,7 @@ def eta_quotient(scales, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     with ctx.working():
         q = to_real(q)
         for m, e in scales.items():
-            if m <= 0:
+            if to_real(m) <= 0:
                 raise QDomainError(f"eta_quotient scale must be positive, got {m}")
             e = _int_within_cap(e, f"eta_quotient exponent of scale {m}", ctx)
             factor = eta_nome(q ** m, ctx)

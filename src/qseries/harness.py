@@ -11,7 +11,7 @@ from mpmath import mp, mpf, sqrt as mp_sqrt
 
 from .errors import QSeriesError
 from .identities import full_registry
-from .precision import PrecisionCtx, _check_digits, real_str
+from .precision import PrecisionCtx, _check_digits, _check_int, real_str
 from .qcore import QPoint
 from .registry import _check_tol, _lookup, eval_identity, sample_domain
 
@@ -34,6 +34,11 @@ class RunConfig:
     explicit_points: Tuple[QPoint, ...] = ()
 
     def __post_init__(self):
+        if isinstance(self.identities, str):
+            raise ValueError("identities must be a sequence of ids, got the "
+                             f"str {self.identities!r}")
+        _check_int("seed", self.seed, ValueError)
+        _check_int("points_per_identity", self.points_per_identity, ValueError)
         if self.points_per_identity < 1:
             raise ValueError("points_per_identity must be >= 1")
         _check_digits(self.digits, ValueError)
@@ -61,6 +66,44 @@ def _suspected_offset(ratios, digits: int):
     return None
 
 
+def _evaluate(entry_id, point, config, ctx, registry) -> tuple:
+    """One point's report record and its IdentityResult, or None where
+    eval_identity raised."""
+    digits = config.digits
+    rec = {"params": _point_record(point, digits)}
+    try:
+        res = eval_identity(entry_id, point, tol=config.tolerance, ctx=ctx,
+                            registry=registry)
+    except QSeriesError as exc:
+        return {**rec, "error": str(exc), "pass": False}, None
+    return {**rec, "lhs": real_str(res.lhs_value, digits),
+            "rhs": real_str(res.rhs_value, digits),
+            "absErr": real_str(res.abs_err, digits),
+            "relErr": real_str(res.rel_err, digits),
+            "pass": bool(res.passed), "termsUsed": int(res.terms_used)}, res
+
+
+def _aggregate(pairs, ctx: PrecisionCtx) -> dict:
+    """An identity's aggregate from its points' (record, result) pairs: it
+    passes when every point passes, and its worstRelErr is the first largest
+    relErr evaluated. lhs/rhs ratios are formed to look for a constant offset
+    only when no point passed, none raised and there are at least two."""
+    evaluated = [res for _, res in pairs if res is not None]
+    passes = sum(rec["pass"] for rec, _ in pairs)
+    worst = max((res.rel_err for res in evaluated), default=None)
+    aggregate = {"pass": passes == len(pairs), "passCount": passes,
+                 "numPoints": len(pairs), "worstRelErr": None if worst is None
+                 else real_str(worst, ctx.digits)}
+    if passes == 0 and len(evaluated) == len(pairs) >= 2:
+        with ctx.working():
+            offset = _suspected_offset([res.lhs_value / res.rhs_value
+                                        for res in evaluated
+                                        if res.rhs_value != 0], ctx.digits)
+        if offset is not None:
+            aggregate["suspectedConstantOffset"] = offset
+    return aggregate
+
+
 def run(config: RunConfig, registry=None) -> dict:
     """Execute the campaign and return the report as a plain dict.
 
@@ -74,63 +117,18 @@ def run(config: RunConfig, registry=None) -> dict:
     else:
         entries = [_lookup(i, registry) for i in sorted(set(config.identities))]
     ctx = PrecisionCtx(digits=config.digits)
-    digits = config.digits
 
     results = []
     for entry in entries:
-        if config.explicit_points:
-            points = list(config.explicit_points)
-        else:
-            points = sample_domain(entry.id, config.points_per_identity,
-                                   config.seed, registry)
-        recs = []
-        ratios = []
-        n_pass = 0
-        n_err = 0
-        worst = None
-        for point in points:
-            rec = {"params": _point_record(point, digits)}
-            try:
-                res = eval_identity(entry.id, point, tol=config.tolerance,
-                                    ctx=ctx, registry=registry)
-            except QSeriesError as exc:
-                n_err += 1
-                rec.update({"error": str(exc), "pass": False})
-                recs.append(rec)
-                continue
-            rec.update({
-                "lhs": real_str(res.lhs_value, digits),
-                "rhs": real_str(res.rhs_value, digits),
-                "absErr": real_str(res.abs_err, digits),
-                "relErr": real_str(res.rel_err, digits),
-                "pass": bool(res.passed),
-                "termsUsed": int(res.terms_used),
-            })
-            recs.append(rec)
-            if res.passed:
-                n_pass += 1
-            if res.rhs_value != 0:
-                with ctx.working():
-                    ratios.append(res.lhs_value / res.rhs_value)
-            if worst is None or res.rel_err > worst:
-                worst = res.rel_err
-
-        aggregate = {
-            "pass": bool(n_pass == len(points) and n_err == 0),
-            "passCount": n_pass,
-            "numPoints": len(points),
-            "worstRelErr": real_str(worst, digits) if worst is not None else None,
-        }
-        if n_pass == 0 and n_err == 0 and len(points) >= 2:
-            with ctx.working():
-                offset = _suspected_offset(ratios, digits)
-            if offset is not None:
-                aggregate["suspectedConstantOffset"] = offset
+        points = list(config.explicit_points) or sample_domain(
+            entry.id, config.points_per_identity, config.seed, registry)
+        pairs = [_evaluate(entry.id, point, config, ctx, registry)
+                 for point in points]
         results.append({
             "id": entry.id,
             "paperRef": entry.paper_ref,
-            "points": recs,
-            "aggregate": aggregate,
+            "points": [rec for rec, _ in pairs],
+            "aggregate": _aggregate(pairs, ctx),
         })
 
     return {
@@ -141,8 +139,8 @@ def run(config: RunConfig, registry=None) -> dict:
             "seed": config.seed,
             "digits": config.digits,
             "tolerance": (None if config.tolerance is None
-                          else real_str(config.tolerance, digits)),
-            "explicitPoints": [_point_record(p, digits)
+                          else real_str(config.tolerance, config.digits)),
+            "explicitPoints": [_point_record(p, config.digits)
                                for p in config.explicit_points],
         },
         "results": results,

@@ -26,7 +26,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_int, mpf_div, mpf_exp, mpf_mul,
                           mpf_pow_int, round_nearest as RN)
 
-from .errors import ParseError
+from .errors import ParseError, QDomainError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
 
 __all__ = ["ParamExpr", "Q", "parse_param"]
@@ -60,6 +60,11 @@ class ParamExpr:
 
     coefficient: int | Fraction | mpf = 1
     exponent: int | Fraction = 0
+
+    def __post_init__(self):
+        if not isinstance(self.exponent, (int, Fraction)):
+            raise QDomainError(f"a monomial's exponent must be an int or a "
+                               f"Fraction, got {self.exponent!r}")
 
     @staticmethod
     def of(x) -> "ParamExpr":

@@ -75,12 +75,14 @@ DEFAULT_CTX = PrecisionCtx()
 
 def to_real(x) -> mpf:
     """Coerce a scalar to mpf. Strings are parsed decimally (preferred for
-    exact decimal inputs); ints/floats/mpf pass through mpmath."""
+    exact decimal inputs); ints/floats/mpf pass through mpmath. Anything
+    mpmath cannot read as a real raises QDomainError naming it."""
     if isinstance(x, mpf):
         return x
-    if isinstance(x, str):
-        return mpf(x.strip())
-    return mpf(x)
+    try:
+        return mpf(x.strip() if isinstance(x, str) else x)
+    except (TypeError, ValueError):
+        raise QDomainError(f"cannot read {x!r} as a real number") from None
 
 
 def real_str(x, digits: int) -> str:

@@ -16,7 +16,7 @@ from .errors import (
     UnknownIdentityError,
 )
 from .identities import CATALOG, IdentityEntry
-from .precision import DEFAULT_CTX, PrecisionCtx
+from .precision import DEFAULT_CTX, PrecisionCtx, _check_int, to_real
 from .qcore import QPoint
 from .rng import stream_for
 
@@ -43,9 +43,12 @@ def _lookup(identity_id: str, registry) -> IdentityEntry:
 
 
 def _check_tol(tol, error=QDomainError) -> mpf:
-    """``tol`` as an mpf, raising ``error`` unless it is finite with
+    """``tol`` as an mpf, raising ``error`` unless it is a real with
     0 < tol < 1: relErr is at most 2, so a larger one passes anything."""
-    tol_v = mpf(tol)
+    try:
+        tol_v = to_real(tol)
+    except QDomainError as exc:
+        raise error(f"tolerance: {exc}") from None
     if not 0 < tol_v < 1:  # false for nan and inf too
         raise error(f"tolerance must satisfy 0 < tol < 1, got {tol!r}")
     return tol_v
@@ -103,6 +106,8 @@ def sample_domain(identity_id: str, count: int, seed: int,
     boundary.
     """
     entry = _lookup(identity_id, registry)
+    _check_int("count", count, SamplingError)
+    _check_int("seed", seed, SamplingError)
     if count < 1:
         raise SamplingError("count must be >= 1")
     rng = stream_for(identity_id, seed)

@@ -123,6 +123,17 @@ def test_config_validation():
         RunConfig(points_per_identity=0)
     with pytest.raises(ValueError, match="digits must be >= 10"):
         RunConfig(digits=5)
+    # a count or seed that is not an int, or a single id given as a str,
+    # is refused when the config is built, not midway through a run
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        RunConfig(seed=1.5)
+    with pytest.raises(ValueError,
+                       match="points_per_identity must be an integer"):
+        RunConfig(points_per_identity=1.5)
+    with pytest.raises(ValueError, match="sequence of ids"):
+        RunConfig(identities="eq-3.2")
+    with pytest.raises(ValueError, match="tolerance: cannot read 'abc'"):
+        RunConfig(tolerance="abc")
 
 
 def test_synthetic_offset_detected():

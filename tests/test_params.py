@@ -3,7 +3,8 @@
 import pytest
 from mpmath import mp, mpf
 
-from qseries import ParseError, PrecisionCtx, QDomainError, parse_param, to_real
+from qseries import (ParamExpr, ParseError, PrecisionCtx, QDomainError,
+                     parse_param, to_real)
 from qseries.precision import DEFAULT_CTX, real_str
 from qseries.rng import SplitMix64, fnv1a64, stream_for
 
@@ -94,6 +95,15 @@ def test_parse_error_bad_rational(text):
     # grammar: a ParseError, not a ZeroDivisionError or an int() ValueError
     with pytest.raises(ParseError):
         parse_param(text)
+
+
+@pytest.mark.parametrize("exponent", [0.5, mpf("0.5"), "1"],
+                         ids=["float", "mpf", "str"])
+def test_monomial_refuses_inexact_exponent(exponent):
+    # an exponent is an int or a Fraction: any other is refused when the
+    # monomial is built, not with an AttributeError when it is used
+    with pytest.raises(QDomainError, match="exponent"):
+        ParamExpr(1, exponent)
 
 
 def test_exponent_cap():

@@ -25,17 +25,20 @@ from qseries import (
     QDomainError,
     QPoint,
     RunConfig,
+    SamplingError,
     SeriesValue,
     SplitMix64,
     accelerate,
     classical_gamma,
     eta_quotient,
+    eval_identity,
     phi,
     pochhammer_inf,
     pochhammer_n,
     psi_bilateral,
     qpow,
     run,
+    sample_domain,
 )
 from qseries import identities, qcore, qgamma
 from qseries.precision import to_real
@@ -1101,18 +1104,41 @@ def test_psi_rejects_zero_argument():
     (lambda: classical_gamma(mp.nan), QDomainError),
     (lambda: classical_gamma(mp.inf), QDomainError),
     (lambda: classical_gamma(-mp.inf), QDomainError),
+    (lambda: phi([0.5], [], 0.5, None), QDomainError),
+    (lambda: phi([0.5], [], 0.5, 0.5j), QDomainError),
+    (lambda: phi([0.5], [], "abc", 0.5), QDomainError),
+    (lambda: classical_gamma("x"), QDomainError),
+    (lambda: QPoint(0.5, {"a": "x"}), QDomainError),
+    (lambda: accelerate(["a"] * 10), QDomainError),
+    (lambda: eval_identity("eq-3.2", QPoint(0.5, {}), tol="abc"),
+     QDomainError),
+    (lambda: eta_quotient({"a": 1}, 0.5), QDomainError),
+    (lambda: ParamExpr(1, 0.5).zero_index, QDomainError),
+    (lambda: ParamExpr(1, 0.5).value(mpf("0.5")), QDomainError),
+    (lambda: RunConfig(seed=1.5), ValueError),
+    (lambda: RunConfig(points_per_identity=1.5), ValueError),
+    (lambda: RunConfig(identities="eq-3.2"), ValueError),
+    (lambda: sample_domain("eq-3.2", "2", 1), SamplingError),
+    (lambda: sample_domain("eq-1.1", 2, 1.5), SamplingError),
 ], ids=["pochhammer_inf-nan-a", "phi-nan-z", "psi-inf-upper",
         "prodquot-nan-b2", "pochhammer_n-half-n", "pochhammer_n-huge-n",
         "pochhammer_n-huge-negative-n", "eta_quotient-half-e",
         "eta_quotient-one-and-a-half-e", "eta_quotient-nan-e",
         "eta_quotient-huge-e", "ctx-half-digits", "ctx-half-max_terms",
         "ctx-str-digits", "run-half-digits", "classical_gamma-nan",
-        "classical_gamma-inf", "classical_gamma-negative-inf"])
+        "classical_gamma-inf", "classical_gamma-negative-inf",
+        "phi-none-z", "phi-complex-z", "phi-str-q", "classical_gamma-str",
+        "qpoint-str-param", "accelerate-str-terms", "eval_identity-str-tol",
+        "eta_quotient-str-scale", "monomial-float-exponent-zero_index",
+        "monomial-float-exponent-value", "run-half-seed", "run-half-points",
+        "run-str-identities", "sample_domain-str-count",
+        "sample_domain-half-seed"])
 def test_non_finite_input_fails_fast(call, error):
     # a non-finite parameter must not run a product or series to its cap,
     # nor must a count (an index, an exponent, digits or max_terms) that is
     # not an integer or exceeds the term cap; classical_gamma must not
-    # return a nan or an inf for one
+    # return a nan or an inf for one; an input that is no real at all
+    # raises a typed error, not a bare TypeError or ValueError
     start = time.process_time()
     with pytest.raises(error):
         call()
