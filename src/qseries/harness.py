@@ -44,6 +44,11 @@ class RunConfig:
         _check_digits(self.digits, ValueError)
         if self.tolerance is not None:
             _check_tol(self.tolerance, ValueError)
+        points = self.explicit_points
+        if (not isinstance(points, (tuple, list))
+                or not all(isinstance(p, QPoint) for p in points)):
+            raise ValueError(f"explicit_points must be a sequence of "
+                             f"QPoints, got {points!r}")
 
 
 def _point_record(point: QPoint, digits: int) -> dict:

@@ -286,7 +286,7 @@ def _special(side, at, scale=None, shift=None):
     def special(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
         monomials = {"a": ParamExpr(*a), "b": ParamExpr(*b),
                      "z": p.exprs["z"] if z is None else ParamExpr(*z)}
-        value = side(QPoint(p.q ** k, {
+        value = side(p.at_power(k, {
             name: ParamExpr(x.coefficient, Fraction(x.exponent, k))
             for name, x in monomials.items()}), ctx)
         if scale is not None:
@@ -388,7 +388,8 @@ def _section5(*terms, minus_scale=False):
                                   or [1]) for k in keys}
 
         def monomials(vs):
-            return [ParamExpr(coefficients[v[1:]], v[0]) for v in vs]
+            return [ParamExpr(coefficients[v[1:]], v[0], p.valuation)
+                    for v in vs]
 
         fs = [1.0, *(float(p[x]) for x in "abz")]
         for v in gammas:

@@ -101,17 +101,16 @@ sums exactly in ints, rounds once per order and returns accelerate's pick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import chain, islice
 from math import ceil, exp, expm1, floor, inf, log, log1p, prod
 from operator import mul, sub
 
 # unused here; perfbench's tracer counts mpmath binomial calls by this name
 from mpmath import binomial, mp, mpf  # noqa: F401
-from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
-                          fzero, mpf_abs, mpf_add, mpf_div, mpf_ge, mpf_lt,
-                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_rdiv_int,
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_ge, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pos, mpf_rdiv_int,
                           mpf_shift, mpf_sub, round_ceiling, to_float)
 from mpmath.libmp import round_nearest as RN
 
@@ -123,7 +122,7 @@ from .errors import (
     PoleError,
     QDomainError,
 )
-from .params import ParamExpr, Q
+from .params import ParamExpr, Q, QPoint, _check_q, _values
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
 
 __all__ = [
@@ -222,41 +221,6 @@ class SeriesValue:
         return self.of(other) / self
 
 
-@dataclass(frozen=True)
-class QPoint:
-    """A parameter assignment: the base q in (0,1) plus named reals or
-    ParamExprs, kept as ParamExprs in ``exprs`` and as their values at the
-    precision in force in ``params``."""
-
-    q: mpf
-    params: dict
-    exprs: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        q = to_real(self.q)
-        exprs = {k: ParamExpr.of(v) for k, v in self.params.items()}
-        _check_q(q, exprs.values(), exprs)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "exprs", exprs)
-        object.__setattr__(self, "params",
-                           dict(zip(exprs, _values(exprs.values(), q))))
-
-    def __getitem__(self, name):
-        return self.params[name]
-
-
-def _check_q(q, params=(), names=()):
-    """Reject q outside (0,1) and NaN or infinite parameters up front, by
-    names read only to raise: they would run a product or series to its cap."""
-    if not (mpf_lt(fzero, q._mpf_) and mpf_lt(q._mpf_, fone)):
-        raise QDomainError(f"q must lie strictly in (0,1), got {q}")
-    for i, x in enumerate(params):
-        c = x.coefficient if isinstance(x, ParamExpr) else x
-        if (not isinstance(c, (int, Fraction))
-                and to_real(c)._mpf_ in (finf, fninf, fnan)):
-            raise QDomainError(f"parameter {[*names][i]} is not finite, got {x}")
-
-
 def _series_names(upper, lower, *rest):
     """The upper and lower parameters' r_phi_s names a1.., b1.., then rest."""
     return chain((f"a{i}" for i in range(1, len(upper) + 1)),
@@ -325,14 +289,6 @@ def _exact_pole(dens, zeros, m):
     for y, n in zip(dens, zeros[m:]):
         if n is not None and n <= end:
             raise _DenominatorPole(y, n)
-
-
-def _values(xs, q) -> list:
-    """Reals or monomials in q as their values at q, with one log q."""
-    lq = any(isinstance(x, ParamExpr) and x.exponent.denominator != 1
-             for x in xs) and mp.log(q)._mpf_
-    return [x.value(q, lq) if isinstance(x, ParamExpr) else to_real(x)
-            for x in xs]
 
 
 def _telescope(xs, ys):
@@ -934,7 +890,7 @@ def _ratio_series(num_params, den_params, zeros, q, arg, ctx, arg_ulps=0):
 
 
 def _series_values(upper, lower, q, z) -> tuple:
-    """q, the parameters and z, checked and valued with one log q."""
+    """q, the parameters and z, checked and valued."""
     q, xs = to_real(q), [*upper, *lower, z]
     _check_q(q, xs, _series_names(upper, lower, "z"))
     *xs, z = _values(xs, q)

@@ -61,7 +61,7 @@ def test_gate_report_hash():
     # change meant to leave the values alone must leave this hash alone
     report = render_json(run(RunConfig(points_per_identity=3, seed=7)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "6917b653692a2014a5527a06007760ceffacd1ef420faa80163e45e451ab2626")
+        "0c18cc61d70dab671b707914fa0edbac72376ce94981408dd7001cc9b91d3d80")
 
 
 def test_report_hash_at_100_digits():
@@ -70,7 +70,7 @@ def test_report_hash_at_100_digits():
     report = render_json(run(RunConfig(points_per_identity=1, seed=1,
                                        digits=100)))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "ee89ebdc72c408914ee402f6f932a6a1d635a50d590c7f700a1bfea93b256d71")
+        "16cf6871d7ca4faae6afbb51d4badf8ae656c4621d9439ccc0ab14ff9bf3c23a")
 
 
 def test_text_report_prints_rel_errors_to_three_digits(capsys):
@@ -134,6 +134,12 @@ def test_config_validation():
         RunConfig(identities="eq-3.2")
     with pytest.raises(ValueError, match="tolerance: cannot read 'abc'"):
         RunConfig(tolerance="abc")
+    # an explicit point that is no QPoint is refused when the config is
+    # built, not with an AttributeError when the report is written
+    with pytest.raises(ValueError, match="explicit_points must be"):
+        RunConfig(identities=("eq-3.2",), explicit_points=(0.5,))
+    with pytest.raises(ValueError, match="explicit_points must be"):
+        RunConfig(explicit_points=QPoint(0.5, {}))
 
 
 def test_synthetic_offset_detected():

@@ -1,7 +1,9 @@
 """The libmpf paths around the kernels against the mpf expressions they
 replace, bit for bit, at 53, 133 and 3,400 bits: SeriesValue's ball
-arithmetic and ParamExpr.value; and the pole screen in front of Section
-5's Gamma_q arguments."""
+arithmetic, ParamExpr.value and the monomials' products and quotients; the
+pole screen in front of Section 5's Gamma_q arguments; and the point's
+valuation table, which values each monomial once as an integer power of
+the point's q."""
 
 import operator
 from fractions import Fraction
@@ -11,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from mpmath.libmp import mpf_mul, mpf_pow_int, round_nearest as RN
+
 from qseries import (NumericalBreakdownError, ParamExpr, PoleError,
-                     PrecisionCtx, QPoint, SeriesValue)
+                     PrecisionCtx, QPoint, SeriesValue, eval_identity,
+                     params, qcore, sample_domain)
 from qseries.registry import CATALOG
 
 PRECS = [53, 133, 3400]
@@ -105,7 +110,8 @@ def test_param_value_matches_mpf_expression(prec):
                 m = ParamExpr(c, r)
                 want = _mpf_value(m, q)._mpf_
                 assert m.value(q)._mpf_ == want, (c, r)
-                assert m.value(q, mp.log(q)._mpf_)._mpf_ == want, (c, r)
+                assert params._power(c, r, q, mp.log(q)._mpf_)._mpf_ == want, (
+                    c, r)
 
 
 def _section5_side(identity, side, point):
@@ -149,3 +155,69 @@ def test_section5_pole_screen_passes_an_argument_just_off_zero():
         b = mpf("0.75") + mpf(2) ** -60
     point = QPoint(mpf("0.5"), {"a": mpf("0.25"), "b": b, "z": mpf("0.5")})
     assert _section5_side("thm-5.1", "lhs", point).certified
+
+
+@pytest.mark.parametrize("identity", ["eq-3.1", "eq-3.2", "eq-3.3", "eq-4.2",
+                                      "eq-4.3", "eq-4.4"])
+def test_section34_monomials_are_integer_powers_of_the_point_q(monkeypatch,
+                                                               identity):
+    # the map q -> q^k writes eq-4.4's z = q^4 as (q^3)^(4/3): each monomial
+    # c (q^k)^r that reaches a primitive is c q^(k r) by mpf_pow_int of the
+    # point's own q, bit for bit, formed with no exp and no log
+    point = sample_domain(identity, 1, seed=1)[0]
+    root, seen, inside, calls = point.q._mpf_, [], [], []
+    values = qcore._values
+
+    def recording_values(xs, q):
+        inside.append(True)
+        try:
+            got = values(xs, q)
+        finally:
+            inside.pop()
+        seen.extend((x, v, q, mp.prec) for x, v in zip(xs, got)
+                    if isinstance(x, ParamExpr))
+        return got
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            if inside:
+                calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(qcore, "_values", recording_values)
+    monkeypatch.setattr(params, "mpf_exp", counting("exp", params.mpf_exp))
+    monkeypatch.setattr(mp, "log", counting("log", mp.log))
+    entry = next(e for e in CATALOG if e.id == identity)
+    entry.lhs(point, PrecisionCtx())
+    entry.rhs(point, PrecisionCtx())
+    assert seen and not calls
+    for x, v, q, prec in seen:
+        # the base q^k of a map, or the q^m of an eta(m tau), m <= 4
+        k = next(k for k in range(1, 5)
+                 if mpf_pow_int(root, k, prec, RN) == q._mpf_)
+        s = x.exponent * k
+        assert s.denominator == 1, (x, k)
+        c = x.coefficient
+        with mp.workprec(prec):
+            c = c if isinstance(c, mpf) else mpf(c.numerator) / c.denominator
+        power = mpf_pow_int(root, int(s), prec, RN)
+        assert v._mpf_ == mpf_mul(c._mpf_, power, prec, RN), (x, k)
+
+
+def test_each_distinct_monomial_of_a_point_is_valued_once(monkeypatch):
+    # thm-2.1's two sides form a, b/(a z), q/b, ... again and again; the
+    # point's valuation table forms each c q^r once per precision
+    point = sample_domain("thm-2.1", 1, seed=1)[0]
+    formed = []
+    power = params._power
+
+    def recording_power(c, r, q, lq=None):
+        formed.append((c._mpf_ if isinstance(c, mpf) else c, r, q._mpf_,
+                       mp.prec))
+        return power(c, r, q, lq)
+
+    monkeypatch.setattr(params, "_power", recording_power)
+    assert eval_identity("thm-2.1", point).passed
+    assert len({key for key in formed if key[1]}) >= 4
+    assert len(formed) == len(set(formed))

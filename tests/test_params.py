@@ -1,10 +1,13 @@
 """Parameter-expression grammar, precision context, and PRNG determinism."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
 from qseries import (ParamExpr, ParseError, PrecisionCtx, QDomainError,
-                     parse_param, to_real)
+                     QPoint, parse_param, phi, to_real)
+from qseries.params import Q
 from qseries.precision import DEFAULT_CTX, real_str
 from qseries.rng import SplitMix64, fnv1a64, stream_for
 
@@ -104,6 +107,44 @@ def test_monomial_refuses_inexact_exponent(exponent):
     # monomial is built, not with an AttributeError when it is used
     with pytest.raises(QDomainError, match="exponent"):
         ParamExpr(1, exponent)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phi([ParamExpr(0.5, 1)], [], 0.5, 0.3),
+    lambda: ParamExpr("x", 1).value(mpf("0.5")),
+], ids=["float-in-phi", "str-value"])
+def test_monomial_refuses_a_coefficient_of_another_type(call):
+    # a coefficient is an int, a Fraction or an mpf: any other is refused
+    # when the monomial is built, not with an AttributeError when it is
+    # valued
+    with pytest.raises(QDomainError, match="coefficient"):
+        call()
+
+
+def test_integral_exponents_and_coefficients_stay_ints():
+    third, two_thirds = ParamExpr(1, Fraction(1, 3)), ParamExpr(1, Fraction(2, 3))
+    assert type((third * two_thirds).exponent) is int
+    assert type(ParamExpr(Fraction(6, 3), Fraction(4, 2)).exponent) is int
+    assert type(ParamExpr(Fraction(6, 3)).coefficient) is int
+    assert type((ParamExpr(-3, 1) * ParamExpr(-2)).coefficient) is int
+    assert (ParamExpr(3) / ParamExpr(2)).coefficient == Fraction(3, 2)
+    assert type((ParamExpr(-4) / ParamExpr(-2)).coefficient) is int
+
+
+def test_valuation_table_is_left_out_of_equality_and_hashing():
+    point = QPoint(mpf("0.3"), {"a": ParamExpr(-1, 2)})
+    a = point.exprs["a"]
+    assert a.valuation is point.valuation
+    assert a == ParamExpr(-1, 2) and hash(a) == hash(ParamExpr(-1, 2))
+    # products and quotients carry the table on, Q's lack of one aside
+    assert (Q / a).valuation is point.valuation
+    assert (a * a).valuation is point.valuation
+    # a point at the base q^2 shares the table; a q that is not its base
+    # is refused
+    squared = point.at_power(2, {"b": ParamExpr(1, Fraction(1, 2))})
+    assert squared.q == point.q ** 2 and squared["b"] == point.q
+    with pytest.raises(QDomainError, match="base of its valuation"):
+        QPoint(mpf("0.5"), {}, squared.valuation)
 
 
 def test_exponent_cap():
