@@ -20,21 +20,18 @@ eq-5.9 is pi^(3/2)/(2 sqrt(2) Gamma(3/4)^2) against (1, 1/2, 1/4). Sides
 of Sections 1-4 take a point's parameters as ParamExprs, so exact monomials
 reach the primitives unrounded. Sections 3 and 4 are Section 1-2 sides at
 the paper's parameter maps (q^k; a, b, z), monomials written as data, times
-a printed scale and plus a printed shift:
+a scale and plus a shift; scales, shifts and eq-3.2's rhs are factor data,
+one prodquot each (_factors), so no side is an mpf formula:
 
     eq-3.1  q/(1+q) times (1.1)'s lhs and thm-2.1's rhs at (q; -1/q, -1, z)
-    eq-3.2  lhs: (1.1)'s lhs at (q; -q, -q^3, q)
+    eq-3.2  lhs: (1.1)'s lhs at (q; -q, -q^3, q), rhs: (1+q^2)(1+q)/(q(1-q)),
+            the sum's full value (its printed single sum drops (1+q)(1+q^2))
     eq-3.3  (1.1)'s lhs and thm-2.3's rhs at (q^2; -q^-2, -q^4, q)
     eq-4.2  rhs: q^(-1/8) - q^(7/8)/(1+q) eq-2.8's rhs at (q^2; q, q^4, q^2)
     eq-4.3  rhs: -c thm-2.1's rhs at (q^2; -q^-4, -1, q^3),
             c = 2(1+q) q^(4/3) / ((1+q^2)(1+q^4))
     eq-4.4  rhs: c4 thm-2.3's rhs at (q^3; -q^-5, -q, q^4),
-            c4 = q^(4/3) (1+q+q^2) / ((1+q^2)(1+q^5))
-
-Note on eq-3.2: the printed single-sum form of that identity telescopes the
-bilateral ratio (-q;q)_n/(-q^3;q)_n to 1/((1+q^{n+1})(1+q^{n+2})) but drops
-the constant (1+q)(1+q^2) in doing so; the closed form (1+q^2)(1+q)/(q(1-q))
-equals the full bilateral value, which is what the LHS evaluator computes.
+            c4 = q^(4/3) (1-q^3) / ((1-q)(1+q^2)(1+q^5))
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
-from math import prod
+from math import ceil, prod
 from operator import add, mul
 from typing import Callable
 
@@ -52,14 +49,7 @@ from mpmath import mp, mpf
 from .eta import eta_quotient
 from .params import ParamExpr, Q
 from .precision import DEFAULT_CTX, PrecisionCtx
-from .qcore import (
-    QPoint,
-    SeriesValue,
-    phi,
-    prodquot,
-    psi_bilateral,
-    qpow,
-)
+from .qcore import QPoint, SeriesValue, _ln, phi, prodquot, psi_bilateral
 from .qgamma import _beta_series, _check_pole, _rounded, classical_gamma
 from .rng import SplitMix64
 
@@ -227,13 +217,14 @@ def _phi21(A, B, C, Z, q, ctx: PrecisionCtx) -> SeriesValue:
 
 
 def _heine1(A, B, C, Z, q, ctx: PrecisionCtx) -> SeriesValue:
-    return (prodquot([B, A * Z], [C, Z], q, ctx)
-            * phi([C / B, Z], [A * Z], q, B, ctx))
+    AZ = A * Z
+    return prodquot([B, AZ], [C, Z], q, ctx) * phi([C / B, Z], [AZ], q, B, ctx)
 
 
 def _heine2(A, B, C, Z, q, ctx: PrecisionCtx) -> SeriesValue:
-    return (prodquot([C / B, B * Z], [C, Z], q, ctx)
-            * phi([A * B * Z / C, B], [B * Z], q, C / B, ctx))
+    CB, BZ = C / B, B * Z
+    return (prodquot([CB, BZ], [C, Z], q, ctx)
+            * phi([A * B * Z / C, B], [BZ], q, CB, ctx))
 
 
 def _own(p: QPoint) -> tuple:
@@ -278,10 +269,35 @@ _AT43 = (2, (-1, -4), (-1, 0), (1, 3))
 _AT44 = (3, (-1, -5), (-1, 1), (1, 4))
 
 
+def _factors(c, e, ups=(), downs=()):
+    """c q^e prod (1 - s q^k) over ups / the same over downs, pairs (s, k):
+    one prodquot, whose nums s q^k of ups and s q^(k+1) of downs telescope
+    against its dens s q^(k+1) of ups and s q^k of downs, times c q^e from
+    the point's valuation table. That is c exp(e log q), e rounded, for a
+    fractional e: within (4 |e log q| + 3) 2^-prec of exact if mpmath's log
+    and exp are within one ulp (as qgamma assumes of gamma and power), so
+    c q^e is the ball of 1 + ceil|e log q| mpmath values (qgamma._rounded)."""
+    nums = [*ups, *((s, k + 1) for s, k in downs)]
+    dens = [*((s, k + 1) for s, k in ups), *downs]
+
+    def side(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
+        t, n = p.valuation, 1 + ceil(abs(e * _ln(p.q._mpf_)))
+
+        def monomials(pairs):
+            return [ParamExpr(s, k, t) for s, k in pairs]
+
+        return (prodquot(monomials(nums), monomials(dens), p.q, ctx)
+                * _rounded(t.value(c, e), n))
+
+    return side
+
+
 def _special(side, at, scale=None, shift=None):
     """``side`` at the map ``at``, its monomials rewritten in the base q^k,
-    times scale(q, ctx) and plus shift(q, ctx) where they are given."""
+    times the factor data ``scale`` and plus ``shift`` where they are given
+    (_factors)."""
     k, a, b, z = at
+    scale, shift = (f and _factors(*f) for f in (scale, shift))
 
     def special(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
         monomials = {"a": ParamExpr(*a), "b": ParamExpr(*b),
@@ -289,18 +305,13 @@ def _special(side, at, scale=None, shift=None):
         value = side(p.at_power(k, {
             name: ParamExpr(x.coefficient, Fraction(x.exponent, k))
             for name, x in monomials.items()}), ctx)
-        if scale is not None:
-            value = value * scale(p.q, ctx)
-        if shift is not None:
-            value = value + shift(p.q, ctx)
+        if scale:
+            value = value * scale(p, ctx)
+        if shift:
+            value = value + shift(p, ctx)
         return value
 
     return special
-
-
-def _rhs_eq32(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-    q = p.q
-    return SeriesValue.of((1 + q ** 2) * (1 + q) / (q * (1 - q)))
 
 
 # --- eta-quotient expansions -----------------------------------------------
@@ -626,9 +637,9 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         paper_ref="Eq. (3.1), special case a=-1/q, b=-1 of Theorem 2.1",
         param_names=("z",),
         constraints=(("|q| < |z|", lambda p: p.q < abs(p["z"])), _Z_IN_DISC),
-        lhs=_special(_lhs_bilateral, _AT31, lambda q, ctx: q / (1 + q)),
+        lhs=_special(_lhs_bilateral, _AT31, (1, 1, (), ((-1, 1),))),
         rhs=_special(_halves(_heine2, _heine1), _AT31,
-                     lambda q, ctx: q / (1 + q)),
+                     (1, 1, (), ((-1, 1),))),
         sampler=_q_only_sampler(with_z=True),
     ),
     IdentityEntry(
@@ -637,7 +648,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         param_names=(),
         constraints=(),
         lhs=_special(_lhs_bilateral, _AT32),
-        rhs=_rhs_eq32,
+        rhs=_factors(1, -1, ((-1, 1), (-1, 2)), ((1, 1),)),
         sampler=_q_only_sampler(),
     ),
     IdentityEntry(
@@ -656,8 +667,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         constraints=(),
         lhs=_eta({1: 1, 2: -2}),
         rhs=_special(_at(_heine1, _pos), _AT42,
-                     lambda q, ctx: -qpow(q, mpf(7) / 8, ctx) / (1 + q),
-                     lambda q, ctx: qpow(q, mpf(-1) / 8, ctx)),
+                     (-1, Fraction(7, 8), (), ((-1, 1),)),
+                     (1, Fraction(-1, 8))),
         sampler=_q_only_sampler(),
     ),
     IdentityEntry(
@@ -667,8 +678,7 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         constraints=(),
         lhs=_eta({2: 10, 1: -4, 4: -2}),
         rhs=_special(_halves(_heine2, _heine1), _AT43,
-                     lambda q, ctx: (-2 * (1 + q) * qpow(q, mpf(4) / 3, ctx)
-                                     / ((1 + q ** 2) * (1 + q ** 4)))),
+                     (-2, Fraction(4, 3), ((-1, 1),), ((-1, 2), (-1, 4)))),
         sampler=_q_only_sampler(),
     ),
     IdentityEntry(
@@ -678,9 +688,8 @@ CATALOG = tuple(replace(e, lhs=_at_working(e.lhs), rhs=_at_working(e.rhs))
         constraints=(),
         lhs=_eta({3: 3, 1: -1}),
         rhs=_special(_halves(_heine2, _heine2), _AT44,
-                     lambda q, ctx: (qpow(q, mpf(4) / 3, ctx)
-                                     * (1 + q + q ** 2)
-                                     / ((1 + q ** 2) * (1 + q ** 5)))),
+                     (1, Fraction(4, 3), ((1, 3),),
+                      ((1, 1), (-1, 2), (-1, 5)))),
         sampler=_q_only_sampler(),
     ),
     IdentityEntry(

@@ -228,20 +228,12 @@ def _series_names(upper, lower, *rest):
 
 
 def qpow(q, e, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
-    """q**e = exp(e*ln q) for q in (0,1) and finite real e."""
+    """q**e for q in (0,1) and finite real e: 1 and q at e = 0 and 1, else
+    exp(e*ln q)."""
     with ctx.working():
         q, e = to_real(q), to_real(e)
         _check_q(q, [e], ["e"])
-        return _qpowers(q, [e])[0]
-
-
-def _qpowers(q, exps) -> list:
-    """[q**e for e in exps], each as qpow gives it, for a checked q and
-    finite mpf exps at the precision in force: 1 and q at e = 0 and 1, else
-    exp(e*ln q) with one ln q for them all."""
-    lq = mp.log(q) if any(e not in (0, 1) for e in exps) else None
-    return [mpf(1) if e == 0 else q if e == 1 else mp.exp(e * lq)
-            for e in exps]
+        return mpf(1) if e == 0 else q if e == 1 else mp.exp(e * mp.log(q))
 
 
 def pochhammer_inf(a, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:

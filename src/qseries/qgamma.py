@@ -17,7 +17,7 @@ from mpmath.libmp import round_nearest as RN
 
 from .errors import NonConvergenceError, PoleError, QDomainError
 from .precision import DEFAULT_CTX, PrecisionCtx, to_real
-from .qcore import SeriesValue, _check_q, _qpowers, accelerate, prodquot
+from .qcore import SeriesValue, _check_q, accelerate, prodquot, qpow
 
 __all__ = [
     "gamma_q",
@@ -37,8 +37,7 @@ def gamma_q(x, q, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         q, x = to_real(q), to_real(x)
         _check_q(q, [x], ["x"])
         _check_pole(x, "gamma_q")
-        return (prodquot([q], _qpowers(q, [x]), q, ctx)
-                * mp.power(1 - q, 1 - x))
+        return prodquot([q], [qpow(q, x, ctx)], q, ctx) * mp.power(1 - q, 1 - x)
 
 
 def _check_pole(x, what: str):

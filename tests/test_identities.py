@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from qseries import (
     psi_bilateral,
     sample_domain,
 )
-from qseries.identities import CATALOG
+from qseries.identities import CATALOG, _factors
 
 
 def rel_diff(x, y):
@@ -263,8 +264,8 @@ def _phi21(a, b, c, q, z):
 
 
 def _printed_rhs(ident, q, z):
-    """The right side of (3.1), (3.3), (4.2), (4.3) or (4.4) as printed,
-    from mpmath's qp and qhyper at the caller's precision."""
+    """The right side of (3.1), (3.2), (3.3), (4.2), (4.3) or (4.4) as
+    printed, from mpmath's qp and qhyper at the caller's precision."""
     if ident == "eq-3.1":
         # the last series is sum (-q)^n / (1 - q^{n+1}/z)
         last = _phi21(q / z, q, q ** 2 / z, q, -q) / (1 - q / z)
@@ -272,6 +273,8 @@ def _printed_rhs(ident, q, z):
                 + q / (1 + q) * _qp(q, -z / q, q) / _qp(-1, z, q)
                 * _phi21(z, -1 / q, -z / q, q, q)
                 + q * last)
+    if ident == "eq-3.2":
+        return (1 + q ** 2) * (1 + q) / (q * (1 - q))
     if ident == "eq-3.3":
         Q = q ** 2
         return (_qp(q ** 6, -1 / q, Q) / _qp(-q ** 4, q, Q)
@@ -301,8 +304,9 @@ def _printed_rhs(ident, q, z):
 
 
 @pytest.mark.parametrize("ident, z", [("eq-3.1", "0.92"), ("eq-3.1", "0.97"),
-                                      ("eq-3.3", None), ("eq-4.2", None),
-                                      ("eq-4.3", None), ("eq-4.4", None)])
+                                      ("eq-3.2", None), ("eq-3.3", None),
+                                      ("eq-4.2", None), ("eq-4.3", None),
+                                      ("eq-4.4", None)])
 @pytest.mark.parametrize("q", ["0.1", "0.5", "0.9"])
 def test_printed_rhs_matches_qhyper_oracle(ctx40, ident, z, q):
     # the catalog's right side against the formula the paper prints, built
@@ -314,6 +318,58 @@ def test_printed_rhs_matches_qhyper_oracle(ctx40, ident, z, q):
     with mp.workdps(60):
         want = _printed_rhs(ident, q, params.get("z"))
         assert abs(got - want) <= mpf("1e-35") * abs(want)
+
+
+@pytest.mark.parametrize("data, printed", [
+    ((1, 1, (), ((-1, 1),)), lambda q: q / (1 + q)),
+    ((1, -1, ((-1, 1), (-1, 2)), ((1, 1),)),
+     lambda q: (1 + q ** 2) * (1 + q) / (q * (1 - q))),
+    ((-1, Fraction(7, 8), (), ((-1, 1),)),
+     lambda q: -q ** (mpf(7) / 8) / (1 + q)),
+    ((1, Fraction(-1, 8)), lambda q: q ** (mpf(-1) / 8)),
+    ((-2, Fraction(4, 3), ((-1, 1),), ((-1, 2), (-1, 4))),
+     lambda q: (-2 * (1 + q) * q ** (mpf(4) / 3)
+                / ((1 + q ** 2) * (1 + q ** 4)))),
+    ((1, Fraction(4, 3), ((1, 3),), ((1, 1), (-1, 2), (-1, 5))),
+     lambda q: (q ** (mpf(4) / 3) * (1 + q + q ** 2)
+                / ((1 + q ** 2) * (1 + q ** 5)))),
+], ids=["eq-3.1", "eq-3.2-rhs", "eq-4.2", "eq-4.2-shift", "eq-4.3", "eq-4.4"])
+def test_factor_data_holds_its_ball(ctx40, data, printed):
+    # the Section 3-4 scales, eq-4.2's shift and eq-3.2's rhs, written as
+    # the catalog writes them, at 40 digits against the printed form at
+    # 120 digits: within the side's estimate from q = 1e-4, where |e log q|
+    # is largest and a fractional power of q carries most rounding, to
+    # q = 0.9999
+    side = _factors(*data)
+    for q in map(mpf, ("1e-4", "0.05", "0.3", "0.61", "0.9999")):
+        with ctx40.working():
+            got = side(QPoint(q, {}), ctx40)
+        with mp.workdps(120):
+            assert got.certified
+            assert abs(got.value - printed(q)) <= got.err_estimate, q
+
+
+def test_section34_sides_hold_their_balls(registry):
+    # both sides of every Section 3-4 entry at 5 points of each of seeds
+    # 1-10, at 40 and at 120 digits: the two values lie within the sum of
+    # their error estimates, so a scale or closed form valued outside the
+    # ball rules (an estimate of 0 for a rounded value) shows as a miss
+    ids = ("eq-3.1", "eq-3.2", "eq-3.3", "eq-4.2", "eq-4.3", "eq-4.4")
+    lo, hi = PrecisionCtx(digits=40), PrecisionCtx(digits=120)
+    sides, misses = 0, []
+    for entry in (e for e in registry if e.id in ids):
+        for seed in range(1, 11):
+            for point in sample_domain(entry.id, 5, seed, registry=registry):
+                for side in ("lhs", "rhs"):
+                    f = getattr(entry, side)
+                    v, w = f(point, lo), f(point, hi)
+                    sides += 1
+                    with hi.working():
+                        if (abs(v.value - w.value)
+                                > v.err_estimate + w.err_estimate):
+                            misses.append((entry.id, side, seed, point.q))
+    assert sides == 600
+    assert not misses, misses
 
 
 def test_no_series_value_meets_mpmath_conversion(monkeypatch, registry,
