@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from mpmath import mp, mpf, sqrt as mp_sqrt
+from mpmath import mp, mpf
 
 from .errors import QSeriesError
 from .identities import full_registry
@@ -16,10 +16,6 @@ from .qcore import QPoint
 from .registry import _check_tol, _lookup, eval_identity, sample_domain
 
 TOOL_VERSION = "0.1.0"
-
-# Relative stddev of lhs/rhs across points below which an all-points failure
-# is flagged as a suspected constant (q-independent) offset.
-_OFFSET_STDDEV = mpf("1e-6")
 
 
 @dataclass(frozen=True)
@@ -58,55 +54,34 @@ def _point_record(point: QPoint, digits: int) -> dict:
     return params
 
 
-def _suspected_offset(ratios, digits: int):
-    """Mean lhs/rhs ratio when it is constant across points, else None."""
-    if len(ratios) < 2:
-        return None
-    mean = sum(ratios) / len(ratios)
-    if mean == 0:
-        return None
-    var = sum((r - mean) ** 2 for r in ratios) / len(ratios)
-    if mp_sqrt(var) / abs(mean) < _OFFSET_STDDEV:
-        return real_str(mean, digits)
-    return None
-
-
-def _evaluate(entry_id, point, config, ctx, registry) -> tuple:
-    """One point's report record and its IdentityResult, or None where
-    eval_identity raised."""
+def _evaluate(entry_id, point, config, ctx, registry) -> dict:
+    """One point's report record; an error record where eval_identity
+    raised."""
     digits = config.digits
     rec = {"params": _point_record(point, digits)}
     try:
         res = eval_identity(entry_id, point, tol=config.tolerance, ctx=ctx,
                             registry=registry)
     except QSeriesError as exc:
-        return {**rec, "error": str(exc), "pass": False}, None
+        return {**rec, "error": str(exc), "pass": False}
     return {**rec, "lhs": real_str(res.lhs_value, digits),
             "rhs": real_str(res.rhs_value, digits),
             "absErr": real_str(res.abs_err, digits),
             "relErr": real_str(res.rel_err, digits),
-            "pass": bool(res.passed), "termsUsed": int(res.terms_used)}, res
+            "pass": bool(res.passed), "termsUsed": int(res.terms_used)}
 
 
-def _aggregate(pairs, ctx: PrecisionCtx) -> dict:
-    """An identity's aggregate from its points' (record, result) pairs: it
-    passes when every point passes, and its worstRelErr is the first largest
-    relErr evaluated. lhs/rhs ratios are formed to look for a constant offset
-    only when no point passed, none raised and there are at least two."""
-    evaluated = [res for _, res in pairs if res is not None]
-    passes = sum(rec["pass"] for rec, _ in pairs)
-    worst = max((res.rel_err for res in evaluated), default=None)
-    aggregate = {"pass": passes == len(pairs), "passCount": passes,
-                 "numPoints": len(pairs), "worstRelErr": None if worst is None
-                 else real_str(worst, ctx.digits)}
-    if passes == 0 and len(evaluated) == len(pairs) >= 2:
-        with ctx.working():
-            offset = _suspected_offset([res.lhs_value / res.rhs_value
-                                        for res in evaluated
-                                        if res.rhs_value != 0], ctx.digits)
-        if offset is not None:
-            aggregate["suspectedConstantOffset"] = offset
-    return aggregate
+def _aggregate(records, ctx: PrecisionCtx) -> dict:
+    """An identity's aggregate from its point records alone: it passes when
+    every point passes, and its worstRelErr is the first largest relErr,
+    compared as mpfs at the working precision. Rounding to the printed
+    digits is monotone, so that is the string of the largest relErr."""
+    passes = sum(rec["pass"] for rec in records)
+    with ctx.working():
+        worst = max((rec["relErr"] for rec in records if "relErr" in rec),
+                    key=mpf, default=None)
+    return {"pass": passes == len(records), "passCount": passes,
+            "numPoints": len(records), "worstRelErr": worst}
 
 
 def run(config: RunConfig, registry=None) -> dict:
@@ -127,13 +102,13 @@ def run(config: RunConfig, registry=None) -> dict:
     for entry in entries:
         points = list(config.explicit_points) or sample_domain(
             entry.id, config.points_per_identity, config.seed, registry)
-        pairs = [_evaluate(entry.id, point, config, ctx, registry)
-                 for point in points]
+        records = [_evaluate(entry.id, point, config, ctx, registry)
+                   for point in points]
         results.append({
             "id": entry.id,
             "paperRef": entry.paper_ref,
-            "points": [rec for rec, _ in pairs],
-            "aggregate": _aggregate(pairs, ctx),
+            "points": records,
+            "aggregate": _aggregate(records, ctx),
         })
 
     return {
@@ -180,9 +155,6 @@ def render_text(report: dict) -> str:
         lines.append(f"{status}  {res['id']:10s} {agg['passCount']}/"
                      f"{agg['numPoints']} points  worst relErr "
                      f"{_short(agg['worstRelErr'])}  [{res['paperRef']}]")
-        if "suspectedConstantOffset" in agg:
-            lines.append(f"      suspected constant offset lhs/rhs = "
-                         f"{_short(agg['suspectedConstantOffset'], 17)}")
         for i, pt in enumerate(res["points"]):
             if "error" in pt:
                 lines.append(f"      point {i}: ERROR {pt['error']}")

@@ -58,8 +58,8 @@ class PrecisionCtx:
 
 
 def _check_int(name, x, error):
-    """Raise ``error`` for an x that is not an int."""
-    if not isinstance(x, int):
+    """Raise ``error`` for an x that is not an int, or is a bool."""
+    if not isinstance(x, int) or isinstance(x, bool):
         raise error(f"{name} must be an integer, got {x!r}")
 
 

@@ -426,11 +426,12 @@ def _factor(XQ, r, x, n, zero, q_, prec, wp):
 
 def _times(P, E, R, F, rF, wp):
     """The ball P 2^E, radius R in its units, times the ball F 2^-wp, radius
-    rF, renormalised to wp + 2 bits."""
+    rF, renormalised to wp + 2 bits. P has at least wp + 2 bits (it starts
+    as 1 << wp + 1 and is then this function's own output) and F is a
+    nonzero int (_head skips F = 0, and Euler's S >= e^-6 2^wp), so the
+    product has at least wp + 2 bits and is only ever shifted down."""
     M, R = P * F, abs(P) * rF + abs(F) * R + R * rF
     s = M.bit_length() - wp - 2
-    if s < 0:
-        return M << -s, E + s - wp, (R << -s) + 1
     return M >> s, E + s - wp, -(-R >> s) + 1
 
 

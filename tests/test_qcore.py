@@ -303,6 +303,14 @@ def _qp60(x, q):
     return mp.qp(x, q, maxterms=10 ** 6)
 
 
+def _psi_product(a, b, q, z):
+    """(1.1)'s product side of 1psi1(a; b; q, z)."""
+    return (_qp60(q, q) * _qp60(b / a, q) * _qp60(a * z, q)
+            * _qp60(q / (a * z), q)
+            / (_qp60(b, q) * _qp60(q / a, q) * _qp60(z, q)
+               * _qp60(b / (a * z), q)))
+
+
 @pytest.mark.parametrize("q", ["0.3", "0.8"])
 @pytest.mark.parametrize("k", [-4, -3, -2, -1, 1, 2, 3, 4])
 def test_prodquot_reduces_exact_monomials(q, k):
@@ -882,10 +890,7 @@ def test_taylor_closure_within_its_bound(kind, upper, lower, q, z, digits):
             oracle = mp.qhyper(upper, lower, q, z, maxterms=10 ** 6)
         else:
             (a,), (b,) = upper, lower
-            oracle = (_qp60(q, q) * _qp60(b / a, q) * _qp60(a * z, q)
-                      * _qp60(q / (a * z), q)
-                      / (_qp60(b, q) * _qp60(q / a, q) * _qp60(z, q)
-                         * _qp60(b / (a * z), q)))
+            oracle = _psi_product(a, b, q, z)
         assert got.certified and abs(got.value - oracle) <= got.err_estimate
 
 
@@ -980,10 +985,7 @@ def test_psi_estimate_carries_the_rounding_of_w():
         q, a, z = mpf("0.3"), mpf("0.5"), mpf("-0.7")
         b = a * z * (1 - mpf(2) ** -36)
     with mp.workdps(60):
-        oracle = (_qp60(q, q) * _qp60(b / a, q) * _qp60(a * z, q)
-                  * _qp60(q / (a * z), q)
-                  / (_qp60(b, q) * _qp60(q / a, q) * _qp60(z, q)
-                     * _qp60(b / (a * z), q)))
+        oracle = _psi_product(a, b, q, z)
     got = psi_bilateral([a], [b], q, z, PrecisionCtx(digits=20))
     with mp.workdps(60):
         assert got.certified and abs(got.value - oracle) <= got.err_estimate
@@ -1001,10 +1003,7 @@ def test_psi_certified_just_inside_the_rounding_margin_of_w():
         b = a * z * (1 - 13 * mpf(2) ** -prec)
     got = psi_bilateral([a], [b], q, z, ctx)
     with mp.workdps(60):
-        oracle = (_qp60(q, q) * _qp60(b / a, q) * _qp60(a * z, q)
-                  * _qp60(q / (a * z), q)
-                  / (_qp60(b, q) * _qp60(q / a, q) * _qp60(z, q)
-                     * _qp60(b / (a * z), q)))
+        oracle = _psi_product(a, b, q, z)
         assert got.certified and abs(got.value - oracle) <= got.err_estimate
 
 
@@ -1035,10 +1034,7 @@ def test_psi_exact_lower_q_power_ends_the_negative_half(ctx40, k):
     got = psi_bilateral([a], [ParamExpr(1, k)], q, z, ctx40)
     with mp.workdps(60):
         b = q ** k
-        oracle = (_qp60(q, q) * _qp60(b / a, q) * _qp60(a * z, q)
-                  * _qp60(q / (a * z), q)
-                  / (_qp60(b, q) * _qp60(q / a, q) * _qp60(z, q)
-                     * _qp60(b / (a * z), q)))
+        oracle = _psi_product(a, b, q, z)
         assert got.certified and abs(got.value - oracle) <= (
             got.err_estimate + mpf(10) ** -40 * abs(oracle))
 
@@ -1056,6 +1052,10 @@ def test_psi_negative_half_pole(ctx40, q, k):
         psi_bilateral([a], [a / 10], q, mpf("0.6"), ctx40)
     assert "a1" in str(info.value)
     assert f"m = {k}" in str(info.value)
+    # b = q^-k is a pole of the positive half instead, at its factor
+    # 1 - b q^k: raised as that factor's own PoleError, not renamed
+    with pytest.raises(PoleError, match=rf"factor 1 - \(.*\)\*q\^{k}$"):
+        psi_bilateral([100], [ParamExpr(1, -k)], q, mpf("0.6"), ctx40)
 
 
 def test_psi_rejects_outside_annulus():
@@ -1086,6 +1086,7 @@ def test_psi_rejects_zero_argument():
     (lambda: pochhammer_inf(mp.nan, 0.5), QDomainError),
     (lambda: phi([0.5], [], 0.5, mp.nan), QDomainError),
     (lambda: psi_bilateral([mp.inf], [0.1], 0.5, 0.5), QDomainError),
+    (lambda: psi_bilateral([0.5, 0.3], [0.1], 0.5, 0.5), QDomainError),
     (lambda: qcore.prodquot([0.5], [0.2, mp.nan], 0.5), QDomainError),
     (lambda: pochhammer_n(0.5, 0.5, 2.5), QDomainError),
     (lambda: pochhammer_n(0.5, 0.5, 10 ** 7), CapExceededError),
@@ -1120,7 +1121,13 @@ def test_psi_rejects_zero_argument():
     (lambda: RunConfig(identities="eq-3.2"), ValueError),
     (lambda: sample_domain("eq-3.2", "2", 1), SamplingError),
     (lambda: sample_domain("eq-1.1", 2, 1.5), SamplingError),
+    (lambda: RunConfig(seed=True), ValueError),
+    (lambda: RunConfig(points_per_identity=True), ValueError),
+    (lambda: PrecisionCtx(max_terms=True), QDomainError),
+    (lambda: sample_domain("eq-1.1", True, 1), SamplingError),
+    (lambda: sample_domain("eq-1.1", 2, True), SamplingError),
 ], ids=["pochhammer_inf-nan-a", "phi-nan-z", "psi-inf-upper",
+        "psi-unequal-counts",
         "prodquot-nan-b2", "pochhammer_n-half-n", "pochhammer_n-huge-n",
         "pochhammer_n-huge-negative-n", "eta_quotient-half-e",
         "eta_quotient-one-and-a-half-e", "eta_quotient-nan-e",
@@ -1132,7 +1139,9 @@ def test_psi_rejects_zero_argument():
         "eta_quotient-str-scale", "monomial-float-exponent-zero_index",
         "monomial-float-exponent-value", "run-half-seed", "run-half-points",
         "run-str-identities", "sample_domain-str-count",
-        "sample_domain-half-seed"])
+        "sample_domain-half-seed", "run-bool-seed", "run-bool-points",
+        "ctx-bool-max_terms", "sample_domain-bool-count",
+        "sample_domain-bool-seed"])
 def test_non_finite_input_fails_fast(call, error):
     # a non-finite parameter must not run a product or series to its cap,
     # nor must a count (an index, an exponent, digits or max_terms) that is
@@ -1158,6 +1167,47 @@ def test_non_finite_parameter_is_rejected_by_name(call, name, bad):
     # only exact (int or Fraction) coefficients skip the finiteness check
     with pytest.raises(QDomainError, match=f"parameter {name} is not finite"):
         call(bad)
+
+
+# --- error estimates at 100 digits -----------------------------------------------
+
+def _eq32_rhs_case(q):
+    side, q = next(e for e in CATALOG if e.id == "eq-3.2").rhs, mpf(q)
+    return (lambda ctx: side(QPoint(q, {}), ctx),
+            lambda: (1 + q ** 2) * (1 + q) / (q * (1 - q)))
+
+
+# the inputs are doubles, so the oracles at 130 digits see the same values
+@pytest.mark.parametrize("side, oracle", [
+    (lambda ctx: phi([0.3, -0.7], [0.4], 0.99, 0.95, ctx),
+     lambda: mp.qhyper([0.3, -0.7], [0.4], 0.99, 0.95, maxterms=10 ** 6)),
+    (lambda ctx: phi([0.3, -0.7], [0.4], 0.999, 0.95, ctx),
+     lambda: mp.qhyper([0.3, -0.7], [0.4], 0.999, 0.95, maxterms=10 ** 6)),
+    (lambda ctx: psi_bilateral([1.5], [-1.3486], 0.99, -0.999, ctx),
+     lambda: _psi_product(mpf(1.5), mpf(-1.3486), mpf(0.99), mpf(-0.999))),
+    (lambda ctx: psi_bilateral([2], [1e-12], 0.3, 0.45, ctx),
+     lambda: _psi_product(mpf(2), mpf(1e-12), mpf(0.3), mpf(0.45))),
+    (lambda ctx: qcore.prodquot([mpf(2.5)], [], mpf(0.9), ctx),
+     lambda: _qp60(2.5, 0.9)),
+    _eq32_rhs_case(0.3),
+    _eq32_rhs_case(0.61),
+    _eq32_rhs_case(0.05),
+], ids=["phi-q0.99", "phi-q0.999", "psi-z0.999", "psi-b1e-12",
+        "prodquot-q0.9", "eq-3.2-rhs-q0.3", "eq-3.2-rhs-q0.61",
+        "eq-3.2-rhs-q0.05"])
+def test_error_estimate_at_100_digits(side, oracle):
+    # the property tests' pinned corners at 100 digits: the phi at q = 0.99
+    # and at q = 0.999, where d = 1.8 makes the bound's L1 dominate, the psi
+    # at |z| = 0.999 and at b = 1e-12, where its negative half less the
+    # exact 1 is smallest, (2.5; q)_inf at q = 0.9, and eq-3.2's factor-data
+    # rhs against its closed form (1+q^2)(1+q)/(q(1-q)): certified, within
+    # its estimate and within 1e-99 relative of mpmath at 130 digits
+    got = side(PrecisionCtx(digits=100))
+    with mp.workdps(130):
+        want = oracle()
+        err = abs(got.value - want)
+        assert got.certified and err <= got.err_estimate
+        assert err <= mpf(10) ** -99 * abs(want)
 
 
 # --- sum_with_ratio_bound -----------------------------------------------------------
