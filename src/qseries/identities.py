@@ -299,12 +299,15 @@ def _special(side, at, scale=None, shift=None):
     k, a, b, z = at
     scale, shift = (f and _factors(*f) for f in (scale, shift))
 
+    def rewritten(x: ParamExpr) -> ParamExpr:
+        return ParamExpr(x.coefficient, Fraction(x.exponent, k))
+
+    fixed = {name: rewritten(ParamExpr(*x))
+             for name, x in (("a", a), ("b", b), ("z", z)) if x is not None}
+
     def special(p: QPoint, ctx: PrecisionCtx) -> SeriesValue:
-        monomials = {"a": ParamExpr(*a), "b": ParamExpr(*b),
-                     "z": p.exprs["z"] if z is None else ParamExpr(*z)}
-        value = side(p.at_power(k, {
-            name: ParamExpr(x.coefficient, Fraction(x.exponent, k))
-            for name, x in monomials.items()}), ctx)
+        monomials = fixed if z else {**fixed, "z": rewritten(p.exprs["z"])}
+        value = side(p.at_power(k, monomials), ctx)
         if scale:
             value = value * scale(p, ctx)
         if shift:

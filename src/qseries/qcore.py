@@ -494,18 +494,23 @@ def _quotient(nums, dens, q, ctx: PrecisionCtx) -> SeriesValue:
     _exact_pole(dens, [y.zero_index for y in dens], 0)
     # q and the values rounded to the working precision first
     prec, q = mp.prec, +q
-    theta = min(mpf(0.5), 3 * (1 - q))
     runs = (finite + [(x, None, True) for x in nums]
             + [(y, None, False) for y in dens])
     runs = [(x, mpf_pos(v._mpf_, prec, RN), n, over) for (x, n, over), v
             in zip(runs, _values([x for x, _, _ in runs], q))]
-    q_, theta_ = q._mpf_, theta._mpf_
+    q_ = q._mpf_
     wp = _working_bits(prec, [v for _, v, _, _ in runs])
-    one, Q, iq = 1 << wp, _fixed(q_, wp), _inv_one_minus(q_, wp)
-    if _heads_beyond_cap(runs, theta_, _log_inv_q(q_, iq, wp),
-                         ctx.max_terms):
+    one, Q, th = 1 << wp, _fixed(q_, wp), None
+    if nums or dens:
+        # theta, 1/(1-q) and the log screen serve only the infinite runs
+        theta_ = min(mpf(0.5), 3 * (1 - q))._mpf_
+        iq = _inv_one_minus(q_, wp)
+        if _heads_beyond_cap(runs, theta_, _log_inv_q(q_, iq, wp),
+                             ctx.max_terms):
+            raise _cap_error(ctx)
+        th = _fixed(theta_, wp)
+    elif sum(count for _, _, count, _ in runs) > ctx.max_terms:
         raise _cap_error(ctx)
-    th = _fixed(theta_, wp)
     # the numerator and denominator products as balls P 2^E
     parts = dict.fromkeys((True, False), (1 << wp + 1, -wp - 1, 0))
     used, zero, series = 0, False, []
@@ -905,6 +910,14 @@ def phi(upper, lower, q, z, ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
         return _ratio_series(upper, [q] + lower, zeros, q, z, ctx)
 
 
+def _zero_over(x: ParamExpr) -> int | None:
+    """The zero index of q/x, read from x = c q^r: r - 1 where c is exactly
+    1 and r an integer of at least 1, so that q/x is exactly q^(1-r)."""
+    c, r = x.coefficient, x.exponent
+    exact = not isinstance(c, mpf) and c == 1 and r.denominator == 1
+    return int(r) - 1 if exact and r >= 1 else None
+
+
 def psi_bilateral(upper, lower, q, z,
                   ctx: PrecisionCtx = DEFAULT_CTX) -> SeriesValue:
     """Bilateral basic hypergeometric series r_psi_r.
@@ -942,8 +955,8 @@ def psi_bilateral(upper, lower, q, z,
                 f"bilateral domain |b../a..| < |z| < 1 violated: "
                 f"|b../(a..z)| = {abs(w)}, |z| = {abs(z)}")
         nums, dens = [q / b for b in lower], [q / a for a in upper]
-        neg_zeros = [(Q / B).zero_index for B in lows] + [
-            0 if a == q else (Q / A).zero_index for A, a in zip(ups, upper)]
+        neg_zeros = [_zero_over(B) for B in lows] + [
+            0 if a == q else _zero_over(A) for A, a in zip(ups, upper)]
         try:
             _exact_pole(dens, neg_zeros, len(nums))  # before either sum
             pos = _ratio_series(upper, lower, zeros, q, z, ctx)

@@ -91,6 +91,30 @@ def test_eta_quotient_rejects_bad_scale(ctx40):
         eta_quotient({-2: 1}, mpf("0.3"), ctx40)
 
 
+def test_eta_quotient_reads_string_scales(ctx40):
+    # a scale is read by to_real, as every scalar is: "2" is the scale 2
+    q = mpf("0.3")
+    got = eta_quotient({"2": 1, "1": -1}, q, ctx40)
+    want = eta_quotient({2: 1, 1: -1}, q, ctx40)
+    assert (got.value, got.err_estimate) == (want.value, want.err_estimate)
+
+
+@pytest.mark.parametrize("q", ["0.005", "0.9", "0.99"])
+@pytest.mark.parametrize("scales", [
+    {1: 1, 2: -2}, {2: 10, 1: -4, 4: -2}, {3: 3, 1: -1}, {1: 24, 2: -24},
+], ids=["eq-4.2", "eq-4.3", "eq-4.4", "e24"])
+def test_eta_quotient_holds_its_ball_beyond_the_sampled_q(scales, q):
+    # outside the sampled q in [0.05, 0.6], with a 24th power too: the
+    # values at 40 and at 120 digits lie within the sum of their estimates,
+    # each power's radius bounded by x (1 + x) rounded up
+    lo, hi = PrecisionCtx(digits=40), PrecisionCtx(digits=120)
+    with lo.working():
+        q = mpf(q)
+    v, w = eta_quotient(scales, q, lo), eta_quotient(scales, q, hi)
+    with hi.working():
+        assert abs(v.value - w.value) <= v.err_estimate + w.err_estimate
+
+
 @pytest.mark.parametrize("ident", ["eq-4.2", "eq-4.4"])
 def test_eta_identities_pass(registry, ctx40, ident):
     # q = 0.005 and 0.95 lie outside the sampled range [0.05, 0.6]
@@ -133,6 +157,16 @@ def test_eta_quotient_power_bounds_a_large_relative_error(monkeypatch):
         mpf(1), mpf("1e-3"), 1, True))
     got = eta_quotient({1: 1000}, mpf("0.5"))
     assert got.value == 1 and 1.001 ** 1000 - 1 <= got.err_estimate < 1.73
+
+
+def test_eta_quotient_power_bound_holds_up_to_one_half(monkeypatch):
+    # the same eta to the 400th: x = 0.4004 takes the bound x (1 + x) =
+    # 0.5607, which must reach 1.001^400 - 1 = 0.4915; first order (x
+    # alone) falls short of it
+    monkeypatch.setattr(eta, "eta_nome", lambda q, ctx: SeriesValue(
+        mpf(1), mpf("1e-3"), 1, True))
+    got = eta_quotient({1: 400}, mpf("0.5"))
+    assert got.value == 1 and 1.001 ** 400 - 1 <= got.err_estimate < 0.57
 
 
 @pytest.mark.parametrize("q", ["0.999", "0.9999"])

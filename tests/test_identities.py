@@ -372,6 +372,28 @@ def test_section34_sides_hold_their_balls(registry):
     assert not misses, misses
 
 
+def test_eta_sides_and_finite_quotients_skip_infinite_set_up(monkeypatch,
+                                                             registry, ctx40):
+    # every campaign eta power has x far below 1/2, so its radius takes no
+    # mpmath expm1; and eq-3.2's rhs, whose quotient telescopes to finite
+    # factors only, forms neither log(1/q) nor the heads' cap screen
+    entries = {e.id: e for e in registry}
+    expm1, calls = mp.expm1, []
+    monkeypatch.setattr(mp, "expm1", lambda x: calls.append(x) or expm1(x))
+    for ident in ("eq-4.2", "eq-4.3", "eq-4.4"):
+        point = sample_domain(ident, 1, 1, registry=registry)[0]
+        entries[ident].lhs(point, ctx40)
+    assert calls == []
+
+    def refuse(*args):
+        raise AssertionError("an infinite run's set-up was formed")
+
+    monkeypatch.setattr(qseries.qcore, "_log_inv_q", refuse)
+    monkeypatch.setattr(qseries.qcore, "_heads_beyond_cap", refuse)
+    point = sample_domain("eq-3.2", 1, 1, registry=registry)[0]
+    assert entries["eq-3.2"].rhs(point, ctx40).certified
+
+
 def test_no_series_value_meets_mpmath_conversion(monkeypatch, registry,
                                                  ctx40):
     # an mpf on the left of a SeriesValue has mpmath format repr(sv) into a

@@ -119,6 +119,20 @@ def test_pochhammer_inf_cap():
         pochhammer_inf(0.5, 0.99, tiny)
 
 
+def test_finite_quotient_past_the_cap_fails_before_any_factor(monkeypatch):
+    # two telescoped runs of 600 factors each, with no infinite run left,
+    # pass a cap of 1,000: refused from their counts before any factor
+    def refuse(*args):
+        raise AssertionError("a factor was formed")
+
+    monkeypatch.setattr(qcore, "_head", refuse)
+    a, b = ParamExpr(Fraction(1, 2)), ParamExpr(Fraction(1, 3))
+    shift = ParamExpr(1, 600)
+    with pytest.raises(CapExceededError):
+        qcore.prodquot([a, b], [a * shift, b * shift], 0.5,
+                       PrecisionCtx(digits=20, max_terms=1000))
+
+
 def _pochhammer_inf_expm1_every_factor(a, q, ctx, expm1):
     """Reference loop that tests expm1(L) <= tol, L built as g + x^2 /
     ((1-q)(1-x)), x = |a| q^n, at every factor where x < 1 and g = x / (1-q)
